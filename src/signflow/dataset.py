@@ -295,7 +295,11 @@ def save_mask_archive(dir_path, frames: list, comment: str = "") -> None:
 
 
 def load_mask_archive(dir_path) -> list:
-    """Read a mask directory back to per-frame {HandSide: HandRegion} dicts."""
+    """Read a mask directory back to per-frame {HandSide: HandRegion} dicts.
+
+    A mask that is not a valid region (wrong size, or more than one
+    8-connected component) raises CorruptFileError naming its file.
+    """
     root = Path(dir_path)
     if not root.is_dir():
         raise FileNotFoundError(f"no mask archive at {dir_path}")
@@ -317,8 +321,12 @@ def load_mask_archive(dir_path) -> list:
         out = {}
         for side, mask in sides.items():
             present = bool(mask.any())
-            out[side] = HandRegion(mask=mask if present else
-                                   np.zeros((PATCH, PATCH), dtype=bool),
-                                   side=side, present=present)
+            try:
+                out[side] = HandRegion(mask=mask if present else
+                                       np.zeros((PATCH, PATCH), dtype=bool),
+                                       side=side, present=present)
+            except ValueError as exc:
+                raise CorruptFileError(f"{root / mask_filename(idx, side)}: "
+                                       f"frame {idx}: {exc}") from None
         frames.append(out)
     return frames

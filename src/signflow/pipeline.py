@@ -23,7 +23,12 @@ import numpy as np
 
 from .bundle import ModelBundle
 from .codebook import Codebook, build_codebook, encode_sequence, fit_kmeans
-from .dataset import DatasetManifest, load_mask_archive, parse_skeleton_csv
+from .dataset import (
+    CorruptFileError,
+    DatasetManifest,
+    load_mask_archive,
+    parse_skeleton_csv,
+)
 from .descriptors import DescriptorVariant, describe_sequence
 from .fusion import (
     DEFAULT_FUSION_COST,
@@ -37,16 +42,17 @@ from .fusion import (
 from .hmm import GestureResponse, baum_welch, classify_gesture, init_left_right
 from .metrics import ConfusionMatrix, MetricsReport, confusion, precision_recall_fscore
 from .posture import (
-    CONTOUR_POINTS,
     DEFAULT_POSTURE_COST,
-    DegenerateContour,
     PostureBoW,
+    bow_from_shape_contexts,
     encode_video_bow,
-    frame_shape_contexts,
     posture_response,
-    sample_contour,
     train_posture_classifier,
+    video_shape_contexts,
 )
+# kept importable from this module: perfbench/tracing.py wraps the posture
+# kernels under the names pipeline has always exposed
+from .posture import frame_shape_contexts, sample_contour  # noqa: F401
 from .skeleton import EmptyInputError, SkeletonSequence
 
 FUSION_MODES = ("linear", "kde", "gesture-only", "posture-only")
@@ -126,7 +132,10 @@ def items_from_corpus(corpus) -> list:
 
 def load_items(manifest: DatasetManifest, root, splits=None,
                with_masks: bool = True) -> list:
-    """Read manifest entries (optionally only some splits) from disk."""
+    """Read manifest entries (optionally only some splits) from disk.
+
+    A mask archive must hold one frame per skeleton frame.
+    """
     root = Path(root)
     wanted = set(splits) if splits is not None else None
     items = []
@@ -137,6 +146,10 @@ def load_items(manifest: DatasetManifest, root, splits=None,
         masks = None
         if with_masks and entry.mask_dir is not None:
             masks = load_mask_archive(root / entry.mask_dir)
+            if len(masks) != len(seq):
+                raise CorruptFileError(
+                    f"{root / entry.mask_dir}: {len(masks)} mask frames, but "
+                    f"{root / entry.sequence_path} has {len(seq)} frames")
         items.append(CorpusItem(sequence=seq, label=entry.label,
                                 subject=entry.subject, split=entry.split,
                                 masks=masks))
@@ -147,25 +160,19 @@ def _video_regions(masks: list) -> list:
     return [list(frame.values()) for frame in masks]
 
 
-def _collect_shape_contexts(items, cap: int) -> np.ndarray:
-    rows = []
-    for item in items:
-        for frame in item.masks:
-            for region in frame.values():
-                if not region.present:
-                    continue
-                try:
-                    contour = sample_contour(region, CONTOUR_POINTS)
-                except DegenerateContour:
-                    continue
-                rows.append(frame_shape_contexts(contour))
-    if not rows:
+def _codebook_sample(per_video: list, cap: int) -> np.ndarray:
+    """Rows np.concatenate(per_video)[::ceil(n / cap)] picks (all of them
+    when cap is 0 or n <= cap), gathered without stacking every row."""
+    n = sum(rows.shape[0] for rows in per_video)
+    if n == 0:
         raise EmptyInputError("no usable hand contours in the training split")
-    data = np.concatenate(rows, axis=0)
-    if cap and data.shape[0] > cap:
-        step = -(-data.shape[0] // cap)  # ceil division
-        data = data[::step]
-    return data
+    step = -(-n // cap) if cap and n > cap else 1  # ceil division
+    picks = []
+    offset = 0
+    for rows in per_video:
+        picks.append(rows[-offset % step::step])
+        offset += rows.shape[0]
+    return np.concatenate(picks)
 
 
 def _gesture_symbols(cb: Codebook, seq: SkeletonSequence):
@@ -207,12 +214,17 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
     # posture branch, when the training split carries masks
     posture_model = None
     if all(i.masks is not None for i in train):
-        sc_data = _collect_shape_contexts(train, config["sc_sample_cap"])
+        # each train contour's shape contexts, computed once: they feed
+        # both the codebook sample and the bags-of-words
+        per_video = [video_shape_contexts(_video_regions(i.masks)) for i in train]
+        sc_data = _codebook_sample([rows for rows, _ in per_video],
+                                   config["sc_sample_cap"])
         posture_k = min(config["posture_k"], sc_data.shape[0])
         posture_cb = fit_kmeans(sc_data, k=posture_k,
                                 seed=derive_seed(seed, "posture-cb"))
-        bows = [encode_video_bow(_video_regions(i.masks), posture_cb,
-                                 video_id=i.sequence.source) for i in train]
+        bows = [bow_from_shape_contexts(rows, halves, posture_cb,
+                                        video_id=i.sequence.source)
+                for (rows, halves), i in zip(per_video, train)]
         posture_model = train_posture_classifier(
             list(zip(bows, (i.label for i in train))), posture_cb,
             cost=config["posture_cost"], seed=derive_seed(seed, "posture-clf"),

@@ -8,9 +8,14 @@ region's bounding box is resampled onto a common 65x65 grid.
 
 Each mask's outer contour is sampled at 20 equal arc-length points; every
 point yields a 49-bin log-polar shape context (12 angle bins x 4 outer
-rings + 1 merged inner disk, radii 6..32 px). Descriptors are quantized
-against a K-means codebook and accumulated into one [right | left]
-histogram per video, scored by a linear multiclass model: R_posture = W p.
+rings + 1 merged inner disk, radii 6..32 px). frame_shape_contexts bins
+all point pairs of a contour in one vectorized pass and returns its
+(m, 49) rows; video_shape_contexts stacks them for a whole video, so
+training computes each contour's rows once and uses them for both the
+codebook sample and the bag-of-words. A video's rows are quantized
+against a K-means codebook in one call and accumulated into one
+[right | left] histogram, scored by a linear multiclass model:
+R_posture = W p.
 """
 
 from __future__ import annotations
@@ -329,32 +334,41 @@ def sample_contour(region: HandRegion, m: int = CONTOUR_POINTS) -> np.ndarray:
     return pts[idx] + t[:, None] * (nxt[idx] - pts[idx])
 
 
-def _bin_counts(rel: np.ndarray) -> np.ndarray:
-    """Raw 49-bin counts for relative point coordinates."""
-    counts = np.zeros(SC_DIM)
-    r = np.hypot(rel[:, 0], rel[:, 1])
-    keep = r < OUTER_RADIUS  # points at or beyond the outer radius are dropped
-    r = r[keep]
-    rel = rel[keep]
-    inner = r < INNER_RADIUS
-    counts[0] = float(inner.sum())
-    if np.any(~inner):
-        rr = r[~inner]
-        theta = np.mod(np.arctan2(rel[~inner, 1], rel[~inner, 0]), 2.0 * np.pi)
-        abin = np.minimum((theta * (N_ANGLE_BINS / (2.0 * np.pi))).astype(np.int64),
-                          N_ANGLE_BINS - 1)
-        ring = np.minimum(np.searchsorted(RING_EDGES, rr, side="right") - 1, N_RINGS - 1)
-        np.add.at(counts, 1 + ring * N_ANGLE_BINS + abin, 1.0)
-    return counts
+def frame_shape_contexts(points) -> np.ndarray:
+    """All m shape contexts of a sampled contour, one row per reference.
+
+    Row i is the log-polar histogram of the other points around
+    points[i]: bin 0 collects everything closer than 6 px; bins 1..48 are
+    laid out ring-major (4 geometric rings out to 32 px, 12 angle bins
+    each, angles from the +x axis); points at or beyond 32 px are dropped.
+    Each row is divided by its own integer count of binned points, so it
+    sums to 1, or stays all-zero when nothing was binned. All m x (m - 1)
+    point pairs are binned in one pass.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must be (m, 2)")
+    m = pts.shape[0]
+    x, y = pts[:, 0], pts[:, 1]
+    dx = x[None, :] - x[:, None]  # dx[i, j]: point j relative to reference i
+    dy = y[None, :] - y[:, None]
+    r = np.hypot(dx, dy)
+    keep = r < OUTER_RADIUS
+    np.fill_diagonal(keep, False)
+    ref = np.nonzero(keep)[0]
+    dx, dy, r = dx[keep], dy[keep], r[keep]
+    theta = np.mod(np.arctan2(dy, dx), 2.0 * np.pi)
+    abin = np.minimum((theta * (N_ANGLE_BINS / (2.0 * np.pi))).astype(np.int64),
+                      N_ANGLE_BINS - 1)
+    ring = np.minimum(np.searchsorted(RING_EDGES, r, side="right") - 1, N_RINGS - 1)
+    bins = np.where(r < INNER_RADIUS, 0, 1 + ring * N_ANGLE_BINS + abin)
+    counts = np.bincount(ref * SC_DIM + bins, minlength=m * SC_DIM).reshape(m, SC_DIM)
+    return counts / np.maximum(np.bincount(ref, minlength=m), 1)[:, None]
 
 
 def shape_context(points, ref_index: int) -> ShapeContextDescriptor:
-    """Log-polar histogram of the other points around points[ref_index].
-
-    Bin 0 collects everything closer than 6 px; bins 1..48 are laid out
-    ring-major (4 geometric rings out to 32 px, 12 angle bins each,
-    angles from the +x axis). Normalized by the number of binned points.
-    """
+    """Log-polar histogram of the other points around points[ref_index]:
+    row ref_index of frame_shape_contexts(points)."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (m, 2)")
@@ -362,37 +376,22 @@ def shape_context(points, ref_index: int) -> ShapeContextDescriptor:
         raise ValueError("need at least 2 points")
     if not 0 <= ref_index < pts.shape[0]:
         raise ValueError("ref_index out of range")
-    rel = np.delete(pts, ref_index, axis=0) - pts[ref_index]
-    counts = _bin_counts(rel)
-    total = counts.sum()
-    if total > 0:
-        counts /= total
-    return ShapeContextDescriptor(bins=counts)
+    return ShapeContextDescriptor(bins=frame_shape_contexts(pts)[ref_index])
 
 
-def frame_shape_contexts(points) -> np.ndarray:
-    """All m shape contexts of a sampled contour, one row per reference."""
-    pts = np.asarray(points, dtype=np.float64)
-    return np.stack([shape_context(pts, i).bins for i in range(pts.shape[0])])
-
-
-def encode_video_bow(frames, posture_cb: Codebook, video_id: str = "",
-                     m: int = CONTOUR_POINTS) -> PostureBoW:
-    """Bag-of-words over a whole video's hand regions.
+def video_shape_contexts(frames, m: int = CONTOUR_POINTS):
+    """Shape-context rows of a whole video, in frame order.
 
     frames: iterable of per-frame HandRegion collections (typically a
     (right, left) pair). Absent hands contribute nothing; a frame whose
-    mask is too small for a contour is skipped the same way. Each half is
-    L1-normalized independently, right first.
+    mask is too small for a contour is skipped the same way. Returns the
+    (n, 49) rows and, per row, the histogram half it counts in: 0 for the
+    right hand, 1 for the left.
     """
-    if posture_cb.dimension != SC_DIM:
-        raise ValueError(f"posture codebook must be {SC_DIM}-D, "
-                         f"got {posture_cb.dimension}")
     frames = list(frames)
     if not frames:
         raise EmptyInputError("no frames")
-    halves = {HandSide.RIGHT: np.zeros(posture_cb.k),
-              HandSide.LEFT: np.zeros(posture_cb.k)}
+    rows, halves = [], []
     for regions in frames:
         for region in regions:
             if not region.present:
@@ -401,15 +400,38 @@ def encode_video_bow(frames, posture_cb: Codebook, video_id: str = "",
                 contour = sample_contour(region, m)
             except DegenerateContour:
                 continue
-            words = quantize_batch(posture_cb, frame_shape_contexts(contour))
-            np.add.at(halves[region.side], words, 1.0)
-    for side, h in halves.items():
-        s = h.sum()
-        if s > 0:
-            halves[side] = h / s
-    return PostureBoW(histogram=np.concatenate([halves[HandSide.RIGHT],
-                                                halves[HandSide.LEFT]]),
-                      video_id=video_id)
+            rows.append(frame_shape_contexts(contour))
+            halves.append(0 if region.side is HandSide.RIGHT else 1)
+    if not rows:
+        return np.empty((0, SC_DIM)), np.empty(0, dtype=np.int64)
+    return np.concatenate(rows), np.repeat(halves, m)
+
+
+def bow_from_shape_contexts(rows: np.ndarray, halves: np.ndarray,
+                            posture_cb: Codebook, video_id: str = "") -> PostureBoW:
+    """[right | left] bag-of-words from video_shape_contexts output.
+
+    The whole video is quantized at once; each half is L1-normalized
+    independently by its integer word count.
+    """
+    if posture_cb.dimension != SC_DIM:
+        raise ValueError(f"posture codebook must be {SC_DIM}-D, "
+                         f"got {posture_cb.dimension}")
+    k = posture_cb.k
+    counts = np.zeros((2, k), dtype=np.int64)
+    if rows.shape[0]:
+        words = quantize_batch(posture_cb, rows)
+        counts = np.bincount(halves * k + words, minlength=2 * k).reshape(2, k)
+    hist = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+    return PostureBoW(histogram=hist.ravel(), video_id=video_id)
+
+
+def encode_video_bow(frames, posture_cb: Codebook, video_id: str = "",
+                     m: int = CONTOUR_POINTS) -> PostureBoW:
+    """Bag-of-words over a whole video's hand regions; see
+    video_shape_contexts and bow_from_shape_contexts."""
+    rows, halves = video_shape_contexts(frames, m)
+    return bow_from_shape_contexts(rows, halves, posture_cb, video_id)
 
 
 def train_posture_classifier(pairs, codebook: Codebook,

@@ -293,6 +293,17 @@ class TestMaskArchive:
         with pytest.raises(CorruptFileError):
             load_mask_archive(d)
 
+    def test_multi_component_mask_names_file_and_frame(self, tmp_path):
+        d = tmp_path / "vid0"
+        save_mask_archive(d, [{HandSide.RIGHT: disk_region(),
+                               HandSide.LEFT: disk_region(HandSide.LEFT)}] * 2)
+        two_blobs = disk_region(cx=15, cy=15, r=5).mask | disk_region(cx=48, cy=48, r=5).mask
+        save_mask(d / "00001_L.pgm", two_blobs)
+        with pytest.raises(CorruptFileError) as exc:
+            load_mask_archive(d)
+        assert str(d / "00001_L.pgm") in str(exc.value)
+        assert "frame 1" in str(exc.value)
+
     def test_missing_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_mask_archive(tmp_path / "nope")

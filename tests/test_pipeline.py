@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from signflow.bundle import load_bundle, save_bundle
-from signflow.dataset import load_manifest
+from signflow.dataset import CorruptFileError, load_manifest
 from signflow.pipeline import (
     TIMING_STAGES,
     CorpusItem,
@@ -120,6 +120,19 @@ class TestItems:
             for md, mm in zip(disk.masks, mem.masks):
                 for side in mm:
                     np.testing.assert_array_equal(md[side].mask, mm[side].mask)
+
+    def test_mask_frame_count_must_match_skeleton(self, tmp_path):
+        corpus = generate_synthetic_corpus(EASY_CONFIG)
+        write_corpus(corpus, tmp_path)
+        manifest = load_manifest(tmp_path / "manifest.json")
+        entry = manifest.entries[1]
+        last = len(corpus.sequences[1]) - 1
+        for name in (f"{last:05d}_L.pgm", f"{last:05d}_R.pgm"):
+            (tmp_path / entry.mask_dir / name).unlink()
+        with pytest.raises(CorruptFileError) as exc:
+            load_items(manifest, tmp_path)
+        assert str(tmp_path / entry.mask_dir) in str(exc.value)
+        assert load_items(manifest, tmp_path, with_masks=False)
 
     def test_load_items_split_filter(self, tmp_path):
         corpus = generate_synthetic_corpus(EASY_CONFIG)
