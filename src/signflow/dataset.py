@@ -297,8 +297,11 @@ def save_mask_archive(dir_path, frames: list, comment: str = "") -> None:
 def load_mask_archive(dir_path) -> list:
     """Read a mask directory back to per-frame {HandSide: HandRegion} dicts.
 
-    A mask that is not a valid region (wrong size, or more than one
-    8-connected component) raises CorruptFileError naming its file.
+    Each dict holds the right hand first, whatever order the directory
+    lists its files in: that order would otherwise reach the posture
+    codebook sample. A mask that is not a valid region (wrong size, or
+    more than one 8-connected component) raises CorruptFileError naming
+    its file.
     """
     root = Path(dir_path)
     if not root.is_dir():
@@ -319,7 +322,8 @@ def load_mask_archive(dir_path) -> list:
         if sides is None or set(sides) != set(HandSide):
             raise CorruptFileError(f"{dir_path}: frame {idx} is missing a side")
         out = {}
-        for side, mask in sides.items():
+        for side in HandSide:  # fixed (right, left) order, not directory order
+            mask = sides[side]
             present = bool(mask.any())
             try:
                 out[side] = HandRegion(mask=mask if present else

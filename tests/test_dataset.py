@@ -1,5 +1,7 @@
 """Tests for manifests, the skeleton CSV adapter, and PGM mask archives."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,18 @@ class TestMaskArchive:
         for sides in back:
             for side, region in sides.items():
                 assert region.side == side
+
+    def test_sides_in_fixed_order_whatever_the_directory_order(self, tmp_path,
+                                                               monkeypatch):
+        d = tmp_path / "vid0"
+        save_mask_archive(d, [{HandSide.RIGHT: disk_region(),
+                               HandSide.LEFT: disk_region(HandSide.LEFT)}] * 3)
+        names = sorted(d.iterdir())
+        for listing in (names, names[::-1]):
+            monkeypatch.setattr(Path, "iterdir",
+                                lambda self, listing=listing: iter(listing))
+            for sides in load_mask_archive(d):
+                assert list(sides) == [HandSide.RIGHT, HandSide.LEFT]
 
     def test_missing_side_rejected(self, tmp_path):
         d = tmp_path / "vid0"

@@ -189,6 +189,16 @@ class TestTraining:
         assert bundle.fusion_linear is None
         assert bundle.fusion_kde is None
 
+    def test_bundle_does_not_depend_on_the_filesystem(self, tmp_path, easy_items):
+        # the mask archive's directory order must not reach the bundle
+        write_corpus(generate_synthetic_corpus(EASY_CONFIG), tmp_path / "data")
+        loaded = load_items(load_manifest(tmp_path / "data" / "manifest.json"),
+                            tmp_path / "data")
+        save_bundle(train_pipeline(easy_items, TRAIN_CONFIG), tmp_path / "mem.json")
+        save_bundle(train_pipeline(loaded, TRAIN_CONFIG), tmp_path / "disk.json")
+        assert (tmp_path / "mem.json").read_bytes() == \
+               (tmp_path / "disk.json").read_bytes()
+
     def test_training_is_deterministic(self, tmp_path, easy_items):
         a = train_pipeline(easy_items, TRAIN_CONFIG)
         b = train_pipeline(easy_items, TRAIN_CONFIG)
