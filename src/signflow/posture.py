@@ -379,7 +379,8 @@ def shape_context(points, ref_index: int) -> ShapeContextDescriptor:
     return ShapeContextDescriptor(bins=frame_shape_contexts(pts)[ref_index])
 
 
-def video_shape_contexts(frames, m: int = CONTOUR_POINTS):
+def video_shape_contexts(frames,
+                         m: int = CONTOUR_POINTS) -> tuple[np.ndarray, np.ndarray]:
     """Shape-context rows of a whole video, in frame order.
 
     frames: iterable of per-frame HandRegion collections (typically a
@@ -418,10 +419,8 @@ def bow_from_shape_contexts(rows: np.ndarray, halves: np.ndarray,
         raise ValueError(f"posture codebook must be {SC_DIM}-D, "
                          f"got {posture_cb.dimension}")
     k = posture_cb.k
-    counts = np.zeros((2, k), dtype=np.int64)
-    if rows.shape[0]:
-        words = quantize_batch(posture_cb, rows)
-        counts = np.bincount(halves * k + words, minlength=2 * k).reshape(2, k)
+    words = quantize_batch(posture_cb, rows)
+    counts = np.bincount(halves * k + words, minlength=2 * k).reshape(2, k)
     hist = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
     return PostureBoW(histogram=hist.ravel(), video_id=video_id)
 
