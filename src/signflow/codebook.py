@@ -2,19 +2,19 @@
 
 Descriptor streams are re-encoded as sequences of nearest-center indices
 (symbols), which the discrete HMMs consume as observations. Centers live in
-z-normalized space; `quantize` applies the stored normalization before the
-nearest-neighbor lookup, so callers always pass raw descriptors.
+z-normalized space; `quantize_batch` applies the stored normalization before
+the nearest-neighbor lookup, so callers always pass raw descriptors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .descriptors import DescriptorVariant, FrameDescriptor, ZNormStats, fit_znorm
+from .descriptors import DescriptorVariant, ZNormStats, fit_znorm
 from .skeleton import EmptyInputError
 
 DEFAULT_K = 100
@@ -106,7 +106,7 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
 
     `data` is clustered as given (no normalization applied here); the
     returned Codebook carries `znorm` (identity when omitted) purely so that
-    `quantize` knows how to map raw descriptors into this space. Iteration
+    `quantize_batch` knows how to map raw descriptors into this space. Iteration
     stops when assignments repeat or after max_iter passes. Empty clusters
     are re-seeded to the point farthest from its assigned center, keeping
     all k symbols alive.
@@ -154,16 +154,17 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
                     variant=variant, wcss_history=history)
 
 
-def build_codebook(descriptors: Sequence[FrameDescriptor], k: int = DEFAULT_K,
-                   seed: int = 0, max_iter: int = DEFAULT_MAX_ITER) -> Codebook:
-    """Fit z-normalization on a descriptor corpus, then cluster in z-space."""
-    if not descriptors:
+def build_codebook(descriptors, k: int = DEFAULT_K, seed: int = 0,
+                   max_iter: int = DEFAULT_MAX_ITER,
+                   variant: Optional[DescriptorVariant] = None) -> Codebook:
+    """Fit z-normalization on an (n, D) descriptor array, then cluster in
+    z-space."""
+    raw = np.asarray(descriptors, dtype=np.float64)
+    if raw.shape[0] == 0:
         raise EmptyInputError("no descriptors")
-    stats = fit_znorm(list(descriptors))
-    raw = np.stack([d.values for d in descriptors])
+    stats = fit_znorm(raw)
     normed = (raw - stats.mean) / stats.stddev
-    return fit_kmeans(normed, k, seed, max_iter,
-                      znorm=stats, variant=descriptors[0].variant)
+    return fit_kmeans(normed, k, seed, max_iter, znorm=stats, variant=variant)
 
 
 def _as_matrix(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
@@ -175,28 +176,17 @@ def _as_matrix(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
     return (vectors - cb.znorm.mean) / cb.znorm.stddev
 
 
-def quantize(cb: Codebook, d) -> int:
-    """Nearest-center index for one raw descriptor; ties go to lowest index."""
-    values = d.values if isinstance(d, FrameDescriptor) else d
-    z = _as_matrix(cb, np.asarray(values, dtype=np.float64).reshape(1, -1))
-    return int(_sq_dists(z, cb.centers).argmin())
-
-
 def quantize_batch(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
-    """Row-wise quantize; same tie rule, one distance matrix."""
+    """Nearest-center index of each raw row; ties go to the lowest index."""
     z = _as_matrix(cb, np.atleast_2d(np.asarray(vectors, dtype=np.float64)))
     return _sq_dists(z, cb.centers).argmin(axis=1)
 
 
-def encode_sequence(cb: Codebook, descriptors: Sequence[FrameDescriptor],
-                    source: str = "") -> SymbolSequence:
-    """Quantize a descriptor stream in order; one symbol per descriptor."""
-    if not descriptors:
-        raise EmptyInputError("no descriptors to encode")
-    for d in descriptors:
-        if cb.variant is not None and d.variant is not cb.variant:
-            raise ValueError(f"descriptor variant {d.variant.value} != codebook "
-                             f"variant {cb.variant.value}")
-    z = _as_matrix(cb, np.stack([d.values for d in descriptors]))
-    symbols = _sq_dists(z, cb.centers).argmin(axis=1)
-    return SymbolSequence(symbols=symbols, source=source)
+def encode_sequence(cb: Codebook, descriptors, source: str = "") -> SymbolSequence:
+    """Quantize an (n, D) descriptor stream in order; one symbol per row.
+
+    An empty stream raises EmptyInputError naming `source`.
+    """
+    if len(descriptors) == 0:
+        raise EmptyInputError(f"{source or 'sequence'}: no descriptors to encode")
+    return SymbolSequence(symbols=quantize_batch(cb, descriptors), source=source)

@@ -24,7 +24,6 @@ from .skeleton import (
     ALL_JOINTS,
     UPPER_BODY,
     EmptyInputError,
-    Joint3D,
     JointId,
     MissingJointError,
     SignflowError,
@@ -82,17 +81,42 @@ def _float_or_none(cell: str) -> Optional[float]:
         return None
 
 
+def _bad_value(rows: np.ndarray, fields: np.ndarray, observed: np.ndarray):
+    """(row index, reason) of the first value a row may not hold, or None.
+
+    Values are checked in column order: the timestamp must be finite, an
+    observed joint's coordinates finite and its confidence at most 1.
+    """
+    bad = ~np.isfinite(fields) & observed[:, :, None]
+    if fields.shape[2] == 4:
+        bad[:, :, 3] = observed & (fields[:, :, 3] > 1)
+    bad = np.concatenate([~np.isfinite(rows[:, :1]), bad.reshape(len(rows), rows.shape[1] - 1)],
+                         axis=1)
+    if not bad.any():
+        return None
+    row, col = divmod(int(bad.argmax()), rows.shape[1])
+    value = float(rows[row, col])
+    if col == 0:
+        return row, f"non-finite timestamp: {value!r}"
+    if (col - 1) % fields.shape[2] == 3:
+        return row, f"confidence outside [0, 1]: {value!r}"
+    return row, f"non-finite joint coordinate: {value!r}"
+
+
 def parse_skeleton_csv(path, schema: CsvSchema = DEFAULT_SCHEMA,
                        required: tuple = UPPER_BODY) -> SkeletonSequence:
     """Read one recording; repair missing joints by forward fill.
 
-    Rows that fail to parse are rejected with their 1-based line number.
-    Lines starting with '#' and blank lines are skipped.
+    Rows that fail to parse, or hold a non-finite timestamp, a non-finite
+    observed coordinate or a confidence above 1, are rejected with their
+    1-based line number. Lines starting with '#' and blank lines are
+    skipped.
     """
     for jid in required:
         if jid not in schema.joints:
             raise MissingJointError(JointId(jid))
-    raw = []
+    rows, lines = [], []
+    error = None  # a row that does not parse ends the read
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -100,45 +124,51 @@ def parse_skeleton_csv(path, schema: CsvSchema = DEFAULT_SCHEMA,
             if row[0].lstrip().startswith("#"):
                 continue
             if len(row) != schema.n_columns:
-                raise MalformedRowError(
+                error = MalformedRowError(
                     lineno, f"expected {schema.n_columns} columns, got {len(row)}")
-            values = [_float_or_none(cell) for cell in row]
-            if any(v is None for v in values):
-                bad = row[values.index(None)]
-                raise MalformedRowError(lineno, f"non-numeric cell {bad!r}")
-            joints: dict[JointId, Optional[Joint3D]] = {}
-            for i, jid in enumerate(schema.joints):
-                base = 1 + i * schema.fields_per_joint
-                x, y, z = values[base:base + 3]
-                conf = values[base + 3] if schema.fields_per_joint == 4 else 1.0
-                if conf > 0:
-                    try:
-                        joints[jid] = Joint3D(x, y, z, confidence=conf)
-                    except ValueError as exc:
-                        raise MalformedRowError(lineno, str(exc)) from None
-                else:
-                    joints[jid] = None
-            raw.append((values[0], joints))
-    if not raw:
+                break
+            try:
+                rows.append(list(map(float, row)))
+            except ValueError:
+                bad = next(cell for cell in row if _float_or_none(cell) is None)
+                error = MalformedRowError(lineno, f"non-numeric cell {bad!r}")
+                break
+            lines.append(lineno)
+    data = np.array(rows, dtype=np.float64).reshape(len(rows), schema.n_columns)
+    fields = data[:, 1:].reshape(len(rows), len(schema.joints), schema.fields_per_joint)
+    # zero or negative confidence marks a joint missing in that frame
+    observed = fields[:, :, 3] > 0 if schema.fields_per_joint == 4 else \
+        np.ones(fields.shape[:2], dtype=bool)
+    found = _bad_value(data, fields, observed)
+    if found is not None:  # an earlier line than the one that ended the read
+        raise MalformedRowError(lines[found[0]], found[1])
+    if error is not None:
+        raise error
+    if not rows:
         raise EmptyInputError(f"no data rows in {path}")
-    return SkeletonSequence(frames=forward_fill(raw), source=str(path))
+    positions = forward_fill(fields[:, :, :3], observed, schema.joints)
+    return SkeletonSequence(timestamps=data[:, 0], positions=positions,
+                            joints=schema.joints, source=str(path))
 
 
 def write_skeleton_csv(path, seq: SkeletonSequence,
                        schema: CsvSchema = DEFAULT_SCHEMA,
                        header: Optional[str] = None) -> None:
-    """Inverse of parse_skeleton_csv; floats via repr, so round-trips exact."""
+    """Inverse of parse_skeleton_csv; floats via repr, so round-trips exact.
+
+    Every joint is written as observed (confidence 1.0).
+    """
+    positions = seq.positions[:, seq.columns(schema.joints)].tolist()
+    conf = [repr(1.0)] if schema.fields_per_joint == 4 else []
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(f"# {header}\n")
         writer = csv.writer(fh)
-        for frame in seq.frames:
-            row = [repr(float(frame.timestamp))]
-            for jid in schema.joints:
-                j = frame.joint(jid)
-                row.extend([repr(j.x), repr(j.y), repr(j.z)])
-                if schema.fields_per_joint == 4:
-                    row.append(repr(j.confidence))
+        for ts, frame in zip(seq.timestamps.tolist(), positions):
+            row = [repr(ts)]
+            for xyz in frame:
+                row.extend(map(repr, xyz))
+                row.extend(conf)
             writer.writerow(row)
 
 
@@ -299,9 +329,9 @@ def load_mask_archive(dir_path) -> list:
 
     Each dict holds the right hand first, whatever order the directory
     lists its files in: that order would otherwise reach the posture
-    codebook sample. A mask that is not a valid region (wrong size, or
-    more than one 8-connected component) raises CorruptFileError naming
-    its file.
+    codebook sample. A mask that is not a valid region (wrong size, even
+    when blank, or more than one 8-connected component) raises
+    CorruptFileError naming its file and frame.
     """
     root = Path(dir_path)
     if not root.is_dir():
@@ -324,11 +354,8 @@ def load_mask_archive(dir_path) -> list:
         out = {}
         for side in HandSide:  # fixed (right, left) order, not directory order
             mask = sides[side]
-            present = bool(mask.any())
             try:
-                out[side] = HandRegion(mask=mask if present else
-                                       np.zeros((PATCH, PATCH), dtype=bool),
-                                       side=side, present=present)
+                out[side] = HandRegion(mask=mask, side=side, present=bool(mask.any()))
             except ValueError as exc:
                 raise CorruptFileError(f"{root / mask_filename(idx, side)}: "
                                        f"frame {idx}: {exc}") from None

@@ -1,4 +1,4 @@
-"""Per-frame gesture descriptors and corpus z-normalization.
+"""Gesture descriptors and corpus z-normalization.
 
 Four descriptor variants are supported. The relative body-part descriptor
 (RBPD) stacks, for each hand, the displacement of every upper-body joint
@@ -11,6 +11,8 @@ other joints at frame t+1, mixing spatial and temporal information:
     hd      delta   = hand(t)      - torso(t)        6 components
     hd-t    delta   = hand(t)      - torso(t+1)      6 components
 
+Each variant is one gather-and-subtract over the sequence's (T, J, 3)
+positions and yields a (T, D) array, or (T - 1, D) for the -T variants.
 All variants are invariant to translating every joint by a common offset.
 """
 
@@ -21,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .skeleton import UPPER_BODY, JointId, SkeletonFrame, SkeletonSequence
+from .skeleton import UPPER_BODY, JointId, SkeletonSequence
 
 ZNORM_FLOOR = 1e-8
 
@@ -39,23 +41,6 @@ class DescriptorVariant(str, Enum):
     @property
     def time_extended(self) -> bool:
         return self in (DescriptorVariant.HD_T, DescriptorVariant.RBPD_T)
-
-
-@dataclass
-class FrameDescriptor:
-    values: np.ndarray
-    variant: DescriptorVariant
-    frame_index: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.variant.dimension,):
-            raise ValueError(
-                f"descriptor for {self.variant.value} must have "
-                f"{self.variant.dimension} components, got {self.values.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("descriptor contains non-finite components")
 
 
 @dataclass
@@ -82,114 +67,35 @@ class ZNormStats:
         return cls(np.zeros(dimension), np.ones(dimension))
 
 
-def _positions(frame: SkeletonFrame, joints: tuple[JointId, ...]) -> np.ndarray:
-    return np.array([frame.joint(j).as_tuple() for j in joints], dtype=np.float64)
 
 
-def _rbpd_halves(ref: SkeletonFrame, others: SkeletonFrame) -> np.ndarray:
-    """Concatenate joint-minus-hand displacements for right then left hand.
+def describe_sequence(seq: SkeletonSequence, variant: DescriptorVariant) -> np.ndarray:
+    """Descriptor stream for a whole sequence, one row per frame, in order.
 
-    Reference hands come from `ref`, the 11 tracked joints from `others`;
-    passing the same frame twice gives the purely spatial descriptor.
+    Spatial variants give one row per frame (T rows); time-extended
+    variants one per consecutive frame pair (T - 1 rows). The reference
+    joints come from frame t, the displaced ones from frame t (spatial) or
+    t + 1 (time-extended). RBPD rows hold the 11 upper-body joints minus
+    the right hand, then minus the left hand.
     """
-    joints = _positions(others, UPPER_BODY)
-    halves = []
-    for hand in (JointId.RHand, JointId.LHand):
-        base = np.asarray(ref.joint(hand).as_tuple(), dtype=np.float64)
-        halves.append((joints - base).ravel())
-    return np.concatenate(halves)
+    variant = DescriptorVariant(variant)
+    pos = seq.positions
+    ref, moved = (pos[:-1], pos[1:]) if variant.time_extended else (pos, pos)
+    hands = ref[:, seq.columns((JointId.RHand, JointId.LHand))]
+    if variant in (DescriptorVariant.RBPD, DescriptorVariant.RBPD_T):
+        joints = moved[:, seq.columns(UPPER_BODY)]
+        delta = joints[:, None, :, :] - hands[:, :, None, :]  # (T', hand, joint, 3)
+    else:
+        delta = hands - moved[:, seq.columns((JointId.Torso,))]
+    return delta.reshape(len(delta), variant.dimension)
 
 
-def compute_rbpd(frame: SkeletonFrame, frame_index: int = 0) -> FrameDescriptor:
-    """Relative body-part descriptor: all 11 joints minus each hand, 66-D.
-
-    The triple where the tracked joint is the reference hand itself is
-    exactly zero.
-    """
-    values = _rbpd_halves(frame, frame)
-    return FrameDescriptor(values, DescriptorVariant.RBPD, frame_index)
-
-
-def compute_rbpd_t(frame_t: SkeletonFrame, frame_t1: SkeletonFrame,
-                   frame_index: int = 0) -> FrameDescriptor:
-    """Time-extended RBPD: joints at t+1 minus hands at t, 66-D.
-
-    The self-hand triple equals the hand's displacement between the frames.
-    """
-    values = _rbpd_halves(frame_t, frame_t1)
-    return FrameDescriptor(values, DescriptorVariant.RBPD_T, frame_index)
-
-
-def compute_hd(frame: SkeletonFrame, frame_index: int = 0) -> FrameDescriptor:
-    """Hand descriptor: [RHand - Torso, LHand - Torso], 6-D."""
-    torso = np.asarray(frame.joint(JointId.Torso).as_tuple(), dtype=np.float64)
-    r = np.asarray(frame.joint(JointId.RHand).as_tuple(), dtype=np.float64)
-    l = np.asarray(frame.joint(JointId.LHand).as_tuple(), dtype=np.float64)
-    return FrameDescriptor(np.concatenate([r - torso, l - torso]), DescriptorVariant.HD, frame_index)
-
-
-def compute_hd_t(frame_t: SkeletonFrame, frame_t1: SkeletonFrame,
-                 frame_index: int = 0) -> FrameDescriptor:
-    """Time-extended HD: hands at t minus torso at t+1, 6-D."""
-    torso = np.asarray(frame_t1.joint(JointId.Torso).as_tuple(), dtype=np.float64)
-    r = np.asarray(frame_t.joint(JointId.RHand).as_tuple(), dtype=np.float64)
-    l = np.asarray(frame_t.joint(JointId.LHand).as_tuple(), dtype=np.float64)
-    return FrameDescriptor(np.concatenate([r - torso, l - torso]), DescriptorVariant.HD_T, frame_index)
-
-
-def describe_sequence(seq: SkeletonSequence,
-                      variant: DescriptorVariant) -> list[FrameDescriptor]:
-    """Descriptor stream for a whole sequence, in frame order.
-
-    Spatial variants yield one descriptor per frame (n total); time-extended
-    variants one per consecutive frame pair (n-1 total).
-    """
-    frames = seq.frames
-    if variant is DescriptorVariant.RBPD:
-        return [compute_rbpd(f, i) for i, f in enumerate(frames)]
-    if variant is DescriptorVariant.HD:
-        return [compute_hd(f, i) for i, f in enumerate(frames)]
-    if variant is DescriptorVariant.RBPD_T:
-        return [compute_rbpd_t(frames[i], frames[i + 1], i) for i in range(len(frames) - 1)]
-    if variant is DescriptorVariant.HD_T:
-        return [compute_hd_t(frames[i], frames[i + 1], i) for i in range(len(frames) - 1)]
-    raise ValueError(f"unknown variant: {variant!r}")
-
-
-def stack_descriptors(descriptors: list[FrameDescriptor]) -> np.ndarray:
-    if not descriptors:
-        raise ValueError("empty descriptor list")
-    dim = descriptors[0].values.shape[0]
-    for d in descriptors:
-        if d.values.shape[0] != dim:
-            raise ValueError("descriptors have mixed dimensions")
-    return np.stack([d.values for d in descriptors])
-
-
-def fit_znorm(descriptors: list[FrameDescriptor]) -> ZNormStats:
-    """Population mean/stddev over a descriptor corpus, stddev floored.
-
-    Needs at least two descriptors of uniform dimension.
-    """
-    if len(descriptors) < 2:
-        raise ValueError(f"need >= 2 descriptors to fit stats, got {len(descriptors)}")
-    data = stack_descriptors(descriptors)
+def fit_znorm(data) -> ZNormStats:
+    """Population mean/stddev over the rows of a (n, D) descriptor array,
+    stddev floored. Needs at least two rows."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] < 2:
+        raise ValueError(f"need >= 2 descriptor rows to fit stats, got shape {data.shape}")
     mean = data.mean(axis=0)
     std = np.maximum(data.std(axis=0), ZNORM_FLOOR)
     return ZNormStats(mean, std)
-
-
-def apply_znorm(stats: ZNormStats, d: FrameDescriptor) -> FrameDescriptor:
-    """Componentwise (d - mean) / stddev."""
-    if d.values.shape[0] != stats.dimension:
-        raise ValueError(
-            f"descriptor dimension {d.values.shape[0]} != stats dimension {stats.dimension}"
-        )
-    return FrameDescriptor((d.values - stats.mean) / stats.stddev, d.variant, d.frame_index)
-
-
-def apply_znorm_array(stats: ZNormStats, data: np.ndarray) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
-    if data.shape[-1] != stats.dimension:
-        raise ValueError(f"data dimension {data.shape[-1]} != stats dimension {stats.dimension}")
-    return (data - stats.mean) / stats.stddev

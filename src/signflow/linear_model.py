@@ -141,9 +141,3 @@ def _cross_validate(X, y, n_classes, cost, epochs, seed, folds):
         total += int(held.sum())
     return correct / total if total else None
 
-
-def training_accuracy(model: MulticlassLinearModel, X, y) -> float:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    preds = (X @ model.weights.T).argmax(axis=1)
-    return float((preds == y).mean())

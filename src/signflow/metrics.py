@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,7 @@ class ConfusionMatrix:
 
 @dataclass
 class MetricsReport:
-    """Per-class and macro metrics; optional per-stage timing in seconds."""
+    """Per-class and macro precision, recall and F-score."""
 
     precision: np.ndarray
     recall: np.ndarray
@@ -42,7 +41,6 @@ class MetricsReport:
     macro_precision: float
     macro_recall: float
     macro_fscore: float
-    timings: Optional[dict] = field(default=None)
 
     def __post_init__(self):
         self.precision = np.asarray(self.precision, dtype=np.float64)
@@ -75,8 +73,7 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def precision_recall_fscore(cm: ConfusionMatrix,
-                            timings: Optional[dict] = None) -> MetricsReport:
+def precision_recall_fscore(cm: ConfusionMatrix) -> MetricsReport:
     """Per-class P = diag/colsum, R = diag/rowsum, F = 2PR/(P+R); 0/0 -> 0.
 
     Macro values are unweighted means over classes.
@@ -94,5 +91,4 @@ def precision_recall_fscore(cm: ConfusionMatrix,
         macro_precision=float(precision.mean()),
         macro_recall=float(recall.mean()),
         macro_fscore=float(fscore.mean()),
-        timings=timings,
     )

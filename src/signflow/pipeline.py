@@ -198,11 +198,13 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
     # gesture branch
     variant = DescriptorVariant(config["descriptor"])
     per_seq = [describe_sequence(i.sequence, variant) for i in train]
-    flat = [d for ds in per_seq for d in ds]
+    flat = np.concatenate(per_seq)
     gesture_k = min(config["gesture_k"], len(flat))
     gesture_cb = build_codebook(flat, k=gesture_k,
-                                seed=derive_seed(seed, "gesture-cb"))
-    symbol_seqs = [encode_sequence(gesture_cb, ds) for ds in per_seq]
+                                seed=derive_seed(seed, "gesture-cb"),
+                                variant=variant)
+    symbol_seqs = [encode_sequence(gesture_cb, ds, source=i.sequence.source)
+                   for ds, i in zip(per_seq, train)]
     hmms = []
     for c in range(n_classes):
         seqs_c = [s for s, item in zip(symbol_seqs, train) if item.label == c]

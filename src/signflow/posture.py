@@ -1,10 +1,8 @@
-"""Hand-posture branch: segmentation, shape context, bag-of-words, classifier.
+"""Hand-posture branch: shape context, bag-of-words, classifier.
 
-A hand is cut out of the depth frame by back-projecting pixels to 3D,
-keeping those inside a sphere around the hand joint (radius = half the
-hand-elbow distance), discarding points whose nearest upper-body joint is
-not that hand, and keeping the largest 8-connected pixel region. The
-region's bounding box is resampled onto a common 65x65 grid.
+A hand arrives as a binary mask on a common 65x65 grid, one per hand and
+frame (a PGM mask archive on disk, or the synthetic generator's masks); a
+present hand is a single 8-connected region.
 
 Each mask's outer contour is sampled at 20 equal arc-length points; every
 point yields a 49-bin log-polar shape context (12 angle bins x 4 outer
@@ -20,23 +18,15 @@ R_posture = W p.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial.distance import cdist
 
 from .codebook import Codebook, quantize_batch
 from .linear_model import MulticlassLinearModel, fit_multiclass_linear, response
-from .skeleton import (
-    UPPER_BODY,
-    EmptyInputError,
-    JointId,
-    SignflowError,
-    SkeletonFrame,
-)
+from .skeleton import EmptyInputError, SignflowError
 
 PATCH = 65
 CONTOUR_POINTS = 20
@@ -60,40 +50,6 @@ class DegenerateContour(SignflowError):
 class HandSide(str, Enum):
     RIGHT = "R"
     LEFT = "L"
-
-
-@dataclass
-class CameraIntrinsics:
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-
-    def __post_init__(self):
-        vals = (self.fx, self.fy, self.cx, self.cy)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("non-finite intrinsics")
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-
-
-@dataclass
-class DepthFrame:
-    """Range image in meters; 0 marks invalid pixels."""
-
-    width: int
-    height: int
-    depth: np.ndarray
-    intrinsics: CameraIntrinsics
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("degenerate image size")
-        self.depth = np.asarray(self.depth, dtype=np.float64)
-        if self.depth.shape != (self.height, self.width):
-            raise ValueError("depth array shape != (height, width)")
-        if not np.all(np.isfinite(self.depth)) or np.any(self.depth < 0):
-            raise ValueError("depths must be finite and >= 0")
 
 
 @dataclass
@@ -163,10 +119,6 @@ class PostureModel:
     config: dict = field(default_factory=dict)
 
 
-def _joint_vec(frame: SkeletonFrame, jid: JointId) -> np.ndarray:
-    return np.asarray(frame.joint(jid).as_tuple(), dtype=np.float64)
-
-
 def _largest_component(mask: np.ndarray) -> np.ndarray:
     """Largest 8-connected foreground component; size ties keep the
     component labeled first in raster order."""
@@ -176,87 +128,6 @@ def _largest_component(mask: np.ndarray) -> np.ndarray:
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
     return labels == int(sizes.argmax())
-
-
-def _coverage_resample(box: np.ndarray) -> np.ndarray:
-    """Resample a binary box onto the 65x65 grid by exact area overlap;
-    a target cell is foreground when >= 50% of it is covered."""
-    h, w = box.shape
-    m = box.astype(np.float64)
-    sat = np.zeros((h + 1, w + 1))
-    sat[1:, 1:] = m.cumsum(0).cumsum(1)
-    rowpart = np.zeros((h, w + 1))
-    rowpart[:, 1:] = m.cumsum(1)
-    colpart = np.zeros((h + 1, w))
-    colpart[1:, :] = m.cumsum(0)
-
-    ys = np.linspace(0.0, h, PATCH + 1)
-    xs = np.linspace(0.0, w, PATCH + 1)
-    iy = np.minimum(np.floor(ys).astype(int), h)
-    ix = np.minimum(np.floor(xs).astype(int), w)
-    fy = ys - iy
-    fx = xs - ix
-    cy = np.minimum(iy, h - 1)  # fy is 0 whenever this clamp kicks in
-    cx = np.minimum(ix, w - 1)
-
-    # F[i, j] = integral of the mask over [0, ys[i]) x [0, xs[j])
-    F = (sat[np.ix_(iy, ix)]
-         + fy[:, None] * rowpart[np.ix_(cy, ix)]
-         + fx[None, :] * colpart[np.ix_(iy, cx)]
-         + (fy[:, None] * fx[None, :]) * m[np.ix_(cy, cx)])
-    area = F[1:, 1:] - F[1:, :-1] - F[:-1, 1:] + F[:-1, :-1]
-    cell = (h / PATCH) * (w / PATCH)
-    out = area >= 0.5 * cell
-    if not out.any():
-        # pathological downsample (thin structure everywhere under 50%):
-        # keep the best-covered cell so the region stays non-empty
-        out.flat[int(area.argmax())] = True
-    return out
-
-
-def segment_hand(depth: DepthFrame, skel: SkeletonFrame, side: HandSide) -> HandRegion:
-    """Depth-based hand cutout on the common grid; see module docstring.
-
-    present=False when no depth pixel survives the sphere-and-assignment
-    filter.
-    """
-    if side is HandSide.RIGHT:
-        hand_id, elbow_id = JointId.RHand, JointId.RElbow
-    else:
-        hand_id, elbow_id = JointId.LHand, JointId.LElbow
-    hand = _joint_vec(skel, hand_id)
-    elbow = _joint_vec(skel, elbow_id)
-    radius = 0.5 * float(np.linalg.norm(hand - elbow))
-
-    intr = depth.intrinsics
-    v, u = np.nonzero(depth.depth > 0)
-    empty = HandRegion(mask=np.zeros((PATCH, PATCH), dtype=bool), side=side, present=False)
-    if v.size == 0:
-        return empty
-    z = depth.depth[v, u]
-    pts = np.stack([(u - intr.cx) * z / intr.fx, (v - intr.cy) * z / intr.fy, z], axis=1)
-
-    near = ((pts - hand) ** 2).sum(axis=1) <= radius * radius
-    if not near.any():
-        return empty
-    pts, v, u = pts[near], v[near], u[near]
-
-    joints = np.stack([_joint_vec(skel, j) for j in UPPER_BODY])
-    # UPPER_BODY is in ascending JointId order, so argmin ties resolve to
-    # the lower id as required
-    assign = cdist(pts, joints, "sqeuclidean").argmin(axis=1)
-    mine = assign == UPPER_BODY.index(hand_id)
-    if not mine.any():
-        return empty
-
-    grid = np.zeros((depth.height, depth.width), dtype=bool)
-    grid[v[mine], u[mine]] = True
-    comp = _largest_component(grid)
-    rows = np.flatnonzero(comp.any(axis=1))
-    cols = np.flatnonzero(comp.any(axis=0))
-    box = comp[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    mask = _largest_component(_coverage_resample(box))
-    return HandRegion(mask=mask, side=side, present=True)
 
 
 # clockwise king moves, image coords (row grows downward)

@@ -1,15 +1,18 @@
-"""Canonical skeleton-sequence representation and upper-body joint selection.
+"""Canonical skeleton-sequence representation.
 
-Sequences are ordered lists of frames, one frame per capture timestamp, each
-frame mapping joint ids to 3D world coordinates in meters (camera frame).
-Everything downstream (descriptors, segmentation) consumes these types.
+A sequence is one array: positions (T, J, 3), one row per capture
+timestamp, holding world coordinates in meters (camera frame) of the J
+joints its `joints` tuple names, in column order. Everything downstream
+(descriptors, the CSV adapter, the synthetic generator) reads and writes
+these arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
+
+import numpy as np
 
 
 class SignflowError(Exception):
@@ -66,56 +69,47 @@ UPPER_BODY: tuple[JointId, ...] = (
 ALL_JOINTS: tuple[JointId, ...] = tuple(JointId)
 
 
-@dataclass(frozen=True)
-class Joint3D:
-    """One joint observation: world coordinates in meters plus confidence."""
-
-    x: float
-    y: float
-    z: float
-    confidence: float = 1.0
-
-    def __post_init__(self):
-        for name in ("x", "y", "z", "confidence"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for v in (self.x, self.y, self.z):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite joint coordinate: {v!r}")
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence outside [0, 1]: {self.confidence!r}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-
-@dataclass(frozen=True)
-class SkeletonFrame:
-    """One timestamped skeleton observation."""
-
-    timestamp: float
-    joints: dict[JointId, Joint3D]
-
-    def joint(self, jid: JointId) -> Joint3D:
-        try:
-            return self.joints[jid]
-        except KeyError:
-            raise MissingJointError(jid) from None
-
-    def has(self, jid: JointId) -> bool:
-        return jid in self.joints
-
-
 @dataclass
 class SkeletonSequence:
-    """An isolated sign recording: ordered frames plus optional metadata."""
+    """An isolated sign recording plus optional metadata.
 
-    frames: list[SkeletonFrame]
+    timestamps is (T,), positions (T, J, 3) with column j holding
+    joints[j]. Every value must be finite.
+    """
+
+    timestamps: np.ndarray
+    positions: np.ndarray
+    joints: tuple = ALL_JOINTS
     label: int | None = None
     subject: str | None = None
     source: str = ""
 
+    def __post_init__(self):
+        self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
+        self.positions = np.asarray(self.positions, dtype=np.float64)
+        self.joints = tuple(JointId(j) for j in self.joints)
+        if len(set(self.joints)) != len(self.joints):
+            raise ValueError("duplicate joint in sequence")
+        n = self.timestamps.shape[0]
+        if self.timestamps.ndim != 1 or \
+                self.positions.shape != (n, len(self.joints), 3):
+            raise ValueError(f"positions must be ({n}, {len(self.joints)}, 3) "
+                             f"for {n} timestamps, got {self.positions.shape}")
+        if not np.isfinite(self.timestamps).all():
+            raise ValueError("non-finite timestamp")
+        if not np.isfinite(self.positions).all():
+            raise ValueError("non-finite joint coordinate")
+
     def __len__(self) -> int:
-        return len(self.frames)
+        return self.timestamps.shape[0]
+
+    def columns(self, joints) -> list[int]:
+        """Column index of each joint; MissingJointError names an absent one."""
+        index = {j: i for i, j in enumerate(self.joints)}
+        for j in joints:
+            if j not in index:
+                raise MissingJointError(JointId(j))
+        return [index[j] for j in joints]
 
 
 @dataclass(frozen=True)
@@ -130,71 +124,45 @@ class Defect:
 TOO_SHORT = "TooShort"
 NON_MONOTONIC_TIME = "NonMonotonicTime"
 NEGATIVE_TIMESTAMP = "NegativeTimestamp"
-INCOMPLETE_FRAME = "IncompleteFrame"
-
-
-def select_upper_body(frame: SkeletonFrame) -> SkeletonFrame:
-    """Restrict a frame to the 11 upper-body joints.
-
-    Idempotent: a frame already holding only the upper-body subset passes
-    through with identical values. Raises MissingJointError if any of the
-    11 joints is absent.
-    """
-    kept = {}
-    for jid in UPPER_BODY:
-        if not frame.has(jid):
-            raise MissingJointError(jid)
-        kept[jid] = frame.joints[jid]
-    return SkeletonFrame(timestamp=frame.timestamp, joints=kept)
 
 
 def validate_sequence(seq: SkeletonSequence) -> list[Defect]:
     """Check SkeletonSequence invariants; returns one Defect per violation.
 
     Total: never raises, defects are data. An empty list means the sequence
-    is well formed.
+    is well formed. Every step that does not increase the timestamp is a
+    defect of the frame it leads to.
     """
     defects: list[Defect] = []
-    if len(seq.frames) < 2:
-        defects.append(Defect(TOO_SHORT, f"sequence has {len(seq.frames)} frame(s), need >= 2"))
-    schema = set(seq.frames[0].joints.keys()) if seq.frames else set()
-    prev_ts = None
-    for i, frame in enumerate(seq.frames):
-        if frame.timestamp < 0:
-            defects.append(Defect(NEGATIVE_TIMESTAMP, f"timestamp {frame.timestamp} < 0", i))
-        if prev_ts is not None and frame.timestamp <= prev_ts:
-            defects.append(
-                Defect(NON_MONOTONIC_TIME, f"timestamp {frame.timestamp} <= previous {prev_ts}", i)
-            )
-        prev_ts = frame.timestamp
-        missing = schema - set(frame.joints.keys())
-        if missing:
-            names = ", ".join(sorted(j.name for j in missing))
-            defects.append(Defect(INCOMPLETE_FRAME, f"frame lacks joints of its schema: {names}", i))
+    n = len(seq)
+    if n < 2:
+        defects.append(Defect(TOO_SHORT, f"sequence has {n} frame(s), need >= 2"))
+    ts = seq.timestamps.tolist()
+    back = np.concatenate([[False], np.diff(seq.timestamps) <= 0])
+    for i in np.flatnonzero((seq.timestamps < 0) | back).tolist():
+        if ts[i] < 0:
+            defects.append(Defect(NEGATIVE_TIMESTAMP, f"timestamp {ts[i]} < 0", i))
+        if back[i]:
+            defects.append(Defect(NON_MONOTONIC_TIME,
+                                  f"timestamp {ts[i]} <= previous {ts[i - 1]}", i))
     return defects
 
 
-def forward_fill(frames: list[tuple[float, dict[JointId, Joint3D | None]]]) -> list[SkeletonFrame]:
-    """Repair missing joints by holding the last valid value per joint.
+def forward_fill(positions, observed, joints: tuple = ALL_JOINTS) -> np.ndarray:
+    """Repair unobserved joints by holding each joint's last observed value.
 
-    Input frames map each joint to either an observation or None (missing or
-    zero-confidence in the source data). The first frame must be complete;
-    otherwise there is nothing to hold, and the sequence is rejected.
+    positions is (T, J, 3) and observed (T, J), with columns named by
+    joints; unobserved entries of positions are ignored. The first frame
+    must be fully observed; otherwise there is nothing to hold, and
+    MissingJointError names its first unobserved joint.
     """
-    if not frames:
+    positions = np.asarray(positions, dtype=np.float64)
+    observed = np.asarray(observed, dtype=bool)
+    if observed.shape[0] == 0:
         raise ValueError("empty frame list")
-    last: dict[JointId, Joint3D] = {}
-    out: list[SkeletonFrame] = []
-    for ts, joints in frames:
-        repaired: dict[JointId, Joint3D] = {}
-        for jid, obs in joints.items():
-            if obs is None:
-                if jid not in last:
-                    # first frame incomplete: nothing to hold yet
-                    raise MissingJointError(jid)
-                repaired[jid] = last[jid]
-            else:
-                repaired[jid] = obs
-                last[jid] = obs
-        out.append(SkeletonFrame(timestamp=ts, joints=repaired))
-    return out
+    if not observed[0].all():
+        raise MissingJointError(JointId(joints[int(observed[0].argmin())]))
+    # for every (t, j), the last frame <= t at which joint j was observed
+    held = np.where(observed, np.arange(observed.shape[0])[:, None], 0)
+    np.maximum.accumulate(held, axis=0, out=held)
+    return positions[held, np.arange(observed.shape[1])]

@@ -33,13 +33,7 @@ from .dataset import (
     write_skeleton_csv,
 )
 from .posture import PATCH, HandRegion, HandSide, _largest_component
-from .skeleton import (
-    UPPER_BODY,
-    Joint3D,
-    JointId,
-    SkeletonFrame,
-    SkeletonSequence,
-)
+from .skeleton import UPPER_BODY, JointId, SkeletonSequence
 
 FRAME_DT = 1.0 / 30.0
 SEQUENCE_TIME_GAP = 100.0
@@ -255,16 +249,12 @@ def _render_sequence(cfg: SyntheticConfig, spec: ClassSpec, puppet: dict,
     base = np.stack([posed[jid] for jid in JointId])
     noise = rng.normal(0.0, cfg.noise, size=(n, len(JointId), 3)) \
         if cfg.noise > 0 else np.zeros((n, len(JointId), 3))
-    t0 = SEQUENCE_TIME_GAP * seq_index
-    frames = []
-    for t in range(n):
-        u = t / (n - 1)
-        coords = base + noise[t]
-        hand = p_anchor + np.asarray(template(u)) + noise[t, JointId.RHand]
-        coords[JointId.RHand] = hand
-        joints = {jid: Joint3D(*coords[jid]) for jid in JointId}
-        frames.append(SkeletonFrame(timestamp=t0 + t * FRAME_DT, joints=joints))
-    return SkeletonSequence(frames=frames, source=f"synthetic:{seq_index:05d}")
+    positions = base + noise
+    path = np.array([template(t / (n - 1)) for t in range(n)])
+    positions[:, JointId.RHand] = p_anchor + path + noise[:, JointId.RHand]
+    timestamps = SEQUENCE_TIME_GAP * seq_index + np.arange(n) * FRAME_DT
+    return SkeletonSequence(timestamps=timestamps, positions=positions,
+                            source=f"synthetic:{seq_index:05d}")
 
 
 def _render_masks(cfg: SyntheticConfig, spec: ClassSpec, seq_index: int,

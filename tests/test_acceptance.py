@@ -28,7 +28,7 @@ from signflow.posture import (
     OUTER_RADIUS,
     shape_context,
 )
-from signflow.skeleton import ALL_JOINTS, Joint3D, JointId, SkeletonFrame, SkeletonSequence
+from signflow.skeleton import ALL_JOINTS, JointId, SkeletonSequence
 from signflow.synthetic import (
     ClassSpec,
     SyntheticConfig,
@@ -58,21 +58,15 @@ def _random_hmm(rng, n, k) -> DiscreteHMM:
 
 
 def _random_sequence(rng, n_frames: int) -> SkeletonSequence:
-    frames = []
-    for t in range(n_frames):
-        joints = {jid: Joint3D(*(rng.normal(0.0, 0.5, 3))) for jid in ALL_JOINTS}
-        frames.append(SkeletonFrame(timestamp=t / 30.0, joints=joints))
-    return SkeletonSequence(frames=frames)
+    positions = [[rng.normal(0.0, 0.5, 3) for _ in ALL_JOINTS]
+                 for _ in range(n_frames)]
+    return SkeletonSequence(timestamps=np.arange(n_frames) / 30.0,
+                            positions=positions)
 
 
 def _translate(seq: SkeletonSequence, offset) -> SkeletonSequence:
-    dx, dy, dz = offset
-    frames = []
-    for f in seq.frames:
-        joints = {jid: Joint3D(j.x + dx, j.y + dy, j.z + dz, j.confidence)
-                  for jid, j in f.joints.items()}
-        frames.append(SkeletonFrame(timestamp=f.timestamp, joints=joints))
-    return SkeletonSequence(frames=frames)
+    return SkeletonSequence(timestamps=seq.timestamps,
+                            positions=seq.positions + np.asarray(offset))
 
 
 def test_criterion_1_forward_matches_path_enumeration():
@@ -239,15 +233,15 @@ def test_criterion_5_descriptor_laws():
             dm = describe_sequence(moved, variant)
             expected = n - 1 if variant.value.endswith("-t") else n
             count_ok &= len(ds) == expected
-            dims_ok &= all(d.values.shape == (dim,) for d in ds)
-            delta = max(float(np.max(np.abs(a.values - b.values)))
+            dims_ok &= all(d.shape == (dim,) for d in ds)
+            delta = max(float(np.max(np.abs(a - b)))
                         for a, b in zip(ds, dm))
             shift_ok &= delta <= 1e-12
         rh = list(JointId)[:11].index(JointId.RHand)
         lh = list(JointId)[:11].index(JointId.LHand)
         for d in describe_sequence(seq, DescriptorVariant.RBPD):
-            zeros_ok &= bool(np.all(d.values[3 * rh:3 * rh + 3] == 0.0))
-            zeros_ok &= bool(np.all(d.values[33 + 3 * lh:33 + 3 * lh + 3]
+            zeros_ok &= bool(np.all(d[3 * rh:3 * rh + 3] == 0.0))
+            zeros_ok &= bool(np.all(d[33 + 3 * lh:33 + 3 * lh + 3]
                                     == 0.0))
     _verdict(5, dims_ok and shift_ok and zeros_ok and count_ok,
              f"dims 66/6: {dims_ok}, translation <= 1e-12: {shift_ok}, "

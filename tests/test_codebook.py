@@ -1,8 +1,8 @@
 """Tests for K-means codebooks and sequence encoding.
 
 Oracles are deliberately independent: the 4-point example is checked against
-an exhaustive search over every 2-partition, and quantize against a scalar
-linear scan that accumulates squared differences left to right.
+an exhaustive search over every 2-partition, and quantize_batch against a
+scalar linear scan that accumulates squared differences left to right.
 """
 
 from itertools import product
@@ -16,9 +16,9 @@ from signflow.codebook import (
     build_codebook,
     encode_sequence,
     fit_kmeans,
-    quantize,
+    quantize_batch,
 )
-from signflow.descriptors import DescriptorVariant, FrameDescriptor, ZNormStats
+from signflow.descriptors import DescriptorVariant, ZNormStats
 from signflow.skeleton import EmptyInputError
 
 
@@ -112,7 +112,7 @@ class TestFitKMeans:
         pts = np.vstack([blob_a, blob_b])
         for seed in range(8):
             cb = fit_kmeans(pts, k=4, seed=seed)
-            labels = np.array([quantize(cb, p) for p in pts])
+            labels = quantize_batch(cb, pts)
             assert len(set(labels.tolist())) == 4
 
     def test_identical_points_valid(self):
@@ -137,21 +137,20 @@ class TestQuantize:
     def test_center_maps_to_itself(self):
         rng = np.random.default_rng(6)
         cb = self.make_codebook(rng)
-        for j in range(cb.k):
-            assert quantize(cb, cb.centers[j]) == j
+        np.testing.assert_array_equal(quantize_batch(cb, cb.centers), np.arange(cb.k))
 
     def test_tie_breaks_to_lowest_index(self):
         centers = np.array([[0.0], [2.0], [4.0]])
         cb = Codebook(centers=centers, k=3, znorm=ZNormStats.identity(1), seed=0)
-        assert quantize(cb, np.array([1.0])) == 0  # equidistant from 0 and 2
-        assert quantize(cb, np.array([3.0])) == 1
+        # 1.0 is equidistant from 0 and 2, 3.0 from 2 and 4
+        assert quantize_batch(cb, np.array([[1.0], [3.0]])).tolist() == [0, 1]
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(7)
         cb = self.make_codebook(rng, k=12, d=4)
-        for trial in range(500):
-            probe = rng.normal(size=4) * 3.0
-            assert quantize(cb, probe) == scan_nearest(probe, cb.centers)
+        probes = rng.normal(size=(500, 4)) * 3.0
+        assert quantize_batch(cb, probes).tolist() == \
+            [scan_nearest(probe, cb.centers) for probe in probes]
 
     def test_applies_znorm_before_lookup(self):
         # centers live in z-space; a raw probe equal to the de-normalized
@@ -160,21 +159,19 @@ class TestQuantize:
         stats = ZNormStats(mean=rng.normal(size=3), stddev=rng.uniform(0.5, 2.0, size=3))
         centers = rng.normal(size=(6, 3)) * 4.0
         cb = Codebook(centers=centers, k=6, znorm=stats, seed=0)
-        for j in range(6):
-            raw = centers[j] * stats.stddev + stats.mean
-            assert quantize(cb, raw) == j
+        raw = centers * stats.stddev + stats.mean
+        np.testing.assert_array_equal(quantize_batch(cb, raw), np.arange(6))
 
-    def test_accepts_frame_descriptor(self):
+    def test_accepts_a_single_row(self):
         rng = np.random.default_rng(9)
         cb = self.make_codebook(rng, k=4, d=6)
-        d = FrameDescriptor(cb.centers[2], DescriptorVariant.HD, 0)
-        assert quantize(cb, d) == 2
+        assert quantize_batch(cb, cb.centers[2]).tolist() == [2]
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(10)
         cb = self.make_codebook(rng, k=4, d=6)
         with pytest.raises(ValueError):
-            quantize(cb, np.zeros(5))
+            quantize_batch(cb, np.zeros(5))
 
 
 class TestEncodeSequence:
@@ -186,40 +183,38 @@ class TestEncodeSequence:
     def test_constant_stream(self):
         rng = np.random.default_rng(11)
         cb = self.make_hd_codebook(rng)
-        descs = [FrameDescriptor(cb.centers[3], DescriptorVariant.HD, i) for i in range(7)]
-        seq = encode_sequence(cb, descs)
+        seq = encode_sequence(cb, np.tile(cb.centers[3], (7, 1)))
         np.testing.assert_array_equal(seq.symbols, 3)
         assert len(seq) == 7
 
     def test_elementwise_matches_quantize(self):
         rng = np.random.default_rng(12)
         cb = self.make_hd_codebook(rng, k=8)
-        descs = [FrameDescriptor(rng.normal(size=6), DescriptorVariant.HD, i)
-                 for i in range(40)]
+        descs = rng.normal(size=(40, 6))
         seq = encode_sequence(cb, descs, source="probe")
         assert seq.source == "probe"
         for d, s in zip(descs, seq.symbols):
-            assert quantize(cb, d) == s
+            assert quantize_batch(cb, d).tolist() == [s]
 
     def test_empty_rejected(self):
         rng = np.random.default_rng(13)
         cb = self.make_hd_codebook(rng)
-        with pytest.raises(EmptyInputError):
-            encode_sequence(cb, [])
+        with pytest.raises(EmptyInputError, match="^sequence: "):
+            encode_sequence(cb, np.empty((0, 6)))
+        with pytest.raises(EmptyInputError, match="^seq_00007.csv: "):
+            encode_sequence(cb, np.empty((0, 6)), source="seq_00007.csv")
 
     def test_variant_mismatch_rejected(self):
+        # rows of another variant's dimension: RBPD rows into an HD codebook
         rng = np.random.default_rng(14)
         cb = self.make_hd_codebook(rng)
-        bad = [FrameDescriptor(np.zeros(6), DescriptorVariant.HD_T, 0)]
         with pytest.raises(ValueError):
-            encode_sequence(cb, bad)
+            encode_sequence(cb, np.zeros((3, DescriptorVariant.RBPD.dimension)))
 
     def test_symbols_below_k(self):
         rng = np.random.default_rng(15)
         cb = self.make_hd_codebook(rng, k=4)
-        descs = [FrameDescriptor(rng.normal(size=6) * 10, DescriptorVariant.HD, i)
-                 for i in range(100)]
-        seq = encode_sequence(cb, descs)
+        seq = encode_sequence(cb, rng.normal(size=(100, 6)) * 10)
         assert seq.symbols.max() < 4
         assert seq.symbols.min() >= 0
 
@@ -228,17 +223,16 @@ class TestBuildCodebook:
     def test_znorm_fitted_and_applied(self):
         rng = np.random.default_rng(16)
         data = rng.normal(loc=5.0, scale=3.0, size=(300, 6))
-        descs = [FrameDescriptor(row, DescriptorVariant.HD, i) for i, row in enumerate(data)]
-        cb = build_codebook(descs, k=10, seed=2)
+        cb = build_codebook(data, k=10, seed=2, variant=DescriptorVariant.HD)
         assert cb.variant is DescriptorVariant.HD
         np.testing.assert_allclose(cb.znorm.mean, data.mean(axis=0))
         # encoding the training data itself works and uses all usable symbols
-        seq = encode_sequence(cb, descs)
+        seq = encode_sequence(cb, data)
         assert seq.symbols.max() < 10
 
     def test_build_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            build_codebook([], k=3, seed=0)
+            build_codebook(np.empty((0, 6)), k=3, seed=0)
 
 
 class TestSymbolSequence:

@@ -4,8 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from signflow.dataset import (
+    DEFAULT_SCHEMA,
     CorruptFileError,
     CsvSchema,
     DatasetManifest,
@@ -24,21 +28,17 @@ from signflow.dataset import (
 from signflow.posture import PATCH, HandRegion, HandSide
 from signflow.skeleton import (
     ALL_JOINTS,
+    UPPER_BODY,
     EmptyInputError,
-    Joint3D,
     JointId,
     MissingJointError,
-    SkeletonFrame,
     SkeletonSequence,
 )
 
 
 def random_sequence(rng, n_frames=3):
-    frames = []
-    for t in range(n_frames):
-        joints = {jid: Joint3D(*rng.normal(size=3)) for jid in ALL_JOINTS}
-        frames.append(SkeletonFrame(timestamp=0.1 * t, joints=joints))
-    return SkeletonSequence(frames=frames)
+    return SkeletonSequence(timestamps=0.1 * np.arange(n_frames),
+                            positions=rng.normal(size=(n_frames, 15, 3)))
 
 
 def csv_row(ts, coords, conf=1.0):
@@ -57,8 +57,8 @@ class TestParseCsv:
         assert len(rows[0].split(",")) == 61
         seq = parse_skeleton_csv(p)
         assert len(seq) == 3
-        assert seq.frames[1].timestamp == 0.1
-        assert seq.frames[2].joint(JointId(4)).y == 4.0
+        assert seq.timestamps[1] == 0.1
+        assert seq.positions[2, JointId(4), 1] == 4.0
 
     def test_non_numeric_cell_names_line_2(self, tmp_path):
         p = tmp_path / "seq.csv"
@@ -90,8 +90,7 @@ class TestParseCsv:
         r1 = csv_row(0.1, [(1, 1, 1)] * 15, conf=0.0)
         p.write_text(r0 + "\n" + r1 + "\n")
         seq = parse_skeleton_csv(p)
-        j = seq.frames[1].joint(JointId.Head)
-        assert (j.x, j.y, j.z) == (7.0, 8.0, 9.0)
+        assert seq.positions[1, JointId.Head].tolist() == [7.0, 8.0, 9.0]
 
     def test_zero_confidence_in_first_frame_rejected(self, tmp_path):
         p = tmp_path / "seq.csv"
@@ -106,7 +105,8 @@ class TestParseCsv:
         with pytest.raises(MissingJointError):
             parse_skeleton_csv(p, schema=schema)
         seq = parse_skeleton_csv(p, schema=schema, required=(JointId.Head,))
-        assert seq.frames[0].joint(JointId.Head).z == 3.0
+        assert seq.joints == (JointId.Head,)
+        assert seq.positions[0, 0, 2] == 3.0
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "seq.csv"
@@ -118,7 +118,51 @@ class TestParseCsv:
         p = tmp_path / "seq.csv"
         p.write_text("0.0," + ",".join(str(v) for v in range(45)) + "\n")
         seq = parse_skeleton_csv(p, schema=CsvSchema(fields_per_joint=3))
-        assert seq.frames[0].joint(JointId(1)).x == 3.0
+        assert seq.positions[0, JointId(1), 0] == 3.0
+
+    def test_non_finite_timestamp_names_line(self, tmp_path):
+        # [0, .033, nan, 0.0]: the NaN used to load and hide the step back
+        # to 0.0 from validate_sequence
+        p = tmp_path / "seq.csv"
+        rows = [csv_row(ts, [(1, 2, 3)] * 15) for ts in (0.0, 0.033, "nan", 0.0)]
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(MalformedRowError, match="non-finite timestamp: nan") as exc:
+            parse_skeleton_csv(p)
+        assert exc.value.line == 3
+        p.write_text(rows[0] + "\n# note\n" + csv_row("-inf", [(1, 2, 3)] * 15) + "\n")
+        with pytest.raises(MalformedRowError, match="non-finite timestamp: -inf") as exc:
+            parse_skeleton_csv(p)
+        assert exc.value.line == 3
+
+    def test_non_finite_coordinate_names_line_unless_missing(self, tmp_path):
+        p = tmp_path / "seq.csv"
+        good = csv_row(0.0, [(1, 2, 3)] * 15)
+        coords = [(1, 2, 3)] * 15
+        coords[4] = (1, "inf", 3)
+        p.write_text(good + "\n" + csv_row(0.1, coords) + "\n")
+        with pytest.raises(MalformedRowError, match="non-finite joint coordinate: inf") as exc:
+            parse_skeleton_csv(p)
+        assert exc.value.line == 2
+        # a missing joint's cells are not read: its value is held instead
+        p.write_text(good + "\n" + csv_row(0.1, coords, conf=0.0) + "\n")
+        assert parse_skeleton_csv(p).positions[1, 4].tolist() == [1.0, 2.0, 3.0]
+
+    def test_confidence_above_one_names_line(self, tmp_path):
+        p = tmp_path / "seq.csv"
+        good = csv_row(0.0, [(1, 2, 3)] * 15)
+        p.write_text(good + "\n" + good + "\n" + csv_row(0.1, [(1, 2, 3)] * 15, conf=1.5) + "\n")
+        with pytest.raises(MalformedRowError, match=r"confidence outside \[0, 1\]: 1.5") as exc:
+            parse_skeleton_csv(p)
+        assert exc.value.line == 3
+
+    def test_earliest_bad_line_wins(self, tmp_path):
+        # a bad value on line 2 is reported before a short row on line 3
+        p = tmp_path / "seq.csv"
+        p.write_text(csv_row(0.0, [(1, 2, 3)] * 15) + "\n"
+                     + csv_row("nan", [(1, 2, 3)] * 15) + "\n1.0,2.0\n")
+        with pytest.raises(MalformedRowError) as exc:
+            parse_skeleton_csv(p)
+        assert exc.value.line == 2
 
     def test_schema_validation(self):
         with pytest.raises(ValueError):
@@ -135,11 +179,64 @@ class TestRoundTrip:
         write_skeleton_csv(p, seq, header="tool test")
         back = parse_skeleton_csv(p)
         assert len(back) == len(seq)
-        for fa, fb in zip(seq.frames, back.frames):
-            assert fb.timestamp == fa.timestamp
-            for jid in ALL_JOINTS:
-                a, b = fa.joint(jid), fb.joint(jid)
-                assert (a.x, a.y, a.z) == (b.x, b.y, b.z)
+        np.testing.assert_array_equal(back.timestamps, seq.timestamps)
+        np.testing.assert_array_equal(back.positions, seq.positions)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def schemas(draw):
+    """A shuffled superset of the upper body, with or without confidence."""
+    extra = draw(st.lists(st.sampled_from(ALL_JOINTS[len(UPPER_BODY):]), unique=True))
+    joints = draw(st.permutations(UPPER_BODY + tuple(extra)))
+    return CsvSchema(joints=tuple(joints), fields_per_joint=draw(st.sampled_from((3, 4))))
+
+
+class TestCsvProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), schemas())
+    def test_write_then_parse_is_exact(self, tmp_path_factory, data, schema):
+        n = data.draw(st.integers(1, 6))
+        seq = SkeletonSequence(
+            timestamps=data.draw(arrays(np.float64, n, elements=finite)),
+            positions=data.draw(arrays(np.float64, (n, len(schema.joints), 3),
+                                       elements=finite)),
+            joints=schema.joints)
+        p = tmp_path_factory.mktemp("csv") / "seq.csv"
+        write_skeleton_csv(p, seq, schema=schema)
+        back = parse_skeleton_csv(p, schema=schema)
+        assert back.joints == seq.joints
+        # bytes, so that -0.0 and 0.0 count as different
+        assert back.timestamps.tobytes() == seq.timestamps.tobytes()
+        assert back.positions.tobytes() == seq.positions.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_zero_confidence_gaps_hold_last_observed_value(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 8))
+        observed = data.draw(arrays(bool, (n, 15)))
+        observed[0] = True
+        positions = data.draw(arrays(np.float64, (n, 15, 3), elements=finite))
+        lines = []
+        for t in range(n):
+            cells = [repr(0.1 * t)]
+            for j in range(15):
+                if observed[t, j]:
+                    conf = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+                    cells += [repr(float(v)) for v in positions[t, j]] + [repr(conf)]
+                else:  # a missing joint's cells are never read, not even a NaN
+                    conf = data.draw(st.sampled_from([0.0, -0.0, -1.0, float("nan")]))
+                    cells += ["nan", "inf", "-7.5", repr(conf)]
+            lines.append(",".join(cells))
+        p = tmp_path_factory.mktemp("csv") / "seq.csv"
+        p.write_text("\n".join(lines) + "\n")
+        seq = parse_skeleton_csv(p, schema=DEFAULT_SCHEMA)
+        want = positions.copy()
+        for t in range(1, n):
+            want[t, ~observed[t]] = want[t - 1, ~observed[t]]
+        assert seq.positions.tobytes() == want.tobytes()
 
 
 class TestManifest:
@@ -317,6 +414,16 @@ class TestMaskArchive:
             load_mask_archive(d)
         assert str(d / "00001_L.pgm") in str(exc.value)
         assert "frame 1" in str(exc.value)
+
+    def test_blank_wrong_size_mask_names_file_and_frame(self, tmp_path):
+        d = tmp_path / "vid0"
+        save_mask_archive(d, [{HandSide.RIGHT: disk_region(),
+                               HandSide.LEFT: disk_region(HandSide.LEFT)}] * 2)
+        save_mask(d / "00000_R.pgm", np.zeros((10, 7), dtype=bool))
+        with pytest.raises(CorruptFileError) as exc:
+            load_mask_archive(d)
+        assert str(d / "00000_R.pgm") in str(exc.value)
+        assert "frame 0" in str(exc.value)
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):

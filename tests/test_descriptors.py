@@ -1,226 +1,272 @@
 """Tests for gesture descriptors: layout, invariances, z-normalization.
 
-The descriptor math is simple enough to recompute joint-by-joint in the
-tests, which is done deliberately instead of calling back into the module.
+The oracle is the per-frame path the array code replaced: one frame (or
+frame pair) at a time, each joint looked up by id, the right-hand half
+built before the left. describe_sequence must equal it exactly.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from signflow.descriptors import (
     ZNORM_FLOOR,
     DescriptorVariant,
-    FrameDescriptor,
     ZNormStats,
-    apply_znorm,
-    apply_znorm_array,
-    compute_hd,
-    compute_hd_t,
-    compute_rbpd,
-    compute_rbpd_t,
     describe_sequence,
     fit_znorm,
-    stack_descriptors,
 )
-from signflow.skeleton import ALL_JOINTS, UPPER_BODY, Joint3D, JointId, SkeletonFrame, SkeletonSequence
+from signflow.skeleton import ALL_JOINTS, UPPER_BODY, JointId, MissingJointError, SkeletonSequence
+
+RBPD_VARIANTS = (DescriptorVariant.RBPD, DescriptorVariant.RBPD_T)
 
 
-def random_frame(rng, ts=0.0):
-    pts = rng.normal(scale=0.5, size=(len(ALL_JOINTS), 3))
-    joints = {j: Joint3D(*pts[int(j)]) for j in ALL_JOINTS}
-    return SkeletonFrame(timestamp=ts, joints=joints)
+def frame_rbpd(ref, other):
+    """Every upper-body joint of `other` minus each hand of `ref`, right
+    hand first; frames are {JointId: (3,) array} dicts."""
+    joints = np.array([other[j] for j in UPPER_BODY])
+    return np.concatenate([(joints - ref[hand]).ravel()
+                           for hand in (JointId.RHand, JointId.LHand)])
 
 
-def translate(frame, offset):
-    joints = {
-        j: Joint3D(p.x + offset[0], p.y + offset[1], p.z + offset[2], p.confidence)
-        for j, p in frame.joints.items()
-    }
-    return SkeletonFrame(timestamp=frame.timestamp, joints=joints)
+def frame_hd(ref, other):
+    """Both hands of `ref` minus the torso of `other`."""
+    torso = other[JointId.Torso]
+    return np.concatenate([ref[JointId.RHand] - torso, ref[JointId.LHand] - torso])
 
 
-def naive_rbpd(ref_frame, other_frame):
-    """Straight-from-the-definition recomputation, scalar arithmetic only."""
-    out = []
-    for hand in (JointId.RHand, JointId.LHand):
-        h = ref_frame.joint(hand)
-        for j in UPPER_BODY:
-            p = other_frame.joint(j)
-            out.extend([p.x - h.x, p.y - h.y, p.z - h.z])
-    return np.array(out)
+def oracle(seq, variant):
+    """describe_sequence the per-frame way."""
+    frames = [dict(zip(seq.joints, frame)) for frame in seq.positions]
+    pairs = list(zip(frames, frames[1:])) if variant.time_extended else \
+        list(zip(frames, frames))
+    formula = frame_rbpd if variant in RBPD_VARIANTS else frame_hd
+    return np.array([formula(ref, other) for ref, other in pairs]).reshape(
+        len(pairs), variant.dimension)
+
+
+def random_sequence(rng, n=1):
+    return SkeletonSequence(timestamps=0.1 * np.arange(n),
+                            positions=rng.normal(scale=0.5, size=(n, len(ALL_JOINTS), 3)))
+
+
+def translate(seq, offset):
+    return SkeletonSequence(timestamps=seq.timestamps,
+                            positions=seq.positions + np.asarray(offset), joints=seq.joints)
+
+
+def pair(seq_a, seq_b):
+    """The two-frame sequence [frame 0 of a, frame 0 of b]."""
+    return SkeletonSequence(timestamps=[0.0, 0.1],
+                            positions=np.concatenate([seq_a.positions[:1], seq_b.positions[:1]]))
+
+
+def block(row, half, joint):
+    """The (x, y, z) triple of `joint` in one hand's half of an RBPD row."""
+    start = 33 * half + 3 * UPPER_BODY.index(joint)
+    return row[start:start + 3]
 
 
 class TestRBPD:
     def test_dimension_and_layout(self):
-        rng = np.random.default_rng(0)
-        frame = random_frame(rng)
-        d = compute_rbpd(frame)
-        assert d.values.shape == (66,)
-        assert d.variant is DescriptorVariant.RBPD
-        np.testing.assert_allclose(d.values, naive_rbpd(frame, frame), rtol=0, atol=0)
+        seq = random_sequence(np.random.default_rng(0))
+        d = describe_sequence(seq, DescriptorVariant.RBPD)
+        assert d.shape == (1, 66)
+        np.testing.assert_array_equal(d, oracle(seq, DescriptorVariant.RBPD))
 
     def test_self_hand_block_is_zero(self):
-        rng = np.random.default_rng(1)
-        d = compute_rbpd(random_frame(rng))
-        r_idx = UPPER_BODY.index(JointId.RHand)
-        l_idx = UPPER_BODY.index(JointId.LHand)
-        np.testing.assert_array_equal(d.values[3 * r_idx:3 * r_idx + 3], 0.0)
-        np.testing.assert_array_equal(d.values[33 + 3 * l_idx:33 + 3 * l_idx + 3], 0.0)
+        d = describe_sequence(random_sequence(np.random.default_rng(1), 4),
+                              DescriptorVariant.RBPD)
+        for row in d:
+            np.testing.assert_array_equal(block(row, 0, JointId.RHand), 0.0)
+            np.testing.assert_array_equal(block(row, 1, JointId.LHand), 0.0)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
         for trial in range(20):
-            frame = random_frame(rng)
+            seq = random_sequence(rng)
             offset = rng.normal(scale=5.0, size=3)
-            d0 = compute_rbpd(frame).values
-            d1 = compute_rbpd(translate(frame, offset)).values
+            d0 = describe_sequence(seq, DescriptorVariant.RBPD)
+            d1 = describe_sequence(translate(seq, offset), DescriptorVariant.RBPD)
             assert np.max(np.abs(d1 - d0)) <= 1e-12
 
     def test_right_hand_block_comes_first(self):
-        rng = np.random.default_rng(3)
-        frame = random_frame(rng)
-        d = compute_rbpd(frame).values
-        head = frame.joint(JointId.Head)
-        rh = frame.joint(JointId.RHand)
-        np.testing.assert_allclose(d[:3], [head.x - rh.x, head.y - rh.y, head.z - rh.z])
+        seq = random_sequence(np.random.default_rng(3))
+        d = describe_sequence(seq, DescriptorVariant.RBPD)[0]
+        frame = seq.positions[0]
+        np.testing.assert_allclose(d[:3], frame[JointId.Head] - frame[JointId.RHand])
 
 
 class TestRBPDT:
     def test_reference_hand_at_t_joints_at_t1(self):
         rng = np.random.default_rng(4)
-        f0, f1 = random_frame(rng, 0.0), random_frame(rng, 0.1)
-        d = compute_rbpd_t(f0, f1)
-        assert d.variant is DescriptorVariant.RBPD_T
-        np.testing.assert_allclose(d.values, naive_rbpd(f0, f1), rtol=0, atol=0)
+        seq = pair(random_sequence(rng), random_sequence(rng))
+        d = describe_sequence(seq, DescriptorVariant.RBPD_T)
+        assert d.shape == (1, 66)
+        f0, f1 = seq.positions
+        np.testing.assert_array_equal(d[0], frame_rbpd(dict(zip(ALL_JOINTS, f0)),
+                                                       dict(zip(ALL_JOINTS, f1))))
 
     def test_self_hand_block_is_frame_motion(self):
         rng = np.random.default_rng(5)
-        f0, f1 = random_frame(rng, 0.0), random_frame(rng, 0.1)
-        d = compute_rbpd_t(f0, f1).values
-        r_idx = UPPER_BODY.index(JointId.RHand)
-        r0, r1 = f0.joint(JointId.RHand), f1.joint(JointId.RHand)
-        np.testing.assert_allclose(
-            d[3 * r_idx:3 * r_idx + 3], [r1.x - r0.x, r1.y - r0.y, r1.z - r0.z]
-        )
+        seq = pair(random_sequence(rng), random_sequence(rng))
+        d = describe_sequence(seq, DescriptorVariant.RBPD_T)[0]
+        r0, r1 = seq.positions[:, JointId.RHand]
+        np.testing.assert_allclose(block(d, 0, JointId.RHand), r1 - r0)
 
     def test_translation_invariance_common_offset(self):
         rng = np.random.default_rng(6)
         for trial in range(20):
-            f0, f1 = random_frame(rng, 0.0), random_frame(rng, 0.1)
+            seq = pair(random_sequence(rng), random_sequence(rng))
             offset = rng.normal(scale=5.0, size=3)
-            d0 = compute_rbpd_t(f0, f1).values
-            d1 = compute_rbpd_t(translate(f0, offset), translate(f1, offset)).values
+            d0 = describe_sequence(seq, DescriptorVariant.RBPD_T)
+            d1 = describe_sequence(translate(seq, offset), DescriptorVariant.RBPD_T)
             assert np.max(np.abs(d1 - d0)) <= 1e-12
 
     def test_static_frames_degenerate_to_rbpd(self):
-        rng = np.random.default_rng(7)
-        frame = random_frame(rng)
-        still = SkeletonFrame(timestamp=0.1, joints=frame.joints)
-        np.testing.assert_array_equal(
-            compute_rbpd_t(frame, still).values, compute_rbpd(frame).values
-        )
+        seq = random_sequence(np.random.default_rng(7))
+        still = pair(seq, seq)
+        np.testing.assert_array_equal(describe_sequence(still, DescriptorVariant.RBPD_T),
+                                      describe_sequence(seq, DescriptorVariant.RBPD))
 
 
 class TestHD:
     def test_layout(self):
-        rng = np.random.default_rng(8)
-        frame = random_frame(rng)
-        d = compute_hd(frame)
-        assert d.values.shape == (6,)
-        t = frame.joint(JointId.Torso)
-        r = frame.joint(JointId.RHand)
-        l = frame.joint(JointId.LHand)
-        np.testing.assert_allclose(d.values[:3], [r.x - t.x, r.y - t.y, r.z - t.z])
-        np.testing.assert_allclose(d.values[3:], [l.x - t.x, l.y - t.y, l.z - t.z])
+        seq = random_sequence(np.random.default_rng(8))
+        d = describe_sequence(seq, DescriptorVariant.HD)
+        assert d.shape == (1, 6)
+        t, r, l = seq.positions[0, [JointId.Torso, JointId.RHand, JointId.LHand]]
+        np.testing.assert_allclose(d[0, :3], r - t)
+        np.testing.assert_allclose(d[0, 3:], l - t)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(9)
         for trial in range(20):
-            frame = random_frame(rng)
+            seq = random_sequence(rng)
             offset = rng.normal(scale=5.0, size=3)
-            d0 = compute_hd(frame).values
-            d1 = compute_hd(translate(frame, offset)).values
+            d0 = describe_sequence(seq, DescriptorVariant.HD)
+            d1 = describe_sequence(translate(seq, offset), DescriptorVariant.HD)
             assert np.max(np.abs(d1 - d0)) <= 1e-12
 
     def test_hd_is_rbpd_subvector(self):
         # HD components are sign-flipped torso-row entries of RBPD
-        rng = np.random.default_rng(10)
-        frame = random_frame(rng)
-        rbpd = compute_rbpd(frame).values
-        hd = compute_hd(frame).values
-        t_idx = UPPER_BODY.index(JointId.Torso)
-        np.testing.assert_allclose(hd[:3], -rbpd[3 * t_idx:3 * t_idx + 3])
-        np.testing.assert_allclose(hd[3:], -rbpd[33 + 3 * t_idx:33 + 3 * t_idx + 3])
+        seq = random_sequence(np.random.default_rng(10))
+        rbpd = describe_sequence(seq, DescriptorVariant.RBPD)[0]
+        hd = describe_sequence(seq, DescriptorVariant.HD)[0]
+        np.testing.assert_allclose(hd[:3], -block(rbpd, 0, JointId.Torso))
+        np.testing.assert_allclose(hd[3:], -block(rbpd, 1, JointId.Torso))
 
 
 class TestHDT:
     def test_hands_at_t_torso_at_t1(self):
         rng = np.random.default_rng(11)
-        f0, f1 = random_frame(rng, 0.0), random_frame(rng, 0.1)
-        d = compute_hd_t(f0, f1).values
-        t1 = f1.joint(JointId.Torso)
-        r0 = f0.joint(JointId.RHand)
-        l0 = f0.joint(JointId.LHand)
-        np.testing.assert_allclose(d[:3], [r0.x - t1.x, r0.y - t1.y, r0.z - t1.z])
-        np.testing.assert_allclose(d[3:], [l0.x - t1.x, l0.y - t1.y, l0.z - t1.z])
+        seq = pair(random_sequence(rng), random_sequence(rng))
+        d = describe_sequence(seq, DescriptorVariant.HD_T)[0]
+        t1 = seq.positions[1, JointId.Torso]
+        r0, l0 = seq.positions[0, [JointId.RHand, JointId.LHand]]
+        np.testing.assert_allclose(d[:3], r0 - t1)
+        np.testing.assert_allclose(d[3:], l0 - t1)
 
     def test_translation_invariance_common_offset(self):
         rng = np.random.default_rng(12)
         for trial in range(20):
-            f0, f1 = random_frame(rng, 0.0), random_frame(rng, 0.1)
+            seq = pair(random_sequence(rng), random_sequence(rng))
             offset = rng.normal(scale=5.0, size=3)
-            d0 = compute_hd_t(f0, f1).values
-            d1 = compute_hd_t(translate(f0, offset), translate(f1, offset)).values
+            d0 = describe_sequence(seq, DescriptorVariant.HD_T)
+            d1 = describe_sequence(translate(seq, offset), DescriptorVariant.HD_T)
             assert np.max(np.abs(d1 - d0)) <= 1e-12
 
 
 class TestDescribeSequence:
-    def make_seq(self, rng, n=9):
-        frames = [random_frame(rng, ts=0.1 * i) for i in range(n)]
-        return SkeletonSequence(frames=frames)
-
     def test_spatial_counts(self):
-        rng = np.random.default_rng(13)
-        seq = self.make_seq(rng, n=9)
-        assert len(describe_sequence(seq, DescriptorVariant.RBPD)) == 9
-        assert len(describe_sequence(seq, DescriptorVariant.HD)) == 9
+        seq = random_sequence(np.random.default_rng(13), n=9)
+        assert describe_sequence(seq, DescriptorVariant.RBPD).shape == (9, 66)
+        assert describe_sequence(seq, DescriptorVariant.HD).shape == (9, 6)
 
     def test_time_extended_counts(self):
-        rng = np.random.default_rng(14)
-        seq = self.make_seq(rng, n=9)
-        assert len(describe_sequence(seq, DescriptorVariant.RBPD_T)) == 8
-        assert len(describe_sequence(seq, DescriptorVariant.HD_T)) == 8
+        seq = random_sequence(np.random.default_rng(14), n=9)
+        assert describe_sequence(seq, DescriptorVariant.RBPD_T).shape == (8, 66)
+        assert describe_sequence(seq, DescriptorVariant.HD_T).shape == (8, 6)
+        one = random_sequence(np.random.default_rng(14), n=1)
+        assert describe_sequence(one, DescriptorVariant.RBPD_T).shape == (0, 66)
 
     def test_frame_indices_sequential(self):
-        rng = np.random.default_rng(15)
-        seq = self.make_seq(rng, n=5)
+        # row i describes frame i (and frame i + 1 for the -T variants)
+        seq = random_sequence(np.random.default_rng(15), n=5)
         ds = describe_sequence(seq, DescriptorVariant.RBPD_T)
-        assert [d.frame_index for d in ds] == [0, 1, 2, 3]
+        for i, row in enumerate(ds):
+            window = SkeletonSequence(timestamps=seq.timestamps[i:i + 2],
+                                      positions=seq.positions[i:i + 2])
+            np.testing.assert_array_equal(row, describe_sequence(
+                window, DescriptorVariant.RBPD_T)[0])
 
     def test_matches_pairwise_calls(self):
-        rng = np.random.default_rng(16)
-        seq = self.make_seq(rng, n=4)
+        seq = random_sequence(np.random.default_rng(16), n=4)
         ds = describe_sequence(seq, DescriptorVariant.HD_T)
+        frames = [dict(zip(ALL_JOINTS, f)) for f in seq.positions]
         for i, d in enumerate(ds):
-            expect = compute_hd_t(seq.frames[i], seq.frames[i + 1], i)
-            np.testing.assert_array_equal(d.values, expect.values)
+            np.testing.assert_array_equal(d, frame_hd(frames[i], frames[i + 1]))
+
+    def test_missing_joint_raises(self):
+        seq = random_sequence(np.random.default_rng(17), n=3)
+        kept = [j for j in ALL_JOINTS if j != JointId.LShoulder]
+        partial = SkeletonSequence(timestamps=seq.timestamps,
+                                   positions=seq.positions[:, kept], joints=kept)
+        np.testing.assert_array_equal(describe_sequence(partial, DescriptorVariant.HD),
+                                      describe_sequence(seq, DescriptorVariant.HD))
+        with pytest.raises(MissingJointError) as err:
+            describe_sequence(partial, DescriptorVariant.RBPD_T)
+        assert err.value.joint == JointId.LShoulder
+
+
+@st.composite
+def sequences(draw):
+    """1..12 frames over a shuffled superset of the upper body, coordinates
+    of very different magnitudes (and exact duplicates across joints)."""
+    extra = draw(st.lists(st.sampled_from(ALL_JOINTS[len(UPPER_BODY):]), unique=True))
+    joints = draw(st.permutations(UPPER_BODY + tuple(extra)))
+    n = draw(st.integers(1, 12))
+    values = st.one_of(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 1.0, 1e-300]))
+    positions = draw(arrays(np.float64, (n, len(joints), 3), elements=values))
+    return SkeletonSequence(timestamps=np.arange(n) / 30.0, positions=positions,
+                            joints=joints)
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(sequences(), st.sampled_from(list(DescriptorVariant)))
+    def test_equals_per_frame_oracle(self, seq, variant):
+        np.testing.assert_array_equal(describe_sequence(seq, variant), oracle(seq, variant))
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(15), st.just(3)),
+                  elements=st.floats(-3.0, 3.0)),
+           arrays(np.float64, 3, elements=st.floats(-50.0, 50.0)),
+           st.sampled_from(list(DescriptorVariant)))
+    def test_translation_invariance(self, positions, offset, variant):
+        seq = SkeletonSequence(timestamps=np.arange(len(positions)), positions=positions)
+        d0 = describe_sequence(seq, variant)
+        d1 = describe_sequence(translate(seq, offset), variant)
+        assert d1.shape == d0.shape
+        assert np.all(np.abs(d1 - d0) <= 1e-12)
 
 
 class TestZNorm:
     def test_fit_matches_population_moments(self):
         rng = np.random.default_rng(17)
         data = rng.normal(loc=3.0, scale=2.0, size=(50, 6))
-        descs = [FrameDescriptor(row, DescriptorVariant.HD, i) for i, row in enumerate(data)]
-        stats = fit_znorm(descs)
+        stats = fit_znorm(data)
         np.testing.assert_allclose(stats.mean, data.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(stats.stddev, data.std(axis=0), atol=1e-12)
 
     def test_normalized_corpus_has_zero_mean_unit_std(self):
         rng = np.random.default_rng(18)
         data = rng.normal(loc=-1.0, scale=4.0, size=(200, 66))
-        descs = [FrameDescriptor(row, DescriptorVariant.RBPD, i) for i, row in enumerate(data)]
-        stats = fit_znorm(descs)
-        normed = np.stack([apply_znorm(stats, d).values for d in descs])
+        stats = fit_znorm(data)
+        normed = (data - stats.mean) / stats.stddev
         np.testing.assert_allclose(normed.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(normed.std(axis=0), 1.0, atol=1e-12)
 
@@ -228,53 +274,24 @@ class TestZNorm:
         data = np.zeros((10, 6))
         data[:, 0] = 7.0  # constant column
         data[:, 1] = np.arange(10)
-        descs = [FrameDescriptor(row, DescriptorVariant.HD, i) for i, row in enumerate(data)]
-        stats = fit_znorm(descs)
+        stats = fit_znorm(data)
         assert stats.stddev[0] == ZNORM_FLOOR
-        out = apply_znorm(stats, descs[3])
-        assert np.all(np.isfinite(out.values))
-        assert out.values[0] == 0.0
+        out = (data[3] - stats.mean) / stats.stddev
+        assert np.all(np.isfinite(out))
+        assert out[0] == 0.0
 
     def test_fit_requires_two(self):
-        d = FrameDescriptor(np.zeros(6), DescriptorVariant.HD, 0)
         with pytest.raises(ValueError):
-            fit_znorm([d])
+            fit_znorm(np.zeros((1, 6)))
+        with pytest.raises(ValueError):
+            fit_znorm(np.zeros(6))
 
     def test_dimension_mismatch_rejected(self):
-        stats = ZNormStats.identity(6)
-        d = FrameDescriptor(np.zeros(66), DescriptorVariant.RBPD, 0)
         with pytest.raises(ValueError):
-            apply_znorm(stats, d)
-
-    def test_apply_array_matches_per_descriptor(self):
-        rng = np.random.default_rng(19)
-        data = rng.normal(size=(30, 6))
-        descs = [FrameDescriptor(row, DescriptorVariant.HD, i) for i, row in enumerate(data)]
-        stats = fit_znorm(descs)
-        arr = apply_znorm_array(stats, data)
-        rowwise = np.stack([apply_znorm(stats, d).values for d in descs])
-        np.testing.assert_array_equal(arr, rowwise)
+            ZNormStats(np.zeros(6), np.ones(66))
 
     def test_identity_stats_are_noop(self):
         rng = np.random.default_rng(20)
-        d = FrameDescriptor(rng.normal(size=66), DescriptorVariant.RBPD, 0)
-        out = apply_znorm(ZNormStats.identity(66), d)
-        np.testing.assert_array_equal(out.values, d.values)
-
-
-class TestFrameDescriptor:
-    def test_wrong_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            FrameDescriptor(np.zeros(7), DescriptorVariant.HD, 0)
-
-    def test_non_finite_rejected(self):
-        vals = np.zeros(6)
-        vals[2] = np.nan
-        with pytest.raises(ValueError):
-            FrameDescriptor(vals, DescriptorVariant.HD, 0)
-
-    def test_stack_mixed_dims_rejected(self):
-        a = FrameDescriptor(np.zeros(6), DescriptorVariant.HD, 0)
-        b = FrameDescriptor(np.zeros(66), DescriptorVariant.RBPD, 0)
-        with pytest.raises(ValueError):
-            stack_descriptors([a, b])
+        d = rng.normal(size=66)
+        stats = ZNormStats.identity(66)
+        np.testing.assert_array_equal((d - stats.mean) / stats.stddev, d)

@@ -8,9 +8,13 @@ from signflow.linear_model import (
     fit_multiclass_linear,
     predict,
     response,
-    training_accuracy,
 )
 from signflow.skeleton import EmptyInputError
+
+
+def training_accuracy(model, X, y):
+    """Share of rows whose highest-scoring class is their label."""
+    return float(((np.asarray(X) @ model.weights.T).argmax(axis=1) == y).mean())
 
 
 def scan_argmax(W, x):

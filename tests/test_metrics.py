@@ -154,11 +154,6 @@ class TestMetrics:
         with pytest.raises(EmptyInputError):
             precision_recall_fscore(ConfusionMatrix(counts=np.zeros((2, 2), dtype=np.int64)))
 
-    def test_timings_carried_through(self):
-        cm = ConfusionMatrix(counts=np.diag([1, 1]))
-        rep = precision_recall_fscore(cm, timings={"total": 0.5})
-        assert rep.timings == {"total": 0.5}
-
 
 class TestRangeProperty:
     def test_all_values_in_unit_interval(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from signflow.bundle import load_bundle, save_bundle
-from signflow.dataset import CorruptFileError, load_manifest
+from signflow.dataset import CorruptFileError, load_manifest, parse_skeleton_csv, write_skeleton_csv
 from signflow.pipeline import (
     TIMING_STAGES,
     CorpusItem,
@@ -16,7 +16,7 @@ from signflow.pipeline import (
     predict_item,
     train_pipeline,
 )
-from signflow.skeleton import EmptyInputError, JointId
+from signflow.skeleton import EmptyInputError, JointId, SkeletonSequence
 from signflow.synthetic import (
     ClassSpec,
     SyntheticConfig,
@@ -112,11 +112,8 @@ class TestItems:
         for disk, mem in zip(loaded, easy_items):
             assert disk.label == mem.label
             assert disk.split == mem.split
-            for fd, fm in zip(disk.sequence.frames, mem.sequence.frames):
-                for jid in fm.joints:
-                    assert fd.joints[jid].x == fm.joints[jid].x
-                    assert fd.joints[jid].y == fm.joints[jid].y
-                    assert fd.joints[jid].z == fm.joints[jid].z
+            np.testing.assert_array_equal(disk.sequence.timestamps, mem.sequence.timestamps)
+            np.testing.assert_array_equal(disk.sequence.positions, mem.sequence.positions)
             for md, mm in zip(disk.masks, mem.masks):
                 for side in mm:
                     np.testing.assert_array_equal(md[side].mask, mm[side].mask)
@@ -295,6 +292,20 @@ class TestEvaluation:
     def test_empty_evaluation_rejected(self, easy_bundle):
         with pytest.raises(EmptyInputError):
             evaluate_pipeline(easy_bundle, [])
+
+    def test_one_frame_sequence_error_names_its_csv(self, tmp_path, easy_bundle,
+                                                    easy_items):
+        # rbpd-t needs two frames; the error must say which recording has one
+        assert easy_bundle.config["descriptor"] == "rbpd-t"
+        seq = easy_items[0].sequence
+        path = tmp_path / "short.csv"
+        write_skeleton_csv(path, SkeletonSequence(timestamps=seq.timestamps[:1],
+                                                  positions=seq.positions[:1]))
+        short = CorpusItem(sequence=parse_skeleton_csv(path), label=0,
+                           subject="s99", split="test")
+        test = [i for i in easy_items if i.split == "test"][:2]
+        with pytest.raises(EmptyInputError, match="short.csv"):
+            evaluate_pipeline(easy_bundle, test + [short], mode="gesture-only")
 
     def test_saved_bundle_predicts_identically(self, tmp_path, easy_bundle,
                                                easy_items):

@@ -20,24 +20,19 @@ from signflow.posture import (
     OUTER_RADIUS,
     PATCH,
     SC_DIM,
-    CameraIntrinsics,
     DegenerateContour,
-    DepthFrame,
     HandRegion,
     HandSide,
     PostureBoW,
-    _coverage_resample,
     _largest_component,
     encode_video_bow,
     frame_shape_contexts,
     posture_response,
     sample_contour,
-    segment_hand,
     shape_context,
     trace_boundary,
     train_posture_classifier,
 )
-from signflow.skeleton import ALL_JOINTS, Joint3D, JointId, MissingJointError, SkeletonFrame
 
 
 def flood_fill_components(mask):
@@ -87,15 +82,6 @@ def disk_mask(size=PATCH, radius=20.0, center=None):
     return (xx - c) ** 2 + (yy - c) ** 2 <= radius ** 2
 
 
-def full_skeleton(positions):
-    """positions: dict JointId -> (x,y,z); others filled far away."""
-    joints = {}
-    for i, j in enumerate(ALL_JOINTS):
-        default = (50.0 + i, 50.0, 50.0)
-        joints[j] = Joint3D(*positions.get(j, default))
-    return SkeletonFrame(timestamp=0.0, joints=joints)
-
-
 class TestLargestComponent:
     def test_matches_flood_fill_oracle(self):
         rng = np.random.default_rng(40)
@@ -120,46 +106,6 @@ class TestLargestComponent:
         mask[5, 5:8] = True
         got = _largest_component(mask)
         assert got[1, 1:4].all() and not got[5, 5:8].any()
-
-
-class TestCoverageResample:
-    def test_integer_upsample_is_pixel_replication(self):
-        rng = np.random.default_rng(41)
-        box = rng.random((5, 5)) < 0.5
-        box[0, 0] = True
-        out = _coverage_resample(box)
-        want = np.kron(box, np.ones((13, 13), dtype=bool))
-        np.testing.assert_array_equal(out, want)
-
-    def test_integer_downsample_is_block_majority(self):
-        rng = np.random.default_rng(42)
-        box = rng.random((130, 130)) < 0.6
-        box[:3] = True
-        out = _coverage_resample(box)
-        want = box.reshape(PATCH, 2, PATCH, 2).mean(axis=(1, 3)) >= 0.5
-        np.testing.assert_array_equal(out, want)
-
-    def test_fractional_ratio_matches_slow_overlap_oracle(self):
-        rng = np.random.default_rng(43)
-        box = rng.random((7, 9)) < 0.55
-        box[3, 4] = True
-        out = _coverage_resample(box)
-        h, w = box.shape
-        for i in range(0, PATCH, 7):       # spot-check a grid of cells
-            for j in range(0, PATCH, 7):
-                y0, y1 = i * h / PATCH, (i + 1) * h / PATCH
-                x0, x1 = j * w / PATCH, (j + 1) * w / PATCH
-                area = 0.0
-                for r in range(h):
-                    oy = max(0.0, min(y1, r + 1) - max(y0, r))
-                    if oy <= 0:
-                        continue
-                    for c in range(w):
-                        ox = max(0.0, min(x1, c + 1) - max(x0, c))
-                        if ox > 0 and box[r, c]:
-                            area += ox * oy
-                want = area >= 0.5 * (y1 - y0) * (x1 - x0)
-                assert out[i, j] == want, (i, j)
 
 
 class TestTraceBoundary:
@@ -386,95 +332,6 @@ class TestEncodeVideoBow:
         frames = [(self.absent(HandSide.RIGHT), self.absent(HandSide.LEFT))]
         with pytest.raises(ValueError):
             encode_video_bow(frames, bad)
-
-
-class TestSegmentHand:
-    def camera(self):
-        return CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0)
-
-    def depth_with_pixels(self, pixels, z=1.0, size=64):
-        d = np.zeros((size, size))
-        for (r, c) in pixels:
-            d[r, c] = z
-        return DepthFrame(width=size, height=size, depth=d, intrinsics=self.camera())
-
-    def skeleton_hand_at_origin(self):
-        # right hand at the optical center at 1 m; elbow 0.5 m away so the
-        # sphere radius is 0.25 m = 25 px at this depth
-        return full_skeleton({
-            JointId.RHand: (0.0, 0.0, 1.0),
-            JointId.RElbow: (0.5, 0.0, 1.0),
-        })
-
-    def test_no_depth_gives_absent(self):
-        depth = self.depth_with_pixels([])
-        region = segment_hand(depth, self.skeleton_hand_at_origin(), HandSide.RIGHT)
-        assert not region.present
-        assert not region.mask.any()
-
-    def test_far_pixels_filtered_by_sphere(self):
-        depth = self.depth_with_pixels([(5, 5), (60, 60)])  # ~0.38 m from hand
-        region = segment_hand(depth, self.skeleton_hand_at_origin(), HandSide.RIGHT)
-        assert not region.present
-
-    def test_single_blob_kept(self):
-        blob = [(r, c) for r in range(28, 37) for c in range(28, 37)]
-        depth = self.depth_with_pixels(blob)
-        region = segment_hand(depth, self.skeleton_hand_at_origin(), HandSide.RIGHT)
-        assert region.present
-        # 9x9 box upsampled: everything inside the bbox is foreground
-        assert region.mask.all()
-
-    def test_largest_blob_wins(self):
-        big = [(r, c) for r in range(26, 38) for c in range(26, 36)]    # 120 px
-        small = [(r, c) for r in range(40, 45) for c in range(44, 52)]  # 40 px
-        depth = self.depth_with_pixels(big + small)
-        region = segment_hand(depth, self.skeleton_hand_at_origin(), HandSide.RIGHT)
-        assert region.present
-        comps = flood_fill_components(region.mask)
-        assert len(comps) == 1
-        # the 12x10 bbox fills the whole patch; the small blob's aspect
-        # ratio (5x8) would not
-        assert region.mask.all()
-
-    def test_pixels_assigned_to_other_joint_excluded(self):
-        skel = full_skeleton({
-            JointId.RHand: (0.0, 0.0, 1.0),
-            JointId.RElbow: (0.5, 0.0, 1.0),
-            JointId.Torso: (0.12, 0.0, 1.0),  # inside the sphere's reach
-        })
-        hand_blob = [(r, c) for r in range(30, 35) for c in range(28, 33)]
-        torso_blob = [(r, c) for r in range(30, 35) for c in range(43, 48)]  # x ~ 0.11-0.16
-        depth = self.depth_with_pixels(hand_blob + torso_blob)
-        region = segment_hand(depth, skel, HandSide.RIGHT)
-        assert region.present
-        comps = flood_fill_components(region.mask)
-        assert len(comps) == 1
-        # only the 5x5 hand blob survives: square bbox, fully covered
-        assert region.mask.all()
-
-    def test_left_side_uses_left_joints(self):
-        skel = full_skeleton({
-            JointId.LHand: (0.0, 0.0, 1.0),
-            JointId.LElbow: (0.5, 0.0, 1.0),
-        })
-        blob = [(r, c) for r in range(30, 34) for c in range(30, 34)]
-        depth = self.depth_with_pixels(blob)
-        region = segment_hand(depth, skel, HandSide.LEFT)
-        assert region.present
-        assert region.side is HandSide.LEFT
-
-    def test_missing_joint_raises(self):
-        joints = {j: Joint3D(50.0, 50.0, 50.0) for j in ALL_JOINTS if j != JointId.RElbow}
-        skel = SkeletonFrame(timestamp=0.0, joints=joints)
-        with pytest.raises(MissingJointError):
-            segment_hand(self.depth_with_pixels([]), skel, HandSide.RIGHT)
-
-    def test_invalid_intrinsics_rejected(self):
-        with pytest.raises(ValueError):
-            CameraIntrinsics(fx=0.0, fy=100.0, cx=32.0, cy=32.0)
-        with pytest.raises(ValueError):
-            CameraIntrinsics(fx=100.0, fy=100.0, cx=math.nan, cy=32.0)
 
 
 class TestPostureClassifier:

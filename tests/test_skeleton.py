@@ -7,45 +7,29 @@ import pytest
 
 from signflow.skeleton import (
     ALL_JOINTS,
-    INCOMPLETE_FRAME,
     NEGATIVE_TIMESTAMP,
     NON_MONOTONIC_TIME,
     TOO_SHORT,
     UPPER_BODY,
-    Joint3D,
     JointId,
     MissingJointError,
-    SkeletonFrame,
     SkeletonSequence,
     forward_fill,
-    select_upper_body,
     validate_sequence,
 )
 
 
-def full_frame(ts=0.0, offset=0.0):
-    joints = {
-        j: Joint3D(offset + 0.1 * int(j), offset + 0.01 * int(j), offset + 1.0)
-        for j in ALL_JOINTS
-    }
-    return SkeletonFrame(timestamp=ts, joints=joints)
+def full_frame(offset=0.0):
+    """(15, 3) positions of one frame, distinct per joint."""
+    ids = np.arange(len(ALL_JOINTS), dtype=np.float64)
+    return np.stack([offset + 0.1 * ids, offset + 0.01 * ids,
+                     np.full(len(ids), offset + 1.0)], axis=1)
 
 
-class TestJoint3D:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Joint3D(math.nan, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            Joint3D(0.0, math.inf, 0.0)
-
-    def test_rejects_bad_confidence(self):
-        with pytest.raises(ValueError):
-            Joint3D(0.0, 0.0, 0.0, confidence=1.5)
-        with pytest.raises(ValueError):
-            Joint3D(0.0, 0.0, 0.0, confidence=-0.1)
-
-    def test_as_tuple(self):
-        assert Joint3D(1.0, 2.0, 3.0).as_tuple() == (1.0, 2.0, 3.0)
+def sequence(timestamps, joints=ALL_JOINTS):
+    positions = np.stack([full_frame()[list(joints)] for _ in timestamps]) \
+        if len(timestamps) else np.empty((0, len(joints), 3))
+    return SkeletonSequence(timestamps=timestamps, positions=positions, joints=joints)
 
 
 class TestJointIds:
@@ -63,138 +47,126 @@ class TestJointIds:
         assert ids == sorted(ids)
 
 
-class TestSelectUpperBody:
-    def test_keeps_exactly_upper_body(self):
-        out = select_upper_body(full_frame())
-        assert set(out.joints) == set(UPPER_BODY)
-
-    def test_values_unchanged(self):
-        frame = full_frame(offset=0.25)
-        out = select_upper_body(frame)
-        for j in UPPER_BODY:
-            assert out.joint(j) == frame.joint(j)
-        assert out.timestamp == frame.timestamp
-
-    def test_idempotent(self):
-        once = select_upper_body(full_frame())
-        twice = select_upper_body(once)
-        assert twice.joints == once.joints
-
-    def test_missing_joint_raises(self):
-        frame = full_frame()
-        joints = dict(frame.joints)
-        del joints[JointId.LElbow]
-        with pytest.raises(MissingJointError) as err:
-            select_upper_body(SkeletonFrame(timestamp=0.0, joints=joints))
-        assert err.value.joint == JointId.LElbow
-
-    def test_missing_lower_body_is_fine(self):
-        frame = full_frame()
-        joints = {j: frame.joints[j] for j in UPPER_BODY}
-        out = select_upper_body(SkeletonFrame(timestamp=0.0, joints=joints))
-        assert set(out.joints) == set(UPPER_BODY)
-
-
 class TestValidateSequence:
     def test_clean_sequence_no_defects(self):
-        seq = SkeletonSequence(frames=[full_frame(0.0), full_frame(0.033), full_frame(0.066)])
-        assert validate_sequence(seq) == []
+        assert validate_sequence(sequence([0.0, 0.033, 0.066])) == []
 
     def test_too_short(self):
-        seq = SkeletonSequence(frames=[full_frame(0.0)])
-        codes = [d.code for d in validate_sequence(seq)]
+        codes = [d.code for d in validate_sequence(sequence([0.0]))]
         assert TOO_SHORT in codes
 
     def test_non_monotonic_time(self):
-        seq = SkeletonSequence(frames=[full_frame(0.0), full_frame(0.5), full_frame(0.5)])
-        defects = validate_sequence(seq)
+        defects = validate_sequence(sequence([0.0, 0.5, 0.5]))
         assert [d.code for d in defects] == [NON_MONOTONIC_TIME]
         assert defects[0].frame_index == 2
 
-    def test_negative_timestamp(self):
-        seq = SkeletonSequence(frames=[full_frame(-1.0), full_frame(0.0)])
-        codes = [d.code for d in validate_sequence(seq)]
-        assert NEGATIVE_TIMESTAMP in codes
+    def test_every_backward_step_flagged(self):
+        defects = validate_sequence(sequence([0.0, 0.033, 0.02, 0.0, 0.1, 0.1]))
+        assert [(d.code, d.frame_index) for d in defects] == \
+            [(NON_MONOTONIC_TIME, 2), (NON_MONOTONIC_TIME, 3), (NON_MONOTONIC_TIME, 5)]
+        assert defects[1].message == "timestamp 0.0 <= previous 0.02"
 
-    def test_incomplete_frame(self):
-        frame = full_frame(1.0)
-        joints = dict(frame.joints)
-        del joints[JointId.RHand]
-        bad = SkeletonFrame(timestamp=1.0, joints=joints)
-        seq = SkeletonSequence(frames=[full_frame(0.0), bad])
-        defects = validate_sequence(seq)
-        assert [d.code for d in defects] == [INCOMPLETE_FRAME]
-        assert defects[0].frame_index == 1
+    def test_negative_timestamp(self):
+        codes = [d.code for d in validate_sequence(sequence([-1.0, 0.0]))]
+        assert NEGATIVE_TIMESTAMP in codes
 
     def test_total_never_raises(self):
         # every defect at once
-        frame = full_frame(-2.0)
-        joints = dict(frame.joints)
-        del joints[JointId.Head]
-        seq = SkeletonSequence(frames=[SkeletonFrame(timestamp=-2.0, joints=joints)])
-        codes = {d.code for d in validate_sequence(seq)}
+        codes = {d.code for d in validate_sequence(sequence([-2.0]))}
         assert TOO_SHORT in codes and NEGATIVE_TIMESTAMP in codes
+        assert validate_sequence(sequence([]))[0].code == TOO_SHORT
 
 
 class TestForwardFill:
     def test_holds_last_value(self):
-        base = full_frame(0.0)
-        raw = [
-            (0.0, dict(base.joints)),
-            (0.1, {**base.joints, JointId.LHand: None}),
-            (0.2, dict(full_frame(0.0, offset=1.0).joints)),
-        ]
-        frames = forward_fill(raw)
-        assert frames[1].joint(JointId.LHand) == base.joint(JointId.LHand)
-        assert frames[2].joint(JointId.LHand) == full_frame(0.0, offset=1.0).joint(JointId.LHand)
+        positions = np.stack([full_frame(), full_frame(), full_frame(1.0)])
+        positions[1, JointId.LHand] = 99.0  # ignored: not observed
+        observed = np.ones((3, 15), dtype=bool)
+        observed[1, JointId.LHand] = False
+        filled = forward_fill(positions, observed)
+        np.testing.assert_array_equal(filled[1, JointId.LHand], full_frame()[JointId.LHand])
+        np.testing.assert_array_equal(filled[2], full_frame(1.0))
 
     def test_first_frame_missing_raises(self):
-        base = full_frame(0.0)
-        raw = [(0.0, {**base.joints, JointId.Torso: None})]
+        observed = np.ones((1, 15), dtype=bool)
+        observed[0, JointId.Torso] = False
         with pytest.raises(MissingJointError) as err:
-            forward_fill(raw)
+            forward_fill(full_frame()[None], observed)
         assert err.value.joint == JointId.Torso
 
     def test_gap_longer_than_one_frame(self):
-        base = full_frame(0.0)
-        raw = [(0.0, dict(base.joints))]
-        for i in range(1, 4):
-            raw.append((0.1 * i, {**base.joints, JointId.RElbow: None}))
-        frames = forward_fill(raw)
-        for f in frames:
-            assert f.joint(JointId.RElbow) == base.joint(JointId.RElbow)
+        positions = np.stack([full_frame(float(t)) for t in range(4)])
+        observed = np.ones((4, 15), dtype=bool)
+        observed[1:, JointId.RElbow] = False
+        filled = forward_fill(positions, observed)
+        for frame in filled:
+            np.testing.assert_array_equal(frame[JointId.RElbow], full_frame()[JointId.RElbow])
+        np.testing.assert_array_equal(filled[3, JointId.Head], full_frame(3.0)[JointId.Head])
 
     def test_timestamps_preserved(self):
-        base = full_frame(0.0)
-        raw = [(0.0, dict(base.joints)), (0.4, dict(base.joints))]
-        frames = forward_fill(raw)
-        assert [f.timestamp for f in frames] == [0.0, 0.4]
+        seq = SkeletonSequence(timestamps=[0.0, 0.4],
+                               positions=forward_fill(np.stack([full_frame()] * 2),
+                                                      np.ones((2, 15), dtype=bool)))
+        assert seq.timestamps.tolist() == [0.0, 0.4]
+
+    def test_names_joint_of_its_column(self):
+        joints = (JointId.RFoot, JointId.Head)
+        with pytest.raises(MissingJointError) as err:
+            forward_fill(np.zeros((2, 2, 3)), [[True, False], [True, True]], joints)
+        assert err.value.joint == JointId.Head
 
 
 class TestSequence:
     def test_len(self):
-        seq = SkeletonSequence(frames=[full_frame(0.0), full_frame(0.1)])
-        assert len(seq) == 2
+        assert len(sequence([0.0, 0.1])) == 2
 
     def test_label_and_subject_optional(self):
-        seq = SkeletonSequence(frames=[full_frame(0.0)], label="wave", subject="s01")
+        seq = SkeletonSequence(timestamps=[0.0], positions=full_frame()[None],
+                               label="wave", subject="s01")
         assert seq.label == "wave"
         assert seq.subject == "s01"
+        assert seq.joints == ALL_JOINTS
 
     def test_frame_joint_missing_raises(self):
-        frame = full_frame()
-        joints = {j: frame.joints[j] for j in UPPER_BODY}
-        f = SkeletonFrame(timestamp=0.0, joints=joints)
-        assert f.has(JointId.Head)
-        assert not f.has(JointId.LFoot)
-        with pytest.raises(MissingJointError):
-            f.joint(JointId.LFoot)
+        seq = sequence([0.0], joints=UPPER_BODY)
+        assert seq.columns((JointId.Head, JointId.RHip)) == [0, 10]
+        with pytest.raises(MissingJointError) as err:
+            seq.columns((JointId.Head, JointId.LFoot))
+        assert err.value.joint == JointId.LFoot
+
+    def test_rejects_non_finite_values(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            positions = np.stack([full_frame()] * 3)
+            with pytest.raises(ValueError, match="timestamp"):
+                SkeletonSequence(timestamps=[0.0, bad, 0.1], positions=positions)
+            positions[1, JointId.LElbow, 2] = bad
+            with pytest.raises(ValueError, match="coordinate"):
+                SkeletonSequence(timestamps=[0.0, 0.033, 0.066], positions=positions)
+
+    def test_nan_timestamp_cannot_hide_a_backward_step(self):
+        # [0, .033, nan, 0.0]: the NaN made the backward step to 0.0 invisible
+        # to a frame-by-frame comparison; the sequence now refuses the NaN
+        positions = np.stack([full_frame()] * 4)
+        with pytest.raises(ValueError, match="non-finite timestamp"):
+            SkeletonSequence(timestamps=[0.0, 0.033, math.nan, 0.0], positions=positions)
+        defects = validate_sequence(SkeletonSequence(
+            timestamps=[0.0, 0.033, 0.05, 0.0], positions=positions))
+        assert [(d.code, d.frame_index) for d in defects] == [(NON_MONOTONIC_TIME, 3)]
+
+    def test_shape_must_match_timestamps_and_joints(self):
+        with pytest.raises(ValueError):
+            SkeletonSequence(timestamps=[0.0, 0.1], positions=full_frame()[None])
+        with pytest.raises(ValueError):
+            SkeletonSequence(timestamps=[0.0], positions=full_frame()[None],
+                             joints=UPPER_BODY)
+        with pytest.raises(ValueError):
+            SkeletonSequence(timestamps=[0.0], positions=np.zeros((1, 2, 3)),
+                             joints=(JointId.Head, JointId.Head))
 
 
 def test_numpy_interop_roundtrip():
     rng = np.random.default_rng(7)
-    pts = rng.normal(size=(15, 3))
-    joints = {j: Joint3D(*pts[int(j)]) for j in ALL_JOINTS}
-    frame = SkeletonFrame(timestamp=0.0, joints=joints)
-    back = np.array([frame.joint(j).as_tuple() for j in ALL_JOINTS])
-    np.testing.assert_array_equal(back, pts)
+    pts = rng.normal(size=(4, 15, 3))
+    seq = SkeletonSequence(timestamps=np.arange(4.0), positions=pts.tolist())
+    assert seq.positions.dtype == np.float64
+    np.testing.assert_array_equal(seq.positions, pts)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from signflow.dataset import load_manifest, load_mask_archive, parse_skeleton_csv
-from signflow.descriptors import DescriptorVariant, describe_sequence, stack_descriptors
+from signflow.descriptors import DescriptorVariant, describe_sequence
 from signflow.posture import HandSide
-from signflow.skeleton import ALL_JOINTS, JointId, UPPER_BODY
+from signflow.skeleton import JointId, UPPER_BODY
 from signflow.synthetic import (
     ClassSpec,
     SyntheticConfig,
@@ -15,15 +15,6 @@ from signflow.synthetic import (
     save_synthetic_config,
     write_corpus,
 )
-
-
-def coords_array(seq):
-    return np.array([[frame.joint(j).as_tuple() for j in ALL_JOINTS]
-                     for frame in seq.frames])
-
-
-def descriptor_matrix(seq, variant):
-    return stack_descriptors(describe_sequence(seq, variant))
 
 
 def two_anchor_classes(mask=0):
@@ -40,10 +31,10 @@ class TestDeterminism:
         for label in (0, 1):
             seqs = [s for s in corpus.sequences if s.label == label]
             assert len(seqs) == 3
-            base = coords_array(seqs[0])
+            base = seqs[0].positions
             for other in seqs[1:]:
-                np.testing.assert_array_equal(coords_array(other), base)
-            stamps = [tuple(f.timestamp for f in s.frames) for s in seqs]
+                np.testing.assert_array_equal(other.positions, base)
+            stamps = [tuple(s.timestamps.tolist()) for s in seqs]
             assert len(set(stamps)) == 3
 
     def test_same_seed_same_corpus(self):
@@ -55,7 +46,7 @@ class TestDeterminism:
         b = generate_synthetic_corpus(cfg)
         assert len(a.sequences) == len(b.sequences)
         for sa, sb in zip(a.sequences, b.sequences):
-            np.testing.assert_array_equal(coords_array(sa), coords_array(sb))
+            np.testing.assert_array_equal(sa.positions, sb.positions)
         for ma, mb in zip(a.masks, b.masks):
             for fa, fb in zip(ma, mb):
                 for side in HandSide:
@@ -69,7 +60,7 @@ class TestDeterminism:
         without = generate_synthetic_corpus(cfg, with_masks=False)
         assert without.masks is None
         for sa, sb in zip(with_m.sequences, without.sequences):
-            np.testing.assert_array_equal(coords_array(sa), coords_array(sb))
+            np.testing.assert_array_equal(sa.positions, sb.positions)
         assert all(e.mask_dir is None for e in without.manifest.entries)
 
     def test_different_seed_differs(self):
@@ -77,8 +68,8 @@ class TestDeterminism:
             classes=two_anchor_classes(), counts=(1, 0, 0), noise=0.01,
             frame_count_range=(12, 12), seed=seed), with_masks=False)
         a, b = mk(1), mk(2)
-        assert not np.array_equal(coords_array(a.sequences[0]),
-                                  coords_array(b.sequences[0]))
+        assert not np.array_equal(a.sequences[0].positions,
+                                  b.sequences[0].positions)
 
 
 class TestAnchorMechanism:
@@ -91,20 +82,20 @@ class TestAnchorMechanism:
 
     def test_world_hand_paths_identical(self):
         a, b = self.make_pair()
-        for fa, fb in zip(a.frames, b.frames):
-            assert fa.joint(JointId.RHand).as_tuple() == fb.joint(JointId.RHand).as_tuple()
+        np.testing.assert_array_equal(a.positions[:, JointId.RHand],
+                                      b.positions[:, JointId.RHand])
 
     def test_hd_streams_identical_per_frame(self):
         a, b = self.make_pair()
         for variant in (DescriptorVariant.HD, DescriptorVariant.HD_T):
-            da = descriptor_matrix(a, variant)
-            db = descriptor_matrix(b, variant)
+            da = describe_sequence(a, variant)
+            db = describe_sequence(b, variant)
             np.testing.assert_array_equal(da, db)
 
     def test_rbpd_streams_differ_on_anchor_rows(self):
         a, b = self.make_pair()
-        da = descriptor_matrix(a, DescriptorVariant.RBPD)
-        db = descriptor_matrix(b, DescriptorVariant.RBPD)
+        da = describe_sequence(a, DescriptorVariant.RBPD)
+        db = describe_sequence(b, DescriptorVariant.RBPD)
         assert not np.array_equal(da, db)
         head = UPPER_BODY.index(JointId.Head)
         neck = UPPER_BODY.index(JointId.Neck)
@@ -117,8 +108,8 @@ class TestAnchorMechanism:
         torso = UPPER_BODY.index(JointId.Torso)
         sl = slice(3 * torso, 3 * torso + 3)
         np.testing.assert_array_equal(da[:, sl], db[:, sl])
-        da_t = descriptor_matrix(a, DescriptorVariant.RBPD_T)
-        db_t = descriptor_matrix(b, DescriptorVariant.RBPD_T)
+        da_t = describe_sequence(a, DescriptorVariant.RBPD_T)
+        db_t = describe_sequence(b, DescriptorVariant.RBPD_T)
         assert not np.array_equal(da_t, db_t)
 
     def test_mask_only_pair_shares_skeleton_stream(self):
@@ -129,7 +120,7 @@ class TestAnchorMechanism:
             subjects=(1, 1, 1))
         corpus = generate_synthetic_corpus(cfg)
         a, b = corpus.sequences
-        np.testing.assert_array_equal(coords_array(a), coords_array(b))
+        np.testing.assert_array_equal(a.positions, b.positions)
         ra = corpus.masks[0][0][HandSide.RIGHT].mask
         rb = corpus.masks[1][0][HandSide.RIGHT].mask
         assert not np.array_equal(ra, rb)
@@ -196,8 +187,8 @@ class TestWriteCorpus:
         root = manifest_path.parent
         for i, entry in enumerate(m.entries):
             seq = parse_skeleton_csv(root / entry.sequence_path)
-            np.testing.assert_array_equal(coords_array(seq),
-                                          coords_array(corpus.sequences[i]))
+            np.testing.assert_array_equal(seq.positions,
+                                          corpus.sequences[i].positions)
             frames = load_mask_archive(root / entry.mask_dir)
             assert len(frames) == len(corpus.masks[i])
             for got, want in zip(frames, corpus.masks[i]):
