@@ -21,7 +21,7 @@ from . import __version__
 from .codebook import Codebook
 from .dataset import CorruptFileError
 from .descriptors import DescriptorVariant, ZNormStats
-from .fusion import KdeFusionModel, LinearFusionModel
+from .fusion import KdeFusionModel
 from .hmm import DiscreteHMM
 from .linear_model import MulticlassLinearModel
 from .posture import PostureModel
@@ -48,7 +48,7 @@ class ModelBundle:
     gesture_codebook: Codebook
     hmms: list
     posture_model: Optional[PostureModel] = None
-    fusion_linear: Optional[LinearFusionModel] = None
+    fusion_linear: Optional[MulticlassLinearModel] = None
     fusion_kde: Optional[KdeFusionModel] = None
     config: dict = field(default_factory=dict)
     version: int = FORMAT_VERSION
@@ -70,11 +70,7 @@ class ModelBundle:
                 raise ValueError("posture weights do not match its codebook")
         for name, fm in (("linear", self.fusion_linear),
                          ("kde", self.fusion_kde)):
-            if fm is None:
-                continue
-            n = fm.model.n_classes if name == "linear" else fm.n_classes
-            d = fm.model.dimension if name == "linear" else fm.dimension
-            if n != c or d != 2 * c:
+            if fm is not None and (fm.n_classes != c or fm.dimension != 2 * c):
                 raise ValueError(f"fusion {name} model shape mismatch")
 
     @property
@@ -112,15 +108,13 @@ def _codebook_from(doc: dict) -> Codebook:
 
 
 def _linear_doc(m: MulticlassLinearModel) -> dict:
-    return {"weights": m.weights.tolist(), "n_classes": m.n_classes,
-            "config": m.config}
+    return {"weights": m.weights.tolist(), "n_classes": m.n_classes}
 
 
 def _linear_from(doc: dict) -> MulticlassLinearModel:
     return MulticlassLinearModel(
         weights=np.array(doc["weights"], dtype=np.float64),
         n_classes=int(doc["n_classes"]),
-        config=dict(doc.get("config", {})),
     )
 
 
@@ -143,13 +137,9 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         doc["posture"] = {
             "codebook": _codebook_doc(pm.codebook),
             "model": _linear_doc(pm.model),
-            "config": pm.config,
         }
     if bundle.fusion_linear is not None:
-        doc["fusion_linear"] = {
-            "model": _linear_doc(bundle.fusion_linear.model),
-            "config": bundle.fusion_linear.config,
-        }
+        doc["fusion_linear"] = {"model": _linear_doc(bundle.fusion_linear)}
     if bundle.fusion_kde is not None:
         fk = bundle.fusion_kde
         doc["fusion_kde"] = {
@@ -195,15 +185,11 @@ def load_bundle(path) -> ModelBundle:
             posture_model = PostureModel(
                 model=_linear_from(posture["model"]),
                 codebook=_codebook_from(posture["codebook"]),
-                config=dict(posture.get("config", {})),
             )
         fusion_linear = None
         fl = doc.get("fusion_linear")
         if fl is not None:
-            fusion_linear = LinearFusionModel(
-                model=_linear_from(fl["model"]),
-                config=dict(fl.get("config", {})),
-            )
+            fusion_linear = _linear_from(fl["model"])
         fusion_kde = None
         fk = doc.get("fusion_kde")
         if fk is not None:

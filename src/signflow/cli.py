@@ -25,6 +25,7 @@ from .bundle import config_hash, load_bundle, save_bundle
 from .dataset import load_manifest, load_mask_archive, parse_skeleton_csv
 from .descriptors import DescriptorVariant
 from .pipeline import (
+    DEFAULT_CONFIG,
     FUSION_MODES,
     TIMING_STAGES,
     evaluate_pipeline,
@@ -64,17 +65,21 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def train_config(args) -> dict:
+    """The training config that the parsed train arguments ask for."""
+    seed = args.seed if args.seed is not None else _seed_fallback()
+    return make_config(descriptor=args.descriptor, fusion=args.fusion,
+                       gesture_k=args.gesture_k, posture_k=args.posture_k,
+                       hmm_states=args.states, hmm_iters=args.hmm_iters,
+                       epochs=args.epochs, posture_cost=args.posture_cost,
+                       fusion_cost=args.fusion_cost, seed=seed)
+
+
 def cmd_train(args) -> int:
     data = Path(args.data)
     manifest = load_manifest(data / "manifest.json")
     items = load_items(manifest, data, with_masks=not args.no_masks)
-    seed = args.seed if args.seed is not None else _seed_fallback()
-    config = make_config(descriptor=args.descriptor, fusion=args.fusion,
-                         gesture_k=args.gesture_k, posture_k=args.posture_k,
-                         hmm_states=args.states, hmm_iters=args.hmm_iters,
-                         epochs=args.epochs, posture_cost=args.posture_cost,
-                         fusion_cost=args.fusion_cost, seed=seed)
-    bundle = train_pipeline(items, config)
+    bundle = train_pipeline(items, train_config(args))
     save_bundle(bundle, args.out)
     branches = ["gesture"]
     if bundle.posture_model is not None:
@@ -196,18 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True,
                    help="corpus directory containing manifest.json")
     p.add_argument("--out", required=True, help="bundle output path")
+    d = DEFAULT_CONFIG
     p.add_argument("--descriptor", choices=DESCRIPTOR_CHOICES,
-                   default="rbpd-t")
-    p.add_argument("--fusion", choices=FUSION_MODES, default="kde",
+                   default=d["descriptor"])
+    p.add_argument("--fusion", choices=FUSION_MODES, default=d["fusion"],
                    help="default decision rule stored in the bundle")
-    p.add_argument("--gesture-k", type=int, default=100)
-    p.add_argument("--posture-k", type=int, default=100)
-    p.add_argument("--states", type=int, default=8, help="HMM state count")
-    p.add_argument("--hmm-iters", type=int, default=30)
-    p.add_argument("--epochs", type=int, default=60,
+    p.add_argument("--gesture-k", type=int, default=d["gesture_k"])
+    p.add_argument("--posture-k", type=int, default=d["posture_k"])
+    p.add_argument("--states", type=int, default=d["hmm_states"],
+                   help="HMM state count")
+    p.add_argument("--hmm-iters", type=int, default=d["hmm_iters"])
+    p.add_argument("--epochs", type=int, default=d["epochs"],
                    help="SGD epochs for the linear classifiers")
-    p.add_argument("--posture-cost", type=float, default=0.8352)
-    p.add_argument("--fusion-cost", type=float, default=0.7641)
+    p.add_argument("--posture-cost", type=float, default=d["posture_cost"])
+    p.add_argument("--fusion-cost", type=float, default=d["fusion_cost"])
     p.add_argument("--seed", type=int, default=None,
                    help="training seed (falls back to SIGNFLOW_SEED, then 0)")
     p.add_argument("--no-masks", action="store_true",

@@ -53,10 +53,6 @@ class Codebook:
     def dimension(self) -> int:
         return self.centers.shape[1]
 
-    @property
-    def wcss(self) -> float:
-        return self.wcss_history[-1] if self.wcss_history else float("nan")
-
 
 @dataclass
 class SymbolSequence:

@@ -215,11 +215,6 @@ class DatasetManifest:
     def n_classes(self) -> int:
         return max(e.label for e in self.entries) + 1
 
-    def for_split(self, split: str) -> list:
-        if split not in SPLITS:
-            raise ValueError(f"unknown split {split!r}")
-        return [e for e in self.entries if e.split == split]
-
 
 def save_manifest(manifest: DatasetManifest, path, config_hash: str = "") -> None:
     doc = {

@@ -9,8 +9,7 @@ before coupling so both rules stay defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -29,7 +28,6 @@ class CoupledResponse:
     """[R_posture | R_gesture], one slot per class in each half."""
 
     values: np.ndarray
-    true_class: Optional[int] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -37,18 +35,6 @@ class CoupledResponse:
             raise ValueError("coupled response must be 1-D with even length")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("coupled response must be finite (clamp first)")
-
-
-@dataclass
-class LinearFusionModel:
-    """omega: one weight row per class over the 2C coupled coordinates."""
-
-    model: MulticlassLinearModel
-    config: dict = field(default_factory=dict)
-
-    @property
-    def omega(self) -> np.ndarray:
-        return self.model.weights
 
 
 @dataclass
@@ -80,8 +66,7 @@ class KdeFusionModel:
         return self.bandwidths.shape[1]
 
 
-def couple(rp, rg: GestureResponse, clamp: float = CLAMP_FLOOR,
-           true_class: Optional[int] = None) -> CoupledResponse:
+def couple(rp, rg: GestureResponse, clamp: float = CLAMP_FLOOR) -> CoupledResponse:
     """Concatenate branch responses, clamping -inf gesture entries."""
     rp = np.asarray(rp, dtype=np.float64)
     rgv = np.asarray(rg.values if isinstance(rg, GestureResponse) else rg,
@@ -89,8 +74,7 @@ def couple(rp, rg: GestureResponse, clamp: float = CLAMP_FLOOR,
     if rp.shape != rgv.shape:
         raise ValueError(f"posture response length {rp.shape} != gesture "
                          f"response length {rgv.shape}")
-    return CoupledResponse(values=np.concatenate([rp, np.maximum(rgv, clamp)]),
-                           true_class=true_class)
+    return CoupledResponse(values=np.concatenate([rp, np.maximum(rgv, clamp)]))
 
 
 def _training_matrix(pairs):
@@ -106,22 +90,21 @@ def _training_matrix(pairs):
     return X, y, n_classes
 
 
-def train_linear_fusion(pairs, cost: float = DEFAULT_FUSION_COST, folds: int = 3,
-                        seed: int = 0, epochs: int = 60) -> LinearFusionModel:
-    """Fit the linear fusion rule on (CoupledResponse, class) pairs."""
+def train_linear_fusion(pairs, cost: float = DEFAULT_FUSION_COST, seed: int = 0,
+                        epochs: int = 60) -> MulticlassLinearModel:
+    """Fit the linear fusion rule on (CoupledResponse, class) pairs: one
+    weight row omega_k per class over the 2C coupled coordinates."""
     X, y, n_classes = _training_matrix(pairs)
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
     if X.shape[1] != 2 * n_classes:
         raise ValueError(f"coupled dimension {X.shape[1]} != 2 x {n_classes} classes")
-    model = fit_multiclass_linear(X, y, n_classes, cost, epochs=epochs,
-                                  seed=seed, folds=folds)
-    return LinearFusionModel(model=model, config=dict(model.config))
+    return fit_multiclass_linear(X, y, n_classes, cost, epochs=epochs, seed=seed)
 
 
-def predict_linear(model: LinearFusionModel, r: CoupledResponse) -> int:
+def predict_linear(model: MulticlassLinearModel, r: CoupledResponse) -> int:
     """argmax_k omega_k . R; ties to the lowest class id."""
-    return int(response(model.model, r.values).argmax())
+    return int(response(model, r.values).argmax())
 
 
 def silverman_bandwidths(data: np.ndarray, floor: float = BW_FLOOR) -> np.ndarray:

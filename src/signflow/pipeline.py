@@ -235,9 +235,17 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
     # fusion stage, on validation responses only
     fusion_linear = None
     fusion_kde = None
-    if val and posture_model is not None and \
-            all(i.masks is not None for i in val) and \
-            {i.label for i in val} == set(range(n_classes)):
+    missing = sorted(set(range(n_classes)) - {i.label for i in val})
+    if posture_model is None:
+        no_fusion = "the train split has no hand masks"
+    elif not val:
+        no_fusion = "there is no validation split"
+    elif not all(i.masks is not None for i in val):
+        no_fusion = "the validation split lacks hand masks"
+    elif missing:
+        no_fusion = f"the validation split misses classes {missing}"
+    else:
+        no_fusion = None
         pairs = []
         for item in val:
             rg = classify_gesture(hmms, _gesture_symbols(gesture_cb,
@@ -245,7 +253,7 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
             bow = encode_video_bow(_video_regions(item.masks), posture_model.codebook,
                                    video_id=item.sequence.source)
             rp = posture_response(posture_model, bow)
-            pairs.append((couple(rp, rg, true_class=item.label), item.label))
+            pairs.append((couple(rp, rg), item.label))
         fusion_linear = train_linear_fusion(
             pairs, cost=config["fusion_cost"],
             seed=derive_seed(seed, "fusion-linear"), epochs=config["epochs"])
@@ -256,10 +264,18 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
     echo["gesture_k_effective"] = gesture_k
     echo["posture_k_effective"] = \
         posture_model.codebook.k if posture_model is not None else None
-    return ModelBundle(gesture_codebook=gesture_cb, hmms=hmms,
-                       posture_model=posture_model,
-                       fusion_linear=fusion_linear, fusion_kde=fusion_kde,
-                       config=echo)
+    bundle = ModelBundle(gesture_codebook=gesture_cb, hmms=hmms,
+                         posture_model=posture_model,
+                         fusion_linear=fusion_linear, fusion_kde=fusion_kde,
+                         config=echo)
+    # never return a bundle whose stored default mode predict cannot run
+    try:
+        _check_mode(bundle, None, has_masks=True)
+    except ValueError as exc:
+        raise ValueError(f"fusion {config['fusion']!r} cannot run on this bundle "
+                         f"because {no_fusion}; train with fusion "
+                         "'gesture-only' instead") from exc
+    return bundle
 
 
 @dataclass
@@ -286,11 +302,11 @@ def _check_mode(bundle: ModelBundle, mode: Optional[str], has_masks: bool) -> st
         raise ValueError(f"fusion mode {mode!r} needs hand masks for the "
                          "sequence")
     if mode == "linear" and bundle.fusion_linear is None:
-        raise ValueError("bundle has no linear fusion model (no validation "
-                         "split at training time)")
+        raise ValueError("bundle has no linear fusion model (no usable "
+                         "validation split at training time)")
     if mode == "kde" and bundle.fusion_kde is None:
-        raise ValueError("bundle has no KDE fusion model (no validation "
-                         "split at training time)")
+        raise ValueError("bundle has no KDE fusion model (no usable "
+                         "validation split at training time)")
     return mode
 
 

@@ -18,7 +18,7 @@ R_posture = W p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -76,23 +76,6 @@ class HandRegion:
 
 
 @dataclass
-class ShapeContextDescriptor:
-    """49 log-polar bins, L1-normalized (all-zero if nothing was binned)."""
-
-    bins: np.ndarray
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.float64)
-        if self.bins.shape != (SC_DIM,):
-            raise ValueError(f"descriptor must have {SC_DIM} bins")
-        if np.any(self.bins < 0):
-            raise ValueError("negative bin")
-        total = self.bins.sum()
-        if total != 0.0 and abs(total - 1.0) > 1e-9:
-            raise ValueError("bins must sum to 1 or all be zero")
-
-
-@dataclass
 class PostureBoW:
     """Per-video [right | left] histogram over posture codebook words."""
 
@@ -116,7 +99,6 @@ class PostureModel:
 
     model: MulticlassLinearModel
     codebook: Codebook
-    config: dict = field(default_factory=dict)
 
 
 def _largest_component(mask: np.ndarray) -> np.ndarray:
@@ -237,19 +219,6 @@ def frame_shape_contexts(points) -> np.ndarray:
     return counts / np.maximum(np.bincount(ref, minlength=m), 1)[:, None]
 
 
-def shape_context(points, ref_index: int) -> ShapeContextDescriptor:
-    """Log-polar histogram of the other points around points[ref_index]:
-    row ref_index of frame_shape_contexts(points)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be (m, 2)")
-    if pts.shape[0] < 2:
-        raise ValueError("need at least 2 points")
-    if not 0 <= ref_index < pts.shape[0]:
-        raise ValueError("ref_index out of range")
-    return ShapeContextDescriptor(bins=frame_shape_contexts(pts)[ref_index])
-
-
 def video_shape_contexts(frames,
                          m: int = CONTOUR_POINTS) -> tuple[np.ndarray, np.ndarray]:
     """Shape-context rows of a whole video, in frame order.
@@ -306,8 +275,7 @@ def encode_video_bow(frames, posture_cb: Codebook, video_id: str = "",
 
 def train_posture_classifier(pairs, codebook: Codebook,
                              cost: float = DEFAULT_POSTURE_COST,
-                             folds: int = 3, seed: int = 0,
-                             epochs: int = 60) -> PostureModel:
+                             seed: int = 0, epochs: int = 60) -> PostureModel:
     """Fit the linear multiclass posture model on (PostureBoW, class) pairs."""
     pairs = list(pairs)
     if not pairs:
@@ -322,9 +290,8 @@ def train_posture_classifier(pairs, codebook: Codebook,
         raise ValueError(f"class {int(present.argmin())} has no examples")
     if X.shape[1] != 2 * codebook.k:
         raise ValueError("BoW dimension does not match 2 x codebook size")
-    model = fit_multiclass_linear(X, y, n_classes, cost, epochs=epochs,
-                                  seed=seed, folds=folds)
-    return PostureModel(model=model, codebook=codebook, config=dict(model.config))
+    model = fit_multiclass_linear(X, y, n_classes, cost, epochs=epochs, seed=seed)
+    return PostureModel(model=model, codebook=codebook)
 
 
 def posture_response(model: PostureModel, p: PostureBoW) -> np.ndarray:

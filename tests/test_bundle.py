@@ -16,7 +16,7 @@ from signflow.bundle import (
 from signflow.codebook import Codebook
 from signflow.dataset import CorruptFileError
 from signflow.descriptors import DescriptorVariant, ZNormStats
-from signflow.fusion import KdeFusionModel, LinearFusionModel
+from signflow.fusion import KdeFusionModel
 from signflow.hmm import init_left_right
 from signflow.linear_model import MulticlassLinearModel
 from signflow.posture import PostureModel
@@ -36,12 +36,10 @@ def tiny_bundle(rng=None, with_optional=True):
                               znorm=ZNormStats.identity(49), seed=1)
         kwargs["posture_model"] = PostureModel(
             model=MulticlassLinearModel(weights=rng.normal(size=(2, 8)),
-                                        n_classes=2, config={"cost": 0.8352}),
-            codebook=posture_cb, config={"m": 20})
-        kwargs["fusion_linear"] = LinearFusionModel(
-            model=MulticlassLinearModel(weights=rng.normal(size=(2, 4)),
-                                        n_classes=2, config={"cost": 0.7641}),
-            config={"cost": 0.7641})
+                                        n_classes=2),
+            codebook=posture_cb)
+        kwargs["fusion_linear"] = MulticlassLinearModel(
+            weights=rng.normal(size=(2, 4)), n_classes=2)
         kwargs["fusion_kde"] = KdeFusionModel(
             class_points=[rng.normal(size=(3, 4)), rng.normal(size=(2, 4))],
             bandwidths=np.abs(rng.normal(size=(2, 4))) + 0.1,
@@ -71,7 +69,7 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.posture_model.codebook.centers,
                                       b.posture_model.codebook.centers)
         assert back.posture_model.codebook.variant is None
-        np.testing.assert_array_equal(back.fusion_linear.omega, b.fusion_linear.omega)
+        np.testing.assert_array_equal(back.fusion_linear.weights, b.fusion_linear.weights)
         for pa, pb in zip(back.fusion_kde.class_points, b.fusion_kde.class_points):
             np.testing.assert_array_equal(pa, pb)
         np.testing.assert_array_equal(back.fusion_kde.bandwidths,
@@ -105,6 +103,15 @@ class TestRoundTrip:
         doc = json.loads(text)
         assert doc["format"] == "signflow-bundle"
         assert doc["version"] == FORMAT_VERSION
+
+    def test_linear_members_store_only_what_prediction_reads(self, tmp_path):
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(), p)
+        doc = json.loads(p.read_text())
+        assert set(doc["posture"]) == {"codebook", "model"}
+        assert set(doc["posture"]["model"]) == {"weights", "n_classes"}
+        assert set(doc["fusion_linear"]) == {"model"}
+        assert set(doc["fusion_linear"]["model"]) == {"weights", "n_classes"}
 
 
 class TestErrors:
@@ -171,6 +178,22 @@ class TestValidation:
             ModelBundle(gesture_codebook=cb,
                         hmms=[init_left_right(2, 3), init_left_right(2, 3)],
                         posture_model=pm)
+
+    def test_fusion_shape_mismatch(self):
+        rng = np.random.default_rng(104)
+        cb = Codebook(centers=rng.normal(size=(3, 6)), k=3,
+                      znorm=ZNormStats.identity(6), seed=0)
+        hmms = [init_left_right(2, 3), init_left_right(2, 3)]
+        # a linear rule over 3 classes, or over a 6-D coupled response
+        for weights, n in ((rng.normal(size=(3, 6)), 3), (rng.normal(size=(2, 6)), 2)):
+            with pytest.raises(ValueError, match="fusion linear"):
+                ModelBundle(gesture_codebook=cb, hmms=hmms,
+                            fusion_linear=MulticlassLinearModel(weights=weights,
+                                                                n_classes=n))
+        kde = KdeFusionModel(class_points=[rng.normal(size=(2, 6))] * 2,
+                             bandwidths=np.ones((2, 6)), priors=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="fusion kde"):
+            ModelBundle(gesture_codebook=cb, hmms=hmms, fusion_kde=kde)
 
     def test_empty_hmm_list(self):
         rng = np.random.default_rng(103)

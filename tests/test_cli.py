@@ -5,7 +5,8 @@ import json
 import pytest
 
 from signflow.bundle import load_bundle
-from signflow.cli import run_cli
+from signflow.cli import build_parser, run_cli, train_config
+from signflow.pipeline import make_config
 from signflow.skeleton import JointId
 from signflow.synthetic import (
     ClassSpec,
@@ -90,6 +91,20 @@ class TestTrain:
                         "--out", str(tmp_path / "env.json"), *flags]) == 0
         assert (tmp_path / "env.json").read_bytes() == \
                (workdir / "model.json").read_bytes()
+
+    def test_parser_defaults_are_the_config_defaults(self, monkeypatch):
+        monkeypatch.delenv("SIGNFLOW_SEED", raising=False)
+        args = build_parser().parse_args(["train", "--data", "d", "--out", "m"])
+        assert train_config(args) == make_config()
+
+    def test_no_masks_needs_gesture_only(self, workdir, tmp_path, capsys):
+        flags = ["--data", str(workdir / "data"), "--no-masks", *TRAIN_FLAGS]
+        assert run_cli(["train", "--out", str(tmp_path / "kde.json"), *flags]) == 1
+        assert "gesture-only" in capsys.readouterr().err
+        assert not (tmp_path / "kde.json").exists()
+        assert run_cli(["train", "--out", str(tmp_path / "g.json"),
+                        "--fusion", "gesture-only", *flags]) == 0
+        assert load_bundle(tmp_path / "g.json").posture_model is None
 
 
 class TestEval:

@@ -63,7 +63,7 @@ class TestFitKMeans:
         got = set(map(tuple, np.round(cb.centers, 12)))
         want = set(map(tuple, np.round(pts, 12)))
         assert got == want
-        assert cb.wcss == 0.0
+        assert cb.wcss_history[-1] == 0.0
 
     def test_k1_center_is_mean(self):
         rng = np.random.default_rng(1)
@@ -77,7 +77,7 @@ class TestFitKMeans:
         assert centers == [0.05, 10.05]  # oracle sanity
         cb = fit_kmeans(pts, k=2, seed=3)
         assert sorted(cb.centers.ravel().tolist()) == [0.05, 10.05]
-        np.testing.assert_allclose(cb.wcss, cost, rtol=1e-12)
+        np.testing.assert_allclose(cb.wcss_history[-1], cost, rtol=1e-12)
 
     def test_wcss_non_increasing(self):
         rng = np.random.default_rng(2)
@@ -118,7 +118,7 @@ class TestFitKMeans:
     def test_identical_points_valid(self):
         pts = np.zeros((10, 3))
         cb = fit_kmeans(pts, k=2, seed=0)
-        assert cb.wcss == 0.0
+        assert cb.wcss_history[-1] == 0.0
 
     def test_errors(self):
         with pytest.raises(EmptyInputError):

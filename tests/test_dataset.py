@@ -251,7 +251,7 @@ class TestManifest:
     def test_valid_manifest(self):
         m = DatasetManifest(entries=self.entries())
         assert m.n_classes == 2
-        assert [e.sequence_path for e in m.for_split("train")] == ["a.csv", "b.csv"]
+        assert [e.sequence_path for e in m.entries if e.split == "train"] == ["a.csv", "b.csv"]
 
     def test_subject_in_two_splits_rejected(self):
         bad = self.entries() + [ManifestEntry("e.csv", 0, "s1", "test")]

@@ -18,6 +18,7 @@ from signflow.fusion import (
     train_linear_fusion,
 )
 from signflow.hmm import GestureResponse
+from signflow.linear_model import MulticlassLinearModel
 
 
 def training_accuracy(model, X, y):
@@ -48,19 +49,18 @@ class TestCouple:
         rng = np.random.default_rng(60)
         rp = rng.normal(size=5)
         rgv = rng.normal(size=5)
-        r = couple(rp, make_rg(rgv), true_class=3)
+        r = couple(rp, make_rg(rgv))
         assert r.values.shape == (10,)
         np.testing.assert_array_equal(r.values[:5], rp)
         np.testing.assert_array_equal(r.values[5:], rgv)
-        assert r.true_class == 3
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             couple(np.zeros(3), make_rg(np.zeros(4)))
 
 
-def coupled(values, c=None):
-    return CoupledResponse(values=np.asarray(values, dtype=np.float64), true_class=c)
+def coupled(values):
+    return CoupledResponse(values=np.asarray(values, dtype=np.float64))
 
 
 class TestLinearFusion:
@@ -80,14 +80,14 @@ class TestLinearFusion:
         model = train_linear_fusion(pairs, seed=1)
         X = np.stack([r.values for r, _ in pairs])
         y = np.array([c for _, c in pairs])
-        assert training_accuracy(model.model, X, y) == 1.0
+        assert training_accuracy(model, X, y) == 1.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(62)
         pairs = self.separable_pairs(rng)
         a = train_linear_fusion(pairs, seed=5)
         b = train_linear_fusion(pairs, seed=5)
-        assert a.omega.tobytes() == b.omega.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
 
     def test_gesture_dominant_weights(self):
         # posture slots pure noise, gesture slots carry the class; the
@@ -104,7 +104,7 @@ class TestLinearFusion:
                 v[2:] += rng.normal(scale=0.05, size=2)
                 pairs.append((coupled(v), c))
         model = train_linear_fusion(pairs, seed=2)
-        w = np.abs(model.omega)
+        w = np.abs(model.weights)
         gesture_mass = w[:, 2:].sum()
         posture_mass = w[:, :2].sum()
         assert gesture_mass >= 2.0 * posture_mass
@@ -113,7 +113,7 @@ class TestLinearFusion:
         zmodel = train_linear_fusion(zeroed, seed=2)
         Xz = np.stack([r.values for r, _ in zeroed])
         y = np.array([c for _, c in pairs])
-        assert training_accuracy(zmodel.model, Xz, y) == 1.0
+        assert training_accuracy(zmodel, Xz, y) == 1.0
 
     def test_dimension_must_be_twice_classes(self):
         pairs = [(coupled(np.zeros(6)), c) for c in (0, 1)]
@@ -152,15 +152,14 @@ class TestPredictLinear:
         rng = np.random.default_rng(65)
         for _ in range(40):
             v = rng.normal(size=6)
-            scores = [sum(a * b for a, b in zip(row, v)) for row in model.omega]
+            scores = [sum(a * b for a, b in zip(row, v)) for row in model.weights]
             best = max(range(3), key=lambda k: (scores[k], -k))
             assert predict_linear(model, coupled(v)) == best
 
     def test_scale_invariance(self):
         model = self.identity_model()
-        scaled = type(model)(model=type(model.model)(
-            weights=model.model.weights * 13.0, n_classes=model.model.n_classes),
-            config=model.config)
+        scaled = MulticlassLinearModel(weights=model.weights * 13.0,
+                                       n_classes=model.n_classes)
         rng = np.random.default_rng(66)
         for _ in range(20):
             v = rng.normal(size=6)

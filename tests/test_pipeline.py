@@ -1,5 +1,7 @@
 """End-to-end tests for the training/prediction/evaluation orchestration."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -163,7 +165,8 @@ class TestTraining:
                                                             with_masks=False))
         # rbpd-t yields n-1 = 4 descriptors per sequence, 6 sequences
         bundle = train_pipeline(items, {"gesture_k": 10 ** 6, "hmm_states": 3,
-                                        "hmm_iters": 3, "seed": 0})
+                                        "hmm_iters": 3, "seed": 0,
+                                        "fusion": "gesture-only"})
         assert bundle.gesture_codebook.k == 24
         assert bundle.config["gesture_k_effective"] == 24
 
@@ -181,10 +184,37 @@ class TestTraining:
         corpus = generate_synthetic_corpus(EASY_CONFIG, with_masks=False)
         bundle = train_pipeline(items_from_corpus(corpus),
                                 {"gesture_k": 16, "hmm_states": 4,
-                                 "hmm_iters": 5, "seed": 2})
+                                 "hmm_iters": 5, "seed": 2,
+                                 "fusion": "gesture-only"})
         assert bundle.posture_model is None
         assert bundle.fusion_linear is None
         assert bundle.fusion_kde is None
+
+    def test_default_kde_without_validation_split_rejected(self, easy_items):
+        # the bundle could not run its own default mode, so it is never made
+        no_val = [i for i in easy_items if i.split != "validation"]
+        with pytest.raises(ValueError, match="there is no validation split"):
+            train_pipeline(no_val, TRAIN_CONFIG)
+
+    @pytest.mark.parametrize("fusion, case, cause", [
+        ("kde", "no-masks", "the train split has no hand masks"),
+        ("posture-only", "no-masks", "the train split has no hand masks"),
+        ("kde", "validation-unmasked", "the validation split lacks hand masks"),
+        ("linear", "validation-gap", r"the validation split misses classes \[2\]"),
+    ], ids=["kde-no-masks", "posture-only-no-masks", "kde-validation-unmasked",
+            "linear-validation-gap"])
+    def test_stored_mode_must_be_runnable(self, easy_items, fusion, case, cause):
+        def unmasked(i):
+            return CorpusItem(i.sequence, i.label, i.subject, i.split)
+        items = {
+            "no-masks": [unmasked(i) for i in easy_items],
+            "validation-unmasked": [unmasked(i) if i.split == "validation" else i
+                                    for i in easy_items],
+            "validation-gap": [i for i in easy_items
+                               if not (i.split == "validation" and i.label == 2)],
+        }[case]
+        with pytest.raises(ValueError, match=cause):
+            train_pipeline(items, {**TRAIN_CONFIG, "fusion": fusion})
 
     def test_bundle_does_not_depend_on_the_filesystem(self, tmp_path, easy_items):
         # the mask archive's directory order must not reach the bundle
@@ -246,7 +276,8 @@ class TestPrediction:
         corpus = generate_synthetic_corpus(EASY_CONFIG, with_masks=False)
         bundle = train_pipeline(items_from_corpus(corpus),
                                 {"gesture_k": 16, "hmm_states": 4,
-                                 "hmm_iters": 5, "seed": 2})
+                                 "hmm_iters": 5, "seed": 2,
+                                 "fusion": "gesture-only"})
         item = easy_items[0]
         with pytest.raises(ValueError, match="posture model"):
             predict_item(bundle, item.sequence, masks=item.masks,
@@ -306,6 +337,30 @@ class TestEvaluation:
         test = [i for i in easy_items if i.split == "test"][:2]
         with pytest.raises(EmptyInputError, match="short.csv"):
             evaluate_pipeline(easy_bundle, test + [short], mode="gesture-only")
+
+    def test_old_layout_bundle_predicts_identically(self, tmp_path, easy_bundle,
+                                                    easy_items):
+        # v1 bundles used to echo each linear model's fit settings and a
+        # cross-validation accuracy; the loader ignores those keys
+        save_bundle(easy_bundle, tmp_path / "new.json")
+        doc = json.loads((tmp_path / "new.json").read_text())
+        for member, cost in (("posture", 10.0), ("fusion_linear", 0.7641)):
+            echo = {"cost": cost, "epochs": 60, "seed": 12345, "folds": 3,
+                    "cv_accuracy": 0.875, "n_train": 24}
+            doc[member]["model"]["config"] = echo
+            doc[member]["config"] = dict(echo)
+        (tmp_path / "old.json").write_text(json.dumps(doc, indent=2) + "\n")
+        old = load_bundle(tmp_path / "old.json")
+        assert old.posture_model.model.weights.tobytes() == \
+               easy_bundle.posture_model.model.weights.tobytes()
+        assert old.fusion_linear.weights.tobytes() == \
+               easy_bundle.fusion_linear.weights.tobytes()
+        test = [i for i in easy_items if i.split == "test"]
+        for mode in ("kde", "linear", "posture-only"):
+            a = evaluate_pipeline(easy_bundle, test, mode=mode)
+            b = evaluate_pipeline(old, test, mode=mode)
+            assert [p.fused_class for p in a.predictions] == \
+                   [p.fused_class for p in b.predictions], mode
 
     def test_saved_bundle_predicts_identically(self, tmp_path, easy_bundle,
                                                easy_items):

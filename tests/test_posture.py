@@ -29,7 +29,6 @@ from signflow.posture import (
     frame_shape_contexts,
     posture_response,
     sample_contour,
-    shape_context,
     trace_boundary,
     train_posture_classifier,
 )
@@ -199,28 +198,28 @@ class TestSampleContour:
 class TestShapeContext:
     def test_inner_point_fills_merged_bin(self):
         pts = np.array([[0.0, 0.0], [2.5, 1.0]])
-        d = shape_context(pts, 0)
-        assert d.bins[0] == 1.0
-        assert d.bins[1:].sum() == 0.0
+        d = frame_shape_contexts(pts)[0]
+        assert d[0] == 1.0
+        assert d[1:].sum() == 0.0
 
     def test_far_point_all_zero(self):
         pts = np.array([[0.0, 0.0], [40.0, 0.0]])
-        d = shape_context(pts, 0)
-        assert d.bins.sum() == 0.0
+        d = frame_shape_contexts(pts)[0]
+        assert d.sum() == 0.0
 
     def test_boundary_radii(self):
         # r = 6 goes to the first ring, r = 32 is discarded
-        at6 = shape_context(np.array([[0.0, 0.0], [6.0, 0.0]]), 0)
-        assert at6.bins[0] == 0.0 and at6.bins[1] == 1.0
-        at32 = shape_context(np.array([[0.0, 0.0], [32.0, 0.0]]), 0)
-        assert at32.bins.sum() == 0.0
+        at6 = frame_shape_contexts(np.array([[0.0, 0.0], [6.0, 0.0]]))[0]
+        assert at6[0] == 0.0 and at6[1] == 1.0
+        at32 = frame_shape_contexts(np.array([[0.0, 0.0], [32.0, 0.0]]))[0]
+        assert at32.sum() == 0.0
 
     def test_matches_scalar_binning_oracle(self):
         rng = np.random.default_rng(46)
         for trial in range(40):
             pts = rng.uniform(-22, 22, size=(20, 2))
             ref = int(rng.integers(20))
-            d = shape_context(pts, ref)
+            d = frame_shape_contexts(pts)[ref]
             want = np.zeros(SC_DIM)
             binned = 0
             for i in range(20):
@@ -232,14 +231,13 @@ class TestShapeContext:
                     binned += 1
             if binned:
                 want /= binned
-            np.testing.assert_allclose(d.bins, want, atol=1e-12)
+            np.testing.assert_allclose(d, want, atol=1e-12)
 
     def test_normalization_sums_to_one(self):
         rng = np.random.default_rng(47)
         for trial in range(25):
             pts = rng.uniform(-20, 20, size=(20, 2))
-            d = shape_context(pts, 0)
-            s = d.bins.sum()
+            s = frame_shape_contexts(pts)[0].sum()
             assert s == 0.0 or abs(s - 1.0) <= 1e-9
 
     def test_translation_invariance(self):
@@ -247,23 +245,9 @@ class TestShapeContext:
         for trial in range(20):
             pts = rng.uniform(-20, 20, size=(15, 2))
             offset = rng.uniform(-300, 300, size=2)
-            a = shape_context(pts, 3).bins
-            b = shape_context(pts + offset, 3).bins
+            a = frame_shape_contexts(pts)[3]
+            b = frame_shape_contexts(pts + offset)[3]
             assert np.max(np.abs(a - b)) <= 1e-12
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            shape_context(np.array([[0.0, 0.0]]), 0)
-        with pytest.raises(ValueError):
-            shape_context(np.array([[0.0, 0.0], [1.0, 1.0]]), 5)
-
-    def test_frame_batch_matches_singles(self):
-        rng = np.random.default_rng(49)
-        pts = rng.uniform(-15, 15, size=(20, 2))
-        batch = frame_shape_contexts(pts)
-        assert batch.shape == (20, SC_DIM)
-        for i in range(20):
-            np.testing.assert_array_equal(batch[i], shape_context(pts, i).bins)
 
 
 def make_posture_codebook(rng, k=12):

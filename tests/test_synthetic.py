@@ -136,10 +136,11 @@ class TestStructure:
                               subjects=(2, 1, 1))
         corpus = generate_synthetic_corpus(cfg, with_masks=False)
         m = corpus.manifest
-        train_subjects = [e.subject for e in m.for_split("train") if e.label == 0]
+        train_subjects = [e.subject for e in m.entries
+                          if e.split == "train" and e.label == 0]
         assert train_subjects == ["s00", "s01", "s00", "s01", "s00"]
-        assert {e.subject for e in m.for_split("validation")} == {"s02"}
-        assert {e.subject for e in m.for_split("test")} == {"s03"}
+        assert {e.subject for e in m.entries if e.split == "validation"} == {"s02"}
+        assert {e.subject for e in m.entries if e.split == "test"} == {"s03"}
         assert m.n_classes == 2
         assert len(m.entries) == 2 * 9
 
