@@ -37,10 +37,11 @@ _MASK_NAME = re.compile(r"^(\d{5})_([LR])\.pgm$")
 
 
 class MalformedRowError(SignflowError):
-    """A data row failed to parse; carries the 1-based line number."""
+    """A data row failed to parse; carries the file and 1-based line number."""
 
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+    def __init__(self, path, line: int, reason: str):
+        super().__init__(f"{path}: line {line}: {reason}")
+        self.path = str(path)
         self.line = line
 
 
@@ -84,20 +85,25 @@ def _float_or_none(cell: str) -> Optional[float]:
 def _bad_value(rows: np.ndarray, fields: np.ndarray, observed: np.ndarray):
     """(row index, reason) of the first value a row may not hold, or None.
 
-    Values are checked in column order: the timestamp must be finite, an
-    observed joint's coordinates finite and its confidence at most 1.
+    Values are checked in column order: the timestamp must be finite and
+    not below the previous row's, an observed joint's coordinates finite
+    and its confidence at most 1.
     """
     bad = ~np.isfinite(fields) & observed[:, :, None]
     if fields.shape[2] == 4:
         bad[:, :, 3] = observed & (fields[:, :, 3] > 1)
-    bad = np.concatenate([~np.isfinite(rows[:, :1]), bad.reshape(len(rows), rows.shape[1] - 1)],
-                         axis=1)
+    ts = rows[:, 0]
+    back = np.concatenate([[False], ts[1:] < ts[:-1]])
+    bad = np.concatenate([(~np.isfinite(ts) | back)[:, None],
+                          bad.reshape(len(rows), rows.shape[1] - 1)], axis=1)
     if not bad.any():
         return None
     row, col = divmod(int(bad.argmax()), rows.shape[1])
     value = float(rows[row, col])
-    if col == 0:
+    if col == 0 and not np.isfinite(value):
         return row, f"non-finite timestamp: {value!r}"
+    if col == 0:
+        return row, f"timestamp {value!r} goes back from {float(ts[row - 1])!r}"
     if (col - 1) % fields.shape[2] == 3:
         return row, f"confidence outside [0, 1]: {value!r}"
     return row, f"non-finite joint coordinate: {value!r}"
@@ -107,9 +113,9 @@ def parse_skeleton_csv(path, schema: CsvSchema = DEFAULT_SCHEMA,
                        required: tuple = UPPER_BODY) -> SkeletonSequence:
     """Read one recording; repair missing joints by forward fill.
 
-    Rows that fail to parse, or hold a non-finite timestamp, a non-finite
-    observed coordinate or a confidence above 1, are rejected with their
-    1-based line number. Lines starting with '#' and blank lines are
+    Rows that fail to parse, or hold a non-finite timestamp, one below the
+    previous row's, a non-finite observed coordinate or a confidence above
+    1, are rejected with the file and their 1-based line number. Lines starting with '#' and blank lines are
     skipped.
     """
     for jid in required:
@@ -125,13 +131,13 @@ def parse_skeleton_csv(path, schema: CsvSchema = DEFAULT_SCHEMA,
                 continue
             if len(row) != schema.n_columns:
                 error = MalformedRowError(
-                    lineno, f"expected {schema.n_columns} columns, got {len(row)}")
+                    path, lineno, f"expected {schema.n_columns} columns, got {len(row)}")
                 break
             try:
                 rows.append(list(map(float, row)))
             except ValueError:
                 bad = next(cell for cell in row if _float_or_none(cell) is None)
-                error = MalformedRowError(lineno, f"non-numeric cell {bad!r}")
+                error = MalformedRowError(path, lineno, f"non-numeric cell {bad!r}")
                 break
             lines.append(lineno)
     data = np.array(rows, dtype=np.float64).reshape(len(rows), schema.n_columns)
@@ -141,7 +147,7 @@ def parse_skeleton_csv(path, schema: CsvSchema = DEFAULT_SCHEMA,
         np.ones(fields.shape[:2], dtype=bool)
     found = _bad_value(data, fields, observed)
     if found is not None:  # an earlier line than the one that ended the read
-        raise MalformedRowError(lines[found[0]], found[1])
+        raise MalformedRowError(path, lines[found[0]], found[1])
     if error is not None:
         raise error
     if not rows:

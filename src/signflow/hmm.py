@@ -3,6 +3,8 @@
 One model per sign class, trained on that class's symbol sequences with
 multi-sequence Baum-Welch. Classification scores a probe sequence under
 every model and takes the best length-normalized forward log-likelihood.
+Both run one scaled forward recursion over a stack of rows: scoring
+stacks the class models, each Baum-Welch iteration the class's sequences.
 
 Re-estimated probabilities are floored at EPS_P on their structural support
 (the entries positive at initialization) so that test symbols unseen in
@@ -106,22 +108,43 @@ def init_left_right(n_states: int, n_symbols: int) -> DiscreteHMM:
     return DiscreteHMM(n_states=n_states, n_symbols=n_symbols, pi=pi, A=A, B=B)
 
 
-def _scaled_forward(hmm: DiscreteHMM, obs: np.ndarray):
-    """Normalized forward pass. Returns (alpha_hat, c) or (None, None) when
-    the sequence has probability zero; c[t] = P(o_t | o_1..t-1)."""
-    T = obs.shape[0]
-    alpha = np.empty((T, hmm.n_states))
-    c = np.empty(T)
-    a = hmm.pi * hmm.B[:, obs[0]]
-    for t in range(T):
-        if t > 0:
-            a = (alpha[t - 1] @ hmm.A) * hmm.B[:, obs[t]]
-        s = a.sum()
-        if s <= 0.0:
-            return None, None
-        c[t] = s
-        alpha[t] = a / s
+def _scaled_forward(pi: np.ndarray, A: np.ndarray, emissions: np.ndarray):
+    """Normalized forward pass over R stacked rows, in one time loop.
+
+    pi is (R, n) and A (R, n, n), either with a leading 1 that broadcasts;
+    emissions (T, R, n) holds each row's P(o_t | state). Returns alpha_hat
+    (T, R, n) and c (R, T), c[r, t] = P(o_t | o_1..t-1) in row r. A row of
+    probability zero reads c = 0 at that step and NaN after it, and a NaN
+    model reads NaN; neither touches the other rows.
+    """
+    T, R, n = emissions.shape
+    alpha = np.empty((T, R, n))
+    c = np.empty((R, T))
+    with np.errstate(invalid="ignore"):  # 0/0 in a zero-probability row
+        a = pi * emissions[0]
+        for t in range(T):
+            if t > 0:
+                # the same products and sums as one model's alpha @ A
+                a = np.matmul(alpha[t - 1][:, None, :], A)[:, 0, :] * emissions[t]
+            s = a.sum(axis=1)
+            c[:, t] = s
+            alpha[t] = a / s[:, None]
     return alpha, c
+
+
+def _log_likelihoods(models, sym: np.ndarray) -> np.ndarray:
+    """log P(sym) under each model, all in one stacked forward pass; -inf
+    where the sequence is impossible, NaN for a NaN model."""
+    if sym.min() < 0 or sym.max() >= models[0].n_symbols:
+        raise ValueError("symbol out of range for this model")
+    _, c = _scaled_forward(np.stack([m.pi for m in models]),
+                           np.stack([m.A for m in models]),
+                           np.stack([m.B for m in models]).transpose(2, 0, 1)[sym])
+    out = np.full(len(models), NEG_INF)
+    possible = ~(c <= 0.0).any(axis=1)
+    # each row's pairwise sum over contiguous c, as for one sequence alone
+    out[possible] = np.log(c[possible]).sum(axis=1)
+    return out
 
 
 def forward_log_likelihood(hmm: DiscreteHMM, obs) -> float:
@@ -130,21 +153,16 @@ def forward_log_likelihood(hmm: DiscreteHMM, obs) -> float:
     Scaling keeps each step's vector normalized, so sequences up to 10^4
     steps run without underflow.
     """
-    sym = _symbols(obs)
-    if sym.min() < 0 or sym.max() >= hmm.n_symbols:
-        raise ValueError("symbol out of range for this model")
-    _, c = _scaled_forward(hmm, sym)
-    if c is None:
-        return NEG_INF
-    return float(np.log(c).sum())
+    return float(_log_likelihoods([hmm], _symbols(obs))[0])
 
 
-def _scaled_backward(hmm: DiscreteHMM, obs: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _scaled_backward(A: np.ndarray, B: np.ndarray, obs: np.ndarray,
+                     c: np.ndarray) -> np.ndarray:
     T = obs.shape[0]
-    beta = np.empty((T, hmm.n_states))
+    beta = np.empty((T, A.shape[0]))
     beta[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
-        beta[t] = (hmm.A @ (hmm.B[:, obs[t + 1]] * beta[t + 1])) / c[t + 1]
+        beta[t] = (A @ (B[:, obs[t + 1]] * beta[t + 1])) / c[t + 1]
     return beta
 
 
@@ -195,6 +213,11 @@ def baum_welch(hmm: DiscreteHMM, training, max_iter: int = 50,
     for s in seqs:
         if s.min() < 0 or s.max() >= hmm.n_symbols:
             raise ValueError("training symbol out of range")
+    # one forward row per sequence; steps past a sequence's end read the
+    # extra symbol n_symbols, whose emission is 1.0 in every state
+    padded = np.full((max(s.shape[0] for s in seqs), len(seqs)), hmm.n_symbols)
+    for r, s in enumerate(seqs):
+        padded[:s.shape[0], r] = s
 
     pi = hmm.pi.copy()
     A = hmm.A.copy()
@@ -209,16 +232,22 @@ def baum_welch(hmm: DiscreteHMM, training, max_iter: int = 50,
         A_cnt = np.zeros_like(A)
         B_cnt = np.zeros_like(B)
         total_ll = 0.0
-        cur = DiscreteHMM(hmm.n_states, hmm.n_symbols, pi, A, B)
-        for obs in seqs:
-            alpha, c = _scaled_forward(cur, obs)
-            if alpha is None:
-                raise ValueError("training sequence has zero probability")
-            beta = _scaled_backward(cur, obs, c)
+        emissions = np.hstack([B, np.ones((hmm.n_states, 1))]).T[padded]
+        alphas, cs = _scaled_forward(pi[None], A[None], emissions)
+        # steps past a sequence's end do not count; a NaN model's c passes
+        if np.any((cs <= 0.0) & (padded.T < hmm.n_symbols)):
+            raise ValueError("training sequence has zero probability")
+        for r, obs in enumerate(seqs):
+            T = obs.shape[0]
+            # a contiguous copy, so the matrix products below see the same
+            # layout as a single-sequence forward pass
+            alpha = np.ascontiguousarray(alphas[:T, r])
+            c = cs[r, :T]
+            beta = _scaled_backward(A, B, obs, c)
             gamma = alpha * beta
             total_ll += float(np.log(c).sum())
             pi_cnt += gamma[0]
-            if obs.shape[0] > 1:
+            if T > 1:
                 # xi summed over t collapses to one matrix product
                 m = (B[:, obs[1:]].T * beta[1:]) / c[1:, None]
                 A_cnt += A * (alpha[:-1].T @ m)
@@ -240,15 +269,17 @@ def baum_welch(hmm: DiscreteHMM, training, max_iter: int = 50,
 
 
 def classify_gesture(models, obs) -> GestureResponse:
-    """Score a sequence under every class model (length-normalized)."""
+    """Score a sequence under every class model (length-normalized), all
+    models in one stacked forward recursion."""
     if not models:
         raise EmptyInputError("no class models")
     sym = _symbols(obs)
-    k = models[0].n_symbols
+    n, k = models[0].n_states, models[0].n_symbols
     for m in models:
         if m.n_symbols != k:
             raise ValueError("models disagree on symbol alphabet size")
-    values = np.array([forward_log_likelihood(m, sym) for m in models])
-    values = values / sym.shape[0]
+        if m.n_states != n:
+            raise ValueError("models disagree on the number of states")
+    values = _log_likelihoods(models, sym) / sym.shape[0]
     best = int(values.argmax())  # argmax takes the first (lowest) on ties
     return GestureResponse(values=values, best_class=best)

@@ -194,6 +194,25 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
     if covered != set(range(n_classes)):
         raise ValueError(f"train split covers classes {sorted(covered)}, "
                          f"need 0..{n_classes - 1}")
+    # every member the stored default mode needs, checked before any fit:
+    # never fit a bundle that predict could not run
+    with_posture = all(i.masks is not None for i in train)
+    missing = sorted(set(range(n_classes)) - {i.label for i in val})
+    if not with_posture:
+        no_fusion = "the train split has no hand masks"
+    elif not val:
+        no_fusion = "there is no validation split"
+    elif not all(i.masks is not None for i in val):
+        no_fusion = "the validation split lacks hand masks"
+    elif missing:
+        no_fusion = f"the validation split misses classes {missing}"
+    else:
+        no_fusion = None
+    if (no_fusion is not None and config["fusion"] in ("linear", "kde")) or \
+            (not with_posture and config["fusion"] == "posture-only"):
+        raise ValueError(f"fusion {config['fusion']!r} cannot run on this bundle "
+                         f"because {no_fusion}; train with fusion "
+                         "'gesture-only' instead")
 
     # gesture branch
     variant = DescriptorVariant(config["descriptor"])
@@ -215,7 +234,7 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
 
     # posture branch, when the training split carries masks
     posture_model = None
-    if all(i.masks is not None for i in train):
+    if with_posture:
         # each train contour's shape contexts, computed once: they feed
         # both the codebook sample and the bags-of-words
         per_video = [video_shape_contexts(_video_regions(i.masks)) for i in train]
@@ -235,17 +254,7 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
     # fusion stage, on validation responses only
     fusion_linear = None
     fusion_kde = None
-    missing = sorted(set(range(n_classes)) - {i.label for i in val})
-    if posture_model is None:
-        no_fusion = "the train split has no hand masks"
-    elif not val:
-        no_fusion = "there is no validation split"
-    elif not all(i.masks is not None for i in val):
-        no_fusion = "the validation split lacks hand masks"
-    elif missing:
-        no_fusion = f"the validation split misses classes {missing}"
-    else:
-        no_fusion = None
+    if no_fusion is None:
         pairs = []
         for item in val:
             rg = classify_gesture(hmms, _gesture_symbols(gesture_cb,
@@ -264,18 +273,10 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
     echo["gesture_k_effective"] = gesture_k
     echo["posture_k_effective"] = \
         posture_model.codebook.k if posture_model is not None else None
-    bundle = ModelBundle(gesture_codebook=gesture_cb, hmms=hmms,
-                         posture_model=posture_model,
-                         fusion_linear=fusion_linear, fusion_kde=fusion_kde,
-                         config=echo)
-    # never return a bundle whose stored default mode predict cannot run
-    try:
-        _check_mode(bundle, None, has_masks=True)
-    except ValueError as exc:
-        raise ValueError(f"fusion {config['fusion']!r} cannot run on this bundle "
-                         f"because {no_fusion}; train with fusion "
-                         "'gesture-only' instead") from exc
-    return bundle
+    return ModelBundle(gesture_codebook=gesture_cb, hmms=hmms,
+                       posture_model=posture_model,
+                       fusion_linear=fusion_linear, fusion_kde=fusion_kde,
+                       config=echo)
 
 
 @dataclass

@@ -164,6 +164,19 @@ class TestParseCsv:
             parse_skeleton_csv(p)
         assert exc.value.line == 2
 
+    def test_backward_timestamp_names_file_and_line(self, tmp_path):
+        p = tmp_path / "seq.csv"
+        rows = [csv_row(ts, [(1, 2, 3)] * 15) for ts in (0.0, 0.1, 0.05)]
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(MalformedRowError,
+                           match="timestamp 0.05 goes back from 0.1") as exc:
+            parse_skeleton_csv(p)
+        assert exc.value.line == 3
+        assert str(exc.value).startswith(f"{p}: line 3: ")
+        # a repeated timestamp does not go back
+        p.write_text("\n".join(rows[:2] + [rows[1]]) + "\n")
+        assert len(parse_skeleton_csv(p)) == 3
+
     def test_schema_validation(self):
         with pytest.raises(ValueError):
             CsvSchema(fields_per_joint=5)
@@ -200,7 +213,8 @@ class TestCsvProperties:
     def test_write_then_parse_is_exact(self, tmp_path_factory, data, schema):
         n = data.draw(st.integers(1, 6))
         seq = SkeletonSequence(
-            timestamps=data.draw(arrays(np.float64, n, elements=finite)),
+            # sorted: a timestamp that goes back is rejected on parsing
+            timestamps=np.sort(data.draw(arrays(np.float64, n, elements=finite))),
             positions=data.draw(arrays(np.float64, (n, len(schema.joints), 3),
                                        elements=finite)),
             joints=schema.joints)

@@ -253,6 +253,13 @@ class TestClassifyGesture:
             np.testing.assert_allclose(resp.values, oracle, rtol=1e-9)
             assert resp.best_class == int(oracle.argmax())
 
+    def test_models_must_agree_on_shape(self):
+        obs = np.array([0, 1])
+        with pytest.raises(ValueError, match="alphabet"):
+            classify_gesture([init_left_right(2, 3), init_left_right(2, 4)], obs)
+        with pytest.raises(ValueError, match="number of states"):
+            classify_gesture([init_left_right(2, 3), init_left_right(3, 3)], obs)
+
     def test_no_models_rejected(self):
         with pytest.raises(EmptyInputError):
             classify_gesture([], np.array([0]))

@@ -59,6 +59,10 @@ def easy_bundle(easy_items):
     return train_pipeline(easy_items, TRAIN_CONFIG)
 
 
+def _no_fit(*args, **kwargs):
+    raise AssertionError("training reached the gesture codebook fit")
+
+
 class TestConfig:
     def test_defaults_fill_in(self):
         config = make_config()
@@ -190,8 +194,10 @@ class TestTraining:
         assert bundle.fusion_linear is None
         assert bundle.fusion_kde is None
 
-    def test_default_kde_without_validation_split_rejected(self, easy_items):
+    def test_default_kde_without_validation_split_rejected(self, easy_items,
+                                                            monkeypatch):
         # the bundle could not run its own default mode, so it is never made
+        monkeypatch.setattr("signflow.pipeline.build_codebook", _no_fit)
         no_val = [i for i in easy_items if i.split != "validation"]
         with pytest.raises(ValueError, match="there is no validation split"):
             train_pipeline(no_val, TRAIN_CONFIG)
@@ -203,7 +209,11 @@ class TestTraining:
         ("linear", "validation-gap", r"the validation split misses classes \[2\]"),
     ], ids=["kde-no-masks", "posture-only-no-masks", "kde-validation-unmasked",
             "linear-validation-gap"])
-    def test_stored_mode_must_be_runnable(self, easy_items, fusion, case, cause):
+    def test_stored_mode_must_be_runnable(self, easy_items, fusion, case, cause,
+                                          monkeypatch):
+        # each cause is known from the items, so it is raised before any fit
+        monkeypatch.setattr("signflow.pipeline.build_codebook", _no_fit)
+
         def unmasked(i):
             return CorpusItem(i.sequence, i.label, i.subject, i.split)
         items = {
@@ -215,6 +225,19 @@ class TestTraining:
         }[case]
         with pytest.raises(ValueError, match=cause):
             train_pipeline(items, {**TRAIN_CONFIG, "fusion": fusion})
+
+    def test_one_frame_training_item_error_names_its_csv(self, tmp_path,
+                                                         easy_items):
+        # a degenerate recording aborts training, as it aborts evaluation
+        seq = easy_items[0].sequence
+        path = tmp_path / "short-train.csv"
+        write_skeleton_csv(path, SkeletonSequence(timestamps=seq.timestamps[:1],
+                                                  positions=seq.positions[:1]))
+        short = CorpusItem(sequence=parse_skeleton_csv(path), label=0,
+                           subject=easy_items[0].subject, split="train")
+        with pytest.raises(EmptyInputError, match="short-train.csv"):
+            train_pipeline(easy_items + [short],
+                           {**TRAIN_CONFIG, "fusion": "gesture-only"})
 
     def test_bundle_does_not_depend_on_the_filesystem(self, tmp_path, easy_items):
         # the mask archive's directory order must not reach the bundle
