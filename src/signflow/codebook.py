@@ -78,6 +78,20 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return cdist(points, centers, "sqeuclidean")
 
 
+def _paired_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of `points` to the same row of `centers`.
+
+    The running sum goes left to right over the columns, as cdist's does,
+    so each value equals cdist's bytes.
+    """
+    diff = points - centers
+    diff *= diff
+    total = diff[:, 0].copy()
+    for column in diff.T[1:]:
+        total += column
+    return total
+
+
 def _kmeans_pp_seed(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = data.shape[0]
     centers = np.empty((k, data.shape[1]), dtype=np.float64)
@@ -95,6 +109,53 @@ def _kmeans_pp_seed(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
+# rows per chunk of distance work: a chunk's cdist output is about 1 MB
+_CHUNK_ELEMENTS = 1 << 17
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _chunks(rows: np.ndarray, size: int):
+    for start in range(0, rows.size, size):
+        yield rows[start:start + size]
+
+
+# The pruning bounds are float32 and every rounding step is one-sided, so a
+# bound never exceeds the distance it bounds and no label can be skipped.
+
+def _lower_bounds(dist2: np.ndarray) -> np.ndarray:
+    """float32 values <= sqrt(dist2) * (1 - 2**-22).
+
+    The relative gap is far larger than cdist's own rounding error, so each
+    is also below the exact distance that cdist's `dist2` approximates.
+    """
+    return np.minimum(np.sqrt(dist2) * (1.0 - 2.0 ** -20) - 2.0 ** -149,
+                      _F32_MAX).astype(np.float32)
+
+
+def _upper_radii(d2: np.ndarray) -> np.ndarray:
+    """float32 values >= sqrt(d2); inf beyond the float32 range."""
+    with np.errstate(over="ignore"):
+        return np.nextafter(np.minimum(np.sqrt(d2), _F32_MAX).astype(np.float32),
+                            np.float32(np.inf))
+
+
+def _reach(data: np.ndarray) -> float:
+    """At least every point-center distance, and so every bound: centers are
+    means of points or points, inside the data's bounding box, and the
+    factor 2 on its diagonal leaves room for rounding."""
+    return 2.0 * float(np.sqrt(np.square(np.ptp(data, axis=0)).sum()))
+
+
+def _shrinks(step: np.ndarray, reach: float) -> np.ndarray:
+    """float32 amounts s with float32(b - s) <= max(0, b - step * (1 + 2**-21))
+    exactly, for every float32 bound b <= reach.
+
+    The factor covers the rounding of `step`, a computed center move.
+    """
+    return np.minimum(step * (1.0 + 2.0 ** -20) + reach * 2.0 ** -22 + 2.0 ** -140,
+                      _F32_MAX).astype(np.float32)
+
+
 def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
                znorm: Optional[ZNormStats] = None,
                variant: Optional[DescriptorVariant] = None) -> Codebook:
@@ -106,6 +167,11 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
     stops when assignments repeat or after max_iter passes. Empty clusters
     are re-seeded to the point farthest from its assigned center, keeping
     all k symbols alive.
+
+    Each pass skips the distances that cannot change a label, using
+    per-center lower bounds from the triangle inequality (Elkan, ICML
+    2003); labels, ties, centers and `wcss_history` are exactly those of
+    plain Lloyd passes over the full distance matrix.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
@@ -114,35 +180,71 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
         raise EmptyInputError("no data to cluster")
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = data.shape[0]
+    n, dim = data.shape
     if k > n:
         raise ValueError(f"k={k} exceeds {n} data points")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite value in data row {int(finite.argmin())}")
 
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_seed(data, k, rng)
-    rows = np.arange(n)
+    # lower[j, i] <= distance from point i to center j, kept in float32 and
+    # rounded down; +inf at the point's own center, which it never tests
+    lower = np.full((k, n), -np.inf, dtype=np.float32)
+    labels = np.zeros(n, dtype=np.intp)
+    d2 = np.full(n, np.inf)  # exact squared distance to the own center
+    moved = np.zeros(k, dtype=bool)
+    shrink = np.zeros(k, dtype=np.float32)
+    reach = _reach(data)
+    chunk = max(1, _CHUNK_ELEMENTS // max(k, dim))
     prev_labels = None
     history = []
     for _ in range(max_iter):
-        dist2 = _sq_dists(data, centers)
-        labels = dist2.argmin(axis=1)
-        point_d2 = dist2[rows, labels]
-        history.append(float(point_d2.sum()))
+        lower -= shrink[:, None]
+        for rows in _chunks(np.flatnonzero(moved[labels]), chunk):
+            d2[rows] = _paired_sq_dists(data[rows], centers[labels[rows]])
+        # a point keeps its label when every other center is certainly
+        # farther; ties and near ties go to cdist with the rest
+        radius = _upper_radii(d2)
+        for rows in _chunks(np.flatnonzero(lower.min(axis=0) <= radius), chunk):
+            dist2 = _sq_dists(data[rows], centers)
+            best = dist2.argmin(axis=1)
+            pick = np.arange(rows.size)
+            labels[rows] = best
+            d2[rows] = dist2[pick, best]
+            bound = _lower_bounds(dist2)
+            bound[pick, best] = np.inf
+            lower[:, rows] = bound.T
+        history.append(float(d2.sum()))
         counts = np.bincount(labels, minlength=k)
         if (prev_labels is not None and counts.min() > 0
                 and np.array_equal(labels, prev_labels)):
             break
-        prev_labels = labels
-        for j in range(k):
-            if counts[j]:
-                centers[j] = data[labels == j].mean(axis=0)
+        # a cluster whose members did not change keeps its mean's bytes
+        if prev_labels is None:
+            changed = np.ones(k, dtype=bool)
+        else:
+            switched = labels != prev_labels
+            changed = np.zeros(k, dtype=bool)
+            changed[labels[switched]] = True
+            changed[prev_labels[switched]] = True
+        prev_labels = labels.copy()
+        old = centers.copy()
+        # each cluster's members in row order, as `data[labels == j]` has them
+        order = np.argsort(labels, kind="stable")
+        ends = np.cumsum(counts)
+        for j in np.flatnonzero(changed & (counts > 0)):
+            centers[j] = data[order[ends[j] - counts[j]:ends[j]]].mean(axis=0)
         empties = np.flatnonzero(counts == 0)
         if empties.size:
-            claim = point_d2.copy()
+            claim = d2.copy()
             for j in empties:
                 far = int(claim.argmax())
                 centers[j] = data[far]
                 claim[far] = -1.0
+        moved = (centers != old).any(axis=1)
+        shrink = _shrinks(np.sqrt(np.square(centers - old).sum(axis=1)), reach)
 
     if znorm is None:
         znorm = ZNormStats.identity(data.shape[1])
@@ -173,8 +275,14 @@ def _as_matrix(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
 
 
 def quantize_batch(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
-    """Nearest-center index of each raw row; ties go to the lowest index."""
+    """Nearest-center index of each raw row; ties go to the lowest index.
+
+    A row that is not finite, raw or normalized, raises ValueError.
+    """
     z = _as_matrix(cb, np.atleast_2d(np.asarray(vectors, dtype=np.float64)))
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite value in row {int(finite.argmin())}")
     return _sq_dists(z, cb.centers).argmin(axis=1)
 
 

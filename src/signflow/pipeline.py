@@ -14,6 +14,7 @@ so results are a pure function of (inputs, config, seed).
 from __future__ import annotations
 
 import hashlib
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,6 +83,11 @@ DEFAULT_CONFIG = {
 }
 
 
+# integer config keys and their least value; a cap of 0 samples every row
+_COUNT_MINIMUMS = {"gesture_k": 1, "posture_k": 1, "hmm_states": 1,
+                   "hmm_iters": 0, "epochs": 1, "sc_sample_cap": 0}
+
+
 def make_config(**overrides) -> dict:
     """DEFAULT_CONFIG with validated overrides."""
     config = dict(DEFAULT_CONFIG)
@@ -92,10 +98,15 @@ def make_config(**overrides) -> dict:
     DescriptorVariant(config["descriptor"])
     if config["fusion"] not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {config['fusion']!r}")
-    for key in ("gesture_k", "posture_k", "hmm_states", "hmm_iters", "epochs"):
-        config[key] = int(config[key])
-        if config[key] < 1 and key != "hmm_iters":
-            raise ValueError(f"{key} must be >= 1")
+    for key, minimum in _COUNT_MINIMUMS.items():
+        value = config[key]
+        if not (isinstance(value, numbers.Real) and np.isfinite(value)
+                and value == int(value) and value >= minimum):
+            raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
+        config[key] = int(value)
+    tol = config["hmm_tol"]
+    if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"hmm_tol must be a finite number >= 0, got {tol!r}")
     config["seed"] = int(config["seed"])
     return config
 

@@ -86,6 +86,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="fusion"):
             make_config(fusion="majority-vote")
 
+    @pytest.mark.parametrize("key, value", [
+        ("sc_sample_cap", -2), ("sc_sample_cap", 2.5), ("sc_sample_cap", "5"),
+        ("hmm_iters", -1), ("gesture_k", 0), ("epochs", float("inf")),
+        ("hmm_tol", float("nan")), ("hmm_tol", float("inf")), ("hmm_tol", -1e-4),
+        ("hmm_tol", "0.1"),
+    ])
+    def test_bad_number_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            make_config(**{key: value})
+
+    def test_zero_cap_iters_and_tol_accepted(self):
+        config = make_config(sc_sample_cap=0, hmm_iters=0, hmm_tol=0.0)
+        assert (config["sc_sample_cap"], config["hmm_iters"]) == (0, 0)
+
     def test_derive_seed_stable_and_distinct(self):
         a = derive_seed(3, "gesture-cb")
         assert a == derive_seed(3, "gesture-cb")
