@@ -100,15 +100,24 @@ def make_config(**overrides) -> dict:
         raise ValueError(f"unknown fusion mode {config['fusion']!r}")
     for key, minimum in _COUNT_MINIMUMS.items():
         value = config[key]
-        if not (isinstance(value, numbers.Real) and np.isfinite(value)
-                and value == int(value) and value >= minimum):
+        if not (_is_integral(value) and value >= minimum):
             raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
         config[key] = int(value)
     tol = config["hmm_tol"]
     if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol >= 0):
         raise ValueError(f"hmm_tol must be a finite number >= 0, got {tol!r}")
+    if not _is_integral(config["seed"]):
+        raise ValueError(f"seed must be an integer, got {config['seed']!r}")
     config["seed"] = int(config["seed"])
     return config
+
+
+def _is_integral(value) -> bool:
+    """An integral real number; a bool is not one."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and np.isfinite(value) and value == int(value))
 
 
 def derive_seed(seed: int, *tags) -> int:

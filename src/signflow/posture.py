@@ -6,18 +6,20 @@ present hand is a single 8-connected region.
 
 Each mask's outer contour is sampled at 20 equal arc-length points; every
 point yields a 49-bin log-polar shape context (12 angle bins x 4 outer
-rings + 1 merged inner disk, radii 6..32 px). frame_shape_contexts bins
-all point pairs of a contour in one vectorized pass and returns its
-(m, 49) rows; video_shape_contexts stacks them for a whole video, so
-training computes each contour's rows once and uses them for both the
-codebook sample and the bag-of-words. A video's rows are quantized
-against a K-means codebook in one call and accumulated into one
-[right | left] histogram, scored by a linear multiclass model:
-R_posture = W p.
+rings + 1 merged inner disk, radii 6..32 px). video_shape_contexts stacks
+a video's present masks and describes them in three array passes, with
+no per-contour loop: trace_boundary walks every outer contour at once,
+sample_contour samples them all, and frame_shape_contexts bins every
+point pair of every contour. Training computes each contour's rows once
+and uses them for both the codebook sample and the bag-of-words. A
+video's rows are quantized against a K-means codebook in one call and
+accumulated into one [right | left] histogram, scored by a linear
+multiclass model: R_posture = W p.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,7 +28,7 @@ from scipy import ndimage
 
 from .codebook import Codebook, quantize_batch
 from .linear_model import MulticlassLinearModel, fit_multiclass_linear, response
-from .skeleton import EmptyInputError, SignflowError
+from .skeleton import EmptyInputError
 
 PATCH = 65
 CONTOUR_POINTS = 20
@@ -41,10 +43,6 @@ DEFAULT_POSTURE_COST = 0.8352
 RING_EDGES = INNER_RADIUS * (OUTER_RADIUS / INNER_RADIUS) ** (np.arange(N_RINGS + 1) / N_RINGS)
 
 _EIGHT = np.ones((3, 3), dtype=int)
-
-
-class DegenerateContour(SignflowError):
-    """The mask's boundary is too small to sample a contour from."""
 
 
 class HandSide(str, Enum):
@@ -113,110 +111,162 @@ def _largest_component(mask: np.ndarray) -> np.ndarray:
 
 
 # clockwise king moves, image coords (row grows downward)
-_DIRS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
-_DIR_INDEX = {d: i for i, d in enumerate(_DIRS)}
+_DIRS = np.array(((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)))
 
 
-def trace_boundary(mask: np.ndarray) -> np.ndarray:
-    """Outer boundary by Moore neighbor tracing, clockwise from the
-    topmost-then-leftmost foreground pixel.
+def _moore_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The Moore walk as lookups.
 
-    Returns an (n, 2) array of (row, col) pixel positions; single-pixel
-    spurs appear once per side, so the path is the closed outer polygon.
+    NEXT[p, back] is the first direction clockwise after `back` whose bit
+    is set in the 8-neighbor pattern p (bit d: the neighbor in direction d
+    is foreground). BACK[d] is the direction, seen from the pixel that
+    move d reaches, of the neighbor scanned just before the hit; that
+    neighbor is background, and the next scan resumes after it.
     """
-    mask = np.asarray(mask, dtype=bool)
-    fg = np.argwhere(mask)
-    if fg.size == 0:
+    scan = (np.arange(8)[:, None] + np.arange(1, 9)) % 8  # (back, step)
+    hit = (np.arange(256)[:, None, None] >> scan) & 1
+    nxt = scan[np.arange(8), hit.argmax(-1)]
+    behind = _DIRS[(np.arange(8) - 1) % 8] - _DIRS
+    back = (behind[:, None] == _DIRS).all(-1).argmax(-1)
+    return nxt, back
+
+
+_NEXT, _BACK = _moore_tables()
+
+
+def trace_boundary(masks) -> tuple[np.ndarray, np.ndarray]:
+    """Outer boundaries of a stack of masks by Moore neighbor tracing,
+    each clockwise from its topmost-then-leftmost foreground pixel.
+
+    masks: (N, h, w) bool, none of them empty. Returns (N, L, 2) int64
+    (row, col) paths and their (N,) lengths; past its length a row holds
+    filler. Single-pixel spurs appear once per side, so each path is the
+    closed outer polygon. A walk stops when it leaves its first pixel in
+    its first direction again, or after 4 x its foreground + 8 moves; a
+    last pixel equal to the first is dropped.
+
+    All walks run at once: a successor table over (boundary pixel, back
+    direction) states is composed with itself (pointer doubling), and
+    each round doubles the materialized prefix of every walk.
+    """
+    masks = np.asarray(masks, dtype=bool)
+    if masks.ndim != 3:
+        raise ValueError("masks must be an (N, h, w) stack")
+    n = masks.shape[0]
+    if n == 0 or not masks.any(axis=(1, 2)).all():
         raise EmptyInputError("empty mask")
-    h, w = mask.shape
-    start = (int(fg[0, 0]), int(fg[0, 1]))  # argwhere is raster-ordered
+    # crop to the union bounding box plus a zero ring, which stands in
+    # for the bounds check of the grid's edge
+    union = masks.any(axis=0)
+    rows, cols = np.flatnonzero(union.any(axis=1)), np.flatnonzero(union.any(axis=0))
+    grid = np.zeros((n, rows[-1] - rows[0] + 3, cols[-1] - cols[0] + 3), dtype=bool)
+    grid[:, 1:-1, 1:-1] = masks[:, rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    _, h, w = grid.shape
+    fg = np.flatnonzero(grid)
+    offsets = _DIRS @ (w, 1)
+    flat = grid.view(np.uint8).ravel()
+    pattern = np.zeros(fg.size, dtype=np.uint8)
+    for d, offset in enumerate(offsets):  # bit d: the neighbor in direction d is foreground
+        pattern |= flat[fg + offset] << d
+    # every pixel a walk visits has a background neighbor
+    pixel, pattern = fg[pattern != 255], pattern[pattern != 255]
+    slot = np.zeros(grid.size, dtype=np.int64)
+    slot[pixel] = np.arange(pixel.size)
+    # state s = 8 * slot + back; its move d = step[s] keys as 8 * slot + d.
+    # An isolated pixel's successors are filler: a walk from it stops at once.
+    step = _NEXT[pattern]
+    succ = (slot[pixel[:, None] + offsets[step]] * 8 + _BACK[step]).ravel()
+    move = (8 * np.arange(pixel.size)[:, None] + step).ravel()
 
-    def is_fg(r, c):
-        return 0 <= r < h and 0 <= c < w and mask[r, c]
-
-    path = [start]
-    cur = start
-    back = 6  # the west neighbor of the start pixel is always background
-    first_move = None
-    for _ in range(4 * fg.shape[0] + 8):
-        for step in range(1, 9):
-            d = (back + step) % 8
-            nr, nc = cur[0] + _DIRS[d][0], cur[1] + _DIRS[d][1]
-            if is_fg(nr, nc):
-                break
-        else:
-            break  # isolated pixel, no neighbors at all
-        if (cur, d) == first_move:
-            break  # boundary closed: same pixel left in the same direction
-        if first_move is None:
-            first_move = (cur, d)
-        # the neighbor scanned just before the hit is background; the new
-        # scan must resume from it
-        lr = cur[0] + _DIRS[(d - 1) % 8][0]
-        lc = cur[1] + _DIRS[(d - 1) % 8][1]
-        cur = (nr, nc)
-        back = _DIR_INDEX[(lr - nr, lc - nc)]
-        path.append(cur)
-    if len(path) > 1 and path[-1] == path[0]:
-        path.pop()
-    return np.array(path, dtype=np.int64)
+    start = np.searchsorted(pixel, np.arange(n) * (h * w))
+    walk = (8 * start + 6)[:, None]  # the west neighbor of a start is background
+    first = move[walk[:, 0]]
+    n_fg = np.bincount(fg // (h * w), minlength=n)
+    stop = np.where(pattern[start] == 0, 0, 4 * n_fg + 8)  # isolated start pixel
+    jump = succ
+    while True:
+        done = walk.shape[1]
+        walk = np.concatenate([walk, jump[walk]], axis=1)
+        hit = move[walk[:, done:]] == first[:, None]
+        stop = np.where(hit.any(axis=1), np.minimum(stop, done + hit.argmax(axis=1)), stop)
+        if (stop < walk.shape[1]).all():
+            break
+        jump = jump[jump]
+    at = pixel[walk[:, :stop.max() + 1] // 8]
+    length = stop + 1 - ((stop > 0) & (at[np.arange(n), stop] == at[:, 0]))
+    at %= h * w
+    paths = np.stack([at // w + (rows[0] - 1), at % w + (cols[0] - 1)], axis=-1)
+    return paths, length
 
 
-def sample_contour(region: HandRegion, m: int = CONTOUR_POINTS) -> np.ndarray:
-    """m points at equal arc-length spacing along the traced boundary.
+def sample_contour(masks, m: int = CONTOUR_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """m points at equal arc-length spacing along each traced boundary.
 
-    Returned as (m, 2) float (x, y) image coordinates, starting at the
-    trace start pixel. Raises DegenerateContour when the boundary has
-    fewer than 3 pixels.
+    masks: (N, h, w) bool stack. Returns the (K, m, 2) float (x, y) image
+    coordinates, each contour starting at its trace start pixel, and the
+    (K,) indices into the stack they belong to: a mask whose boundary has
+    fewer than 3 pixels is degenerate and left out.
     """
-    if not region.present:
-        raise ValueError("cannot sample the contour of an absent region")
     if m < 3:
         raise ValueError("need at least 3 sample points")
-    path = trace_boundary(region.mask)
-    if path.shape[0] < 3:
-        raise DegenerateContour(f"boundary has only {path.shape[0]} pixels")
-    pts = path[:, ::-1].astype(np.float64)  # (x, y)
-    nxt = np.roll(pts, -1, axis=0)
-    seg = np.hypot(*(nxt - pts).T)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    perimeter = cum[-1]
-    targets = np.arange(m) * (perimeter / m)
-    idx = np.minimum(np.searchsorted(cum, targets, side="right") - 1, len(seg) - 1)
-    t = (targets - cum[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
-    return pts[idx] + t[:, None] * (nxt[idx] - pts[idx])
+    paths, length = trace_boundary(masks)
+    kept = np.flatnonzero(length >= 3)
+    n = length[kept, None]
+    pts = paths[kept, :, ::-1].astype(np.float64)
+    j = np.arange(pts.shape[1])
+    nxt = np.take_along_axis(pts, np.where(j + 1 < n, j + 1, 0)[..., None], axis=1)
+    diff = nxt - pts
+    seg = np.where(j < n, np.hypot(diff[..., 0], diff[..., 1]), 0.0)
+    # a running sum adds left to right, so each row equals its own cumsum
+    cum = np.zeros((kept.size, j.size + 1))
+    np.cumsum(seg, axis=1, out=cum[:, 1:])
+    targets = np.arange(m) * (cum[np.arange(kept.size), n[:, 0], None] / m)
+    # searchsorted(cum[:n + 1], targets, side="right") over an +inf tail
+    ends = np.where(np.arange(j.size + 1) <= n, cum, np.inf)
+    idx = np.minimum((ends[:, None, :] <= targets[..., None]).sum(-1) - 1, n - 1)
+    rows = np.arange(kept.size)[:, None]
+    seg, start, end = seg[rows, idx], pts[rows, idx], nxt[rows, idx]
+    t = (targets - cum[rows, idx]) / np.where(seg > 0, seg, 1.0)
+    return start + t[..., None] * (end - start), kept
 
 
 def frame_shape_contexts(points) -> np.ndarray:
-    """All m shape contexts of a sampled contour, one row per reference.
+    """All shape contexts of sampled contours, one row per reference point.
 
-    Row i is the log-polar histogram of the other points around
-    points[i]: bin 0 collects everything closer than 6 px; bins 1..48 are
-    laid out ring-major (4 geometric rings out to 32 px, 12 angle bins
-    each, angles from the +x axis); points at or beyond 32 px are dropped.
-    Each row is divided by its own integer count of binned points, so it
-    sums to 1, or stays all-zero when nothing was binned. All m x (m - 1)
-    point pairs are binned in one pass.
+    points: (m, 2) for one contour, or (..., m, 2) for several; returns
+    their (n * m, 49) rows, contour after contour. Row i of a contour is
+    the log-polar histogram of that contour's other points around point
+    i: bin 0 collects everything closer than 6 px; bins 1..48 are laid
+    out ring-major (4 geometric rings out to 32 px, 12 angle bins each,
+    angles from the +x axis); points at or beyond 32 px are dropped. Each
+    row is divided by its own integer count of binned points, so it sums
+    to 1, or stays all-zero when nothing was binned. All point pairs are
+    binned in one pass.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be (m, 2)")
-    m = pts.shape[0]
-    x, y = pts[:, 0], pts[:, 1]
-    dx = x[None, :] - x[:, None]  # dx[i, j]: point j relative to reference i
-    dy = y[None, :] - y[:, None]
+    if pts.ndim < 2 or pts.shape[-1] != 2:
+        raise ValueError("points must be (..., m, 2)")
+    m = pts.shape[-2]
+    pts = pts.reshape(math.prod(pts.shape[:-2]), m, 2)
+    n_rows = pts.shape[0] * m
+    x, y = pts[..., 0], pts[..., 1]
+    dx = x[:, None, :] - x[:, :, None]  # dx[c, i, j]: point j relative to reference i
+    dy = y[:, None, :] - y[:, :, None]
     r = np.hypot(dx, dy)
     keep = r < OUTER_RADIUS
-    np.fill_diagonal(keep, False)
-    ref = np.nonzero(keep)[0]
-    dx, dy, r = dx[keep], dy[keep], r[keep]
-    theta = np.mod(np.arctan2(dy, dx), 2.0 * np.pi)
+    keep[:, np.arange(m), np.arange(m)] = False
+    theta = np.arctan2(dy, dx)
+    theta = np.where(theta < 0, theta + 2.0 * np.pi, theta)  # mod 2 pi, as |theta| <= pi
     abin = np.minimum((theta * (N_ANGLE_BINS / (2.0 * np.pi))).astype(np.int64),
                       N_ANGLE_BINS - 1)
     ring = np.minimum(np.searchsorted(RING_EDGES, r, side="right") - 1, N_RINGS - 1)
     bins = np.where(r < INNER_RADIUS, 0, 1 + ring * N_ANGLE_BINS + abin)
-    counts = np.bincount(ref * SC_DIM + bins, minlength=m * SC_DIM).reshape(m, SC_DIM)
-    return counts / np.maximum(np.bincount(ref, minlength=m), 1)[:, None]
+    # pairs that are not binned all count under one sentinel key
+    key = np.where(keep, np.arange(n_rows).reshape(*keep.shape[:2], 1) * SC_DIM + bins,
+                   n_rows * SC_DIM)
+    counts = np.bincount(key.ravel(), minlength=n_rows * SC_DIM + 1)[:-1]
+    return (counts.reshape(n_rows, SC_DIM)
+            / np.maximum(keep.sum(-1).reshape(n_rows), 1)[:, None])
 
 
 def video_shape_contexts(frames,
@@ -224,28 +274,21 @@ def video_shape_contexts(frames,
     """Shape-context rows of a whole video, in frame order.
 
     frames: iterable of per-frame HandRegion collections (typically a
-    (right, left) pair). Absent hands contribute nothing; a frame whose
-    mask is too small for a contour is skipped the same way. Returns the
-    (n, 49) rows and, per row, the histogram half it counts in: 0 for the
-    right hand, 1 for the left.
+    (right, left) pair). Absent hands contribute nothing; a mask too
+    small for a contour is skipped the same way. The present masks are
+    traced, sampled and binned as one stack. Returns the (n, 49) rows and,
+    per row, the histogram half it counts in: 0 for the right hand, 1 for
+    the left.
     """
     frames = list(frames)
     if not frames:
         raise EmptyInputError("no frames")
-    rows, halves = [], []
-    for regions in frames:
-        for region in regions:
-            if not region.present:
-                continue
-            try:
-                contour = sample_contour(region, m)
-            except DegenerateContour:
-                continue
-            rows.append(frame_shape_contexts(contour))
-            halves.append(0 if region.side is HandSide.RIGHT else 1)
-    if not rows:
+    present = [region for regions in frames for region in regions if region.present]
+    if not present:
         return np.empty((0, SC_DIM)), np.empty(0, dtype=np.int64)
-    return np.concatenate(rows), np.repeat(halves, m)
+    points, kept = sample_contour(np.stack([region.mask for region in present]), m)
+    left = np.array([region.side is HandSide.LEFT for region in present], dtype=np.int64)
+    return frame_shape_contexts(points), np.repeat(left[kept], m)
 
 
 def bow_from_shape_contexts(rows: np.ndarray, halves: np.ndarray,

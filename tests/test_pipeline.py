@@ -90,7 +90,9 @@ class TestConfig:
         ("sc_sample_cap", -2), ("sc_sample_cap", 2.5), ("sc_sample_cap", "5"),
         ("hmm_iters", -1), ("gesture_k", 0), ("epochs", float("inf")),
         ("hmm_tol", float("nan")), ("hmm_tol", float("inf")), ("hmm_tol", -1e-4),
-        ("hmm_tol", "0.1"),
+        ("hmm_tol", "0.1"), ("gesture_k", True), ("sc_sample_cap", False),
+        ("seed", 1.5), ("seed", "7"), ("seed", True), ("seed", float("nan")),
+        ("seed", None),
     ])
     def test_bad_number_rejected_by_name(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -99,6 +101,11 @@ class TestConfig:
     def test_zero_cap_iters_and_tol_accepted(self):
         config = make_config(sc_sample_cap=0, hmm_iters=0, hmm_tol=0.0)
         assert (config["sc_sample_cap"], config["hmm_iters"]) == (0, 0)
+
+    def test_integral_seed_accepted(self):
+        for seed in (7, 7.0, np.int64(7)):
+            assert make_config(seed=seed)["seed"] == 7
+            assert type(make_config(seed=seed)["seed"]) is int
 
     def test_derive_seed_stable_and_distinct(self):
         a = derive_seed(3, "gesture-cb")

@@ -20,7 +20,6 @@ from signflow.posture import (
     OUTER_RADIUS,
     PATCH,
     SC_DIM,
-    DegenerateContour,
     HandRegion,
     HandSide,
     PostureBoW,
@@ -32,6 +31,7 @@ from signflow.posture import (
     trace_boundary,
     train_posture_classifier,
 )
+from signflow.skeleton import EmptyInputError
 
 
 def flood_fill_components(mask):
@@ -107,56 +107,60 @@ class TestLargestComponent:
         assert got[1, 1:4].all() and not got[5, 5:8].any()
 
 
+def traced(mask):
+    """The one path of a single-mask stack."""
+    paths, length = trace_boundary(mask[None])
+    return paths[0, :length[0]]
+
+
 class TestTraceBoundary:
     def test_two_by_two_block_clockwise(self):
         m = np.zeros((5, 5), bool)
         m[1:3, 1:3] = True
-        np.testing.assert_array_equal(trace_boundary(m),
+        np.testing.assert_array_equal(traced(m),
                                       [[1, 1], [1, 2], [2, 2], [2, 1]])
 
     def test_single_pixel(self):
         m = np.zeros((5, 5), bool)
         m[2, 2] = True
-        assert trace_boundary(m).shape == (1, 2)
+        assert traced(m).shape == (1, 2)
 
     def test_path_is_closed_foreground_adjacent(self):
         rng = np.random.default_rng(44)
-        for trial in range(10):
-            m = np.zeros((20, 20), bool)
+        stack = np.zeros((10, 20, 20), bool)
+        for m in stack:
             r, c = rng.integers(4, 14, size=2)
             m[r:r + rng.integers(2, 6), c:c + rng.integers(2, 6)] = True
-            path = trace_boundary(m)
+        paths, length = trace_boundary(stack)
+        for m, padded, n in zip(stack, paths, length):
+            path = padded[:n]
             assert all(m[pr, pc] for pr, pc in path)
-            n = len(path)
             for i in range(n):
                 d = np.abs(path[i] - path[(i + 1) % n]).max()
                 assert d == 1
 
     def test_starts_topmost_leftmost(self):
         m = disk_mask(radius=10)
-        path = trace_boundary(m)
+        path = traced(m)
         fg = np.argwhere(m)
         assert tuple(path[0]) == tuple(fg[0])
 
 
 class TestSampleContour:
-    def region(self, mask):
-        return HandRegion(mask=mask, side=HandSide.RIGHT, present=True)
-
     def test_square_four_points(self):
         m = np.zeros((PATCH, PATCH), bool)
         m[10:20, 10:20] = True
-        pts = sample_contour(self.region(m), m=4)
-        assert pts.shape == (4, 2)
+        stack, kept = sample_contour(m[None], m=4)
+        assert stack.shape == (1, 4, 2) and kept.tolist() == [0]
+        pts = stack[0]
         gaps = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
         np.testing.assert_allclose(gaps, 9.0, atol=1e-9)
 
     def test_matches_arc_length_oracle(self):
-        rng = np.random.default_rng(45)
         m = disk_mask(radius=17.5)
-        pts = sample_contour(self.region(m), m=CONTOUR_POINTS)
+        pts = sample_contour(m[None], m=CONTOUR_POINTS)[0][0]
         # oracle: walk the polygon by hand to each target arc length
-        path = trace_boundary(m)[:, ::-1].astype(float)
+        path = traced(m)[:, ::-1].astype(float)
         closed = np.vstack([path, path[:1]])
         seglen = [math.hypot(*(closed[i + 1] - closed[i])) for i in range(len(path))]
         perimeter = sum(seglen)
@@ -171,28 +175,32 @@ class TestSampleContour:
                 acc += L
             np.testing.assert_allclose(pts[j], want, atol=1e-9)
 
+    def degenerate_is_left_out(self, tiny):
+        disk = disk_mask(radius=10)
+        pts, kept = sample_contour(np.stack([disk, tiny, disk]))
+        assert kept.tolist() == [0, 2]
+        want = sample_contour(disk[None])[0][0]
+        np.testing.assert_array_equal(pts, [want, want])
+
     def test_single_pixel_degenerate(self):
         m = np.zeros((PATCH, PATCH), bool)
         m[30, 30] = True
-        with pytest.raises(DegenerateContour):
-            sample_contour(self.region(m))
+        self.degenerate_is_left_out(m)
 
     def test_two_pixel_degenerate(self):
         m = np.zeros((PATCH, PATCH), bool)
         m[30, 30:32] = True
-        with pytest.raises(DegenerateContour):
-            sample_contour(self.region(m))
+        self.degenerate_is_left_out(m)
 
     def test_absent_region_rejected(self):
-        absent = HandRegion(mask=np.zeros((PATCH, PATCH), bool),
-                            side=HandSide.LEFT, present=False)
-        with pytest.raises(ValueError):
-            sample_contour(absent)
+        absent = np.zeros((PATCH, PATCH), bool)
+        with pytest.raises(EmptyInputError):
+            sample_contour(np.stack([disk_mask(radius=10), absent]))
 
     def test_m_below_three_rejected(self):
         m = disk_mask(radius=10)
         with pytest.raises(ValueError):
-            sample_contour(self.region(m), m=2)
+            sample_contour(m[None], m=2)
 
 
 class TestShapeContext:
@@ -274,7 +282,7 @@ class TestEncodeVideoBow:
         counts = {HandSide.RIGHT: np.zeros(cb.k), HandSide.LEFT: np.zeros(cb.k)}
         for right, left in frames:
             for region in (right, left):
-                pts = sample_contour(region, CONTOUR_POINTS)
+                pts, _ = sample_contour(region.mask[None], CONTOUR_POINTS)
                 words = quantize_batch(cb, frame_shape_contexts(pts))
                 for wd in words:
                     counts[region.side][wd] += 1

@@ -23,17 +23,17 @@ from signflow.posture import (
     PATCH,
     RING_EDGES,
     SC_DIM,
-    DegenerateContour,
     HandRegion,
     HandSide,
     _largest_component,
     bow_from_shape_contexts,
     encode_video_bow,
     frame_shape_contexts,
-    sample_contour,
     video_shape_contexts,
 )
 from signflow.skeleton import EmptyInputError
+
+from contour_oracle import DegenerateContour, sample_contour
 
 
 def per_row_shape_context(pts, ref):
