@@ -13,14 +13,12 @@ __version__ = "0.1.0"
 from .skeleton import (
     ALL_JOINTS,
     UPPER_BODY,
-    Defect,
     EmptyInputError,
     JointId,
     MissingJointError,
     SignflowError,
     SkeletonSequence,
     forward_fill,
-    validate_sequence,
 )
 from .descriptors import (
     DescriptorVariant,
@@ -41,6 +39,7 @@ from .hmm import (
     GestureResponse,
     TrainReport,
     baum_welch,
+    baum_welch_classes,
     classify_gesture,
     forward_log_likelihood,
     init_left_right,
@@ -111,89 +110,3 @@ from .pipeline import (
     predict_item,
     train_pipeline,
 )
-from .cli import main, run_cli
-
-__all__ = [
-    "ALL_JOINTS",
-    "UPPER_BODY",
-    "BundleVersionError",
-    "ClassSpec",
-    "Codebook",
-    "ConfusionMatrix",
-    "CorpusItem",
-    "CorruptFileError",
-    "CoupledResponse",
-    "CsvSchema",
-    "DatasetManifest",
-    "Defect",
-    "DescriptorVariant",
-    "DiscreteHMM",
-    "EmptyInputError",
-    "EvalResult",
-    "GestureResponse",
-    "HandRegion",
-    "HandSide",
-    "JointId",
-    "KdeFusionModel",
-    "MalformedRowError",
-    "ManifestEntry",
-    "MetricsReport",
-    "MissingJointError",
-    "ModelBundle",
-    "PostureBoW",
-    "PostureModel",
-    "Prediction",
-    "SignflowError",
-    "SkeletonSequence",
-    "SymbolSequence",
-    "SyntheticConfig",
-    "SyntheticCorpus",
-    "TrainReport",
-    "ZNormStats",
-    "baum_welch",
-    "build_codebook",
-    "classify_gesture",
-    "config_hash",
-    "confusion",
-    "couple",
-    "describe_sequence",
-    "encode_sequence",
-    "encode_video_bow",
-    "evaluate_pipeline",
-    "fit_kmeans",
-    "fit_znorm",
-    "forward_fill",
-    "forward_log_likelihood",
-    "frame_shape_contexts",
-    "generate_synthetic_corpus",
-    "init_left_right",
-    "items_from_corpus",
-    "load_bundle",
-    "load_items",
-    "load_manifest",
-    "load_mask_archive",
-    "load_synthetic_config",
-    "main",
-    "make_config",
-    "parse_skeleton_csv",
-    "posture_response",
-    "precision_recall_fscore",
-    "predict_item",
-    "predict_kde",
-    "predict_linear",
-    "quantize_batch",
-    "run_cli",
-    "sample_contour",
-    "save_bundle",
-    "save_manifest",
-    "save_mask_archive",
-    "save_synthetic_config",
-    "train_kde_fusion",
-    "train_linear_fusion",
-    "train_pipeline",
-    "train_posture_classifier",
-    "validate_sequence",
-    "write_corpus",
-    "write_skeleton_csv",
-    "__version__",
-]

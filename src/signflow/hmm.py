@@ -4,7 +4,8 @@ One model per sign class, trained on that class's symbol sequences with
 multi-sequence Baum-Welch. Classification scores a probe sequence under
 every model and takes the best length-normalized forward log-likelihood.
 Both run one scaled forward recursion over a stack of rows: scoring
-stacks the class models, each Baum-Welch iteration the class's sequences.
+stacks the class models, and each Baum-Welch iteration stacks the
+sequences of every class still training.
 
 Re-estimated probabilities are floored at EPS_P on their structural support
 (the entries positive at initialization) so that test symbols unseen in
@@ -156,16 +157,6 @@ def forward_log_likelihood(hmm: DiscreteHMM, obs) -> float:
     return float(_log_likelihoods([hmm], _symbols(obs))[0])
 
 
-def _scaled_backward(A: np.ndarray, B: np.ndarray, obs: np.ndarray,
-                     c: np.ndarray) -> np.ndarray:
-    T = obs.shape[0]
-    beta = np.empty((T, A.shape[0]))
-    beta[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        beta[t] = (A @ (B[:, obs[t + 1]] * beta[t + 1])) / c[t + 1]
-    return beta
-
-
 def _floor_row(counts: np.ndarray, support: np.ndarray, prev: np.ndarray,
                eps: float) -> np.ndarray:
     """Exact M-step under the constraints x >= eps on support, 0 elsewhere,
@@ -198,74 +189,137 @@ def _floor_row(counts: np.ndarray, support: np.ndarray, prev: np.ndarray,
     return out
 
 
-def baum_welch(hmm: DiscreteHMM, training, max_iter: int = 50,
-               tol: float = 1e-6) -> tuple[DiscreteHMM, TrainReport]:
-    """Multi-sequence EM re-estimation of (pi, A, B).
+def _check_alphabet(models) -> tuple[int, int]:
+    n, k = models[0].n_states, models[0].n_symbols
+    for m in models:
+        if m.n_symbols != k:
+            raise ValueError("models disagree on symbol alphabet size")
+        if m.n_states != n:
+            raise ValueError("models disagree on the number of states")
+    return n, k
 
-    Expected counts are accumulated across all sequences before each
-    re-estimation. Structural zeros never become positive; supported
-    entries never drop below EPS_P. Stops when the total log-likelihood
-    improves by less than tol, or after max_iter iterations.
+
+def _stacked_backward(A: np.ndarray, emissions: np.ndarray, c: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+    """Scaled backward pass over the rows of a stacked forward pass.
+
+    A is (R, n, n), emissions (T, R, n), c (R, T) from _scaled_forward, and
+    lengths (R,) each row's sequence length. beta is 1.0 from each row's
+    last step on, so each row gets the bytes of its own backward pass,
+    beta[t] = A @ (B[:, o_t+1] * beta[t+1]) / c[t+1]. Returns (T, R, n).
     """
-    if not training:
-        raise EmptyInputError("no training sequences")
-    seqs = [_symbols(s) for s in training]
-    for s in seqs:
-        if s.min() < 0 or s.max() >= hmm.n_symbols:
-            raise ValueError("training symbol out of range")
-    # one forward row per sequence; steps past a sequence's end read the
-    # extra symbol n_symbols, whose emission is 1.0 in every state
-    padded = np.full((max(s.shape[0] for s in seqs), len(seqs)), hmm.n_symbols)
+    T = emissions.shape[0]
+    ended = np.arange(T)[:, None] >= lengths - 1
+    beta = np.empty_like(emissions)
+    beta[T - 1] = 1.0
+    for t in range(T - 2, -1, -1):
+        nxt = (emissions[t + 1] * beta[t + 1])[:, :, None]
+        beta[t] = np.matmul(A, nxt)[:, :, 0] / c[:, t + 1, None]
+        beta[t, ended[t]] = 1.0
+    return beta
+
+
+def baum_welch_classes(models, trainings, max_iter: int = 50,
+                       tol: float = 1e-6) -> list[tuple[DiscreteHMM, TrainReport]]:
+    """Multi-sequence EM re-estimation of (pi, A, B), one model per class.
+
+    Expected counts are accumulated across a class's sequences before each
+    re-estimation. Structural zeros never become positive; supported
+    entries never drop below EPS_P. A class stops when its total
+    log-likelihood improves by less than tol, or after max_iter iterations.
+
+    Every class shares one E-step per iteration: the forward and backward
+    recursions run once over a stack holding one row per sequence of each
+    class still training, and a converged class's rows leave the stack.
+    Each class's model and report are those it would get trained alone.
+    """
+    if not models:
+        raise EmptyInputError("no class models")
+    if len(trainings) != len(models):
+        raise ValueError("one training set per model is required")
+    n, k = _check_alphabet(models)
+    per_class = []
+    for training in trainings:
+        if not training:
+            raise EmptyInputError("no training sequences")
+        seqs = [_symbols(s) for s in training]
+        for s in seqs:
+            if s.min() < 0 or s.max() >= k:
+                raise ValueError("training symbol out of range")
+        per_class.append(seqs)
+    # one row per sequence, in class order; steps past a sequence's end
+    # read the extra symbol k, whose emission is 1.0 in every state
+    seqs = [s for class_seqs in per_class for s in class_seqs]
+    row_class = np.repeat(np.arange(len(models)), [len(c) for c in per_class])
+    lengths = np.array([s.shape[0] for s in seqs])
+    padded = np.full((lengths.max(), len(seqs)), k)
     for r, s in enumerate(seqs):
         padded[:s.shape[0], r] = s
 
-    pi = hmm.pi.copy()
-    A = hmm.A.copy()
-    B = hmm.B.copy()
-    pi_sup = pi > 0.0
-    A_sup = A > 0.0
-    B_sup = B > 0.0
-    report = TrainReport()
+    pi = np.stack([m.pi for m in models])
+    A = np.stack([m.A for m in models])
+    B = np.stack([m.B for m in models])
+    pi_sup, A_sup, B_sup = pi > 0.0, A > 0.0, B > 0.0
+    reports = [TrainReport() for _ in models]
+    done = np.zeros(len(models), dtype=bool)
 
     for _ in range(max_iter):
-        pi_cnt = np.zeros_like(pi)
-        A_cnt = np.zeros_like(A)
-        B_cnt = np.zeros_like(B)
-        total_ll = 0.0
-        emissions = np.hstack([B, np.ones((hmm.n_states, 1))]).T[padded]
-        alphas, cs = _scaled_forward(pi[None], A[None], emissions)
-        # steps past a sequence's end do not count; a NaN model's c passes
-        if np.any((cs <= 0.0) & (padded.T < hmm.n_symbols)):
-            raise ValueError("training sequence has zero probability")
-        for r, obs in enumerate(seqs):
-            T = obs.shape[0]
-            # a contiguous copy, so the matrix products below see the same
-            # layout as a single-sequence forward pass
-            alpha = np.ascontiguousarray(alphas[:T, r])
-            c = cs[r, :T]
-            beta = _scaled_backward(A, B, obs, c)
-            gamma = alpha * beta
-            total_ll += float(np.log(c).sum())
-            pi_cnt += gamma[0]
-            if T > 1:
-                # xi summed over t collapses to one matrix product
-                m = (B[:, obs[1:]].T * beta[1:]) / c[1:, None]
-                A_cnt += A * (alpha[:-1].T @ m)
-            np.add.at(B_cnt.T, obs, gamma)
-        report.log_likelihoods.append(total_ll)
-        report.iterations += 1
-        if (len(report.log_likelihoods) >= 2
-                and total_ll - report.log_likelihoods[-2] < tol):
-            report.converged = True
+        if done.all():
             break
-        pi = _floor_row(pi_cnt, pi_sup, pi, EPS_P)
-        A = np.stack([_floor_row(A_cnt[i], A_sup[i], A[i], EPS_P)
-                      for i in range(hmm.n_states)])
-        B = np.stack([_floor_row(B_cnt[i], B_sup[i], B[i], EPS_P)
-                      for i in range(hmm.n_states)])
+        rows = np.flatnonzero(~done[row_class])
+        cls, sym = row_class[rows], padded[:lengths[rows].max(), rows]
+        B_ext = np.concatenate([B, np.ones((len(models), n, 1))], axis=2)
+        emissions = B_ext.transpose(0, 2, 1)[cls[None, :], sym]
+        A_rows = A[cls]
+        alphas, cs = _scaled_forward(pi[cls], A_rows, emissions)
+        # steps past a sequence's end do not count; a NaN model's c passes
+        if np.any((cs <= 0.0) & (sym.T < k)):
+            raise ValueError("training sequence has zero probability")
+        betas = _stacked_backward(A_rows, emissions, cs, lengths[rows])
+        r = 0  # the stack holds the training classes' rows in class order
+        for j in np.flatnonzero(~done):
+            pi_cnt = np.zeros(n)
+            A_cnt = np.zeros((n, n))
+            B_cnt = np.zeros((n, k))
+            total_ll = 0.0
+            for obs in per_class[j]:
+                T = obs.shape[0]
+                # contiguous copies, so the matrix products below see the
+                # same layout as a single-sequence pass
+                alpha = np.ascontiguousarray(alphas[:T, r])
+                beta = np.ascontiguousarray(betas[:T, r])
+                c = cs[r, :T]
+                r += 1
+                gamma = alpha * beta
+                total_ll += float(np.log(c).sum())
+                pi_cnt += gamma[0]
+                if T > 1:
+                    # xi summed over t collapses to one matrix product, one
+                    # per sequence: a GEMM over padded rows may sum otherwise
+                    m = (B[j][:, obs[1:]].T * beta[1:]) / c[1:, None]
+                    A_cnt += A[j] * (alpha[:-1].T @ m)
+                np.add.at(B_cnt.T, obs, gamma)
+            report = reports[j]
+            report.log_likelihoods.append(total_ll)
+            report.iterations += 1
+            if (len(report.log_likelihoods) >= 2
+                    and total_ll - report.log_likelihoods[-2] < tol):
+                report.converged = done[j] = True
+                continue
+            pi[j] = _floor_row(pi_cnt, pi_sup[j], pi[j], EPS_P)
+            A[j] = np.stack([_floor_row(A_cnt[i], A_sup[j, i], A[j, i], EPS_P)
+                             for i in range(n)])
+            B[j] = np.stack([_floor_row(B_cnt[i], B_sup[j, i], B[j, i], EPS_P)
+                             for i in range(n)])
 
-    trained = DiscreteHMM(hmm.n_states, hmm.n_symbols, pi, A, B)
-    return trained, report
+    return [(DiscreteHMM(n, k, pi[j].copy(), A[j].copy(), B[j].copy()), reports[j])
+            for j in range(len(models))]
+
+
+def baum_welch(hmm: DiscreteHMM, training, max_iter: int = 50,
+               tol: float = 1e-6) -> tuple[DiscreteHMM, TrainReport]:
+    """One model's multi-sequence EM: baum_welch_classes on a single class."""
+    return baum_welch_classes([hmm], [training], max_iter, tol)[0]
 
 
 def classify_gesture(models, obs) -> GestureResponse:
@@ -274,12 +328,7 @@ def classify_gesture(models, obs) -> GestureResponse:
     if not models:
         raise EmptyInputError("no class models")
     sym = _symbols(obs)
-    n, k = models[0].n_states, models[0].n_symbols
-    for m in models:
-        if m.n_symbols != k:
-            raise ValueError("models disagree on symbol alphabet size")
-        if m.n_states != n:
-            raise ValueError("models disagree on the number of states")
+    _check_alphabet(models)
     values = _log_likelihoods(models, sym) / sym.shape[0]
     best = int(values.argmax())  # argmax takes the first (lowest) on ties
     return GestureResponse(values=values, best_class=best)

@@ -40,7 +40,15 @@ from .fusion import (
     train_kde_fusion,
     train_linear_fusion,
 )
-from .hmm import GestureResponse, baum_welch, classify_gesture, init_left_right
+from .hmm import (
+    GestureResponse,
+    baum_welch_classes,
+    classify_gesture,
+    init_left_right,
+)
+# kept importable from this module: perfbench/tracing.py wraps baum_welch
+# under this name, although training calls baum_welch_classes
+from .hmm import baum_welch  # noqa: F401
 from .metrics import ConfusionMatrix, MetricsReport, confusion, precision_recall_fscore
 from .posture import (
     DEFAULT_POSTURE_COST,
@@ -244,13 +252,12 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
                                 variant=variant)
     symbol_seqs = [encode_sequence(gesture_cb, ds, source=i.sequence.source)
                    for ds, i in zip(per_seq, train)]
-    hmms = []
-    for c in range(n_classes):
-        seqs_c = [s for s, item in zip(symbol_seqs, train) if item.label == c]
-        init = init_left_right(config["hmm_states"], gesture_k)
-        hmm, _ = baum_welch(init, seqs_c, max_iter=config["hmm_iters"],
-                            tol=config["hmm_tol"])
-        hmms.append(hmm)
+    trained = baum_welch_classes(
+        [init_left_right(config["hmm_states"], gesture_k) for _ in range(n_classes)],
+        [[s for s, item in zip(symbol_seqs, train) if item.label == c]
+         for c in range(n_classes)],
+        max_iter=config["hmm_iters"], tol=config["hmm_tol"])
+    hmms = [hmm for hmm, _ in trained]
 
     # posture branch, when the training split carries masks
     posture_model = None

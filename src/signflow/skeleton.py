@@ -112,42 +112,6 @@ class SkeletonSequence:
         return [index[j] for j in joints]
 
 
-@dataclass(frozen=True)
-class Defect:
-    """One invariant violation found by validate_sequence."""
-
-    code: str
-    message: str
-    frame_index: int | None = None
-
-
-TOO_SHORT = "TooShort"
-NON_MONOTONIC_TIME = "NonMonotonicTime"
-NEGATIVE_TIMESTAMP = "NegativeTimestamp"
-
-
-def validate_sequence(seq: SkeletonSequence) -> list[Defect]:
-    """Check SkeletonSequence invariants; returns one Defect per violation.
-
-    Total: never raises, defects are data. An empty list means the sequence
-    is well formed. Every step that does not increase the timestamp is a
-    defect of the frame it leads to.
-    """
-    defects: list[Defect] = []
-    n = len(seq)
-    if n < 2:
-        defects.append(Defect(TOO_SHORT, f"sequence has {n} frame(s), need >= 2"))
-    ts = seq.timestamps.tolist()
-    back = np.concatenate([[False], np.diff(seq.timestamps) <= 0])
-    for i in np.flatnonzero((seq.timestamps < 0) | back).tolist():
-        if ts[i] < 0:
-            defects.append(Defect(NEGATIVE_TIMESTAMP, f"timestamp {ts[i]} < 0", i))
-        if back[i]:
-            defects.append(Defect(NON_MONOTONIC_TIME,
-                                  f"timestamp {ts[i]} <= previous {ts[i - 1]}", i))
-    return defects
-
-
 def forward_fill(positions, observed, joints: tuple = ALL_JOINTS) -> np.ndarray:
     """Repair unobserved joints by holding each joint's last observed value.
 

@@ -1,6 +1,10 @@
 """CLI surface tests: full command loop, file outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,17 @@ class TestExitCodes:
     def test_version_exits_zero(self, capsys):
         assert run_cli(["--version"]) == 0
         assert "signflow" in capsys.readouterr().out
+
+    def test_module_entry_point_runs_without_warnings(self):
+        # `python -m signflow.cli` warns if importing the package already
+        # imported signflow.cli; -W error turns that warning into exit 1
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "signflow.cli",
+             "--help"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestInspect:

@@ -122,7 +122,7 @@ class TestParseCsv:
 
     def test_non_finite_timestamp_names_line(self, tmp_path):
         # [0, .033, nan, 0.0]: the NaN used to load and hide the step back
-        # to 0.0 from validate_sequence
+        # to 0.0 from a frame-by-frame check
         p = tmp_path / "seq.csv"
         rows = [csv_row(ts, [(1, 2, 3)] * 15) for ts in (0.0, 0.033, "nan", 0.0)]
         p.write_text("\n".join(rows) + "\n")

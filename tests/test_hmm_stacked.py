@@ -1,15 +1,16 @@
-"""Property tests for the stacked scaled forward recursion.
+"""Property tests for the stacked HMM recursions.
 
 The oracles are the per-model paths the stacked code replaced: one scaled
-forward pass per (model, sequence), and Baum-Welch running that pass once
-per sequence. Every comparison is exact, NaN included.
+forward pass per (model, sequence), and Baum-Welch training one class at a
+time with one forward and one backward pass per sequence. Every comparison
+is exact, NaN included.
 """
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signflow.hmm import (
@@ -20,10 +21,12 @@ from signflow.hmm import (
     _floor_row,
     _scaled_forward,
     baum_welch,
+    baum_welch_classes,
     classify_gesture,
     forward_log_likelihood,
     init_left_right,
 )
+from signflow.skeleton import EmptyInputError
 
 
 def oracle_forward(hmm, obs):
@@ -105,8 +108,28 @@ def random_left_right(rng, n, k):
     return DiscreteHMM(n, k, rng.dirichlet(np.ones(n)), A, B)
 
 
+def sample(rng, hmm, T):
+    """One length-T symbol sequence drawn from hmm."""
+    state, out = int(rng.choice(hmm.n_states, p=hmm.pi)), []
+    for _ in range(T):
+        out.append(int(rng.choice(hmm.n_symbols, p=hmm.B[state])))
+        state = int(rng.choice(hmm.n_states, p=hmm.A[state]))
+    return np.array(out)
+
+
 def same(a, b):
     return np.array_equal(a, b, equal_nan=True)
+
+
+def same_training(got, want):
+    """Byte equality of two (model, report) pairs, NaN included."""
+    (model, report), (model_w, report_w) = got, want
+    return (all(getattr(model, p).tobytes() == getattr(model_w, p).tobytes()
+                for p in ("pi", "A", "B"))
+            and np.array(report.log_likelihoods).tobytes()
+            == np.array(report_w.log_likelihoods).tobytes()
+            and (report.iterations, report.converged)
+            == (report_w.iterations, report_w.converged))
 
 
 def padded_emissions(hmm, seqs):
@@ -189,13 +212,7 @@ class TestStackedBaumWelch:
     def test_trained_models_equal_oracle(self, n, k, lengths, iters, tol, seed):
         rng = np.random.default_rng(seed)
         gen = random_left_right(rng, n, k)
-        seqs = []
-        for T in lengths:
-            state, out = int(rng.choice(n, p=gen.pi)), []
-            for _ in range(T):
-                out.append(int(rng.choice(k, p=gen.B[state])))
-                state = int(rng.choice(n, p=gen.A[state]))
-            seqs.append(np.array(out))
+        seqs = [sample(rng, gen, T) for T in lengths]
         init = init_left_right(n, k)
         got, got_report = baum_welch(init, seqs, max_iter=iters, tol=tol)
         want, want_report = oracle_baum_welch(init, seqs, iters, tol)
@@ -214,3 +231,109 @@ class TestStackedBaumWelch:
         trained, report = baum_welch(nan, [np.array([0, 0, 0]), np.array([1])],
                                      max_iter=2)
         assert np.isnan(report.log_likelihoods).all()
+
+
+# Two sequences over 5 symbols, 1,901 frames in long runs of few symbols, as
+# in the gesture-long class that trains to NaN: once the last state absorbs
+# alpha, the earlier states' alpha underflows to 0 while their scaled beta
+# overflows, and alpha * beta turns NaN on the third iteration.
+DEGENERATE_RUNS = (
+    ((2, 5), (1, 150), (2, 1), (0, 2), (2, 155), (0, 300), (3, 3), (0, 50),
+     (1, 4), (0, 183)),
+    ((3, 52), (2, 50), (4, 1), (0, 56), (3, 300), (1, 300), (4, 1), (1, 5),
+     (0, 4), (4, 50), (3, 5), (2, 50), (4, 1), (2, 1), (0, 172)),
+)
+
+
+def degenerate_class():
+    return [np.repeat([s for s, _ in runs], [n for _, n in runs])
+            for runs in DEGENERATE_RUNS]
+
+
+ragged_classes = st.lists(st.lists(st.integers(1, 40), min_size=1, max_size=4),
+                         min_size=1, max_size=6)
+
+
+def random_classes(seed, n, k, lengths):
+    """Per class: a random initial model and sequences from another one."""
+    rng = np.random.default_rng(seed)
+    inits, trainings = [], []
+    for class_lengths in lengths:
+        gen = random_left_right(rng, n, k)
+        trainings.append([sample(rng, gen, T) for T in class_lengths])
+        inits.append(random_left_right(rng, n, k))
+    return inits, trainings
+
+
+class TestBaumWelchClasses:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), ragged_classes,
+           st.integers(0, 12), st.sampled_from([1e-1, 1e-3, 1e-6, -np.inf]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(3, 4, [[9, 1, 5], [12]], 0, 1e-6, 1)
+    @example(3, 4, [[9, 1, 5], [12]], 1, 1e-6, 1)
+    def test_each_class_equals_its_own_oracle_run(self, n, k, lengths, iters,
+                                                  tol, seed):
+        inits, trainings = random_classes(seed, n, k, lengths)
+        got = baum_welch_classes(inits, trainings, iters, tol)
+        assert len(got) == len(inits)
+        for pair, init, seqs in zip(got, inits, trainings):
+            assert same_training(pair, oracle_baum_welch(init, seqs, iters, tol))
+
+    def test_classes_stopping_at_different_iterations(self):
+        # a constant class converges within a few iterations; the others
+        # keep training after its rows leave the stack
+        rng = np.random.default_rng(5)
+        inits, trainings = random_classes(6, 3, 4, [[30, 7, 22], [12], [40, 40]])
+        inits.insert(1, init_left_right(3, 4))
+        trainings.insert(1, [np.full(25, 2), np.full(9, 2)])
+        inits.append(random_left_right(rng, 3, 4))
+        trainings.append([np.arange(35) % 4])
+        got = baum_welch_classes(inits, trainings, 40, 1e-3)
+        stops = [report.iterations for _, report in got]
+        assert len(set(stops)) > 2 and max(stops) == 40
+        assert [r.converged for _, r in got] == [s < 40 for s in stops]
+        for pair, init, seqs in zip(got, inits, trainings):
+            assert same_training(pair, oracle_baum_welch(init, seqs, 40, 1e-3))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_class_does_not_touch_the_others(self):
+        rng = np.random.default_rng(11)
+        good = [[sample(rng, random_left_right(rng, 8, 5), T) for T in lengths]
+                for lengths in ([60, 45, 80], [33, 70])]
+        init = init_left_right(8, 5)
+        alone = baum_welch_classes([init] * 2, good, 30, 1e-4)
+        mixed = baum_welch_classes([init] * 3, [good[0], degenerate_class(), good[1]],
+                                   30, 1e-4)
+        nan_model, nan_report = mixed[1]
+        assert np.isnan(nan_model.B).any() and nan_report.iterations == 30
+        assert same_training(mixed[1],
+                             oracle_baum_welch(init, degenerate_class(), 30, 1e-4))
+        assert same_training(mixed[0], alone[0])
+        assert same_training(mixed[2], alone[1])
+        assert all(np.isfinite(m.B).all() for m, _ in alone)
+
+    def test_errors(self):
+        init = init_left_right(2, 3)
+        ok = [np.array([0, 1, 2])]
+        with pytest.raises(EmptyInputError, match="no class models"):
+            baum_welch_classes([], [])
+        with pytest.raises(ValueError, match="one training set per model"):
+            baum_welch_classes([init, init], [ok])
+        with pytest.raises(EmptyInputError, match="no training sequences"):
+            baum_welch_classes([init, init], [ok, []])
+        with pytest.raises(EmptyInputError, match="empty observation"):
+            baum_welch_classes([init, init], [ok, [np.array([], dtype=int)]])
+        for bad in (np.array([0, 3]), np.array([-1, 0])):
+            with pytest.raises(ValueError, match="training symbol out of range"):
+                baum_welch_classes([init, init], [ok, [bad]])
+        with pytest.raises(ValueError, match="number of states"):
+            baum_welch_classes([init, init_left_right(3, 3)], [ok, ok])
+        with pytest.raises(ValueError, match="symbol alphabet size"):
+            baum_welch_classes([init, init_left_right(2, 4)], [ok, ok])
+        # B of the second class puts no mass on symbol 1
+        blind = DiscreteHMM(1, 3, np.array([1.0]), np.array([[1.0]]),
+                            np.array([[0.5, 0.0, 0.5]]))
+        with pytest.raises(ValueError, match="zero probability"):
+            baum_welch_classes([init_left_right(1, 3), blind],
+                               [ok, [np.array([0, 2]), np.array([2, 1, 0])]])

@@ -7,15 +7,11 @@ import pytest
 
 from signflow.skeleton import (
     ALL_JOINTS,
-    NEGATIVE_TIMESTAMP,
-    NON_MONOTONIC_TIME,
-    TOO_SHORT,
     UPPER_BODY,
     JointId,
     MissingJointError,
     SkeletonSequence,
     forward_fill,
-    validate_sequence,
 )
 
 
@@ -45,36 +41,6 @@ class TestJointIds:
     def test_upper_body_in_canonical_order(self):
         ids = [int(j) for j in UPPER_BODY]
         assert ids == sorted(ids)
-
-
-class TestValidateSequence:
-    def test_clean_sequence_no_defects(self):
-        assert validate_sequence(sequence([0.0, 0.033, 0.066])) == []
-
-    def test_too_short(self):
-        codes = [d.code for d in validate_sequence(sequence([0.0]))]
-        assert TOO_SHORT in codes
-
-    def test_non_monotonic_time(self):
-        defects = validate_sequence(sequence([0.0, 0.5, 0.5]))
-        assert [d.code for d in defects] == [NON_MONOTONIC_TIME]
-        assert defects[0].frame_index == 2
-
-    def test_every_backward_step_flagged(self):
-        defects = validate_sequence(sequence([0.0, 0.033, 0.02, 0.0, 0.1, 0.1]))
-        assert [(d.code, d.frame_index) for d in defects] == \
-            [(NON_MONOTONIC_TIME, 2), (NON_MONOTONIC_TIME, 3), (NON_MONOTONIC_TIME, 5)]
-        assert defects[1].message == "timestamp 0.0 <= previous 0.02"
-
-    def test_negative_timestamp(self):
-        codes = [d.code for d in validate_sequence(sequence([-1.0, 0.0]))]
-        assert NEGATIVE_TIMESTAMP in codes
-
-    def test_total_never_raises(self):
-        # every defect at once
-        codes = {d.code for d in validate_sequence(sequence([-2.0]))}
-        assert TOO_SHORT in codes and NEGATIVE_TIMESTAMP in codes
-        assert validate_sequence(sequence([]))[0].code == TOO_SHORT
 
 
 class TestForwardFill:
@@ -149,9 +115,6 @@ class TestSequence:
         positions = np.stack([full_frame()] * 4)
         with pytest.raises(ValueError, match="non-finite timestamp"):
             SkeletonSequence(timestamps=[0.0, 0.033, math.nan, 0.0], positions=positions)
-        defects = validate_sequence(SkeletonSequence(
-            timestamps=[0.0, 0.033, 0.05, 0.0], positions=positions))
-        assert [(d.code, d.frame_index) for d in defects] == [(NON_MONOTONIC_TIME, 3)]
 
     def test_shape_must_match_timestamps_and_joints(self):
         with pytest.raises(ValueError):
