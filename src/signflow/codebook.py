@@ -4,6 +4,10 @@ Descriptor streams are re-encoded as sequences of nearest-center indices
 (symbols), which the discrete HMMs consume as observations. Centers live in
 z-normalized space; `quantize_batch` applies the stored normalization before
 the nearest-neighbor lookup, so callers always pass raw descriptors.
+
+Every lookup is defined by `cdist`'s squared distances and their argmin,
+ties to the lowest index. `_nearest` gets the same labels from one GEMM and
+sends only the rows whose answer it cannot prove back to `cdist`.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ class Codebook:
     seed: int
     variant: Optional[DescriptorVariant] = None
     wcss_history: list = field(default_factory=list, repr=False)
+    # squared center norms for `_nearest`, and whether znorm is (v - 0) / 1
+    center_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    plain: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
@@ -48,6 +55,8 @@ class Codebook:
             raise ValueError("center dimension does not match znorm stats")
         if self.variant is not None and self.centers.shape[1] != self.variant.dimension:
             raise ValueError("center dimension does not match variant")
+        self.center_sq = _row_sq_norms(self.centers)
+        self.plain = not self.znorm.mean.any() and bool((self.znorm.stddev == 1.0).all())
 
     @property
     def dimension(self) -> int:
@@ -73,9 +82,71 @@ class SymbolSequence:
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # cdist accumulates (x_i - y_i)^2 left to right, the same order the
-    # linear-scan oracle uses, so argmin ties resolve identically.
+    # the reference distances: cdist accumulates (x_i - y_i)^2 left to
+    # right, the same order the linear-scan oracle uses, so argmin ties
+    # resolve identically; `_nearest` falls back to it
     return cdist(points, centers, "sqeuclidean")
+
+
+def _row_sq_norms(rows: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # inf sends the row to cdist
+        return np.einsum("ij,ij->i", rows, rows)
+
+
+_UNIT = 2.0 ** -53  # unit roundoff of float64
+_TINY = 2.0 ** -1074  # smallest subnormal float64
+
+
+def _nearest(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
+             center_sq: np.ndarray):
+    """`cdist(points, centers, "sqeuclidean").argmin(axis=1)`, mostly by GEMM.
+
+    `point_sq` and `center_sq` hold the squared row norms (`_row_sq_norms`).
+    Returns (labels, dist2, err). Row i of `dist2` holds the GEMM distances
+    d~ = |z|^2 - 2 z.c + |c|^2 of finite rows z, and `err[i]`
+    bounds |d~ - d| for every center of that row, d being the exact
+    squared distance; the rows sent to cdist hold its values and err 0.
+
+    Proof. Write X = (|z| + max|c|)^2 and g = gamma_{D+2} = m u / (1 - m u),
+    m = D + 2, u = 2**-53 (Higham, "Accuracy and Stability of Numerical
+    Algorithms", ch. 3; any summation order, with or without FMA). Without
+    underflow, the three length-D sums err by at most gamma_D times their
+    absolute terms, so with Cauchy-Schwarz the two roundings of the sum
+    d~ leave |d~ - d| <= g X. cdist rounds each difference, its square and
+    the D - 1 additions of non-negative terms, so |cdist - d| <= g d <= g X.
+    Each product that underflows adds at most 2**-1075; summing is exact
+    there, so the five sums add at most 5 D 2**-1075. Hence
+        |d~ - d| + |cdist - d| <= 2 g X + 2.5 D 2**-1074,
+    and `err` = g (2 sqrt(X))^2 + (5 D + 8) 2**-1074 is at least twice
+    that. The factor 2 also covers the rounding of the norms and of `err`
+    (relatively gamma_D + 6u), and that of the threshold below and of the
+    d~ - err `fit_kmeans` takes (about u X each). A finite `err` means
+    4 X fits in float64, so no sum overflowed and every d~ of the row is
+    finite. A row is settled when its threshold, the best d~ plus 2 err,
+    is finite and no other center's d~ reaches it: then every other cdist
+    value exceeds the best one's, so cdist's argmin, ties included, is the
+    same center. Every other row goes through cdist.
+    """
+    n, dim = points.shape
+    m = dim + 2
+    gamma = m * _UNIT / (1.0 - m * _UNIT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist2 = points @ centers.T
+        dist2 *= -2.0
+        dist2 += point_sq[:, None]
+        dist2 += center_sq
+        scale = 2.0 * (np.sqrt(point_sq) + np.sqrt(center_sq.max()))
+        err = gamma * (scale * scale) + (5 * dim + 8) * _TINY
+        best = dist2.argmin(axis=1)
+        limit = dist2[np.arange(n), best] + 2.0 * err
+        near = (dist2 <= limit[:, None]).sum(axis=1, dtype=np.uint32)
+    loose = np.flatnonzero((near != 1) | ~np.isfinite(limit))
+    if loose.size:
+        exact = _sq_dists(points[loose], centers)
+        best[loose] = exact.argmin(axis=1)
+        dist2[loose] = exact
+        err[loose] = 0.0
+    return best, dist2, err
 
 
 def _paired_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -109,7 +180,7 @@ def _kmeans_pp_seed(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
-# rows per chunk of distance work: a chunk's cdist output is about 1 MB
+# rows per chunk of distance work: a chunk's distance matrix is about 1 MB
 _CHUNK_ELEMENTS = 1 << 17
 _F32_MAX = float(np.finfo(np.float32).max)
 
@@ -125,8 +196,9 @@ def _chunks(rows: np.ndarray, size: int):
 def _lower_bounds(dist2: np.ndarray) -> np.ndarray:
     """float32 values <= sqrt(dist2) * (1 - 2**-22).
 
-    The relative gap is far larger than cdist's own rounding error, so each
-    is also below the exact distance that cdist's `dist2` approximates.
+    `dist2` is a cdist value or `_nearest`'s d~ - err, which is at most the
+    exact squared distance. The relative gap is far larger than cdist's own
+    rounding error, so each bound is below the exact distance.
     """
     return np.minimum(np.sqrt(dist2) * (1.0 - 2.0 ** -20) - 2.0 ** -149,
                       _F32_MAX).astype(np.float32)
@@ -170,8 +242,9 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
 
     Each pass skips the distances that cannot change a label, using
     per-center lower bounds from the triangle inequality (Elkan, ICML
-    2003); labels, ties, centers and `wcss_history` are exactly those of
-    plain Lloyd passes over the full distance matrix.
+    2003), and labels the other rows with `_nearest`; labels, ties, centers
+    and `wcss_history` are exactly those of plain Lloyd passes over the
+    full cdist matrix.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
@@ -197,6 +270,7 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
     moved = np.zeros(k, dtype=bool)
     shrink = np.zeros(k, dtype=np.float32)
     reach = _reach(data)
+    data_sq = _row_sq_norms(data)
     chunk = max(1, _CHUNK_ELEMENTS // max(k, dim))
     prev_labels = None
     history = []
@@ -205,16 +279,16 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
         for rows in _chunks(np.flatnonzero(moved[labels]), chunk):
             d2[rows] = _paired_sq_dists(data[rows], centers[labels[rows]])
         # a point keeps its label when every other center is certainly
-        # farther; ties and near ties go to cdist with the rest
+        # farther; ties and near ties go to `_nearest` with the rest
         radius = _upper_radii(d2)
+        center_sq = _row_sq_norms(centers)
         for rows in _chunks(np.flatnonzero(lower.min(axis=0) <= radius), chunk):
-            dist2 = _sq_dists(data[rows], centers)
-            best = dist2.argmin(axis=1)
-            pick = np.arange(rows.size)
+            best, dist2, err = _nearest(data[rows], data_sq[rows], centers, center_sq)
             labels[rows] = best
-            d2[rows] = dist2[pick, best]
-            bound = _lower_bounds(dist2)
-            bound[pick, best] = np.inf
+            d2[rows] = _paired_sq_dists(data[rows], centers[best])
+            # d~ - err <= d, and the float32 rounding stays below its root
+            bound = _lower_bounds(np.maximum(dist2 - err[:, None], 0.0))
+            bound[np.arange(rows.size), best] = np.inf
             lower[:, rows] = bound.T
         history.append(float(d2.sum()))
         counts = np.bincount(labels, minlength=k)
@@ -271,6 +345,8 @@ def _as_matrix(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"descriptor dimension {vectors.shape[-1]} != codebook dimension {cb.dimension}"
         )
+    if cb.plain:
+        return vectors  # (v - 0) / 1 == v exactly
     return (vectors - cb.znorm.mean) / cb.znorm.stddev
 
 
@@ -280,10 +356,13 @@ def quantize_batch(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
     A row that is not finite, raw or normalized, raises ValueError.
     """
     z = _as_matrix(cb, np.atleast_2d(np.asarray(vectors, dtype=np.float64)))
-    finite = np.isfinite(z).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite value in row {int(finite.argmin())}")
-    return _sq_dists(z, cb.centers).argmin(axis=1)
+    z_sq = _row_sq_norms(z)
+    # a finite norm proves a finite row; only overflow or a bad row look closer
+    if not np.isfinite(z_sq).all():
+        finite = np.isfinite(z).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite value in row {int(finite.argmin())}")
+    return _nearest(z, z_sq, cb.centers, cb.center_sq)[0]
 
 
 def encode_sequence(cb: Codebook, descriptors, source: str = "") -> SymbolSequence:

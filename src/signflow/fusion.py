@@ -9,7 +9,7 @@ before coupling so both rules stay defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
@@ -39,23 +39,56 @@ class CoupledResponse:
 
 @dataclass
 class KdeFusionModel:
-    """Per-class training responses, diagonal bandwidths, and priors."""
+    """Per-class training responses, diagonal bandwidths, and priors.
+
+    Construction also stacks the classes for `kde_class_log_posteriors`:
+    classes with equal point counts share one (C_g, N, D) block, so no
+    block needs padding.
+    """
 
     class_points: list
     bandwidths: np.ndarray
     priors: np.ndarray
+    blocks: list = field(init=False, repr=False, compare=False)
+    log_norm: np.ndarray = field(init=False, repr=False, compare=False)
+    log_count: np.ndarray = field(init=False, repr=False, compare=False)
+    log_prior: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.class_points = [np.asarray(p, dtype=np.float64) for p in self.class_points]
         self.bandwidths = np.asarray(self.bandwidths, dtype=np.float64)
         self.priors = np.asarray(self.priors, dtype=np.float64)
         c = len(self.class_points)
-        if self.bandwidths.shape[0] != c or self.priors.shape[0] != c:
-            raise ValueError("per-class field lengths disagree")
-        if np.any(self.bandwidths <= 0):
-            raise ValueError("bandwidths must be positive")
+        if self.bandwidths.ndim != 2 or self.bandwidths.shape[0] != c \
+                or self.priors.shape != (c,):
+            raise ValueError("bandwidths must be (classes, D) and priors "
+                             "(classes,)")
+        if not np.isfinite(self.bandwidths).all() or np.any(self.bandwidths <= 0):
+            raise ValueError("bandwidths must be finite and positive")
+        if not np.isfinite(self.priors).all() or np.any(self.priors < 0):
+            raise ValueError("priors must be finite and non-negative")
         if abs(self.priors.sum() - 1.0) > 1e-9:
             raise ValueError("priors must sum to 1")
+        dim = self.bandwidths.shape[1]
+        for k, p in enumerate(self.class_points):
+            if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] != dim:
+                raise ValueError(f"class {k} points have shape {p.shape}, "
+                                 f"expected (N >= 1, {dim})")
+            if not np.isfinite(p).all():
+                raise ValueError(f"class {k} has a non-finite point")
+        counts = np.array([p.shape[0] for p in self.class_points])
+        self.blocks = []
+        for n in np.unique(counts):
+            members = np.flatnonzero(counts == n)
+            self.blocks.append((members,
+                                np.stack([self.class_points[k] for k in members]),
+                                self.bandwidths[members, None, :]))
+        # per class, the same float steps a one-class density takes
+        self.log_norm = np.array([np.log(h).sum() for h in self.bandwidths]) \
+            + 0.5 * dim * np.log(2.0 * np.pi)
+        self.log_count = np.log(counts)
+        with np.errstate(divide="ignore"):
+            self.log_prior = np.log(self.priors)
 
     @property
     def n_classes(self) -> int:
@@ -117,15 +150,6 @@ def silverman_bandwidths(data: np.ndarray, floor: float = BW_FLOOR) -> np.ndarra
     return np.maximum(h, floor)
 
 
-def kde_log_density(train: np.ndarray, bandwidths: np.ndarray,
-                    query: np.ndarray) -> float:
-    """log of a product-Gaussian KDE at one query point."""
-    z = (query - train) / bandwidths
-    exponents = -0.5 * (z * z).sum(axis=1)
-    log_norm = np.log(bandwidths).sum() + 0.5 * train.shape[1] * np.log(2.0 * np.pi)
-    return float(logsumexp(exponents) - log_norm - np.log(train.shape[0]))
-
-
 def train_kde_fusion(pairs, bw_floor: float = BW_FLOOR) -> KdeFusionModel:
     """Per-class KDE over coupled responses; priors = class frequencies."""
     X, y, n_classes = _training_matrix(pairs)
@@ -136,16 +160,21 @@ def train_kde_fusion(pairs, bw_floor: float = BW_FLOOR) -> KdeFusionModel:
 
 
 def kde_class_log_posteriors(model: KdeFusionModel, r: CoupledResponse) -> np.ndarray:
-    """Unnormalized log p(R|c) + log p(c) per class."""
+    """Unnormalized log p(R|c) + log p(c) per class.
+
+    p(R|c) is the product-Gaussian KDE of class c at R. One pass per block
+    of equal-sized classes; each class's value takes the float steps of
+    its own one-class sum, ((logsumexp - log_norm) - log N) + log prior.
+    """
     q = r.values
     if q.shape[0] != model.dimension:
         raise ValueError(f"query dimension {q.shape[0]} != model dimension "
                          f"{model.dimension}")
-    return np.array([
-        kde_log_density(model.class_points[c], model.bandwidths[c], q)
-        + np.log(model.priors[c])
-        for c in range(model.n_classes)
-    ])
+    lse = np.empty(model.n_classes)
+    for members, points, bandwidths in model.blocks:
+        z = (q - points) / bandwidths
+        lse[members] = logsumexp(-0.5 * (z * z).sum(axis=2), axis=1)
+    return ((lse - model.log_norm) - model.log_count) + model.log_prior
 
 
 def predict_kde(model: KdeFusionModel, r: CoupledResponse) -> int:

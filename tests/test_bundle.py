@@ -158,6 +158,49 @@ class TestErrors:
         assert "model.json" in str(exc.value)
 
 
+def _edit_kde(doc, case):
+    fk = doc["fusion_kde"]
+    if case == "nan point":
+        fk["class_points"][1][0][2] = float("nan")
+    elif case == "inf point":
+        fk["class_points"][0][1][0] = float("inf")
+    elif case == "empty class":
+        fk["class_points"][1] = []
+    elif case == "short row":
+        fk["class_points"][1] = [row[:-1] for row in fk["class_points"][1]]
+    elif case == "flat points":
+        fk["class_points"][0] = fk["class_points"][0][0]
+    elif case == "nan bandwidth":
+        fk["bandwidths"][0][3] = float("nan")
+    elif case == "inf bandwidth":
+        fk["bandwidths"][1][0] = float("inf")
+    elif case == "flat bandwidths":  # one per class, not (C, D)
+        fk["bandwidths"] = [0.5, 0.5]
+    elif case == "nan prior":
+        fk["priors"] = [float("nan"), 1.0]
+    elif case == "inf prior":
+        fk["priors"] = [float("inf"), float("-inf")]
+
+
+class TestBadKdeModel:
+    """A KDE member that cannot score a query must not load: a NaN point
+    used to win every decision, a short or empty class to fail at predict."""
+
+    @pytest.mark.parametrize("case", [
+        "nan point", "inf point", "empty class", "short row", "flat points",
+        "nan bandwidth", "inf bandwidth", "flat bandwidths", "nan prior",
+        "inf prior"])
+    def test_load_names_the_file(self, tmp_path, case):
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(), p)
+        doc = json.loads(p.read_text())
+        _edit_kde(doc, case)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError) as exc:
+            load_bundle(p)
+        assert "model.json" in str(exc.value)
+
+
 class TestValidation:
     def test_symbol_count_mismatch(self):
         rng = np.random.default_rng(101)

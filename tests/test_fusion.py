@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from signflow.fusion import (
     BW_FLOOR,
     CLAMP_FLOOR,
     CoupledResponse,
+    KdeFusionModel,
     couple,
-    kde_log_density,
+    kde_class_log_posteriors,
     predict_kde,
     predict_linear,
     silverman_bandwidths,
@@ -19,6 +23,26 @@ from signflow.fusion import (
 )
 from signflow.hmm import GestureResponse
 from signflow.linear_model import MulticlassLinearModel
+from signflow.pipeline import items_from_corpus, predict_item, train_pipeline
+from signflow.skeleton import JointId
+from signflow.synthetic import ClassSpec, SyntheticConfig, generate_synthetic_corpus
+
+
+def kde_log_density(train, bandwidths, query):
+    """Oracle: log of one class's product-Gaussian KDE at one query point,
+    with the float steps of the per-class loop the stacked pass replaced."""
+    z = (query - train) / bandwidths
+    exponents = -0.5 * (z * z).sum(axis=1)
+    log_norm = np.log(bandwidths).sum() + 0.5 * train.shape[1] * np.log(2.0 * np.pi)
+    return float(logsumexp(exponents) - log_norm - np.log(train.shape[0]))
+
+
+def oracle_log_posteriors(model, query):
+    return np.array([
+        kde_log_density(model.class_points[c], model.bandwidths[c], query)
+        + np.log(model.priors[c])
+        for c in range(model.n_classes)
+    ])
 
 
 def training_accuracy(model, X, y):
@@ -200,7 +224,6 @@ class TestKdeFusion:
         pairs = [(coupled(p), 0) for _ in range(9)] + [(coupled(p), 1)]
         model = train_kde_fusion(pairs)
         np.testing.assert_allclose(model.priors, [0.9, 0.1])
-        from signflow.fusion import kde_class_log_posteriors
         for q in (p, p + 2e-7):
             lp = kde_class_log_posteriors(model, coupled(q))
             assert abs((lp[0] - lp[1]) - math.log(9.0)) < 1e-9
@@ -252,7 +275,6 @@ class TestKdeFusion:
         rng = np.random.default_rng(71)
         pairs = [(coupled(rng.normal(size=4)), c) for c in (0, 1) for _ in range(10)]
         model = train_kde_fusion(pairs)
-        from signflow.fusion import kde_class_log_posteriors
         q = coupled(rng.normal(size=4))
         lp = kde_class_log_posteriors(model, q)
         assert predict_kde(model, q) == int(lp.argmax())
@@ -268,6 +290,64 @@ class TestKdeFusion:
         model = train_kde_fusion(pairs)
         with pytest.raises(ValueError):
             predict_kde(model, coupled(np.zeros(6)))
+
+
+@st.composite
+def kde_models(draw):
+    """KDE models with unequal class sizes; some classes are constant, so
+    their bandwidths sit on the floor."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n_classes = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=n_classes,
+                          max_size=n_classes))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(seed)
+    dim = 2 * n_classes
+    points = []
+    for n in sizes:
+        p = rng.normal(size=(n, dim)) * scale
+        if rng.random() < 0.3:
+            p[:] = p[0]
+        points.append(p)
+    bandwidths = np.stack([silverman_bandwidths(p) for p in points])
+    priors = np.array(sizes) / sum(sizes)
+    model = KdeFusionModel(class_points=points, bandwidths=bandwidths,
+                           priors=priors)
+    queries = rng.normal(size=(4, dim)) * scale
+    queries[0] = points[-1][0]
+    return model, queries
+
+
+class TestStackedKde:
+    @settings(max_examples=200, deadline=None)
+    @given(kde_models())
+    def test_bytes_equal_per_class_oracle(self, case):
+        model, queries = case
+        for q in queries:
+            got = kde_class_log_posteriors(model, coupled(q))
+            assert got.tobytes() == oracle_log_posteriors(model, q).tobytes()
+            assert np.isfinite(got).all()
+
+    def test_noise_free_corpus_decision_is_finite(self):
+        # with noise 0 every response of a class repeats, so every
+        # bandwidth sits on the 1e-6 floor; the decision must stay finite
+        config = SyntheticConfig(
+            classes=[ClassSpec(template=0, anchor=JointId.Head, mask=0),
+                     ClassSpec(template=1, anchor=JointId.Neck, mask=1)],
+            counts=(3, 3, 2), noise=0.0, frame_count_range=(10, 10), seed=5)
+        items = items_from_corpus(generate_synthetic_corpus(config))
+        bundle = train_pipeline(items, {"gesture_k": 8, "posture_k": 8,
+                                        "hmm_states": 3, "hmm_iters": 3,
+                                        "epochs": 5, "seed": 1})
+        model = bundle.fusion_kde
+        assert np.all(model.bandwidths == BW_FLOOR)
+        tests = [item for item in items if item.split == "test"]
+        assert len(tests) == 4
+        for item in tests:
+            pred = predict_item(bundle, item.sequence, masks=item.masks)
+            lp = kde_class_log_posteriors(model, pred.coupled)
+            assert np.all(np.isfinite(lp))
+            assert pred.fused_class == int(lp.argmax())
 
 
 class TestCoupledResponseValidation:

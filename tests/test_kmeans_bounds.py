@@ -180,24 +180,25 @@ class TestPairedDistances:
 class TestPruning:
     def test_most_rows_skip_cdist(self, monkeypatch):
         # well-separated blobs: after the first passes few points are near a
-        # second center, so most rows never reach cdist again
+        # second center, so most rows never reach `_nearest` again
         rng = np.random.default_rng(4)
         means = rng.normal(size=(20, 8)) * 10.0
         points = means[rng.integers(20, size=4000)] + rng.normal(size=(4000, 8))
         rows = []
-        real = codebook._sq_dists
+        real = codebook._nearest
 
-        def counting(a, b):
-            if b.shape[0] > 1:
-                rows.append(a.shape[0])
-            return real(a, b)
+        def counting(a, *args):
+            rows.append(a.shape[0])
+            return real(a, *args)
 
-        monkeypatch.setattr(codebook, "_sq_dists", counting)
+        monkeypatch.setattr(codebook, "_nearest", counting)
         cb = fit_kmeans(points, 20, seed=3)
         monkeypatch.undo()
         assert_matches_oracle(points, 20, 3)
         passes = len(cb.wcss_history)
         assert passes > 2
+        # the first pass has no bounds yet, so every row is searched once
+        assert sum(rows) >= points.shape[0]
         assert sum(rows) < 0.5 * passes * points.shape[0]
 
 
