@@ -5,7 +5,7 @@ Two recognition branches over tracked-skeleton video: a gesture branch
 symbols and scored by per-class left-right HMMs) and a hand-posture branch
 (per-frame binary hand masks, shape-context bag-of-words, linear multiclass
 scoring), combined by a late fusion stage. A skeleton sequence is one
-(T, J, 3) position array plus its (T,) timestamps.
+(T, 15, 3) position array plus its (T,) timestamps.
 """
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ from .descriptors import (
 )
 from .codebook import (
     Codebook,
-    SymbolSequence,
     build_codebook,
     encode_sequence,
     fit_kmeans,
@@ -47,7 +46,6 @@ from .hmm import (
 from .posture import (
     HandRegion,
     HandSide,
-    PostureBoW,
     PostureModel,
     encode_video_bow,
     frame_shape_contexts,
@@ -72,7 +70,6 @@ from .metrics import (
 )
 from .dataset import (
     CorruptFileError,
-    CsvSchema,
     DatasetManifest,
     MalformedRowError,
     ManifestEntry,

@@ -158,8 +158,17 @@ def _require(doc: dict, key: str, path) -> object:
 
 
 def load_bundle(path) -> ModelBundle:
+    """Read a bundle; a malformed one raises CorruptFileError naming `path`.
+
+    save_bundle never writes NaN or Infinity, so a file that holds one is
+    rejected wherever it sits: checks such as a row summing to 1 let NaN
+    through.
+    """
+    def non_finite(token):
+        raise CorruptFileError(f"{path}: non-finite number {token}")
+
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise CorruptFileError(f"{path}: line {exc.lineno} col {exc.colno}: "
                                f"{exc.msg}") from None

@@ -63,24 +63,6 @@ class Codebook:
         return self.centers.shape[1]
 
 
-@dataclass
-class SymbolSequence:
-    """One gesture re-encoded as its ordered nearest-center indices."""
-
-    symbols: np.ndarray
-    source: str = ""
-
-    def __post_init__(self):
-        self.symbols = np.asarray(self.symbols, dtype=np.int64)
-        if self.symbols.ndim != 1 or self.symbols.shape[0] < 1:
-            raise ValueError("symbol sequence must be a non-empty 1-D array")
-        if np.any(self.symbols < 0):
-            raise ValueError("negative symbol")
-
-    def __len__(self) -> int:
-        return self.symbols.shape[0]
-
-
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # the reference distances: cdist accumulates (x_i - y_i)^2 left to
     # right, the same order the linear-scan oracle uses, so argmin ties
@@ -365,11 +347,12 @@ def quantize_batch(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
     return _nearest(z, z_sq, cb.centers, cb.center_sq)[0]
 
 
-def encode_sequence(cb: Codebook, descriptors, source: str = "") -> SymbolSequence:
-    """Quantize an (n, D) descriptor stream in order; one symbol per row.
+def encode_sequence(cb: Codebook, descriptors, source: str = "") -> np.ndarray:
+    """Quantize an (n, D) descriptor stream in order: the (n,) int64
+    symbols, one per row.
 
     An empty stream raises EmptyInputError naming `source`.
     """
     if len(descriptors) == 0:
         raise EmptyInputError(f"{source or 'sequence'}: no descriptors to encode")
-    return SymbolSequence(symbols=quantize_batch(cb, descriptors), source=source)
+    return quantize_batch(cb, descriptors)

@@ -21,11 +21,8 @@ import numpy as np
 from . import __version__
 from .posture import PATCH, HandRegion, HandSide
 from .skeleton import (
-    ALL_JOINTS,
-    UPPER_BODY,
     EmptyInputError,
     JointId,
-    MissingJointError,
     SignflowError,
     SkeletonSequence,
     forward_fill,
@@ -49,30 +46,8 @@ class CorruptFileError(SignflowError):
     """A structured file could not be decoded; message names the spot."""
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Row layout: timestamp column, then fields_per_joint columns per joint.
-
-    With 4 fields per joint the last one is a confidence; zero or negative
-    confidence marks the joint missing in that frame, to be repaired by
-    forward fill. With 3 fields every joint is taken as observed.
-    """
-
-    joints: tuple = ALL_JOINTS
-    fields_per_joint: int = 4
-
-    def __post_init__(self):
-        if self.fields_per_joint not in (3, 4):
-            raise ValueError("fields_per_joint must be 3 (x,y,z) or 4 (+confidence)")
-        if len(set(self.joints)) != len(self.joints):
-            raise ValueError("duplicate joint in schema")
-
-    @property
-    def n_columns(self) -> int:
-        return 1 + len(self.joints) * self.fields_per_joint
-
-
-DEFAULT_SCHEMA = CsvSchema()
+# one row per frame: the timestamp, then x, y, z, confidence per JointId
+_N_COLUMNS = 1 + 4 * len(JointId)
 
 
 def _float_or_none(cell: str) -> Optional[float]:
@@ -90,37 +65,36 @@ def _bad_value(rows: np.ndarray, fields: np.ndarray, observed: np.ndarray):
     and its confidence at most 1.
     """
     bad = ~np.isfinite(fields) & observed[:, :, None]
-    if fields.shape[2] == 4:
-        bad[:, :, 3] = observed & (fields[:, :, 3] > 1)
+    bad[:, :, 3] = observed & (fields[:, :, 3] > 1)
     ts = rows[:, 0]
     back = np.concatenate([[False], ts[1:] < ts[:-1]])
     bad = np.concatenate([(~np.isfinite(ts) | back)[:, None],
-                          bad.reshape(len(rows), rows.shape[1] - 1)], axis=1)
+                          bad.reshape(len(rows), _N_COLUMNS - 1)], axis=1)
     if not bad.any():
         return None
-    row, col = divmod(int(bad.argmax()), rows.shape[1])
+    row, col = divmod(int(bad.argmax()), _N_COLUMNS)
     value = float(rows[row, col])
     if col == 0 and not np.isfinite(value):
         return row, f"non-finite timestamp: {value!r}"
     if col == 0:
         return row, f"timestamp {value!r} goes back from {float(ts[row - 1])!r}"
-    if (col - 1) % fields.shape[2] == 3:
+    if (col - 1) % 4 == 3:
         return row, f"confidence outside [0, 1]: {value!r}"
     return row, f"non-finite joint coordinate: {value!r}"
 
 
-def parse_skeleton_csv(path, schema: CsvSchema = DEFAULT_SCHEMA,
-                       required: tuple = UPPER_BODY) -> SkeletonSequence:
+def parse_skeleton_csv(path) -> SkeletonSequence:
     """Read one recording; repair missing joints by forward fill.
 
-    Rows that fail to parse, or hold a non-finite timestamp, one below the
-    previous row's, a non-finite observed coordinate or a confidence above
-    1, are rejected with the file and their 1-based line number. Lines starting with '#' and blank lines are
+    Each row holds the timestamp, then x, y, z and a confidence for every
+    JointId in order; zero or negative confidence marks the joint missing
+    in that frame. Rows that fail to parse, or hold a non-finite
+    timestamp, one below the previous row's, a non-finite observed
+    coordinate or a confidence above 1, are rejected with the file and
+    their 1-based line number. A joint missing from the first frame
+    raises MissingJointError. Lines starting with '#' and blank lines are
     skipped.
     """
-    for jid in required:
-        if jid not in schema.joints:
-            raise MissingJointError(JointId(jid))
     rows, lines = [], []
     error = None  # a row that does not parse ends the read
     with open(path, newline="") as fh:
@@ -129,9 +103,9 @@ def parse_skeleton_csv(path, schema: CsvSchema = DEFAULT_SCHEMA,
                 continue
             if row[0].lstrip().startswith("#"):
                 continue
-            if len(row) != schema.n_columns:
+            if len(row) != _N_COLUMNS:
                 error = MalformedRowError(
-                    path, lineno, f"expected {schema.n_columns} columns, got {len(row)}")
+                    path, lineno, f"expected {_N_COLUMNS} columns, got {len(row)}")
                 break
             try:
                 rows.append(list(map(float, row)))
@@ -140,11 +114,9 @@ def parse_skeleton_csv(path, schema: CsvSchema = DEFAULT_SCHEMA,
                 error = MalformedRowError(path, lineno, f"non-numeric cell {bad!r}")
                 break
             lines.append(lineno)
-    data = np.array(rows, dtype=np.float64).reshape(len(rows), schema.n_columns)
-    fields = data[:, 1:].reshape(len(rows), len(schema.joints), schema.fields_per_joint)
-    # zero or negative confidence marks a joint missing in that frame
-    observed = fields[:, :, 3] > 0 if schema.fields_per_joint == 4 else \
-        np.ones(fields.shape[:2], dtype=bool)
+    data = np.array(rows, dtype=np.float64).reshape(len(rows), _N_COLUMNS)
+    fields = data[:, 1:].reshape(len(rows), len(JointId), 4)
+    observed = fields[:, :, 3] > 0
     found = _bad_value(data, fields, observed)
     if found is not None:  # an earlier line than the one that ended the read
         raise MalformedRowError(path, lines[found[0]], found[1])
@@ -152,29 +124,27 @@ def parse_skeleton_csv(path, schema: CsvSchema = DEFAULT_SCHEMA,
         raise error
     if not rows:
         raise EmptyInputError(f"no data rows in {path}")
-    positions = forward_fill(fields[:, :, :3], observed, schema.joints)
-    return SkeletonSequence(timestamps=data[:, 0], positions=positions,
-                            joints=schema.joints, source=str(path))
+    return SkeletonSequence(timestamps=data[:, 0],
+                            positions=forward_fill(fields[:, :, :3], observed),
+                            source=str(path))
 
 
 def write_skeleton_csv(path, seq: SkeletonSequence,
-                       schema: CsvSchema = DEFAULT_SCHEMA,
                        header: Optional[str] = None) -> None:
     """Inverse of parse_skeleton_csv; floats via repr, so round-trips exact.
 
     Every joint is written as observed (confidence 1.0).
     """
-    positions = seq.positions[:, seq.columns(schema.joints)].tolist()
-    conf = [repr(1.0)] if schema.fields_per_joint == 4 else []
+    conf = repr(1.0)
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(f"# {header}\n")
         writer = csv.writer(fh)
-        for ts, frame in zip(seq.timestamps.tolist(), positions):
+        for ts, frame in zip(seq.timestamps.tolist(), seq.positions.tolist()):
             row = [repr(ts)]
             for xyz in frame:
                 row.extend(map(repr, xyz))
-                row.extend(conf)
+                row.append(conf)
             writer.writerow(row)
 
 
@@ -201,11 +171,11 @@ class DatasetManifest:
             raise EmptyInputError("manifest has no entries")
         subject_splits: dict[str, set] = {}
         labels = set()
-        for e in self.entries:
+        for i, e in enumerate(self.entries):
             if e.split not in SPLITS:
-                raise ValueError(f"unknown split {e.split!r}")
+                raise ValueError(f"entry {i}: unknown split {e.split!r}")
             if e.label < 0:
-                raise ValueError("negative label")
+                raise ValueError(f"entry {i}: negative label {e.label}")
             labels.add(e.label)
             subject_splits.setdefault(e.subject, set()).add(e.split)
         want = set(range(max(labels) + 1))
@@ -250,9 +220,12 @@ def load_manifest(path) -> DatasetManifest:
                 split=item["split"],
                 mask_dir=item.get("mask_dir"),
             ))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFileError(f"{path}: entry {i}: {exc}") from None
-    return DatasetManifest(entries=entries)
+    try:
+        return DatasetManifest(entries=entries)
+    except ValueError as exc:
+        raise CorruptFileError(f"{path}: {exc}") from None
 
 
 def save_mask(path, mask: np.ndarray, comment: str = "") -> None:

@@ -11,7 +11,7 @@ other joints at frame t+1, mixing spatial and temporal information:
     hd      delta   = hand(t)      - torso(t)        6 components
     hd-t    delta   = hand(t)      - torso(t+1)      6 components
 
-Each variant is one gather-and-subtract over the sequence's (T, J, 3)
+Each variant is one gather-and-subtract over the sequence's (T, 15, 3)
 positions and yields a (T, D) array, or (T - 1, D) for the -T variants.
 All variants are invariant to translating every joint by a common offset.
 """
@@ -67,8 +67,6 @@ class ZNormStats:
         return cls(np.zeros(dimension), np.ones(dimension))
 
 
-
-
 def describe_sequence(seq: SkeletonSequence, variant: DescriptorVariant) -> np.ndarray:
     """Descriptor stream for a whole sequence, one row per frame, in order.
 
@@ -81,12 +79,12 @@ def describe_sequence(seq: SkeletonSequence, variant: DescriptorVariant) -> np.n
     variant = DescriptorVariant(variant)
     pos = seq.positions
     ref, moved = (pos[:-1], pos[1:]) if variant.time_extended else (pos, pos)
-    hands = ref[:, seq.columns((JointId.RHand, JointId.LHand))]
+    hands = ref[:, [JointId.RHand, JointId.LHand]]
     if variant in (DescriptorVariant.RBPD, DescriptorVariant.RBPD_T):
-        joints = moved[:, seq.columns(UPPER_BODY)]
+        joints = moved[:, list(UPPER_BODY)]
         delta = joints[:, None, :, :] - hands[:, :, None, :]  # (T', hand, joint, 3)
     else:
-        delta = hands - moved[:, seq.columns((JointId.Torso,))]
+        delta = hands - moved[:, [JointId.Torso]]
     return delta.reshape(len(delta), variant.dimension)
 
 

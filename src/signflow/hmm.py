@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebook import SymbolSequence
 from .skeleton import EmptyInputError
 
 EPS_P = 1e-6
@@ -29,7 +28,7 @@ _ROW_TOL = 1e-9
 
 
 def _symbols(obs) -> np.ndarray:
-    arr = np.asarray(getattr(obs, "symbols", obs), dtype=np.int64)
+    arr = np.asarray(obs, dtype=np.int64)
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise EmptyInputError("empty observation sequence")
     return arr

@@ -52,7 +52,6 @@ from .hmm import baum_welch  # noqa: F401
 from .metrics import ConfusionMatrix, MetricsReport, confusion, precision_recall_fscore
 from .posture import (
     DEFAULT_POSTURE_COST,
-    PostureBoW,
     bow_from_shape_contexts,
     encode_video_bow,
     posture_response,
@@ -114,6 +113,11 @@ def make_config(**overrides) -> dict:
     tol = config["hmm_tol"]
     if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol >= 0):
         raise ValueError(f"hmm_tol must be a finite number >= 0, got {tol!r}")
+    for key in ("posture_cost", "fusion_cost"):
+        cost = config[key]
+        if isinstance(cost, bool) or not (
+                isinstance(cost, numbers.Real) and np.isfinite(cost) and cost > 0):
+            raise ValueError(f"{key} must be a finite number > 0, got {cost!r}")
     if not _is_integral(config["seed"]):
         raise ValueError(f"seed must be an integer, got {config['seed']!r}")
     config["seed"] = int(config["seed"])
@@ -270,9 +274,8 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
         posture_k = min(config["posture_k"], sc_data.shape[0])
         posture_cb = fit_kmeans(sc_data, k=posture_k,
                                 seed=derive_seed(seed, "posture-cb"))
-        bows = [bow_from_shape_contexts(rows, halves, posture_cb,
-                                        video_id=i.sequence.source)
-                for (rows, halves), i in zip(per_video, train)]
+        bows = [bow_from_shape_contexts(rows, halves, posture_cb)
+                for rows, halves in per_video]
         posture_model = train_posture_classifier(
             list(zip(bows, (i.label for i in train))), posture_cb,
             cost=config["posture_cost"], seed=derive_seed(seed, "posture-clf"),
@@ -286,8 +289,7 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
         for item in val:
             rg = classify_gesture(hmms, _gesture_symbols(gesture_cb,
                                                          item.sequence))
-            bow = encode_video_bow(_video_regions(item.masks), posture_model.codebook,
-                                   video_id=item.sequence.source)
+            bow = encode_video_bow(_video_regions(item.masks), posture_model.codebook)
             rp = posture_response(posture_model, bow)
             pairs.append((couple(rp, rg), item.label))
         fusion_linear = train_linear_fusion(
@@ -354,12 +356,9 @@ def predict_item(bundle: ModelBundle, sequence: SkeletonSequence,
     timings["gesture_classification"] = time.perf_counter() - t0
 
     rp = None
-    bow: Optional[PostureBoW] = None
     if mode != "gesture-only":
         t0 = time.perf_counter()
-        bow = encode_video_bow(_video_regions(masks),
-                               bundle.posture_model.codebook,
-                               video_id=sequence.source)
+        bow = encode_video_bow(_video_regions(masks), bundle.posture_model.codebook)
         timings["posture_description"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         rp = posture_response(bundle.posture_model, bow)

@@ -74,24 +74,6 @@ class HandRegion:
 
 
 @dataclass
-class PostureBoW:
-    """Per-video [right | left] histogram over posture codebook words."""
-
-    histogram: np.ndarray
-    video_id: str = ""
-
-    def __post_init__(self):
-        self.histogram = np.asarray(self.histogram, dtype=np.float64)
-        if self.histogram.ndim != 1 or self.histogram.shape[0] % 2 != 0:
-            raise ValueError("histogram must be 1-D with even length")
-        half = self.histogram.shape[0] // 2
-        for lo, hi in ((0, half), (half, 2 * half)):
-            s = self.histogram[lo:hi].sum()
-            if s != 0.0 and abs(s - 1.0) > 1e-9:
-                raise ValueError("each half must sum to 1 or be all-zero")
-
-
-@dataclass
 class PostureModel:
     """Linear posture classifier over BoW space plus its codebook."""
 
@@ -292,11 +274,11 @@ def video_shape_contexts(frames,
 
 
 def bow_from_shape_contexts(rows: np.ndarray, halves: np.ndarray,
-                            posture_cb: Codebook, video_id: str = "") -> PostureBoW:
-    """[right | left] bag-of-words from video_shape_contexts output.
+                            posture_cb: Codebook) -> np.ndarray:
+    """(2k,) [right | left] bag-of-words from video_shape_contexts output.
 
     The whole video is quantized at once; each half is L1-normalized
-    independently by its integer word count.
+    independently by its integer word count, or stays all-zero.
     """
     if posture_cb.dimension != SC_DIM:
         raise ValueError(f"posture codebook must be {SC_DIM}-D, "
@@ -304,26 +286,25 @@ def bow_from_shape_contexts(rows: np.ndarray, halves: np.ndarray,
     k = posture_cb.k
     words = quantize_batch(posture_cb, rows)
     counts = np.bincount(halves * k + words, minlength=2 * k).reshape(2, k)
-    hist = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
-    return PostureBoW(histogram=hist.ravel(), video_id=video_id)
+    return (counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)).ravel()
 
 
-def encode_video_bow(frames, posture_cb: Codebook, video_id: str = "",
-                     m: int = CONTOUR_POINTS) -> PostureBoW:
+def encode_video_bow(frames, posture_cb: Codebook,
+                     m: int = CONTOUR_POINTS) -> np.ndarray:
     """Bag-of-words over a whole video's hand regions; see
     video_shape_contexts and bow_from_shape_contexts."""
     rows, halves = video_shape_contexts(frames, m)
-    return bow_from_shape_contexts(rows, halves, posture_cb, video_id)
+    return bow_from_shape_contexts(rows, halves, posture_cb)
 
 
 def train_posture_classifier(pairs, codebook: Codebook,
                              cost: float = DEFAULT_POSTURE_COST,
                              seed: int = 0, epochs: int = 60) -> PostureModel:
-    """Fit the linear multiclass posture model on (PostureBoW, class) pairs."""
+    """Fit the linear multiclass posture model on (bag-of-words, class) pairs."""
     pairs = list(pairs)
     if not pairs:
         raise EmptyInputError("no training pairs")
-    X = np.stack([p.histogram for p, _ in pairs])
+    X = np.stack([bow for bow, _ in pairs])
     y = np.array([c for _, c in pairs], dtype=np.int64)
     n_classes = int(y.max()) + 1
     if n_classes < 2:
@@ -337,6 +318,6 @@ def train_posture_classifier(pairs, codebook: Codebook,
     return PostureModel(model=model, codebook=codebook)
 
 
-def posture_response(model: PostureModel, p: PostureBoW) -> np.ndarray:
-    """R_posture = W p, no normalization."""
-    return response(model.model, p.histogram)
+def posture_response(model: PostureModel, bow: np.ndarray) -> np.ndarray:
+    """R_posture = W p for a (2k,) bag-of-words p, no normalization."""
+    return response(model.model, bow)

@@ -1,10 +1,9 @@
 """Canonical skeleton-sequence representation.
 
-A sequence is one array: positions (T, J, 3), one row per capture
-timestamp, holding world coordinates in meters (camera frame) of the J
-joints its `joints` tuple names, in column order. Everything downstream
-(descriptors, the CSV adapter, the synthetic generator) reads and writes
-these arrays.
+A sequence is one array: positions (T, 15, 3), one row per capture
+timestamp, holding world coordinates in meters (camera frame) of every
+joint, column j for JointId(j). Everything downstream (descriptors, the
+CSV adapter, the synthetic generator) reads and writes these arrays.
 """
 
 from __future__ import annotations
@@ -71,29 +70,22 @@ ALL_JOINTS: tuple[JointId, ...] = tuple(JointId)
 
 @dataclass
 class SkeletonSequence:
-    """An isolated sign recording plus optional metadata.
+    """An isolated sign recording.
 
-    timestamps is (T,), positions (T, J, 3) with column j holding
-    joints[j]. Every value must be finite.
+    timestamps is (T,), positions (T, 15, 3) with column j holding
+    JointId(j). Every value must be finite.
     """
 
     timestamps: np.ndarray
     positions: np.ndarray
-    joints: tuple = ALL_JOINTS
-    label: int | None = None
-    subject: str | None = None
     source: str = ""
 
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
         self.positions = np.asarray(self.positions, dtype=np.float64)
-        self.joints = tuple(JointId(j) for j in self.joints)
-        if len(set(self.joints)) != len(self.joints):
-            raise ValueError("duplicate joint in sequence")
         n = self.timestamps.shape[0]
-        if self.timestamps.ndim != 1 or \
-                self.positions.shape != (n, len(self.joints), 3):
-            raise ValueError(f"positions must be ({n}, {len(self.joints)}, 3) "
+        if self.timestamps.ndim != 1 or self.positions.shape != (n, len(JointId), 3):
+            raise ValueError(f"positions must be ({n}, {len(JointId)}, 3) "
                              f"for {n} timestamps, got {self.positions.shape}")
         if not np.isfinite(self.timestamps).all():
             raise ValueError("non-finite timestamp")
@@ -103,21 +95,13 @@ class SkeletonSequence:
     def __len__(self) -> int:
         return self.timestamps.shape[0]
 
-    def columns(self, joints) -> list[int]:
-        """Column index of each joint; MissingJointError names an absent one."""
-        index = {j: i for i, j in enumerate(self.joints)}
-        for j in joints:
-            if j not in index:
-                raise MissingJointError(JointId(j))
-        return [index[j] for j in joints]
 
-
-def forward_fill(positions, observed, joints: tuple = ALL_JOINTS) -> np.ndarray:
+def forward_fill(positions, observed) -> np.ndarray:
     """Repair unobserved joints by holding each joint's last observed value.
 
-    positions is (T, J, 3) and observed (T, J), with columns named by
-    joints; unobserved entries of positions are ignored. The first frame
-    must be fully observed; otherwise there is nothing to hold, and
+    positions is (T, 15, 3) and observed (T, 15), column j for JointId(j);
+    unobserved entries of positions are ignored. The first frame must be
+    fully observed; otherwise there is nothing to hold, and
     MissingJointError names its first unobserved joint.
     """
     positions = np.asarray(positions, dtype=np.float64)
@@ -125,7 +109,7 @@ def forward_fill(positions, observed, joints: tuple = ALL_JOINTS) -> np.ndarray:
     if observed.shape[0] == 0:
         raise ValueError("empty frame list")
     if not observed[0].all():
-        raise MissingJointError(JointId(joints[int(observed[0].argmin())]))
+        raise MissingJointError(JointId(int(observed[0].argmin())))
     # for every (t, j), the last frame <= t at which joint j was observed
     held = np.where(observed, np.arange(observed.shape[0])[:, None], 0)
     np.maximum.accumulate(held, axis=0, out=held)

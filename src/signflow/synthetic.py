@@ -296,8 +296,6 @@ def generate_synthetic_corpus(cfg: SyntheticConfig,
             for k in range(cfg.counts[split_idx]):
                 subject = pool[k % len(pool)]
                 seq = _render_sequence(cfg, spec, puppets[subject], seq_index)
-                seq.label = label
-                seq.subject = subject
                 sequences.append(seq)
                 if with_masks:
                     masks.append(_render_masks(cfg, spec, seq_index, len(seq)))

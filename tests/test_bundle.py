@@ -201,6 +201,25 @@ class TestBadKdeModel:
         assert "model.json" in str(exc.value)
 
 
+class TestNonFiniteModel:
+    """save_bundle never writes NaN, but json reads it: a NaN in an HMM
+    passed the row-sum check and won every decision, and a NaN stddev
+    failed only at predict."""
+
+    @pytest.mark.parametrize("case", ["nan emission", "nan stddev"])
+    def test_load_names_the_file(self, tmp_path, case):
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(), p)
+        doc = json.loads(p.read_text())
+        if case == "nan emission":
+            doc["hmms"][0]["B"][0][1] = float("nan")
+        else:
+            doc["gesture_codebook"]["znorm"]["stddev"][2] = float("nan")
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError, match=r"model\.json: non-finite number NaN"):
+            load_bundle(p)
+
+
 class TestValidation:
     def test_symbol_count_mismatch(self):
         rng = np.random.default_rng(101)

@@ -12,7 +12,6 @@ import pytest
 
 from signflow.codebook import (
     Codebook,
-    SymbolSequence,
     build_codebook,
     encode_sequence,
     fit_kmeans,
@@ -184,16 +183,15 @@ class TestEncodeSequence:
         rng = np.random.default_rng(11)
         cb = self.make_hd_codebook(rng)
         seq = encode_sequence(cb, np.tile(cb.centers[3], (7, 1)))
-        np.testing.assert_array_equal(seq.symbols, 3)
-        assert len(seq) == 7
+        assert seq.dtype == np.int64 and seq.shape == (7,)
+        np.testing.assert_array_equal(seq, 3)
 
     def test_elementwise_matches_quantize(self):
         rng = np.random.default_rng(12)
         cb = self.make_hd_codebook(rng, k=8)
         descs = rng.normal(size=(40, 6))
         seq = encode_sequence(cb, descs, source="probe")
-        assert seq.source == "probe"
-        for d, s in zip(descs, seq.symbols):
+        for d, s in zip(descs, seq):
             assert quantize_batch(cb, d).tolist() == [s]
 
     def test_empty_rejected(self):
@@ -215,8 +213,8 @@ class TestEncodeSequence:
         rng = np.random.default_rng(15)
         cb = self.make_hd_codebook(rng, k=4)
         seq = encode_sequence(cb, rng.normal(size=(100, 6)) * 10)
-        assert seq.symbols.max() < 4
-        assert seq.symbols.min() >= 0
+        assert seq.max() < 4
+        assert seq.min() >= 0
 
 
 class TestBuildCodebook:
@@ -228,18 +226,9 @@ class TestBuildCodebook:
         np.testing.assert_allclose(cb.znorm.mean, data.mean(axis=0))
         # encoding the training data itself works and uses all usable symbols
         seq = encode_sequence(cb, data)
-        assert seq.symbols.max() < 10
+        assert seq.max() < 10
 
     def test_build_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             build_codebook(np.empty((0, 6)), k=3, seed=0)
 
-
-class TestSymbolSequence:
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            SymbolSequence(symbols=np.array([], dtype=np.int64))
-        with pytest.raises(ValueError):
-            SymbolSequence(symbols=np.array([1, -2]))
-        s = SymbolSequence(symbols=np.array([0, 1, 2]), source="x")
-        assert len(s) == 3

@@ -1,5 +1,7 @@
 """Tests for manifests, the skeleton CSV adapter, and PGM mask archives."""
 
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from signflow.dataset import (
-    DEFAULT_SCHEMA,
     CorruptFileError,
-    CsvSchema,
     DatasetManifest,
     MalformedRowError,
     ManifestEntry,
@@ -27,8 +27,6 @@ from signflow.dataset import (
 )
 from signflow.posture import PATCH, HandRegion, HandSide
 from signflow.skeleton import (
-    ALL_JOINTS,
-    UPPER_BODY,
     EmptyInputError,
     JointId,
     MissingJointError,
@@ -98,27 +96,19 @@ class TestParseCsv:
         with pytest.raises(MissingJointError):
             parse_skeleton_csv(p)
 
-    def test_required_joint_not_in_schema(self, tmp_path):
-        p = tmp_path / "seq.csv"
-        p.write_text("0.0,1.0,2.0,3.0,1.0\n")
-        schema = CsvSchema(joints=(JointId.Head,))
-        with pytest.raises(MissingJointError):
-            parse_skeleton_csv(p, schema=schema)
-        seq = parse_skeleton_csv(p, schema=schema, required=(JointId.Head,))
-        assert seq.joints == (JointId.Head,)
-        assert seq.positions[0, 0, 2] == 3.0
-
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "seq.csv"
         p.write_text("# nothing here\n")
         with pytest.raises(EmptyInputError):
             parse_skeleton_csv(p)
 
-    def test_three_field_schema(self, tmp_path):
+    def test_three_field_row_rejected(self, tmp_path):
+        # every joint carries a confidence: x, y, z alone is a short row
         p = tmp_path / "seq.csv"
         p.write_text("0.0," + ",".join(str(v) for v in range(45)) + "\n")
-        seq = parse_skeleton_csv(p, schema=CsvSchema(fields_per_joint=3))
-        assert seq.positions[0, JointId(1), 0] == 3.0
+        with pytest.raises(MalformedRowError, match="expected 61 columns, got 46") as exc:
+            parse_skeleton_csv(p)
+        assert exc.value.line == 1
 
     def test_non_finite_timestamp_names_line(self, tmp_path):
         # [0, .033, nan, 0.0]: the NaN used to load and hide the step back
@@ -177,12 +167,6 @@ class TestParseCsv:
         p.write_text("\n".join(rows[:2] + [rows[1]]) + "\n")
         assert len(parse_skeleton_csv(p)) == 3
 
-    def test_schema_validation(self):
-        with pytest.raises(ValueError):
-            CsvSchema(fields_per_joint=5)
-        with pytest.raises(ValueError):
-            CsvSchema(joints=(JointId.Head, JointId.Head))
-
 
 class TestRoundTrip:
     def test_write_then_parse_exact(self, tmp_path):
@@ -199,32 +183,32 @@ class TestRoundTrip:
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def schemas(draw):
-    """A shuffled superset of the upper body, with or without confidence."""
-    extra = draw(st.lists(st.sampled_from(ALL_JOINTS[len(UPPER_BODY):]), unique=True))
-    joints = draw(st.permutations(UPPER_BODY + tuple(extra)))
-    return CsvSchema(joints=tuple(joints), fields_per_joint=draw(st.sampled_from((3, 4))))
-
-
 class TestCsvProperties:
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), schemas())
-    def test_write_then_parse_is_exact(self, tmp_path_factory, data, schema):
+    @given(st.data())
+    def test_write_then_parse_is_exact(self, tmp_path_factory, data):
         n = data.draw(st.integers(1, 6))
         seq = SkeletonSequence(
             # sorted: a timestamp that goes back is rejected on parsing
             timestamps=np.sort(data.draw(arrays(np.float64, n, elements=finite))),
-            positions=data.draw(arrays(np.float64, (n, len(schema.joints), 3),
-                                       elements=finite)),
-            joints=schema.joints)
+            positions=data.draw(arrays(np.float64, (n, 15, 3), elements=finite)))
         p = tmp_path_factory.mktemp("csv") / "seq.csv"
-        write_skeleton_csv(p, seq, schema=schema)
-        back = parse_skeleton_csv(p, schema=schema)
-        assert back.joints == seq.joints
+        write_skeleton_csv(p, seq)
+        # then mark some joints after the first frame missing: a confidence
+        # <= 0 holds the joint's last observed value instead
+        missing = data.draw(arrays(bool, (n, 15)))
+        missing[0] = False
+        rows = [line.split(",") for line in p.read_text().splitlines()]
+        for t, j in zip(*np.nonzero(missing)):
+            rows[t][4 * j + 4] = repr(data.draw(st.floats(max_value=0.0, allow_nan=False)))
+        p.write_text("".join(",".join(row) + "\n" for row in rows))
+        want = seq.positions.copy()
+        for t in range(1, n):
+            want[t, missing[t]] = want[t - 1, missing[t]]
+        back = parse_skeleton_csv(p)
         # bytes, so that -0.0 and 0.0 count as different
         assert back.timestamps.tobytes() == seq.timestamps.tobytes()
-        assert back.positions.tobytes() == seq.positions.tobytes()
+        assert back.positions.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -246,7 +230,7 @@ class TestCsvProperties:
             lines.append(",".join(cells))
         p = tmp_path_factory.mktemp("csv") / "seq.csv"
         p.write_text("\n".join(lines) + "\n")
-        seq = parse_skeleton_csv(p, schema=DEFAULT_SCHEMA)
+        seq = parse_skeleton_csv(p)
         want = positions.copy()
         for t in range(1, n):
             want[t, ~observed[t]] = want[t - 1, ~observed[t]]
@@ -315,6 +299,21 @@ class TestManifest:
         with pytest.raises(CorruptFileError) as exc:
             load_manifest(p)
         assert "entry 0" in str(exc.value)
+
+    @pytest.mark.parametrize("entry, change, message", [
+        (1, {"split": "dev"}, r"entry 1: unknown split 'dev'"),
+        (0, {"label": "x"}, r"entry 0: .*'x'"),
+        (0, {"label": 1}, r"labels must cover 0\.\.1, got \[1\]"),
+    ], ids=["unknown split", "label not a number", "label gap"])
+    def test_bad_entry_names_the_file(self, tmp_path, entry, change, message):
+        entries = [{"sequence_path": f"{name}.csv", "label": label,
+                    "subject": name, "split": "train"}
+                   for name, label in (("a", 0), ("b", 1))]
+        entries[entry].update(change)
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps({"entries": entries}))
+        with pytest.raises(CorruptFileError, match=rf"^{re.escape(str(p))}: {message}"):
+            load_manifest(p)
 
 
 def disk_region(side=HandSide.RIGHT, cx=32, cy=32, r=6):

@@ -18,7 +18,7 @@ from signflow.descriptors import (
     describe_sequence,
     fit_znorm,
 )
-from signflow.skeleton import ALL_JOINTS, UPPER_BODY, JointId, MissingJointError, SkeletonSequence
+from signflow.skeleton import ALL_JOINTS, UPPER_BODY, JointId, SkeletonSequence
 
 RBPD_VARIANTS = (DescriptorVariant.RBPD, DescriptorVariant.RBPD_T)
 
@@ -39,7 +39,7 @@ def frame_hd(ref, other):
 
 def oracle(seq, variant):
     """describe_sequence the per-frame way."""
-    frames = [dict(zip(seq.joints, frame)) for frame in seq.positions]
+    frames = [dict(zip(ALL_JOINTS, frame)) for frame in seq.positions]
     pairs = list(zip(frames, frames[1:])) if variant.time_extended else \
         list(zip(frames, frames))
     formula = frame_rbpd if variant in RBPD_VARIANTS else frame_hd
@@ -54,7 +54,7 @@ def random_sequence(rng, n=1):
 
 def translate(seq, offset):
     return SkeletonSequence(timestamps=seq.timestamps,
-                            positions=seq.positions + np.asarray(offset), joints=seq.joints)
+                            positions=seq.positions + np.asarray(offset))
 
 
 def pair(seq_a, seq_b):
@@ -209,30 +209,16 @@ class TestDescribeSequence:
         for i, d in enumerate(ds):
             np.testing.assert_array_equal(d, frame_hd(frames[i], frames[i + 1]))
 
-    def test_missing_joint_raises(self):
-        seq = random_sequence(np.random.default_rng(17), n=3)
-        kept = [j for j in ALL_JOINTS if j != JointId.LShoulder]
-        partial = SkeletonSequence(timestamps=seq.timestamps,
-                                   positions=seq.positions[:, kept], joints=kept)
-        np.testing.assert_array_equal(describe_sequence(partial, DescriptorVariant.HD),
-                                      describe_sequence(seq, DescriptorVariant.HD))
-        with pytest.raises(MissingJointError) as err:
-            describe_sequence(partial, DescriptorVariant.RBPD_T)
-        assert err.value.joint == JointId.LShoulder
-
 
 @st.composite
 def sequences(draw):
-    """1..12 frames over a shuffled superset of the upper body, coordinates
-    of very different magnitudes (and exact duplicates across joints)."""
-    extra = draw(st.lists(st.sampled_from(ALL_JOINTS[len(UPPER_BODY):]), unique=True))
-    joints = draw(st.permutations(UPPER_BODY + tuple(extra)))
+    """1..12 frames of all 15 joints, coordinates of very different
+    magnitudes (and exact duplicates across joints)."""
     n = draw(st.integers(1, 12))
     values = st.one_of(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
                        st.sampled_from([0.0, -0.0, 1.0, 1e-300]))
-    positions = draw(arrays(np.float64, (n, len(joints), 3), elements=values))
-    return SkeletonSequence(timestamps=np.arange(n) / 30.0, positions=positions,
-                            joints=joints)
+    positions = draw(arrays(np.float64, (n, 15, 3), elements=values))
+    return SkeletonSequence(timestamps=np.arange(n) / 30.0, positions=positions)
 
 
 class TestProperties:

@@ -11,7 +11,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from signflow.codebook import SymbolSequence
 from signflow.hmm import (
     EPS_P,
     DiscreteHMM,
@@ -52,7 +51,7 @@ def sample_sequence(rng, hmm, length):
     for _ in range(length):
         out.append(int(rng.choice(hmm.n_symbols, p=hmm.B[state])))
         state = int(rng.choice(hmm.n_states, p=hmm.A[state]))
-    return SymbolSequence(symbols=np.array(out))
+    return np.array(out)
 
 
 class TestInitLeftRight:
@@ -145,23 +144,36 @@ class TestForward:
         with pytest.raises(EmptyInputError):
             forward_log_likelihood(m, np.array([], dtype=int))
 
-    def test_accepts_symbol_sequence_type(self):
+    def test_accepts_any_integer_sequence(self):
         m = init_left_right(2, 3)
-        s = SymbolSequence(symbols=np.array([0, 1, 2]))
-        assert forward_log_likelihood(m, s) == forward_log_likelihood(m, s.symbols)
+        want = forward_log_likelihood(m, np.array([0, 1, 2]))
+        assert forward_log_likelihood(m, [0, 1, 2]) == want
+        assert forward_log_likelihood(m, np.array([0, 1, 2], dtype=np.int32)) == want
+
+    def test_negative_symbol_rejected(self):
+        # symbols are plain arrays: a model rejects a negative one on entry
+        m = init_left_right(2, 3)
+        with pytest.raises(ValueError):
+            forward_log_likelihood(m, np.array([1, -2]))
+        with pytest.raises(ValueError):
+            classify_gesture([m, m], np.array([1, -2]))
+        with pytest.raises(ValueError):
+            baum_welch(m, [np.array([0, 1]), np.array([1, -2])])
+        with pytest.raises(EmptyInputError):
+            classify_gesture([m], np.array([], dtype=np.int64))
 
 
 class TestBaumWelch:
     def test_constant_data_concentrates_emissions(self):
         m = init_left_right(3, 5)
-        train = [SymbolSequence(symbols=np.zeros(12, dtype=int)) for _ in range(4)]
+        train = [np.zeros(12, dtype=int) for _ in range(4)]
         trained, report = baum_welch(m, train, max_iter=20)
         assert np.all(trained.B[:, 0] >= 1.0 - 5 * EPS_P)
         assert report.iterations >= 1
 
     def test_max_iter_zero_is_noop(self):
         m = init_left_right(3, 4)
-        train = [SymbolSequence(symbols=np.array([0, 1, 2]))]
+        train = [np.array([0, 1, 2])]
         trained, report = baum_welch(m, train, max_iter=0)
         np.testing.assert_array_equal(trained.A, m.A)
         np.testing.assert_array_equal(trained.B, m.B)
@@ -200,8 +212,8 @@ class TestBaumWelch:
         gen = random_left_right(rng, 2, 4)
         train = [sample_sequence(rng, gen, 12) for _ in range(10)]
         trained, _ = baum_welch(init_left_right(2, 4), train, max_iter=60, tol=1e-9)
-        ll_gen = sum(enumerate_log_likelihood(gen, s.symbols) for s in train)
-        ll_fit = sum(enumerate_log_likelihood(trained, s.symbols) for s in train)
+        ll_gen = sum(enumerate_log_likelihood(gen, s) for s in train)
+        ll_fit = sum(enumerate_log_likelihood(trained, s) for s in train)
         assert ll_fit >= ll_gen - 1e-6
 
     def test_empty_training_rejected(self):
@@ -210,11 +222,11 @@ class TestBaumWelch:
 
     def test_out_of_range_training_symbol(self):
         with pytest.raises(ValueError):
-            baum_welch(init_left_right(2, 3), [SymbolSequence(symbols=np.array([0, 5]))])
+            baum_welch(init_left_right(2, 3), [np.array([0, 5])])
 
     def test_convergence_flag(self):
         m = init_left_right(2, 3)
-        train = [SymbolSequence(symbols=np.array([0, 0, 1, 1, 2, 2]))] * 3
+        train = [np.array([0, 0, 1, 1, 2, 2])] * 3
         _, report = baum_welch(m, train, max_iter=200, tol=1e-6)
         assert report.converged
         assert report.iterations < 200
@@ -230,7 +242,7 @@ class TestClassifyGesture:
 
     def test_trained_model_wins_on_its_data(self):
         rng = np.random.default_rng(26)
-        const = [SymbolSequence(symbols=np.full(10, 2))] * 4
+        const = [np.full(10, 2)] * 4
         specialist, _ = baum_welch(init_left_right(2, 5), const, max_iter=20)
         rival = init_left_right(2, 5)
         resp = classify_gesture([rival, specialist], np.full(10, 2))

@@ -93,6 +93,10 @@ class TestConfig:
         ("hmm_tol", "0.1"), ("gesture_k", True), ("sc_sample_cap", False),
         ("seed", 1.5), ("seed", "7"), ("seed", True), ("seed", float("nan")),
         ("seed", None),
+        ("posture_cost", float("inf")), ("posture_cost", float("nan")),
+        ("posture_cost", -1), ("posture_cost", 0.0), ("posture_cost", "0.8"),
+        ("posture_cost", True), ("fusion_cost", float("inf")),
+        ("fusion_cost", float("nan")), ("fusion_cost", -1), ("fusion_cost", 0),
     ])
     def test_bad_number_rejected_by_name(self, key, value):
         with pytest.raises(ValueError, match=key):

@@ -22,7 +22,6 @@ from signflow.posture import (
     SC_DIM,
     HandRegion,
     HandSide,
-    PostureBoW,
     _largest_component,
     encode_video_bow,
     frame_shape_contexts,
@@ -277,7 +276,7 @@ class TestEncodeVideoBow:
             left = HandRegion(mask=np.zeros((PATCH, PATCH), bool) | disk_mask(radius=8),
                               side=HandSide.LEFT, present=True)
             frames.append((right, left))
-        bow = encode_video_bow(frames, cb, video_id="v0")
+        bow = encode_video_bow(frames, cb)
         # oracle: recount by hand
         counts = {HandSide.RIGHT: np.zeros(cb.k), HandSide.LEFT: np.zeros(cb.k)}
         for right, left in frames:
@@ -288,8 +287,8 @@ class TestEncodeVideoBow:
                     counts[region.side][wd] += 1
         want = np.concatenate([counts[HandSide.RIGHT] / counts[HandSide.RIGHT].sum(),
                                counts[HandSide.LEFT] / counts[HandSide.LEFT].sum()])
-        np.testing.assert_allclose(bow.histogram, want, atol=1e-12)
-        assert bow.video_id == "v0"
+        assert bow.shape == (2 * cb.k,)
+        np.testing.assert_allclose(bow, want, atol=1e-12)
 
     def test_absent_left_hand_gives_zero_half(self):
         rng = np.random.default_rng(51)
@@ -297,8 +296,8 @@ class TestEncodeVideoBow:
         frames = [(HandRegion(mask=disk_mask(radius=15), side=HandSide.RIGHT, present=True),
                    self.absent(HandSide.LEFT)) for _ in range(3)]
         bow = encode_video_bow(frames, cb)
-        assert abs(bow.histogram[:cb.k].sum() - 1.0) <= 1e-9
-        assert bow.histogram[cb.k:].sum() == 0.0
+        assert abs(bow[:cb.k].sum() - 1.0) <= 1e-9
+        assert bow[cb.k:].sum() == 0.0
 
     def test_identical_videos_identical_bow(self):
         rng = np.random.default_rng(52)
@@ -307,7 +306,7 @@ class TestEncodeVideoBow:
                    self.absent(HandSide.LEFT))]
         a = encode_video_bow(frames, cb)
         b = encode_video_bow(frames, cb)
-        np.testing.assert_array_equal(a.histogram, b.histogram)
+        np.testing.assert_array_equal(a, b)
 
     def test_degenerate_mask_skipped(self):
         rng = np.random.default_rng(53)
@@ -317,7 +316,7 @@ class TestEncodeVideoBow:
         frames = [(HandRegion(mask=tiny, side=HandSide.RIGHT, present=True),
                    self.absent(HandSide.LEFT))]
         bow = encode_video_bow(frames, cb)
-        assert bow.histogram.sum() == 0.0
+        assert bow.sum() == 0.0
 
     def test_wrong_codebook_dimension_rejected(self):
         bad = Codebook(centers=np.zeros((3, 10)), k=3, znorm=ZNormStats.identity(10), seed=0)
@@ -340,7 +339,7 @@ class TestPostureClassifier:
                 h[:k] /= h[:k].sum()
                 h[k:] += rng.uniform(0, 0.02, k)
                 h[k:] /= h[k:].sum()
-                pairs.append((PostureBoW(histogram=h, video_id=f"c{c}i{i}"), c))
+                pairs.append((h, c))
         return pairs
 
     def codebook(self, rng, k=10):
@@ -366,7 +365,7 @@ class TestPostureClassifier:
     def test_single_class_rejected(self):
         rng = np.random.default_rng(56)
         cb = self.codebook(rng)
-        pairs = [(PostureBoW(histogram=np.zeros(20)), 0) for _ in range(4)]
+        pairs = [(np.zeros(20), 0) for _ in range(4)]
         with pytest.raises(ValueError):
             train_posture_classifier(pairs, cb)
 
@@ -374,7 +373,7 @@ class TestPostureClassifier:
         rng = np.random.default_rng(57)
         cb = self.codebook(rng)
         h = np.zeros(20)
-        pairs = [(PostureBoW(histogram=h), 0), (PostureBoW(histogram=h), 2)]
+        pairs = [(h, 0), (h, 2)]
         with pytest.raises(ValueError):
             train_posture_classifier(pairs, cb)
 
@@ -383,5 +382,5 @@ class TestPostureClassifier:
         cb = self.codebook(rng)
         pairs = self.make_training_data(rng)
         model = train_posture_classifier(pairs, cb, seed=3)
-        z = PostureBoW(histogram=np.zeros(20))
+        z = np.zeros(20)
         np.testing.assert_array_equal(posture_response(model, z), 0.0)

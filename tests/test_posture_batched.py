@@ -172,12 +172,11 @@ class TestVideoBow:
     def test_compute_once_bow_equals_encode_video_bow(self, frames):
         rows, halves = video_shape_contexts(frames)
         assert rows.shape == (halves.shape[0], SC_DIM)
-        once = bow_from_shape_contexts(rows, halves, CODEBOOK, video_id="v")
-        direct = encode_video_bow(frames, CODEBOOK, video_id="v")
-        np.testing.assert_array_equal(once.histogram, direct.histogram)
-        np.testing.assert_array_equal(once.histogram,
-                                      per_contour_bow(frames, CODEBOOK))
-        assert once.video_id == direct.video_id == "v"
+        once = bow_from_shape_contexts(rows, halves, CODEBOOK)
+        direct = encode_video_bow(frames, CODEBOOK)
+        assert once.shape == (2 * CODEBOOK.k,)
+        np.testing.assert_array_equal(once, direct)
+        np.testing.assert_array_equal(once, per_contour_bow(frames, CODEBOOK))
 
     def test_rows_follow_frame_order_and_side(self):
         yy, xx = np.mgrid[:PATCH, :PATCH]

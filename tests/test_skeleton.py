@@ -22,10 +22,10 @@ def full_frame(offset=0.0):
                      np.full(len(ids), offset + 1.0)], axis=1)
 
 
-def sequence(timestamps, joints=ALL_JOINTS):
-    positions = np.stack([full_frame()[list(joints)] for _ in timestamps]) \
-        if len(timestamps) else np.empty((0, len(joints), 3))
-    return SkeletonSequence(timestamps=timestamps, positions=positions, joints=joints)
+def sequence(timestamps):
+    positions = np.stack([full_frame() for _ in timestamps]) \
+        if len(timestamps) else np.empty((0, 15, 3))
+    return SkeletonSequence(timestamps=timestamps, positions=positions)
 
 
 class TestJointIds:
@@ -76,29 +76,17 @@ class TestForwardFill:
         assert seq.timestamps.tolist() == [0.0, 0.4]
 
     def test_names_joint_of_its_column(self):
-        joints = (JointId.RFoot, JointId.Head)
+        # column j is JointId(j); of two missing joints the first column's is named
+        observed = np.ones((2, 15), dtype=bool)
+        observed[0, [JointId.RFoot, JointId.LElbow]] = False
         with pytest.raises(MissingJointError) as err:
-            forward_fill(np.zeros((2, 2, 3)), [[True, False], [True, True]], joints)
-        assert err.value.joint == JointId.Head
+            forward_fill(np.zeros((2, 15, 3)), observed)
+        assert err.value.joint == JointId.LElbow
 
 
 class TestSequence:
     def test_len(self):
         assert len(sequence([0.0, 0.1])) == 2
-
-    def test_label_and_subject_optional(self):
-        seq = SkeletonSequence(timestamps=[0.0], positions=full_frame()[None],
-                               label="wave", subject="s01")
-        assert seq.label == "wave"
-        assert seq.subject == "s01"
-        assert seq.joints == ALL_JOINTS
-
-    def test_frame_joint_missing_raises(self):
-        seq = sequence([0.0], joints=UPPER_BODY)
-        assert seq.columns((JointId.Head, JointId.RHip)) == [0, 10]
-        with pytest.raises(MissingJointError) as err:
-            seq.columns((JointId.Head, JointId.LFoot))
-        assert err.value.joint == JointId.LFoot
 
     def test_rejects_non_finite_values(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -119,12 +107,11 @@ class TestSequence:
     def test_shape_must_match_timestamps_and_joints(self):
         with pytest.raises(ValueError):
             SkeletonSequence(timestamps=[0.0, 0.1], positions=full_frame()[None])
+        # every sequence holds all 15 joints: an upper-body-only array is refused
+        with pytest.raises(ValueError, match=r"\(1, 15, 3\)"):
+            SkeletonSequence(timestamps=[0.0], positions=full_frame()[None, list(UPPER_BODY)])
         with pytest.raises(ValueError):
-            SkeletonSequence(timestamps=[0.0], positions=full_frame()[None],
-                             joints=UPPER_BODY)
-        with pytest.raises(ValueError):
-            SkeletonSequence(timestamps=[0.0], positions=np.zeros((1, 2, 3)),
-                             joints=(JointId.Head, JointId.Head))
+            SkeletonSequence(timestamps=[0.0], positions=full_frame())
 
 
 def test_numpy_interop_roundtrip():

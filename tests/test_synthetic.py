@@ -29,7 +29,8 @@ class TestDeterminism:
                               subjects=(3, 1, 1))
         corpus = generate_synthetic_corpus(cfg)
         for label in (0, 1):
-            seqs = [s for s in corpus.sequences if s.label == label]
+            seqs = [s for s, e in zip(corpus.sequences, corpus.manifest.entries)
+                    if e.label == label]
             assert len(seqs) == 3
             base = seqs[0].positions
             for other in seqs[1:]:
@@ -148,10 +149,12 @@ class TestStructure:
         cfg = SyntheticConfig(classes=two_anchor_classes(), counts=(1, 1, 1),
                               noise=0.0, frame_count_range=(6, 6), seed=2)
         corpus = generate_synthetic_corpus(cfg, with_masks=False)
-        for seq, entry in zip(corpus.sequences, corpus.manifest.entries):
-            assert seq.label == entry.label
-            assert seq.subject == entry.subject
+        # the manifest entry of the same index carries label and subject
+        for i, (seq, entry) in enumerate(zip(corpus.sequences, corpus.manifest.entries)):
+            assert seq.source == f"synthetic:{i:05d}"
+            assert entry.sequence_path == f"seq_{i:05d}.csv"
             assert len(seq) == 6
+        assert [e.label for e in corpus.manifest.entries] == [0, 0, 0, 1, 1, 1]
 
     def test_frame_counts_within_range(self):
         cfg = SyntheticConfig(classes=two_anchor_classes(), counts=(6, 0, 0),
