@@ -94,16 +94,24 @@ def _codebook_doc(cb: Codebook) -> dict:
     }
 
 
-def _codebook_from(doc: dict) -> Codebook:
+def _floats(value, path) -> np.ndarray:
+    """A JSON array as float64; json reads 1e999 as inf, past parse_constant."""
+    arr = np.array(value, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise CorruptFileError(f"{path}: non-finite number in an array")
+    return arr
+
+
+def _codebook_from(doc: dict, path) -> Codebook:
     variant = doc.get("variant")
     return Codebook(
-        centers=np.array(doc["centers"], dtype=np.float64),
+        centers=_floats(doc["centers"], path),
         k=int(doc["k"]),
-        znorm=ZNormStats(mean=np.array(doc["znorm"]["mean"]),
-                         stddev=np.array(doc["znorm"]["stddev"])),
+        znorm=ZNormStats(mean=_floats(doc["znorm"]["mean"], path),
+                         stddev=_floats(doc["znorm"]["stddev"], path)),
         seed=int(doc["seed"]),
         variant=DescriptorVariant(variant) if variant is not None else None,
-        wcss_history=list(doc.get("wcss_history", [])),
+        wcss_history=_floats(doc.get("wcss_history", []), path).tolist(),
     )
 
 
@@ -111,9 +119,9 @@ def _linear_doc(m: MulticlassLinearModel) -> dict:
     return {"weights": m.weights.tolist(), "n_classes": m.n_classes}
 
 
-def _linear_from(doc: dict) -> MulticlassLinearModel:
+def _linear_from(doc: dict, path) -> MulticlassLinearModel:
     return MulticlassLinearModel(
-        weights=np.array(doc["weights"], dtype=np.float64),
+        weights=_floats(doc["weights"], path),
         n_classes=int(doc["n_classes"]),
     )
 
@@ -182,35 +190,34 @@ def load_bundle(path) -> ModelBundle:
     try:
         hmms = []
         for h in _require(doc, "hmms", path):
-            b_mat = np.array(h["B"], dtype=np.float64)
+            b_mat = _floats(h["B"], path)
             hmms.append(DiscreteHMM(n_states=b_mat.shape[0],
                                     n_symbols=b_mat.shape[1],
-                                    pi=np.array(h["pi"], dtype=np.float64),
-                                    A=np.array(h["A"], dtype=np.float64),
+                                    pi=_floats(h["pi"], path),
+                                    A=_floats(h["A"], path),
                                     B=b_mat))
         posture_model = None
         posture = doc.get("posture")
         if posture is not None:
             posture_model = PostureModel(
-                model=_linear_from(posture["model"]),
-                codebook=_codebook_from(posture["codebook"]),
+                model=_linear_from(posture["model"], path),
+                codebook=_codebook_from(posture["codebook"], path),
             )
         fusion_linear = None
         fl = doc.get("fusion_linear")
         if fl is not None:
-            fusion_linear = _linear_from(fl["model"])
+            fusion_linear = _linear_from(fl["model"], path)
         fusion_kde = None
         fk = doc.get("fusion_kde")
         if fk is not None:
             fusion_kde = KdeFusionModel(
-                class_points=[np.array(p, dtype=np.float64)
-                              for p in fk["class_points"]],
-                bandwidths=np.array(fk["bandwidths"], dtype=np.float64),
-                priors=np.array(fk["priors"], dtype=np.float64),
+                class_points=[_floats(p, path) for p in fk["class_points"]],
+                bandwidths=_floats(fk["bandwidths"], path),
+                priors=_floats(fk["priors"], path),
             )
         return ModelBundle(
             gesture_codebook=_codebook_from(_require(doc, "gesture_codebook",
-                                                     path)),
+                                                     path), path),
             hmms=hmms,
             posture_model=posture_model,
             fusion_linear=fusion_linear,

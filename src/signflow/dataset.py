@@ -213,14 +213,17 @@ def load_manifest(path) -> DatasetManifest:
     entries = []
     for i, item in enumerate(doc["entries"]):
         try:
+            label = item["label"]
+            if isinstance(label, bool) or label != int(label):
+                raise ValueError(f"label must be an integer, got {label!r}")
             entries.append(ManifestEntry(
                 sequence_path=item["sequence_path"],
-                label=int(item["label"]),
+                label=int(label),
                 subject=item["subject"],
                 split=item["split"],
                 mask_dir=item.get("mask_dir"),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorruptFileError(f"{path}: entry {i}: {exc}") from None
     try:
         return DatasetManifest(entries=entries)

@@ -1,11 +1,9 @@
 """Discrete-observation left-right HMMs for gesture classification.
 
-One model per sign class, trained on that class's symbol sequences with
-multi-sequence Baum-Welch. Classification scores a probe sequence under
-every model and takes the best length-normalized forward log-likelihood.
-Both run one scaled forward recursion over a stack of rows: scoring
-stacks the class models, and each Baum-Welch iteration stacks the
-sequences of every class still training.
+One model per sign class, trained by multi-sequence Baum-Welch: one scaled
+recursion per iteration over the sequences of every class still training.
+Classification scores a probe under every model at once, one scaled step
+per 16-frame block product, and takes the best length-normalized score.
 
 Re-estimated probabilities are floored at EPS_P on their structural support
 (the entries positive at initialization) so that test symbols unseen in
@@ -133,26 +131,58 @@ def _scaled_forward(pi: np.ndarray, A: np.ndarray, emissions: np.ndarray):
 
 
 def _log_likelihoods(models, sym: np.ndarray) -> np.ndarray:
-    """log P(sym) under each model, all in one stacked forward pass; -inf
-    where the sequence is impossible, NaN for a NaN model."""
+    """log P(sym) under each model (-inf if impossible, NaN for a NaN
+    model), one scaled step per block: frames 2..T form nb = ceil((T-1)/q)
+    blocks of step matrices A diag(B[:, o_t]), from a per-symbol table and
+    identity-padded, which log2(q) batched pairings multiply into P_b; with
+    v normalized, c_b = sum(v P_b) and log P = log c_0 + sum log c_b.
+
+    Proof. With L_0 = fl(min positive A * min positive B), L_(l+1) =
+    fl(L_l^2), q = 2^l is the largest power of two <= 16 with L_l >=
+    2^-1022; a subnormal L_0 gives q = 1 and voids the bound. Monotone
+    rounding of non-negative sums makes each block entry an exact 0 where
+    the exact product is 0, else a normal float >= L_l; identities
+    multiply exactly. So each path of prod c_b has at most K = (T + q)
+    (2n + 1) roundings (1 + d), |d| <= u = 2^-53: q + (q - 1) n per block
+    product, 2n + 1 per vector step (Higham, "Accuracy and Stability of
+    Numerical Algorithms", ch. 3). The logs (4 ulp each) and their sum add
+    (nb + 9) u sum |log c_b|, ~|log P| as each c_b <= 1 up to the row
+    tolerance. So |log P~ - log P| <= K u / (1 - K u) + (nb + 9) u sum
+    |log c_b|, P exact for the float parameters, while no entry of v is
+    subnormal (one errs by <= 2^-1075, as at q = 1, the per-frame
+    recursion). An impossible sequence has an exact block sum 0: c_b = 0.
+    """
     if sym.min() < 0 or sym.max() >= models[0].n_symbols:
         raise ValueError("symbol out of range for this model")
-    _, c = _scaled_forward(np.stack([m.pi for m in models]),
-                           np.stack([m.A for m in models]),
-                           np.stack([m.B for m in models]).transpose(2, 0, 1)[sym])
-    out = np.full(len(models), NEG_INF)
+    pi, A, B = (np.stack([getattr(m, p) for m in models]) for p in ("pi", "A", "B"))
+    R, n = pi.shape
+    low = A.min(where=A > 0.0, initial=1.0) * B.min(where=B > 0.0, initial=1.0)
+    q = 1
+    while q < 16 and low * low >= 2.0 ** -1022:
+        low, q = low * low, 2 * q
+    symbols, step = np.unique(sym[1:], return_inverse=True)
+    table = np.concatenate([A * B[:, :, symbols].transpose(2, 0, 1)[:, :, None, :],
+                            np.broadcast_to(np.eye(n), (1, R, n, n))])
+    padded = np.append(step, np.full(-step.size % q, symbols.size))
+    blocks = table[padded].reshape(-1, q, R, n, n)
+    while blocks.shape[1] > 1:
+        blocks = np.matmul(blocks[:, 0::2], blocks[:, 1::2])
+    v = pi * B[:, :, sym[0]]
+    c = [v.sum(axis=1)]
+    with np.errstate(invalid="ignore"):  # 0/0 in a zero-probability row
+        for P in blocks[:, 0]:
+            v = np.matmul((v / c[-1][:, None])[:, None, :], P)[:, 0, :]
+            c.append(v.sum(axis=1))
+    c = np.array(c).T
+    out = np.full(R, NEG_INF)
     possible = ~(c <= 0.0).any(axis=1)
-    # each row's pairwise sum over contiguous c, as for one sequence alone
     out[possible] = np.log(c[possible]).sum(axis=1)
     return out
 
 
 def forward_log_likelihood(hmm: DiscreteHMM, obs) -> float:
-    """log P(obs | hmm) via the scaled forward recursion; -inf if impossible.
-
-    Scaling keeps each step's vector normalized, so sequences up to 10^4
-    steps run without underflow.
-    """
+    """log P(obs | hmm), -inf if impossible. The block recursion normalizes
+    its vector once per block, so 10^4-step sequences do not underflow."""
     return float(_log_likelihoods([hmm], _symbols(obs))[0])
 
 

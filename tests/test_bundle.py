@@ -219,6 +219,25 @@ class TestNonFiniteModel:
         with pytest.raises(CorruptFileError, match=r"model\.json: non-finite number NaN"):
             load_bundle(p)
 
+    @pytest.mark.parametrize("member", ["stddev", "emission", "weight", "point"])
+    def test_overflowing_literal_names_the_file(self, tmp_path, member):
+        # json parses 1e999 as a float, inf, without calling parse_constant
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(), p)
+        doc = json.loads(p.read_text())
+        marker = 123456.789
+        if member == "stddev":
+            doc["gesture_codebook"]["znorm"]["stddev"][0] = marker
+        elif member == "emission":
+            doc["hmms"][1]["B"][2][0] = marker
+        elif member == "weight":
+            doc["posture"]["model"]["weights"][0][1] = marker
+        else:
+            doc["fusion_kde"]["class_points"][0][1][2] = marker
+        p.write_text(json.dumps(doc).replace(repr(marker), "1e999"))
+        with pytest.raises(CorruptFileError, match=r"model\.json: non-finite number"):
+            load_bundle(p)
+
 
 class TestValidation:
     def test_symbol_count_mismatch(self):

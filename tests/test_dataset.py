@@ -304,7 +304,10 @@ class TestManifest:
         (1, {"split": "dev"}, r"entry 1: unknown split 'dev'"),
         (0, {"label": "x"}, r"entry 0: .*'x'"),
         (0, {"label": 1}, r"labels must cover 0\.\.1, got \[1\]"),
-    ], ids=["unknown split", "label not a number", "label gap"])
+        (1, {"label": 1.7}, r"entry 1: label must be an integer, got 1\.7"),
+        (1, {"label": True}, r"entry 1: label must be an integer, got True"),
+    ], ids=["unknown split", "label not a number", "label gap",
+            "fractional label", "boolean label"])
     def test_bad_entry_names_the_file(self, tmp_path, entry, change, message):
         entries = [{"sequence_path": f"{name}.csv", "label": label,
                     "subject": name, "split": "train"}

@@ -3,10 +3,17 @@
 The oracles are the per-model paths the stacked code replaced: one scaled
 forward pass per (model, sequence), and Baum-Welch training one class at a
 time with one forward and one backward pass per sequence. Every comparison
-is exact, NaN included.
+of the per-frame recursion and of Baum-Welch is exact, NaN included.
+
+Scoring multiplies 16-frame blocks of step matrices, which changes the
+float order: its finite log-likelihoods are held to the error bound of
+`_log_likelihoods`' docstring, against the per-frame oracle and against an
+exact rational oracle, and its -inf and NaN positions stay exact.
 """
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,6 +128,73 @@ def same(a, b):
     return np.array_equal(a, b, equal_nan=True)
 
 
+UNIT = 2.0 ** -53
+
+
+def block_length(models):
+    """The block length the forward must use, in exact arithmetic: the
+    largest power of two q <= 16 with (min A * min B)^q >= 2^-1022, over
+    the positive entries of every model."""
+    low = 1
+    for name in ("A", "B"):
+        entries = [x for m in models for x in getattr(m, name).ravel() if x > 0]
+        low *= Fraction(min(entries, default=1.0))
+    q = 1
+    while q < 16 and low ** (2 * q) >= Fraction(2) ** -1022:
+        q *= 2
+    return q
+
+
+def forward_bound(T, n, q, ll):
+    """The docstring bound of `_log_likelihoods` on |log P~ - log P|. Its
+    sum of |log c_b| is |log P| to first order; |ll| + 1 covers that."""
+    K = (T + q) * (2 * n + 1)
+    blocks = -(-(T - 1) // q)
+    return K * UNIT / (1 - K * UNIT) + (blocks + 9) * UNIT * (abs(ll) + 1)
+
+
+def assert_scores_close(got, want, tol):
+    """Non-finite entries equal exactly, finite ones within tol."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    finite = np.isfinite(want)
+    assert same(got[~finite], want[~finite])
+    assert np.all(np.abs(got[finite] - want[finite]) <= np.asarray(tol)[finite])
+
+
+def exact_log_likelihood(hmm, obs):
+    """log P(obs | hmm) in exact rational arithmetic over the float
+    parameters. Every float is a Fraction with a power-of-two denominator,
+    so alpha is kept as integers over one power of two: 2^-scale."""
+    def dyadic(values):
+        """Integers over one power of two: (ints, exponent)."""
+        fr = [Fraction(float(x)) for x in values]
+        exp = max(f.denominator.bit_length() - 1 for f in fr)
+        return [int(f * 2 ** exp) for f in fr], exp
+
+    n = hmm.n_states
+    alpha, scale = dyadic(hmm.pi * hmm.B[:, obs[0]])
+    steps = {}
+    for o in obs[1:]:
+        if o not in steps:
+            steps[o] = dyadic((hmm.A * hmm.B[:, o]).ravel())
+        M, exp = steps[o]
+        alpha = [sum(alpha[i] * M[i * n + j] for i in range(n)) for j in range(n)]
+        scale += exp
+    total = sum(alpha)
+    if total == 0:
+        return NEG_INF
+    # total / 2^scale = m 2^e with m in [0.5, 1): log m + e log 2 rounds
+    # to within 4 u (|log P| + 1)
+    bits = total.bit_length()
+    m = float(total >> max(bits - 64, 0)) / 2.0 ** min(bits, 64)
+    return math.log(m) + (bits - scale) * math.log(2.0)
+
+
+def oracle_slack(ll):
+    """Rounding of exact_log_likelihood's last steps."""
+    return 4 * UNIT * (abs(ll) + 1)
+
+
 def same_training(got, want):
     """Byte equality of two (model, report) pairs, NaN included."""
     (model, report), (model_w, report_w) = got, want
@@ -160,10 +234,16 @@ class TestStackedForward:
         for r, (alpha_r, c_r) in enumerate(want):
             assert same(alpha[:, r], alpha_r)
             assert same(c[r], c_r)
+        # the block forward and the per-frame oracle each err by at most
+        # their own bound from the exact value
         lls = np.array([oracle_log_likelihood(m, obs) for m in models])
-        assert same(classify_gesture(models, obs).values, lls / T)
-        for m, ll in zip(models, lls):
-            assert same(forward_log_likelihood(m, obs), ll)
+        q = block_length(models)
+        tol = [forward_bound(T, n, q, ll) + forward_bound(T, n, 1, ll)
+               for ll in lls]
+        assert_scores_close(classify_gesture(models, obs).values * T, lls,
+                            np.array(tol) + 2 * UNIT * np.abs(lls))
+        for m, ll, t in zip(models, lls, tol):
+            assert_scores_close([forward_log_likelihood(m, obs)], [ll], [t])
 
     @settings(max_examples=100, deadline=None)
     @given(sizes, st.integers(0, 59))
@@ -184,9 +264,12 @@ class TestStackedForward:
             values = classify_gesture(models, obs).values
             assert forward_log_likelihood(zero, obs) == NEG_INF
             assert np.isnan(forward_log_likelihood(nan, obs))
-        want = [oracle_log_likelihood(m, obs) / T for m in models]
+        want = np.array([oracle_log_likelihood(m, obs) for m in models])
         assert want[1] == NEG_INF and np.isnan(want[2])
-        assert same(values, want)
+        q = block_length(models)
+        tol = [forward_bound(T, n, q, ll) + forward_bound(T, n, 1, ll)
+               + 2 * UNIT * abs(ll) for ll in want]
+        assert_scores_close(values * T, want, tol)
 
     @settings(max_examples=150, deadline=None)
     @given(sizes, st.lists(st.integers(1, 60), min_size=1, max_size=5))
@@ -201,6 +284,75 @@ class TestStackedForward:
             alpha_r, c_r = oracle_forward(hmm, obs)
             assert same(alpha[:obs.shape[0], r], alpha_r)
             assert same(c[r, :obs.shape[0]], c_r)
+
+
+def tiny_entry_model(rng, n, k, exponent):
+    """A random left-right model with one advance probability and one
+    emission near 10^-exponent, below EPS_P once exponent > 6."""
+    m = random_left_right(rng, n, k)
+    A, B = m.A.copy(), m.B.copy()
+    if n > 1:
+        i = int(rng.integers(n - 1))
+        A[i, i + 1] = 10.0 ** -exponent
+        A[i, i] = 1.0 - A[i, i + 1]
+    B[int(rng.integers(n)), int(rng.integers(k))] = 10.0 ** -exponent
+    B /= B.sum(axis=1, keepdims=True)
+    return DiscreteHMM(n, k, m.pi, A, B)
+
+
+class TestBlockForward:
+    """The block forward against exact rational arithmetic."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 4),
+           st.integers(0, 150), st.sampled_from(["1", "q", "q+1", "2q+1"]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(3, 4, 3, 80, "q+1", 1)   # q = 1
+    @example(3, 4, 3, 60, "2q+1", 2)  # q = 2
+    @example(2, 3, 2, 30, "2q+1", 3)  # q = 4
+    @example(1, 3, 2, 20, "q", 4)     # q = 8
+    @example(4, 5, 4, 3, "2q+1", 5)   # q = 16
+    def test_equals_exact_oracle_at_block_edges(self, n, k, C, exponent,
+                                                edge, seed):
+        rng = np.random.default_rng(seed)
+        models = [tiny_entry_model(rng, n, k, exponent) for _ in range(C)]
+        q = block_length(models)
+        T = {"1": 1, "q": q, "q+1": q + 1, "2q+1": 2 * q + 1}[edge]
+        obs = rng.integers(0, k, size=T)
+        want = np.array([exact_log_likelihood(m, obs) for m in models])
+        tol = np.array([forward_bound(T, n, q, ll) + oracle_slack(ll)
+                        for ll in want])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [forward_log_likelihood(m, obs) for m in models]
+            resp = classify_gesture(models, obs)
+        assert_scores_close(got, want, tol)
+        assert_scores_close(resp.values * T, want, tol + 2 * UNIT * np.abs(want))
+        # the order is settled wherever the exact top-two margin exceeds
+        # the bound of both rows
+        order = np.argsort(-want, kind="stable")
+        if C > 1 and np.isfinite(want[order[1]]):
+            top, second = order[0], order[1]
+            margin = want[top] - want[second]
+            if margin > tol[top] + tol[second] + 2 * UNIT * abs(want[second]):
+                assert resp.best_class == top
+
+    def test_long_run_in_an_absorbing_state_stays_finite(self):
+        # every state emits symbol 0 at EPS_P; alpha drains into the
+        # absorbing last state and the earlier states underflow to 0, as in
+        # the gesture-long class whose training turns NaN
+        n, T = 3, 5000
+        A = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+        B = np.tile([EPS_P, 1.0 - EPS_P], (n, 1))
+        hmm = DiscreteHMM(n, 2, np.array([1.0, 0.0, 0.0]), A, B)
+        obs = np.zeros(T, dtype=np.int64)
+        want = exact_log_likelihood(hmm, obs)
+        got = forward_log_likelihood(hmm, obs)
+        assert math.isfinite(got)
+        assert abs(got - want) <= forward_bound(T, n, 16, want) + oracle_slack(want)
+        rival = init_left_right(n, 2)
+        resp = classify_gesture([hmm, rival], obs)
+        assert resp.best_class == 1 and np.isfinite(resp.values).all()
 
 
 class TestStackedBaumWelch:
