@@ -5,18 +5,24 @@ optional per-frame hand masks stored as portable graymaps, one archive
 directory per video with filenames ``{frame:05}_{L|R}.pgm``. A manifest
 ties sequences to labels, subjects, and splits; subject-disjointness
 across splits is enforced at construction time.
+
+Both loaders work once per file or archive, not once per cell or mask: a
+CSV's data lines go through one np.loadtxt call, and an archive's masks
+are read into one stack and validated with one ndimage.label.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from scipy import ndimage
 
 from . import __version__
 from .posture import PATCH, HandRegion, HandSide
@@ -31,6 +37,19 @@ from .skeleton import (
 SPLITS = ("train", "validation", "test")
 
 _MASK_NAME = re.compile(r"^(\d{5})_([LR])\.pgm$")
+
+# a P5 header: "P5", then three tokens, each after a run of whitespace
+# bytes and '#' comments to the end of the line, then one whitespace byte
+# (at the end of the file, none: the pixel count then fails). A token is a
+# whole run of non-whitespace, so it may hold a '#' but not start with one.
+_PGM_TOKEN = rb"(?:\s|#[^\n]*(?=\n|\Z))*([^\s#]\S*)(?!\S)"
+_PGM_HEADER = re.compile(rb"P5" + _PGM_TOKEN * 3 + rb"(?:\s|\Z)")
+
+# the sides of a frame in the order of its two masks in an archive's stack
+_SIDES = (HandSide.RIGHT, HandSide.LEFT)
+
+# 8-connectivity inside each mask of an (N, h, w) stack, none across masks
+_IN_MASK_EIGHT = np.pad(np.ones((1, 3, 3), dtype=bool), ((1, 1), (0, 0), (0, 0)))
 
 
 class MalformedRowError(SignflowError):
@@ -83,18 +102,10 @@ def _bad_value(rows: np.ndarray, fields: np.ndarray, observed: np.ndarray):
     return row, f"non-finite joint coordinate: {value!r}"
 
 
-def parse_skeleton_csv(path) -> SkeletonSequence:
-    """Read one recording; repair missing joints by forward fill.
-
-    Each row holds the timestamp, then x, y, z and a confidence for every
-    JointId in order; zero or negative confidence marks the joint missing
-    in that frame. Rows that fail to parse, or hold a non-finite
-    timestamp, one below the previous row's, a non-finite observed
-    coordinate or a confidence above 1, are rejected with the file and
-    their 1-based line number. A joint missing from the first frame
-    raises MissingJointError. Lines starting with '#' and blank lines are
-    skipped.
-    """
+def _read_rows(path):
+    """Parse a file row by row with csv.reader: the (n, 61) rows read,
+    their 1-based line numbers, and the MalformedRowError of the row that
+    ended the read, or None."""
     rows, lines = [], []
     error = None  # a row that does not parse ends the read
     with open(path, newline="") as fh:
@@ -114,15 +125,71 @@ def parse_skeleton_csv(path) -> SkeletonSequence:
                 error = MalformedRowError(path, lineno, f"non-numeric cell {bad!r}")
                 break
             lines.append(lineno)
-    data = np.array(rows, dtype=np.float64).reshape(len(rows), _N_COLUMNS)
-    fields = data[:, 1:].reshape(len(rows), len(JointId), 4)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), _N_COLUMNS), lines, error
+
+
+def _parse_lines(path):
+    """Every data line of a file parsed in one np.loadtxt call: the (n, 61)
+    rows and their 1-based line numbers. None where only csv.reader can
+    tell what the file holds or which line is wrong: a quote, a carriage
+    return not followed by a newline, a line longer than csv's field
+    limit, a decoding error, or any line np.loadtxt does not read as 61
+    numbers, which float() would not read either.
+    """
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:  # csv.reader's read names where it stops
+        return None
+    if '"' in text:
+        return None
+    limit = csv.field_size_limit()
+    lines, numbers = [], []
+    for number, line in enumerate(text.split("\n"), start=1):
+        if line.endswith("\r"):
+            line = line[:-1]
+        if "\r" in line or len(line) > limit:
+            return None
+        start = line.lstrip()
+        if start and not start.startswith("#"):
+            lines.append(line)
+            numbers.append(number)
+    if not lines:  # np.loadtxt warns on no data
+        return np.empty((0, _N_COLUMNS)), []
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return (data, numbers) if data.shape == (len(lines), _N_COLUMNS) else None
+
+
+def parse_skeleton_csv(path) -> SkeletonSequence:
+    """Read one recording; repair missing joints by forward fill.
+
+    Each row holds the timestamp, then x, y, z and a confidence for every
+    JointId in order; zero or negative confidence marks the joint missing
+    in that frame. Rows that fail to parse, or hold a non-finite
+    timestamp, one below the previous row's, a non-finite observed
+    coordinate or a confidence above 1, are rejected with the file and
+    their 1-based line number. A joint missing from the first frame
+    raises MissingJointError. Lines starting with '#' and blank lines are
+    skipped. The data lines are parsed in one call; a file that call
+    cannot settle is read row by row with csv.reader, which decides
+    whether it loads and names the first line that does not.
+    """
+    parsed = _parse_lines(path)
+    if parsed is None:
+        data, lines, error = _read_rows(path)
+    else:
+        (data, lines), error = parsed, None
+    fields = data[:, 1:].reshape(len(data), len(JointId), 4)
     observed = fields[:, :, 3] > 0
     found = _bad_value(data, fields, observed)
     if found is not None:  # an earlier line than the one that ended the read
         raise MalformedRowError(path, lines[found[0]], found[1])
     if error is not None:
         raise error
-    if not rows:
+    if not len(data):
         raise EmptyInputError(f"no data rows in {path}")
     return SkeletonSequence(timestamps=data[:, 0],
                             positions=forward_fill(fields[:, :, :3], observed),
@@ -245,38 +312,41 @@ def save_mask(path, mask: np.ndarray, comment: str = "") -> None:
         fh.write(data.tobytes())
 
 
+def _pgm_header(blob: bytes) -> tuple[int, int, int]:
+    """(height, width, offset of the pixels) of a P5 graymap that holds all
+    its pixels; ValueError says what is wrong. Width, height and maxval
+    must be ASCII decimals, width and height at least 1."""
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise ValueError("truncated header" if blob.startswith(b"P5")
+                         else "not a P5 graymap")
+    fields = header.groups()
+    try:
+        if not all(f.isdigit() for f in fields):
+            raise ValueError
+        width, height, maxval = map(int, fields)  # ValueError past 4300 digits
+    except ValueError:
+        raise ValueError("non-numeric header field") from None
+    if maxval <= 0 or maxval > 255:
+        raise ValueError(f"unsupported maxval {maxval}")
+    if width < 1 or height < 1:
+        raise ValueError(f"image size {width}x{height} has no pixels")
+    start = header.end()
+    if len(blob) - start < width * height:
+        raise ValueError(f"expected {width * height} pixel bytes, "
+                         f"got {len(blob) - start}")
+    return height, width, start
+
+
 def load_mask(path) -> np.ndarray:
     """Read a P5 graymap back to a boolean mask (nonzero = foreground)."""
-    blob = Path(path).read_bytes()
-    if not blob.startswith(b"P5"):
-        raise CorruptFileError(f"{path}: not a P5 graymap")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(blob) and blob[pos:pos + 1] == b"#":
-            while pos < len(blob) and blob[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        if pos == start:
-            raise CorruptFileError(f"{path}: truncated header")
-        fields.append(blob[start:pos])
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
-        width, height, maxval = (int(f) for f in fields)
-    except ValueError:
-        raise CorruptFileError(f"{path}: non-numeric header field") from None
-    if maxval <= 0 or maxval > 255:
-        raise CorruptFileError(f"{path}: unsupported maxval {maxval}")
-    pos += 1  # single whitespace byte after maxval
-    pixels = blob[pos:pos + width * height]
-    if len(pixels) != width * height:
-        raise CorruptFileError(f"{path}: expected {width * height} pixel bytes, "
-                               f"got {len(pixels)}")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width) > 0
+        height, width, start = _pgm_header(blob)
+    except ValueError as exc:
+        raise CorruptFileError(f"{path}: {exc}") from None
+    return np.frombuffer(blob, np.uint8, height * width, start).reshape(height, width) > 0
 
 
 def mask_filename(frame: int, side: HandSide) -> str:
@@ -301,40 +371,91 @@ def save_mask_archive(dir_path, frames: list, comment: str = "") -> None:
             save_mask(out / mask_filename(idx, side), mask, comment=comment)
 
 
+def _region_error(root: Path, idx: int, side: HandSide,
+                  mask: np.ndarray) -> Optional[CorruptFileError]:
+    """The error naming a mask's file and frame if it is not a valid
+    HandRegion (wrong size, or more than one 8-connected component)."""
+    try:
+        HandRegion(mask=mask, side=side, present=bool(mask.any()))
+    except ValueError as exc:
+        return CorruptFileError(f"{root / mask_filename(idx, side)}: "
+                                f"frame {idx}: {exc}")
+    return None
+
+
+def _split_masks(masks: np.ndarray) -> np.ndarray:
+    """Indices of the (N, h, w) stack's masks whose foreground is more than
+    one 8-connected component, found with one ndimage.label over the
+    stack cropped to its union bounding box. Labels are numbered in scan
+    order and never join two masks, so a mask's component count is how
+    far the running maximum label rises over it."""
+    union = masks.any(axis=0)
+    rows, cols = np.flatnonzero(union.any(axis=1)), np.flatnonzero(union.any(axis=0))
+    if rows.size == 0:
+        return rows
+    crop = masks[:, rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    labels, _ = ndimage.label(crop, structure=_IN_MASK_EIGHT)
+    top = np.maximum.accumulate(labels.reshape(len(masks), -1).max(axis=1))
+    return np.flatnonzero(np.diff(top, prepend=0) > 1)
+
+
 def load_mask_archive(dir_path) -> list:
     """Read a mask directory back to per-frame {HandSide: HandRegion} dicts.
 
     Each dict holds the right hand first, whatever order the directory
     lists its files in: that order would otherwise reach the posture
-    codebook sample. A mask that is not a valid region (wrong size, even
-    when blank, or more than one 8-connected component) raises
-    CorruptFileError naming its file and frame.
+    codebook sample. The masks are views of one (T, 2, 65, 65) bool stack,
+    frame-major, right then left, checked in one labelled pass. A file
+    that is not a graymap (see _pgm_header) raises CorruptFileError naming
+    it. Otherwise, in frame order, the first frame missing a side, or the
+    first mask that is not a valid region (wrong size, even when blank, or
+    more than one 8-connected component) raises CorruptFileError naming
+    its file and frame.
     """
     root = Path(dir_path)
     if not root.is_dir():
         raise FileNotFoundError(f"no mask archive at {dir_path}")
-    found: dict[int, dict[HandSide, np.ndarray]] = {}
-    for p in root.iterdir():
-        m = _MASK_NAME.match(p.name)
-        if not m:
-            continue
-        idx, side = int(m.group(1)), HandSide(m.group(2))
-        found.setdefault(idx, {})[side] = load_mask(p)
+    folder = os.fspath(root)
+    found: dict[int, str] = {}  # 2 * frame + (0 right, 1 left) -> file name
+    for name in os.listdir(folder):
+        m = _MASK_NAME.match(name)
+        if m:
+            found[2 * int(m.group(1)) + (m.group(2) == "L")] = name
     if not found:
         raise EmptyInputError(f"no masks in {dir_path}")
-    n = max(found) + 1
-    frames = []
-    for idx in range(n):
-        sides = found.get(idx)
-        if sides is None or set(sides) != set(HandSide):
-            raise CorruptFileError(f"{dir_path}: frame {idx} is missing a side")
-        out = {}
-        for side in HandSide:  # fixed (right, left) order, not directory order
-            mask = sides[side]
+    codes = sorted(found)
+    shapes, chunks = [], []  # per file: (height, width), its pixel bytes
+    header, size = None, 0
+    for code in codes:
+        with open(os.path.join(folder, found[code]), "rb", buffering=0) as fh:
+            blob = fh.read()
+        # a file that begins with the last header parsed shares its fields
+        if header is None or not blob.startswith(header) or len(blob) < len(header) + size:
             try:
-                out[side] = HandRegion(mask=mask, side=side, present=bool(mask.any()))
+                height, width, start = _pgm_header(blob)
             except ValueError as exc:
-                raise CorruptFileError(f"{root / mask_filename(idx, side)}: "
-                                       f"frame {idx}: {exc}") from None
-        frames.append(out)
-    return frames
+                raise CorruptFileError(f"{root / found[code]}: {exc}") from None
+            header, size = blob[:start], height * width
+        shapes.append((height, width))
+        chunks.append(blob[start:start + size])
+    # the masks of whole frames, up to the first frame missing a side, and
+    # of those the ones before the first that is not 65x65
+    whole = next((i for i, code in enumerate(codes) if code != i), len(codes)) // 2 * 2
+    end = next((i for i in range(whole) if shapes[i] != (PATCH, PATCH)), whole)
+    masks = (np.frombuffer(b"".join(chunks[:end]), np.uint8) > 0).reshape(end, PATCH, PATCH)
+    for flat in _split_masks(masks):  # each is checked again by HandRegion
+        idx, slot = divmod(int(flat), 2)
+        bad = _region_error(root, idx, _SIDES[slot], masks[flat])
+        if bad is not None:
+            raise bad
+    if end < whole:
+        idx, slot = divmod(end, 2)
+        mask = np.frombuffer(chunks[end], np.uint8).reshape(shapes[end]) > 0
+        raise _region_error(root, idx, _SIDES[slot], mask)
+    if whole < len(codes):
+        raise CorruptFileError(f"{dir_path}: frame {whole // 2} is missing a side")
+    stack = masks.reshape(-1, 2, PATCH, PATCH)
+    present = stack.any(axis=(2, 3)).tolist()
+    return [{HandSide.RIGHT: HandRegion._validated(right, HandSide.RIGHT, p_right),
+             HandSide.LEFT: HandRegion._validated(left, HandSide.LEFT, p_left)}
+            for (right, left), (p_right, p_left) in zip(stack, present)]

@@ -151,6 +151,8 @@ def _log_likelihoods(models, sym: np.ndarray) -> np.ndarray:
     |log c_b|, P exact for the float parameters, while no entry of v is
     subnormal (one errs by <= 2^-1075, as at q = 1, the per-frame
     recursion). An impossible sequence has an exact block sum 0: c_b = 0.
+    q is also at most the first power of two >= T - 1, so a short sequence
+    is not padded to a whole 16-frame block; a smaller q only shrinks K.
     """
     if sym.min() < 0 or sym.max() >= models[0].n_symbols:
         raise ValueError("symbol out of range for this model")
@@ -158,7 +160,7 @@ def _log_likelihoods(models, sym: np.ndarray) -> np.ndarray:
     R, n = pi.shape
     low = A.min(where=A > 0.0, initial=1.0) * B.min(where=B > 0.0, initial=1.0)
     q = 1
-    while q < 16 and low * low >= 2.0 ** -1022:
+    while q < min(16, sym.shape[0] - 1) and low * low >= 2.0 ** -1022:
         low, q = low * low, 2 * q
     symbols, step = np.unique(sym[1:], return_inverse=True)
     table = np.concatenate([A * B[:, :, symbols].transpose(2, 0, 1)[:, :, None, :],

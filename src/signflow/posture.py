@@ -72,6 +72,16 @@ class HandRegion:
         elif n_fg:
             raise ValueError("absent region must have an empty mask")
 
+    @classmethod
+    def _validated(cls, mask: np.ndarray, side: HandSide, present: bool) -> "HandRegion":
+        """A region without the per-mask checks, for load_mask_archive,
+        whose one labelled pass over the archive has made them: mask is a
+        65x65 bool array, one 8-connected component if present, else
+        empty."""
+        region = cls.__new__(cls)
+        region.mask, region.side, region.present = mask, side, present
+        return region
+
 
 @dataclass
 class PostureModel:

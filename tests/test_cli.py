@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +182,19 @@ class TestPredict:
         fused = int(next(l for l in out.splitlines()
                          if l.startswith("fused-class")).split()[1])
         assert fused == entry["label"]
+
+    def test_negative_mask_size_names_the_file(self, workdir, tmp_path, capsys):
+        manifest = json.loads((workdir / "data" / "manifest.json").read_text())
+        entry = next(e for e in manifest["entries"] if e["split"] == "train")
+        masks = tmp_path / "masks"
+        shutil.copytree(workdir / "data" / entry["mask_dir"], masks)
+        (masks / "00001_R.pgm").write_bytes(b"P5\n-5 -5\n255\n" + b"\xff" * 25)
+        code = run_cli(["predict", "--model", str(workdir / "model.json"),
+                        "--sequence", str(workdir / "data" /
+                                          entry["sequence_path"]),
+                        "--masks", str(masks)])
+        assert code == 1
+        assert f"{masks / '00001_R.pgm'}: non-numeric header field" in capsys.readouterr().err
 
     def test_posture_mode_without_masks_fails(self, workdir, capsys):
         manifest = json.loads((workdir / "data" / "manifest.json").read_text())

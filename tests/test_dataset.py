@@ -1,8 +1,8 @@
 """Tests for manifests, the skeleton CSV adapter, and PGM mask archives."""
 
 import json
+import os
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +370,24 @@ class TestPgm:
         with pytest.raises(CorruptFileError):
             load_mask(p)
 
+    @pytest.mark.parametrize("size, message", [
+        (b"-5 -5", "non-numeric header field"),
+        (b"+5 5", "non-numeric header field"),
+        (b"0 5", "image size 0x5 has no pixels"),
+    ], ids=["negative", "signed", "zero"])
+    def test_size_fields_are_decimals_of_at_least_one(self, tmp_path, size, message):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(b"P5\n" + size + b"\n255\n" + b"\xff" * 25)
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(str(p))}: {message}$"):
+            load_mask(p)
+        d = tmp_path / "vid0"
+        save_mask_archive(d, [{HandSide.RIGHT: disk_region(),
+                               HandSide.LEFT: disk_region(HandSide.LEFT)}])
+        (d / "00000_L.pgm").write_bytes(p.read_bytes())
+        with pytest.raises(CorruptFileError,
+                           match=f"^{re.escape(str(d / '00000_L.pgm'))}: {message}$"):
+            load_mask_archive(d)
+
 
 class TestMaskArchive:
     def test_filenames(self):
@@ -405,12 +423,15 @@ class TestMaskArchive:
         d = tmp_path / "vid0"
         save_mask_archive(d, [{HandSide.RIGHT: disk_region(),
                                HandSide.LEFT: disk_region(HandSide.LEFT)}] * 3)
-        names = sorted(d.iterdir())
-        for listing in (names, names[::-1]):
-            monkeypatch.setattr(Path, "iterdir",
-                                lambda self, listing=listing: iter(listing))
+        listdir, listed = os.listdir, []
+        for reverse in (False, True):
+            def ordered(path, reverse=reverse):
+                listed.append(reverse)
+                return sorted(listdir(path), reverse=reverse)
+            monkeypatch.setattr(os, "listdir", ordered)
             for sides in load_mask_archive(d):
                 assert list(sides) == [HandSide.RIGHT, HandSide.LEFT]
+        assert listed == [False, True]  # the loader read both listings
 
     def test_missing_side_rejected(self, tmp_path):
         d = tmp_path / "vid0"

@@ -131,16 +131,17 @@ def same(a, b):
 UNIT = 2.0 ** -53
 
 
-def block_length(models):
-    """The block length the forward must use, in exact arithmetic: the
-    largest power of two q <= 16 with (min A * min B)^q >= 2^-1022, over
-    the positive entries of every model."""
+def block_length(models, T):
+    """The block length the forward must use on a T-frame sequence, in
+    exact arithmetic: the largest power of two q <= 16 with (min A *
+    min B)^q >= 2^-1022, over the positive entries of every model, and at
+    most the first power of two >= T - 1."""
     low = 1
     for name in ("A", "B"):
         entries = [x for m in models for x in getattr(m, name).ravel() if x > 0]
         low *= Fraction(min(entries, default=1.0))
     q = 1
-    while q < 16 and low ** (2 * q) >= Fraction(2) ** -1022:
+    while q < min(16, T - 1) and low ** (2 * q) >= Fraction(2) ** -1022:
         q *= 2
     return q
 
@@ -237,7 +238,7 @@ class TestStackedForward:
         # the block forward and the per-frame oracle each err by at most
         # their own bound from the exact value
         lls = np.array([oracle_log_likelihood(m, obs) for m in models])
-        q = block_length(models)
+        q = block_length(models, T)
         tol = [forward_bound(T, n, q, ll) + forward_bound(T, n, 1, ll)
                for ll in lls]
         assert_scores_close(classify_gesture(models, obs).values * T, lls,
@@ -266,7 +267,7 @@ class TestStackedForward:
             assert np.isnan(forward_log_likelihood(nan, obs))
         want = np.array([oracle_log_likelihood(m, obs) for m in models])
         assert want[1] == NEG_INF and np.isnan(want[2])
-        q = block_length(models)
+        q = block_length(models, T)
         tol = [forward_bound(T, n, q, ll) + forward_bound(T, n, 1, ll)
                + 2 * UNIT * abs(ll) for ll in want]
         assert_scores_close(values * T, want, tol)
@@ -305,19 +306,29 @@ class TestBlockForward:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 4),
-           st.integers(0, 150), st.sampled_from(["1", "q", "q+1", "2q+1"]),
+           st.integers(0, 150),
+           st.one_of(st.sampled_from(["q", "q+1", "2q+1"]), st.integers(1, 17)),
            st.integers(0, 2 ** 32 - 1))
+    # q set by the smallest entries, edges relative to the long-sequence q
     @example(3, 4, 3, 80, "q+1", 1)   # q = 1
     @example(3, 4, 3, 60, "2q+1", 2)  # q = 2
     @example(2, 3, 2, 30, "2q+1", 3)  # q = 4
     @example(1, 3, 2, 20, "q", 4)     # q = 8
     @example(4, 5, 4, 3, "2q+1", 5)   # q = 16
+    # q set by the sequence length: the first power of two >= T - 1
+    @example(4, 5, 4, 3, 1, 6)        # q = 1
+    @example(4, 5, 4, 3, 2, 7)        # q = 1
+    @example(4, 5, 4, 3, 3, 8)        # q = 2
+    @example(4, 5, 4, 3, 5, 9)        # q = 4
+    @example(4, 5, 4, 3, 9, 10)       # q = 8
+    @example(4, 5, 4, 3, 17, 11)      # q = 16
     def test_equals_exact_oracle_at_block_edges(self, n, k, C, exponent,
                                                 edge, seed):
         rng = np.random.default_rng(seed)
         models = [tiny_entry_model(rng, n, k, exponent) for _ in range(C)]
-        q = block_length(models)
-        T = {"1": 1, "q": q, "q+1": q + 1, "2q+1": 2 * q + 1}[edge]
+        long_q = block_length(models, 17)
+        T = {"q": long_q, "q+1": long_q + 1, "2q+1": 2 * long_q + 1}.get(edge, edge)
+        q = block_length(models, T)
         obs = rng.integers(0, k, size=T)
         want = np.array([exact_log_likelihood(m, obs) for m in models])
         tol = np.array([forward_bound(T, n, q, ll) + oracle_slack(ll)
