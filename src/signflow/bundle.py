@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .codebook import Codebook
-from .dataset import CorruptFileError
+from .dataset import CorruptFileError, read_utf8
 from .descriptors import DescriptorVariant, ZNormStats
 from .fusion import KdeFusionModel
 from .hmm import DiscreteHMM
@@ -176,7 +176,7 @@ def load_bundle(path) -> ModelBundle:
         raise CorruptFileError(f"{path}: non-finite number {token}")
 
     try:
-        doc = json.loads(Path(path).read_text(), parse_constant=non_finite)
+        doc = json.loads(read_utf8(path), parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise CorruptFileError(f"{path}: line {exc.lineno} col {exc.colno}: "
                                f"{exc.msg}") from None

@@ -309,7 +309,6 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
 
 
 def build_codebook(descriptors, k: int = DEFAULT_K, seed: int = 0,
-                   max_iter: int = DEFAULT_MAX_ITER,
                    variant: Optional[DescriptorVariant] = None) -> Codebook:
     """Fit z-normalization on an (n, D) descriptor array, then cluster in
     z-space."""
@@ -318,7 +317,7 @@ def build_codebook(descriptors, k: int = DEFAULT_K, seed: int = 0,
         raise EmptyInputError("no descriptors")
     stats = fit_znorm(raw)
     normed = (raw - stats.mean) / stats.stddev
-    return fit_kmeans(normed, k, seed, max_iter, znorm=stats, variant=variant)
+    return fit_kmeans(normed, k, seed, znorm=stats, variant=variant)
 
 
 def _as_matrix(cb: Codebook, vectors: np.ndarray) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Dataset manifests, the skeleton CSV adapter, and PGM mask archives.
 
-Recordings arrive as delimited text with one skeleton frame per row and
-optional per-frame hand masks stored as portable graymaps, one archive
-directory per video with filenames ``{frame:05}_{L|R}.pgm``. A manifest
-ties sequences to labels, subjects, and splits; subject-disjointness
-across splits is enforced at construction time.
+Recordings arrive as UTF-8 comma-separated text with one skeleton frame
+per line (see parse_skeleton_csv for the grammar) and optional per-frame
+hand masks stored as portable graymaps, one archive directory per video
+with filenames exactly ``{frame:05}_{L|R}.pgm``. A manifest ties
+sequences to labels, subjects, and splits; subject-disjointness across
+splits is enforced at construction time.
 
 Both loaders work once per file or archive, not once per cell or mask: a
-CSV's data lines go through one np.loadtxt call, and an archive's masks
-are read into one stack and validated with one ndimage.label.
+CSV's data lines go through one np.loadtxt call, looked at one by one
+only to name the first bad line, and an archive's masks are read into
+one stack and validated with one ndimage.label.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .skeleton import (
 
 SPLITS = ("train", "validation", "test")
 
-_MASK_NAME = re.compile(r"^(\d{5})_([LR])\.pgm$")
+_MASK_NAME = re.compile(r"([0-9]{5})_([LR])\.pgm")
 
 # a P5 header: "P5", then three tokens, each after a run of whitespace
 # bytes and '#' comments to the end of the line, then one whitespace byte
@@ -69,13 +71,6 @@ class CorruptFileError(SignflowError):
 _N_COLUMNS = 1 + 4 * len(JointId)
 
 
-def _float_or_none(cell: str) -> Optional[float]:
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
 def _bad_value(rows: np.ndarray, fields: np.ndarray, observed: np.ndarray):
     """(row index, reason) of the first value a row may not hold, or None.
 
@@ -102,91 +97,94 @@ def _bad_value(rows: np.ndarray, fields: np.ndarray, observed: np.ndarray):
     return row, f"non-finite joint coordinate: {value!r}"
 
 
-def _read_rows(path):
-    """Parse a file row by row with csv.reader: the (n, 61) rows read,
-    their 1-based line numbers, and the MalformedRowError of the row that
-    ended the read, or None."""
-    rows, lines = [], []
-    error = None  # a row that does not parse ends the read
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != _N_COLUMNS:
-                error = MalformedRowError(
-                    path, lineno, f"expected {_N_COLUMNS} columns, got {len(row)}")
-                break
-            try:
-                rows.append(list(map(float, row)))
-            except ValueError:
-                bad = next(cell for cell in row if _float_or_none(cell) is None)
-                error = MalformedRowError(path, lineno, f"non-numeric cell {bad!r}")
-                break
-            lines.append(lineno)
-    return np.array(rows, dtype=np.float64).reshape(len(rows), _N_COLUMNS), lines, error
-
-
-def _parse_lines(path):
-    """Every data line of a file parsed in one np.loadtxt call: the (n, 61)
-    rows and their 1-based line numbers. None where only csv.reader can
-    tell what the file holds or which line is wrong: a quote, a carriage
-    return not followed by a newline, a line longer than csv's field
-    limit, a decoding error, or any line np.loadtxt does not read as 61
-    numbers, which float() would not read either.
-    """
+def read_utf8(path) -> str:
+    """A file's text decoded as UTF-8, each line end (LF, CRLF or a lone
+    CR) read as LF. A byte that does not decode raises CorruptFileError
+    naming the file and its line."""
     try:
-        with open(path, newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:  # csv.reader's read names where it stops
-        return None
-    if '"' in text:
-        return None
-    limit = csv.field_size_limit()
-    lines, numbers = [], []
-    for number, line in enumerate(text.split("\n"), start=1):
-        if line.endswith("\r"):
-            line = line[:-1]
-        if "\r" in line or len(line) > limit:
-            return None
-        start = line.lstrip()
-        if start and not start.startswith("#"):
-            lines.append(line)
-            numbers.append(number)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:  # whose offsets count from a chunk of the file
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    try:
+        return blob.decode("utf-8")  # fails again, with the file's offsets
+    except UnicodeDecodeError as exc:
+        head = blob[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise CorruptFileError(f"{path}: line {line}: invalid UTF-8 byte "
+                               f"{blob[exc.start]:#04x}") from None
+
+
+def _rows(lines) -> np.ndarray:
+    """Data lines parsed in one np.loadtxt call; ValueError if a cell is
+    not a number."""
     if not lines:  # np.loadtxt warns on no data
-        return np.empty((0, _N_COLUMNS)), []
+        return np.empty((0, _N_COLUMNS))
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _is_number(cell: str) -> bool:
+    """Whether np.loadtxt reads the cell: stripped of whitespace, an ASCII
+    literal that float() reads, without '_'."""
+    cell = cell.strip()
+    if not cell.isascii() or "_" in cell:
+        return False
     try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        float(cell)
     except ValueError:
-        return None
-    return (data, numbers) if data.shape == (len(lines), _N_COLUMNS) else None
+        return False
+    return True
+
+
+def _first_bad_line(path, lines, numbers):
+    """(index, MalformedRowError naming it) of the first data line that is
+    not 61 numbers."""
+    for i, (line, number) in enumerate(zip(lines, numbers)):
+        cells = line.split(",")
+        if len(cells) != _N_COLUMNS:
+            return i, MalformedRowError(
+                path, number, f"expected {_N_COLUMNS} columns, got {len(cells)}")
+        bad = next((cell for cell in cells if not _is_number(cell)), None)
+        if bad is not None:
+            return i, MalformedRowError(path, number, f"non-numeric cell {bad!r}")
 
 
 def parse_skeleton_csv(path) -> SkeletonSequence:
     """Read one recording; repair missing joints by forward fill.
 
-    Each row holds the timestamp, then x, y, z and a confidence for every
-    JointId in order; zero or negative confidence marks the joint missing
-    in that frame. Rows that fail to parse, or hold a non-finite
-    timestamp, one below the previous row's, a non-finite observed
-    coordinate or a confidence above 1, are rejected with the file and
-    their 1-based line number. A joint missing from the first frame
-    raises MissingJointError. Lines starting with '#' and blank lines are
-    skipped. The data lines are parsed in one call; a file that call
-    cannot settle is read row by row with csv.reader, which decides
-    whether it loads and names the first line that does not.
+    The file is UTF-8, and a line ends at LF, CRLF or a lone CR (see
+    read_utf8). A blank line, or one whose first non-blank character is
+    '#', is skipped whatever else it holds. Every other line is a frame:
+    the timestamp, then x, y, z and a confidence for every JointId in
+    order, 61 cells split at every comma, each a number (see _is_number;
+    quotes are not stripped). Zero or negative confidence marks the joint
+    missing in that frame. The first line that is not 61 numbers, or an
+    earlier one that holds a non-finite timestamp, one below the previous
+    line's, a non-finite observed coordinate or a confidence above 1, is
+    rejected with the file and its 1-based line number. A joint missing
+    from the first frame raises MissingJointError. The data lines are
+    parsed in one call, and looked at one by one only when it fails.
     """
-    parsed = _parse_lines(path)
-    if parsed is None:
-        data, lines, error = _read_rows(path)
-    else:
-        (data, lines), error = parsed, None
+    lines, numbers = [], []
+    for number, line in enumerate(read_utf8(path).split("\n"), start=1):
+        start = line.lstrip()
+        if start and not start.startswith("#"):
+            lines.append(line)
+            numbers.append(number)
+    error = None
+    try:
+        data = _rows(lines)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (len(lines), _N_COLUMNS):
+        end, error = _first_bad_line(path, lines, numbers)
+        data = _rows(lines[:end])
     fields = data[:, 1:].reshape(len(data), len(JointId), 4)
     observed = fields[:, :, 3] > 0
     found = _bad_value(data, fields, observed)
-    if found is not None:  # an earlier line than the one that ended the read
-        raise MalformedRowError(path, lines[found[0]], found[1])
+    if found is not None:  # a line before the first that is not 61 numbers
+        raise MalformedRowError(path, numbers[found[0]], found[1])
     if error is not None:
         raise error
     if not len(data):
@@ -271,7 +269,7 @@ def save_manifest(manifest: DatasetManifest, path, config_hash: str = "") -> Non
 
 def load_manifest(path) -> DatasetManifest:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise CorruptFileError(f"{path}: line {exc.lineno} col {exc.colno}: "
                                f"{exc.msg}") from None
@@ -418,7 +416,7 @@ def load_mask_archive(dir_path) -> list:
     folder = os.fspath(root)
     found: dict[int, str] = {}  # 2 * frame + (0 right, 1 left) -> file name
     for name in os.listdir(folder):
-        m = _MASK_NAME.match(name)
+        m = _MASK_NAME.fullmatch(name)
         if m:
             found[2 * int(m.group(1)) + (m.group(2) == "L")] = name
     if not found:

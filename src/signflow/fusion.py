@@ -99,15 +99,15 @@ class KdeFusionModel:
         return self.bandwidths.shape[1]
 
 
-def couple(rp, rg: GestureResponse, clamp: float = CLAMP_FLOOR) -> CoupledResponse:
-    """Concatenate branch responses, clamping -inf gesture entries."""
+def couple(rp, rg: GestureResponse) -> CoupledResponse:
+    """Concatenate branch responses, clamping gesture entries to CLAMP_FLOOR."""
     rp = np.asarray(rp, dtype=np.float64)
     rgv = np.asarray(rg.values if isinstance(rg, GestureResponse) else rg,
                      dtype=np.float64)
     if rp.shape != rgv.shape:
         raise ValueError(f"posture response length {rp.shape} != gesture "
                          f"response length {rgv.shape}")
-    return CoupledResponse(values=np.concatenate([rp, np.maximum(rgv, clamp)]))
+    return CoupledResponse(values=np.concatenate([rp, np.maximum(rgv, CLAMP_FLOOR)]))
 
 
 def _training_matrix(pairs):
@@ -140,21 +140,22 @@ def predict_linear(model: MulticlassLinearModel, r: CoupledResponse) -> int:
     return int(response(model, r.values).argmax())
 
 
-def silverman_bandwidths(data: np.ndarray, floor: float = BW_FLOOR) -> np.ndarray:
-    """Per-dimension rule-of-thumb bandwidth, 0.9 min(sigma, IQR/1.34) n^-1/5."""
+def silverman_bandwidths(data: np.ndarray) -> np.ndarray:
+    """Per-dimension rule-of-thumb bandwidth, 0.9 min(sigma, IQR/1.34) n^-1/5,
+    at least BW_FLOOR."""
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     n = data.shape[0]
     sigma = data.std(axis=0)
     iqr = np.percentile(data, 75, axis=0) - np.percentile(data, 25, axis=0)
     h = 0.9 * np.minimum(sigma, iqr / 1.34) * n ** (-0.2)
-    return np.maximum(h, floor)
+    return np.maximum(h, BW_FLOOR)
 
 
-def train_kde_fusion(pairs, bw_floor: float = BW_FLOOR) -> KdeFusionModel:
+def train_kde_fusion(pairs) -> KdeFusionModel:
     """Per-class KDE over coupled responses; priors = class frequencies."""
     X, y, n_classes = _training_matrix(pairs)
     points = [X[y == c] for c in range(n_classes)]
-    bandwidths = np.stack([silverman_bandwidths(p, floor=bw_floor) for p in points])
+    bandwidths = np.stack([silverman_bandwidths(p) for p in points])
     priors = np.bincount(y, minlength=n_classes) / y.shape[0]
     return KdeFusionModel(class_points=points, bandwidths=bandwidths, priors=priors)
 

@@ -16,6 +16,7 @@ import numpy as np
 from .skeleton import EmptyInputError
 
 DEFAULT_EPOCHS = 60
+MARGIN = 1.0  # the score gap the hinge asks of the true class
 
 
 @dataclass
@@ -45,7 +46,7 @@ def response(model: MulticlassLinearModel, x: np.ndarray) -> np.ndarray:
     return model.weights @ x
 
 
-def _sgd_pass(X, y, W, lam, rng, t0, margin=1.0):
+def _sgd_pass(X, y, W, lam, rng, t0):
     """One epoch of Pegasos updates on the multiclass hinge; returns step count."""
     n = X.shape[0]
     t = t0
@@ -53,7 +54,7 @@ def _sgd_pass(X, y, W, lam, rng, t0, margin=1.0):
         t += 1
         eta = 1.0 / (lam * t)
         scores = W @ X[i]
-        scores_aug = scores + margin
+        scores_aug = scores + MARGIN
         scores_aug[y[i]] = scores[y[i]]
         r = int(scores_aug.argmax())
         W *= 1.0 - eta * lam

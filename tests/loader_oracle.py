@@ -1,6 +1,7 @@
 """Row-at-a-time loaders, kept as oracles for signflow.dataset's batched ones.
 
-parse_skeleton_csv is the csv.reader loop that parses one cell at a time;
+parse_skeleton_csv splits the bytes into lines at LF, CRLF or a lone CR,
+decodes each line on its own and parses one cell at a time with float();
 load_mask is the byte loop that reads a P5 header one token at a time,
 with the header rule of the batched loader (ASCII-decimal fields, width
 and height at least 1) added where its fields are converted;
@@ -10,7 +11,7 @@ return the same bytes, or raise the same error type with the same
 message.
 """
 
-import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from signflow.dataset import (
     CorruptFileError,
     MalformedRowError,
     _bad_value,
-    _float_or_none,
     _MASK_NAME,
     mask_filename,
 )
@@ -28,26 +28,49 @@ from signflow.posture import HandRegion, HandSide
 from signflow.skeleton import EmptyInputError, JointId, SkeletonSequence, forward_fill
 
 
+def _cell(cell: str):
+    """The float a cell holds, or None: ASCII once stripped, no '_'."""
+    cell = cell.strip()
+    if not cell.isascii() or "_" in cell:
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _decoded_lines(path) -> list:
+    """The file's lines, split at LF, CRLF or a lone CR and decoded one by
+    one; the first that is not UTF-8 raises, naming its line."""
+    lines = []
+    for lineno, line in enumerate(re.split(rb"\r\n|\r|\n", Path(path).read_bytes()),
+                                  start=1):
+        try:
+            lines.append(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CorruptFileError(f"{path}: line {lineno}: invalid UTF-8 byte "
+                                   f"{line[exc.start]:#04x}") from None
+    return lines
+
+
 def parse_skeleton_csv(path) -> SkeletonSequence:
     rows, lines = [], []
     error = None  # a row that does not parse ends the read
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != _N_COLUMNS:
-                error = MalformedRowError(
-                    path, lineno, f"expected {_N_COLUMNS} columns, got {len(row)}")
-                break
-            try:
-                rows.append(list(map(float, row)))
-            except ValueError:
-                bad = next(cell for cell in row if _float_or_none(cell) is None)
-                error = MalformedRowError(path, lineno, f"non-numeric cell {bad!r}")
-                break
-            lines.append(lineno)
+    for lineno, line in enumerate(_decoded_lines(path), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        cells = line.split(",")
+        if len(cells) != _N_COLUMNS:
+            error = MalformedRowError(
+                path, lineno, f"expected {_N_COLUMNS} columns, got {len(cells)}")
+            break
+        values = [_cell(cell) for cell in cells]
+        if None in values:
+            bad = cells[values.index(None)]
+            error = MalformedRowError(path, lineno, f"non-numeric cell {bad!r}")
+            break
+        rows.append(values)
+        lines.append(lineno)
     data = np.array(rows, dtype=np.float64).reshape(len(rows), _N_COLUMNS)
     fields = data[:, 1:].reshape(len(rows), len(JointId), 4)
     observed = fields[:, :, 3] > 0
@@ -101,7 +124,7 @@ def load_mask(path) -> np.ndarray:
 
 
 def _frame_order(path: Path):
-    m = _MASK_NAME.match(path.name)
+    m = _MASK_NAME.fullmatch(path.name)
     return (int(m.group(1)), m.group(2) == "L") if m else (-1, False)
 
 
@@ -111,7 +134,7 @@ def load_mask_archive(dir_path) -> list:
         raise FileNotFoundError(f"no mask archive at {dir_path}")
     found: dict[int, dict[HandSide, np.ndarray]] = {}
     for p in sorted(root.iterdir(), key=_frame_order):
-        m = _MASK_NAME.match(p.name)
+        m = _MASK_NAME.fullmatch(p.name)
         if not m:
             continue
         idx, side = int(m.group(1)), HandSide(m.group(2))

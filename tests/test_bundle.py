@@ -141,6 +141,15 @@ class TestErrors:
             load_bundle(p)
         assert "gesture_codebook" in str(exc.value)
 
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(with_optional=False), p)
+        blob = p.read_bytes()
+        p.write_bytes(blob[:1] + b"\n\xff" + blob[1:])
+        with pytest.raises(CorruptFileError) as exc:
+            load_bundle(p)
+        assert str(exc.value) == f"{p}: line 2: invalid UTF-8 byte 0xff"
+
     def test_wrong_format_marker(self, tmp_path):
         p = tmp_path / "model.json"
         p.write_text('{"format": "something-else", "version": 1}')

@@ -207,6 +207,60 @@ class TestPredict:
         assert "error:" in capsys.readouterr().err
 
 
+def _with_bad_byte(src, dst):
+    blob = Path(src).read_bytes()
+    Path(dst).write_bytes(blob[:len(blob) // 2] + b"\xff" + blob[len(blob) // 2:])
+
+
+def _long_comment_csv(workdir, tmp_path, entry):
+    bad = tmp_path / "seq.csv"
+    bad.write_text("#" + "x" * 140_000 + "\n1.0,2.0\n")
+    return ["predict", "--model", str(workdir / "model.json"), "--sequence", str(bad)], bad
+
+
+def _non_utf8_csv(workdir, tmp_path, entry):
+    bad = tmp_path / "seq.csv"
+    _with_bad_byte(workdir / "data" / entry["sequence_path"], bad)
+    return ["predict", "--model", str(workdir / "model.json"), "--sequence", str(bad)], bad
+
+
+def _non_utf8_manifest(workdir, tmp_path, entry):
+    bad = tmp_path / "manifest.json"
+    _with_bad_byte(workdir / "data" / "manifest.json", bad)
+    return ["eval", "--model", str(workdir / "model.json"), "--data", str(tmp_path)], bad
+
+
+def _non_utf8_bundle(workdir, tmp_path, entry):
+    bad = tmp_path / "model.json"
+    _with_bad_byte(workdir / "model.json", bad)
+    return ["inspect", "--model", str(bad)], bad
+
+
+def _bad_mask_header(workdir, tmp_path, entry):
+    masks = tmp_path / "masks"
+    shutil.copytree(workdir / "data" / entry["mask_dir"], masks)
+    bad = masks / "00001_L.pgm"
+    bad.write_bytes(b"P6\n65 65\n255\n" + bytes(65 * 65))
+    return ["predict", "--model", str(workdir / "model.json"),
+            "--sequence", str(workdir / "data" / entry["sequence_path"]),
+            "--masks", str(masks)], bad
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("make", [
+        _long_comment_csv, _non_utf8_csv, _non_utf8_manifest, _non_utf8_bundle,
+        _bad_mask_header,
+    ], ids=["csv long comment", "csv not utf-8", "manifest not utf-8",
+            "bundle not utf-8", "mask bad header"])
+    def test_one_error_line_names_the_file(self, workdir, tmp_path, capsys, make):
+        manifest = json.loads((workdir / "data" / "manifest.json").read_text())
+        entry = next(e for e in manifest["entries"] if e["split"] == "train")
+        argv, bad = make(workdir, tmp_path, entry)
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run_cli([]) == 2

@@ -168,6 +168,26 @@ class TestParseCsv:
         assert len(parse_skeleton_csv(p)) == 3
 
 
+    def test_quote_in_comment_keeps_the_rows_after_it(self, tmp_path):
+        p = tmp_path / "seq.csv"
+        row = csv_row(0.0, [(1, 2, 3)] * 15)
+        p.write_text('# a,"b\n' + row + '\n# "\n' + row + "\n")
+        assert len(parse_skeleton_csv(p)) == 2
+
+    def test_long_comment_line_loads(self, tmp_path):
+        p = tmp_path / "seq.csv"
+        p.write_text("#" + "x" * 140_000 + "\n" + csv_row(0.0, [(1, 2, 3)] * 15) + "\n")
+        assert len(parse_skeleton_csv(p)) == 1
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        p = tmp_path / "seq.csv"
+        row = csv_row(0.0, [(1, 2, 3)] * 15).encode()
+        p.write_bytes(b"# header\r" + row + b"\r\n" + row[:9] + b"\xff" + row[9:] + b"\n")
+        with pytest.raises(CorruptFileError,
+                           match=f"^{re.escape(str(p))}: line 3: invalid UTF-8 byte 0xff$"):
+            parse_skeleton_csv(p)
+
+
 class TestRoundTrip:
     def test_write_then_parse_exact(self, tmp_path):
         rng = np.random.default_rng(90)
@@ -287,6 +307,15 @@ class TestManifest:
             load_manifest(p)
         assert "line 1" in str(exc.value)
 
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        p = tmp_path / "manifest.json"
+        save_manifest(DatasetManifest(entries=self.entries()), p)
+        blob = p.read_bytes()
+        p.write_bytes(blob[:2] + b"\xc3(" + blob[2:])
+        with pytest.raises(CorruptFileError,
+                           match=f"^{re.escape(str(p))}: line 2: invalid UTF-8 byte 0xc3$"):
+            load_manifest(p)
+
     def test_missing_entries_key(self, tmp_path):
         p = tmp_path / "manifest.json"
         p.write_text('{"format": "signflow-manifest"}')
@@ -393,6 +422,27 @@ class TestMaskArchive:
     def test_filenames(self):
         assert mask_filename(7, HandSide.LEFT) == "00007_L.pgm"
         assert mask_filename(12345, HandSide.RIGHT) == "12345_R.pgm"
+
+    @pytest.mark.parametrize("stray_first", [True, False], ids=["first", "last"])
+    def test_near_names_are_not_masks(self, tmp_path, monkeypatch, stray_first):
+        # a trailing newline, or digits that are not ASCII, make a name
+        # that is not frame 0's right mask wherever the listing puts it
+        d = tmp_path / "vid0"
+        right = disk_region()
+        save_mask_archive(d, [{HandSide.RIGHT: right,
+                               HandSide.LEFT: disk_region(HandSide.LEFT)}])
+        stray = ["00000_R.pgm\n", "\u0660" * 5 + "_R.pgm"]
+        for name in stray:
+            save_mask(d / name, disk_region(cx=20).mask)
+        listdir = os.listdir
+
+        def listing(path):
+            names = sorted(set(listdir(path)) - set(stray))
+            return stray + names if stray_first else names + stray
+        monkeypatch.setattr(os, "listdir", listing)
+        back = load_mask_archive(d)
+        assert len(back) == 1
+        np.testing.assert_array_equal(back[0][HandSide.RIGHT].mask, right.mask)
 
     def test_round_trip(self, tmp_path):
         frames = [

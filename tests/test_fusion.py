@@ -66,8 +66,9 @@ class TestCouple:
         assert r.values[3] == -5.0
 
     def test_custom_clamp(self):
-        r = couple(np.array([0.0]), make_rg([-np.inf]), clamp=-50.0)
-        assert r.values[1] == -50.0
+        # a finite entry below the floor is clamped too
+        r = couple(np.array([0.0]), make_rg([2 * CLAMP_FLOOR]))
+        assert r.values[1] == CLAMP_FLOOR
 
     def test_order_and_length(self):
         rng = np.random.default_rng(60)

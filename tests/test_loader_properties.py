@@ -13,15 +13,14 @@ import loader_oracle as oracle
 from signflow import dataset
 from signflow.dataset import (
     CorruptFileError,
+    MalformedRowError,
     load_mask,
     load_mask_archive,
     mask_filename,
     parse_skeleton_csv,
     save_mask,
-    write_skeleton_csv,
 )
 from signflow.posture import PATCH, HandSide
-from signflow.skeleton import SkeletonSequence
 
 
 def outcome(load, path):
@@ -46,24 +45,29 @@ def assert_same_sequence(path):
     assert got[1].source == want[1].source
 
 
-SPECIAL_CELLS = ["nan", "inf", "-0", "1e999", "1_0", " 1.5 ", '"2.0"', "", "x"]
-SKIPPED_LINES = ["", "   ", "\t", "#", "# header", "  # x,1,2"]
+SPECIAL_CELLS = ["nan", "inf", "-0", "1e999", "1_0", " 1.5 ", '"2.0"', "", "x",
+                 "\u0661\u0662", "\x1c1"]
+SKIPPED_LINES = ["", "   ", "\t", "#", "# header", "  # x,1,2", '# a,"b', '# "',
+                 ' #"x\ty",",']
 
 
 @st.composite
 def csv_texts(draw):
-    """0-20 rows of 60, 61 or 62 cells, mostly valid numbers, some cells
-    replaced by special ones; blank, whitespace-only and '#' lines
-    anywhere; "\\n" or "\\r\\n" line ends, sometimes one "\\r"."""
+    """0-20 rows of 61 cells, or in some files 60, 61 or 62, mostly valid
+    numbers, some cells replaced by special ones; blank, whitespace-only
+    and '#' lines anywhere; "\\n" or "\\r\\n" line ends, sometimes one
+    "\\r"; as UTF-8 bytes, sometimes with one byte that does not decode."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     lines = []
+    ragged = draw(st.booleans())  # else every row has 61 cells
     for i in range(draw(st.integers(0, 20))):
         lines += draw(st.lists(st.sampled_from(SKIPPED_LINES), max_size=2))
-        width = draw(st.sampled_from([61, 61, 61, 60, 62]))
+        width = draw(st.sampled_from([61, 61, 61, 60, 62])) if ragged else 61
         values = rng.normal(size=width)
         values[0] = 0.1 * i
-        values[4::4] = rng.choice([0.0, 0.5, 1.0], size=values[4::4].size)
+        # a joint missing from the first frame fails every file
+        values[4::4] = rng.choice([0.0, 0.5, 1.0] if i else [0.5, 1.0], size=values[4::4].size)
         cells = [repr(float(v)) for v in values]
         for at, cell in draw(st.lists(st.tuples(
                 st.integers(0, width - 1),
@@ -77,48 +81,58 @@ def csv_texts(draw):
         ends[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     if lines and draw(st.booleans()):
         ends[-1] = ""
-    return "".join(line + e for line, e in zip(lines, ends))
+    blob = "".join(line + e for line, e in zip(lines, ends)).encode()
+    if blob and rng.random() < 0.1:
+        at = int(rng.integers(len(blob) + 1))
+        blob = blob[:at] + draw(st.sampled_from([b"\xff", b"\xc3"])) + blob[at:]
+    return blob
 
 
 class TestCsvAgainstRowReader:
     @settings(max_examples=300, deadline=None)
     @given(csv_texts())
-    def test_same_bytes_or_same_error(self, tmp_path_factory, text):
+    def test_same_bytes_or_same_error(self, tmp_path_factory, blob):
         p = tmp_path_factory.mktemp("csv") / "seq.csv"
-        with open(p, "w", newline="") as fh:
-            fh.write(text)
+        p.write_bytes(blob)
         assert_same_sequence(p)
 
+    def test_is_number_is_what_np_loadtxt_reads(self):
+        # the one-by-one check names a line only if it agrees with the
+        # one call: around, before and inside a number, every ASCII
+        # character and every other one that is a space or a digit
+        chars = [chr(c) for c in range(0x110000) if c < 0x80 or chr(c).isspace()
+                 or chr(c).isnumeric()]
+        for char in set(chars) - set("\n\r,"):
+            for cell in (char + "1", "1" + char, "1" + char + "5", char):
+                try:
+                    np.loadtxt([cell], delimiter=",", comments=None, ndmin=2)
+                    reads = True
+                except ValueError:
+                    reads = False
+                assert dataset._is_number(cell) == reads, repr(cell)
+
     def test_files_only_csv_reader_can_settle(self, tmp_path):
+        # the files an earlier parser handed to csv.reader, which unquoted
+        # cells and let a quote in a comment swallow the lines after it
         row = ",".join(["0.0"] + ["1.0"] * 60)
         quoted = ",".join(['"0.0"'] + ["1.0"] * 60)
-        for text in (quoted + "\r\n", row + "\r" + row + "\n", row + "\r\r\n",
-                     '"# a comment"\n' + row + "\n", row + ',"x\ny"\n',
-                     # csv.reader ends a line at a lone "\r" too
-                     "# a comment\r" + row + "\n",
-                     # a quote in a comment runs on and swallows the row
-                     '# a,"b\n' + row + "\n",
-                     # a line past csv's field size limit
-                     "#" + "x" * 140_000 + "\n" + row + "\n"):
-            p = tmp_path / "seq.csv"
+        p = tmp_path / "seq.csv"
+        for text, want in (
+                (quoted + "\r\n", """line 1: non-numeric cell '"0.0"'"""),
+                (row + "\r" + row + "\n", 2),
+                (row + "\r\r\n", 1),
+                ('"# a comment"\n' + row + "\n", "line 1: expected 61 columns, got 1"),
+                (row + ',"x\ny"\n', "line 1: expected 61 columns, got 62"),
+                ("# a comment\r" + row + "\n", 1),
+                ('# a,"b\n' + row + '\n# "\n' + row + "\n", 2),
+                ("#" + "x" * 140_000 + "\n" + row + "\n", 1)):
             p.write_bytes(text.encode())
             assert_same_sequence(p)
-
-
-    def test_written_files_parse_in_one_call(self, tmp_path, monkeypatch):
-        # write_skeleton_csv ends lines with csv's "\r\n"; a parser that
-        # kept the "\r" would send every written file to the row reader
-        seq = SkeletonSequence(timestamps=np.arange(4.0),
-                               positions=np.random.default_rng(5).normal(size=(4, 15, 3)))
-        p = tmp_path / "seq.csv"
-        write_skeleton_csv(p, seq, header="written")
-        assert b"\r\n" in p.read_bytes()
-
-        def no_row_reader(path):
-            raise AssertionError(f"{path} went to the row reader")
-        monkeypatch.setattr(dataset, "_read_rows", no_row_reader)
-        back = parse_skeleton_csv(p)
-        assert back.positions.tobytes() == seq.positions.tobytes()
+            got = outcome(parse_skeleton_csv, p)
+            if isinstance(want, int):
+                assert got[0] == "ok" and len(got[1]) == want, (text[:50], got)
+            else:
+                assert got == (MalformedRowError, f"{p}: {want}")
 
 
 WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
