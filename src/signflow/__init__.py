@@ -54,7 +54,6 @@ from .posture import (
     train_posture_classifier,
 )
 from .fusion import (
-    CoupledResponse,
     KdeFusionModel,
     couple,
     predict_kde,

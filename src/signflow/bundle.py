@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .codebook import Codebook
-from .dataset import CorruptFileError, read_utf8
+from .dataset import CorruptFileError, read_json
 from .descriptors import DescriptorVariant, ZNormStats
 from .fusion import KdeFusionModel
 from .hmm import DiscreteHMM
@@ -58,6 +58,9 @@ class ModelBundle:
             raise ValueError("bundle needs at least one class HMM")
         c = len(self.hmms)
         k = self.gesture_codebook.k
+        states = sorted({hmm.n_states for hmm in self.hmms})
+        if len(states) > 1:
+            raise ValueError(f"class HMMs disagree on the number of states: {states}")
         for i, hmm in enumerate(self.hmms):
             if hmm.B.shape[1] != k:
                 raise ValueError(f"HMM {i} expects {hmm.B.shape[1]} symbols, "
@@ -175,12 +178,8 @@ def load_bundle(path) -> ModelBundle:
     def non_finite(token):
         raise CorruptFileError(f"{path}: non-finite number {token}")
 
-    try:
-        doc = json.loads(read_utf8(path), parse_constant=non_finite)
-    except json.JSONDecodeError as exc:
-        raise CorruptFileError(f"{path}: line {exc.lineno} col {exc.colno}: "
-                               f"{exc.msg}") from None
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
+    doc = read_json(path, parse_constant=non_finite)
+    if doc.get("format") != FORMAT_NAME:
         raise CorruptFileError(f"{path}: not a {FORMAT_NAME} file")
     version = _require(doc, "version", path)
     if version != FORMAT_VERSION:

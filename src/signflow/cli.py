@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .bundle import config_hash, load_bundle, save_bundle
-from .dataset import load_manifest, load_mask_archive, parse_skeleton_csv
+from .dataset import load_manifest, parse_skeleton_csv
 from .descriptors import DescriptorVariant
 from .pipeline import (
     DEFAULT_CONFIG,
@@ -30,6 +30,7 @@ from .pipeline import (
     TIMING_STAGES,
     evaluate_pipeline,
     load_items,
+    load_sequence_masks,
     make_config,
     predict_item,
     train_pipeline,
@@ -94,7 +95,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     bundle = load_bundle(args.model)
     sequence = parse_skeleton_csv(args.sequence)
-    masks = load_mask_archive(args.masks) if args.masks else None
+    masks = load_sequence_masks(args.masks, sequence) if args.masks else None
     pred = predict_item(bundle, sequence, masks=masks, mode=args.fusion)
     print(f"fused-class {pred.fused_class}")
     print(f"mode {pred.mode}")

@@ -116,6 +116,19 @@ def read_utf8(path) -> str:
                                f"{blob[exc.start]:#04x}") from None
 
 
+def read_json(path, parse_constant=None) -> dict:
+    """The JSON object in a UTF-8 file (see read_utf8). A syntax error, or
+    a document of another kind, raises CorruptFileError naming the file."""
+    try:
+        doc = json.loads(read_utf8(path), parse_constant=parse_constant)
+    except json.JSONDecodeError as exc:
+        raise CorruptFileError(f"{path}: line {exc.lineno} col {exc.colno}: "
+                               f"{exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise CorruptFileError(f"{path}: not a JSON object")
+    return doc
+
+
 def _rows(lines) -> np.ndarray:
     """Data lines parsed in one np.loadtxt call; ValueError if a cell is
     not a number."""
@@ -268,12 +281,8 @@ def save_manifest(manifest: DatasetManifest, path, config_hash: str = "") -> Non
 
 
 def load_manifest(path) -> DatasetManifest:
-    try:
-        doc = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise CorruptFileError(f"{path}: line {exc.lineno} col {exc.colno}: "
-                               f"{exc.msg}") from None
-    if not isinstance(doc, dict) or "entries" not in doc:
+    doc = read_json(path)
+    if "entries" not in doc:
         raise CorruptFileError(f"{path}: missing 'entries'")
     entries = []
     for i, item in enumerate(doc["entries"]):
@@ -334,17 +343,6 @@ def _pgm_header(blob: bytes) -> tuple[int, int, int]:
         raise ValueError(f"expected {width * height} pixel bytes, "
                          f"got {len(blob) - start}")
     return height, width, start
-
-
-def load_mask(path) -> np.ndarray:
-    """Read a P5 graymap back to a boolean mask (nonzero = foreground)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        height, width, start = _pgm_header(blob)
-    except ValueError as exc:
-        raise CorruptFileError(f"{path}: {exc}") from None
-    return np.frombuffer(blob, np.uint8, height * width, start).reshape(height, width) > 0
 
 
 def mask_filename(frame: int, side: HandSide) -> str:

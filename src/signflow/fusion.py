@@ -14,27 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .hmm import GestureResponse
-from .linear_model import MulticlassLinearModel, fit_multiclass_linear, response
-from .skeleton import EmptyInputError
+from .linear_model import (
+    MulticlassLinearModel,
+    class_counts,
+    fit_multiclass_linear,
+    response,
+)
 
 DEFAULT_FUSION_COST = 0.7641
 CLAMP_FLOOR = -1e3
 BW_FLOOR = 1e-6
-
-
-@dataclass
-class CoupledResponse:
-    """[R_posture | R_gesture], one slot per class in each half."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.shape[0] % 2 != 0:
-            raise ValueError("coupled response must be 1-D with even length")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("coupled response must be finite (clamp first)")
 
 
 @dataclass
@@ -99,45 +88,39 @@ class KdeFusionModel:
         return self.bandwidths.shape[1]
 
 
-def couple(rp, rg: GestureResponse) -> CoupledResponse:
-    """Concatenate branch responses, clamping gesture entries to CLAMP_FLOOR."""
+def _finite(r) -> np.ndarray:
+    """A coupled response as float64; ValueError if a value is not finite."""
+    r = np.asarray(r, dtype=np.float64)
+    if not np.isfinite(r).all():
+        raise ValueError("coupled response must be finite (clamp first)")
+    return r
+
+
+def couple(rp, rg_values) -> np.ndarray:
+    """The (2C,) coupled response [R_posture | R_gesture], gesture entries
+    clamped to CLAMP_FLOOR."""
     rp = np.asarray(rp, dtype=np.float64)
-    rgv = np.asarray(rg.values if isinstance(rg, GestureResponse) else rg,
-                     dtype=np.float64)
+    rgv = np.asarray(rg_values, dtype=np.float64)
     if rp.shape != rgv.shape:
         raise ValueError(f"posture response length {rp.shape} != gesture "
                          f"response length {rgv.shape}")
-    return CoupledResponse(values=np.concatenate([rp, np.maximum(rgv, CLAMP_FLOOR)]))
+    return _finite(np.concatenate([rp, np.maximum(rgv, CLAMP_FLOOR)]))
 
 
-def _training_matrix(pairs):
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyInputError("no training pairs")
-    X = np.stack([r.values for r, _ in pairs])
-    y = np.array([c for _, c in pairs], dtype=np.int64)
-    n_classes = int(y.max()) + 1
-    counts = np.bincount(y, minlength=n_classes)
-    if np.any(counts == 0):
-        raise ValueError(f"class {int(counts.argmin())} has no examples")
-    return X, y, n_classes
-
-
-def train_linear_fusion(pairs, cost: float = DEFAULT_FUSION_COST, seed: int = 0,
+def train_linear_fusion(X, y, cost: float = DEFAULT_FUSION_COST, seed: int = 0,
                         epochs: int = 60) -> MulticlassLinearModel:
-    """Fit the linear fusion rule on (CoupledResponse, class) pairs: one
-    weight row omega_k per class over the 2C coupled coordinates."""
-    X, y, n_classes = _training_matrix(pairs)
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if X.shape[1] != 2 * n_classes:
-        raise ValueError(f"coupled dimension {X.shape[1]} != 2 x {n_classes} classes")
-    return fit_multiclass_linear(X, y, n_classes, cost, epochs=epochs, seed=seed)
+    """Fit the linear fusion rule, one weight row omega_k per class, on
+    (n, 2C) coupled responses X with (n,) classes y."""
+    model = fit_multiclass_linear(X, y, cost, epochs=epochs, seed=seed)
+    if model.dimension != 2 * model.n_classes:
+        raise ValueError(f"coupled dimension {model.dimension} != 2 x "
+                         f"{model.n_classes} classes")
+    return model
 
 
-def predict_linear(model: MulticlassLinearModel, r: CoupledResponse) -> int:
+def predict_linear(model: MulticlassLinearModel, r) -> int:
     """argmax_k omega_k . R; ties to the lowest class id."""
-    return int(response(model, r.values).argmax())
+    return int(response(model, _finite(r)).argmax())
 
 
 def silverman_bandwidths(data: np.ndarray) -> np.ndarray:
@@ -151,25 +134,28 @@ def silverman_bandwidths(data: np.ndarray) -> np.ndarray:
     return np.maximum(h, BW_FLOOR)
 
 
-def train_kde_fusion(pairs) -> KdeFusionModel:
-    """Per-class KDE over coupled responses; priors = class frequencies."""
-    X, y, n_classes = _training_matrix(pairs)
-    points = [X[y == c] for c in range(n_classes)]
+def train_kde_fusion(X, y) -> KdeFusionModel:
+    """Per-class KDE over (n, 2C) coupled responses X with (n,) classes y;
+    priors = class frequencies."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    counts = class_counts(y)
+    points = [X[y == c] for c in range(counts.size)]
     bandwidths = np.stack([silverman_bandwidths(p) for p in points])
-    priors = np.bincount(y, minlength=n_classes) / y.shape[0]
-    return KdeFusionModel(class_points=points, bandwidths=bandwidths, priors=priors)
+    return KdeFusionModel(class_points=points, bandwidths=bandwidths,
+                          priors=counts / y.shape[0])
 
 
-def kde_class_log_posteriors(model: KdeFusionModel, r: CoupledResponse) -> np.ndarray:
+def kde_class_log_posteriors(model: KdeFusionModel, r) -> np.ndarray:
     """Unnormalized log p(R|c) + log p(c) per class.
 
     p(R|c) is the product-Gaussian KDE of class c at R. One pass per block
     of equal-sized classes; each class's value takes the float steps of
     its own one-class sum, ((logsumexp - log_norm) - log N) + log prior.
     """
-    q = r.values
-    if q.shape[0] != model.dimension:
-        raise ValueError(f"query dimension {q.shape[0]} != model dimension "
+    q = _finite(r)
+    if q.shape != (model.dimension,):
+        raise ValueError(f"query dimension {q.shape} != model dimension "
                          f"{model.dimension}")
     lse = np.empty(model.n_classes)
     for members, points, bandwidths in model.blocks:
@@ -178,6 +164,6 @@ def kde_class_log_posteriors(model: KdeFusionModel, r: CoupledResponse) -> np.nd
     return ((lse - model.log_norm) - model.log_count) + model.log_prior
 
 
-def predict_kde(model: KdeFusionModel, r: CoupledResponse) -> int:
+def predict_kde(model: KdeFusionModel, r) -> int:
     """argmax_k p(R|c_k) p(c_k); ties to the lowest class id."""
     return int(kde_class_log_posteriors(model, r).argmax())

@@ -64,21 +64,32 @@ def _sgd_pass(X, y, W, lam, rng, t0):
     return t
 
 
-def fit_multiclass_linear(X, y, n_classes: int, cost: float,
-                          epochs: int = DEFAULT_EPOCHS,
+def class_counts(y: np.ndarray) -> np.ndarray:
+    """Examples per class of int labels y, which must cover every class
+    0..C-1: a negative label or a class with no examples is a ValueError."""
+    if y.size == 0:
+        raise EmptyInputError("no training examples")
+    if y.min() < 0:
+        raise ValueError("label out of range")
+    counts = np.bincount(y)
+    if not counts.all():
+        raise ValueError(f"class {int(counts.argmin())} has no examples")
+    return counts
+
+
+def fit_multiclass_linear(X, y, cost: float, epochs: int = DEFAULT_EPOCHS,
                           seed: int = 0) -> MulticlassLinearModel:
-    """Train on (X, y); cost plays the role of the usual SVM C:
-    lambda = 1 / (cost * n)."""
+    """Train on (X, y), with one class per label 0..max(y); cost plays the
+    role of the usual SVM C: lambda = 1 / (cost * n)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyInputError("no training examples")
     if X.shape[0] != y.shape[0]:
         raise ValueError("X/y length mismatch")
+    n_classes = class_counts(y).size
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
-    if y.min() < 0 or y.max() >= n_classes:
-        raise ValueError("label out of range")
     if cost <= 0:
         raise ValueError("cost must be positive")
     W = _fit(X, y, n_classes, cost, epochs, seed)

@@ -33,7 +33,6 @@ from .dataset import (
 from .descriptors import DescriptorVariant, describe_sequence
 from .fusion import (
     DEFAULT_FUSION_COST,
-    CoupledResponse,
     couple,
     predict_kde,
     predict_linear,
@@ -162,12 +161,20 @@ def items_from_corpus(corpus) -> list:
     return items
 
 
+def load_sequence_masks(mask_dir, sequence: SkeletonSequence) -> list:
+    """A sequence's mask archive, which must hold one frame per skeleton
+    frame; CorruptFileError names both files if it does not."""
+    masks = load_mask_archive(mask_dir)
+    if len(masks) != len(sequence):
+        raise CorruptFileError(
+            f"{mask_dir}: {len(masks)} mask frames, but {sequence.source} "
+            f"has {len(sequence)} frames")
+    return masks
+
+
 def load_items(manifest: DatasetManifest, root, splits=None,
                with_masks: bool = True) -> list:
-    """Read manifest entries (optionally only some splits) from disk.
-
-    A mask archive must hold one frame per skeleton frame.
-    """
+    """Read manifest entries (optionally only some splits) from disk."""
     root = Path(root)
     wanted = set(splits) if splits is not None else None
     items = []
@@ -177,11 +184,7 @@ def load_items(manifest: DatasetManifest, root, splits=None,
         seq = parse_skeleton_csv(root / entry.sequence_path)
         masks = None
         if with_masks and entry.mask_dir is not None:
-            masks = load_mask_archive(root / entry.mask_dir)
-            if len(masks) != len(seq):
-                raise CorruptFileError(
-                    f"{root / entry.mask_dir}: {len(masks)} mask frames, but "
-                    f"{root / entry.sequence_path} has {len(seq)} frames")
+            masks = load_sequence_masks(root / entry.mask_dir, seq)
         items.append(CorpusItem(sequence=seq, label=entry.label,
                                 subject=entry.subject, split=entry.split,
                                 masks=masks))
@@ -274,10 +277,10 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
         posture_k = min(config["posture_k"], sc_data.shape[0])
         posture_cb = fit_kmeans(sc_data, k=posture_k,
                                 seed=derive_seed(seed, "posture-cb"))
-        bows = [bow_from_shape_contexts(rows, halves, posture_cb)
-                for rows, halves in per_video]
+        bows = np.stack([bow_from_shape_contexts(rows, halves, posture_cb)
+                         for rows, halves in per_video])
         posture_model = train_posture_classifier(
-            list(zip(bows, (i.label for i in train))), posture_cb,
+            bows, np.array([i.label for i in train]), posture_cb,
             cost=config["posture_cost"], seed=derive_seed(seed, "posture-clf"),
             epochs=config["epochs"])
 
@@ -285,17 +288,18 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
     fusion_linear = None
     fusion_kde = None
     if no_fusion is None:
-        pairs = []
+        coupled = []
         for item in val:
             rg = classify_gesture(hmms, _gesture_symbols(gesture_cb,
                                                          item.sequence))
             bow = encode_video_bow(_video_regions(item.masks), posture_model.codebook)
-            rp = posture_response(posture_model, bow)
-            pairs.append((couple(rp, rg), item.label))
+            coupled.append(couple(posture_response(posture_model, bow), rg.values))
+        coupled = np.stack(coupled)
+        labels = np.array([i.label for i in val])
         fusion_linear = train_linear_fusion(
-            pairs, cost=config["fusion_cost"],
+            coupled, labels, cost=config["fusion_cost"],
             seed=derive_seed(seed, "fusion-linear"), epochs=config["epochs"])
-        fusion_kde = train_kde_fusion(pairs)
+        fusion_kde = train_kde_fusion(coupled, labels)
 
     echo = dict(config)
     echo["n_classes"] = n_classes
@@ -314,7 +318,7 @@ class Prediction:
 
     gesture: GestureResponse
     posture: Optional[np.ndarray]
-    coupled: Optional[CoupledResponse]
+    coupled: Optional[np.ndarray]
     fused_class: int
     mode: str
     timings: dict = field(default_factory=dict, repr=False)
@@ -375,7 +379,7 @@ def predict_item(bundle: ModelBundle, sequence: SkeletonSequence,
         timings["combination_classification"] = time.perf_counter() - t0
     else:
         t0 = time.perf_counter()
-        coupled = couple(rp, rg)
+        coupled = couple(rp, rg.values)
         timings["combination_description"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         if mode == "linear":

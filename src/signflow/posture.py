@@ -307,24 +307,14 @@ def encode_video_bow(frames, posture_cb: Codebook,
     return bow_from_shape_contexts(rows, halves, posture_cb)
 
 
-def train_posture_classifier(pairs, codebook: Codebook,
+def train_posture_classifier(X, y, codebook: Codebook,
                              cost: float = DEFAULT_POSTURE_COST,
                              seed: int = 0, epochs: int = 60) -> PostureModel:
-    """Fit the linear multiclass posture model on (bag-of-words, class) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyInputError("no training pairs")
-    X = np.stack([bow for bow, _ in pairs])
-    y = np.array([c for _, c in pairs], dtype=np.int64)
-    n_classes = int(y.max()) + 1
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
-    present = np.bincount(y, minlength=n_classes)
-    if np.any(present == 0):
-        raise ValueError(f"class {int(present.argmin())} has no examples")
-    if X.shape[1] != 2 * codebook.k:
+    """Fit the linear multiclass posture model on (n, 2k) bags-of-words X
+    and their (n,) classes y."""
+    if np.shape(X)[-1] != 2 * codebook.k:
         raise ValueError("BoW dimension does not match 2 x codebook size")
-    model = fit_multiclass_linear(X, y, n_classes, cost, epochs=epochs, seed=seed)
+    model = fit_multiclass_linear(X, y, cost, epochs=epochs, seed=seed)
     return PostureModel(model=model, codebook=codebook)
 
 

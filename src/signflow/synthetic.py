@@ -26,8 +26,10 @@ import numpy as np
 
 from . import __version__
 from .dataset import (
+    CorruptFileError,
     DatasetManifest,
     ManifestEntry,
+    read_json,
     save_manifest,
     save_mask_archive,
     write_skeleton_csv,
@@ -187,9 +189,9 @@ class SyntheticConfig:
             raise ValueError("counts must be three non-negative ints")
         if self.counts[0] < 1:
             raise ValueError("need at least one training sequence per class")
-        if self.noise < 0:
+        if not self.noise >= 0:  # NaN too
             raise ValueError("noise must be >= 0")
-        if self.subject_scale < 0:
+        if not self.subject_scale >= 0:
             raise ValueError("subject_scale must be >= 0")
         lo, hi = (int(v) for v in self.frame_count_range)
         if lo < 2 or hi < lo:
@@ -342,14 +344,22 @@ def save_synthetic_config(cfg: SyntheticConfig, path) -> None:
 
 
 def load_synthetic_config(path) -> SyntheticConfig:
-    doc = json.loads(Path(path).read_text())
-    classes = []
-    for c in doc.get("classes", []):
-        anchor = c["anchor"]
-        anchor = JointId[anchor] if isinstance(anchor, str) else JointId(anchor)
-        classes.append(ClassSpec(template=int(c["template"]), anchor=anchor,
-                                 mask=int(c["mask"])))
-    kwargs = {k: doc[k] for k in ("counts", "noise", "frame_count_range",
-                                  "seed", "subjects", "subject_scale")
-              if k in doc}
-    return SyntheticConfig(classes=classes, **kwargs)
+    """Read a config saved by save_synthetic_config; a file that is not a
+    JSON object, or a missing or bad field, raises CorruptFileError naming
+    the file."""
+    doc = read_json(path)
+    try:
+        classes = []
+        for c in doc.get("classes", []):
+            # a joint by name, or by number; ClassSpec rejects any other
+            anchor = JointId.__members__.get(c["anchor"], c["anchor"])
+            classes.append(ClassSpec(template=int(c["template"]), anchor=anchor,
+                                     mask=int(c["mask"])))
+        kwargs = {k: doc[k] for k in ("counts", "noise", "frame_count_range",
+                                      "seed", "subjects", "subject_scale")
+                  if k in doc}
+        return SyntheticConfig(classes=classes, **kwargs)
+    except KeyError as exc:
+        raise CorruptFileError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CorruptFileError(f"{path}: {exc}") from None

@@ -29,7 +29,7 @@ def tiny_bundle(rng=None, with_optional=True):
                                            stddev=np.full(6, 0.5)),
                           seed=7, variant=DescriptorVariant.HD,
                           wcss_history=[5.0, 3.5, 3.5])
-    hmms = [init_left_right(2, 3), init_left_right(4, 3)]
+    hmms = [init_left_right(4, 3), init_left_right(4, 3)]
     kwargs = {}
     if with_optional:
         posture_cb = Codebook(centers=rng.normal(size=(4, 49)), k=4,
@@ -160,11 +160,24 @@ class TestErrors:
         p = tmp_path / "model.json"
         save_bundle(tiny_bundle(with_optional=False), p)
         doc = json.loads(p.read_text())
-        doc["hmms"][0]["pi"] = [0.5, 0.4]  # does not sum to 1
+        doc["hmms"][0]["pi"] = [0.5, 0.4, 0.0, 0.0]  # does not sum to 1
         p.write_text(json.dumps(doc))
         with pytest.raises(CorruptFileError) as exc:
             load_bundle(p)
         assert "model.json" in str(exc.value)
+
+    def test_mixed_state_counts_name_the_file(self, tmp_path):
+        # such a bundle would load, then fail every prediction
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(with_optional=False), p)
+        doc = json.loads(p.read_text())
+        h = init_left_right(2, 3)
+        doc["hmms"][0] = {"pi": h.pi.tolist(), "A": h.A.tolist(), "B": h.B.tolist()}
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError) as exc:
+            load_bundle(p)
+        assert str(exc.value) == \
+            f"{p}: class HMMs disagree on the number of states: [2, 4]"
 
 
 def _edit_kde(doc, case):

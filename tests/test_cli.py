@@ -196,6 +196,22 @@ class TestPredict:
         assert code == 1
         assert f"{masks / '00001_R.pgm'}: non-numeric header field" in capsys.readouterr().err
 
+    def test_mask_frames_must_match_sequence_frames(self, workdir, tmp_path, capsys):
+        manifest = json.loads((workdir / "data" / "manifest.json").read_text())
+        entry = next(e for e in manifest["entries"] if e["split"] == "train")
+        masks = tmp_path / "masks"
+        shutil.copytree(workdir / "data" / entry["mask_dir"], masks)
+        frames = len(list(masks.glob("*.pgm"))) // 2
+        for side in "RL":  # drop the last frame
+            (masks / f"{frames - 1:05d}_{side}.pgm").unlink()
+        sequence = workdir / "data" / entry["sequence_path"]
+        code = run_cli(["predict", "--model", str(workdir / "model.json"),
+                        "--sequence", str(sequence), "--masks", str(masks)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {masks}: {frames - 1} mask frames, but {sequence} has "
+            f"{frames} frames\n")
+
     def test_posture_mode_without_masks_fails(self, workdir, capsys):
         manifest = json.loads((workdir / "data" / "manifest.json").read_text())
         entry = manifest["entries"][0]
@@ -246,12 +262,35 @@ def _bad_mask_header(workdir, tmp_path, entry):
             "--masks", str(masks)], bad
 
 
+def _synth_config(edit):
+    """A synth command whose config file is CORPUS's after edit(text)."""
+    def make(workdir, tmp_path, entry):
+        bad = tmp_path / "corpus.json"
+        save_synthetic_config(CORPUS, bad)
+        bad.write_text(edit(bad.read_text()))
+        return ["synth", "--config", str(bad), "--out", str(tmp_path / "out")], bad
+    return make
+
+
+def _without_anchor(text):
+    doc = json.loads(text)
+    del doc["classes"][1]["anchor"]
+    return json.dumps(doc)
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("make", [
         _long_comment_csv, _non_utf8_csv, _non_utf8_manifest, _non_utf8_bundle,
         _bad_mask_header,
+        _synth_config(lambda text: text.replace('"Neck"', '"Nose"')),
+        _synth_config(_without_anchor),
+        _synth_config(lambda text: f"[{text}]"),
+        _synth_config(lambda text: text.replace('"noise": ', '"noise": ,')),
+        _synth_config(lambda text: text.replace('"noise": 0.01', '"noise": NaN')),
     ], ids=["csv long comment", "csv not utf-8", "manifest not utf-8",
-            "bundle not utf-8", "mask bad header"])
+            "bundle not utf-8", "mask bad header", "synth config unknown joint",
+            "synth config no anchor", "synth config not an object",
+            "synth config syntax error", "synth config nan noise"])
     def test_one_error_line_names_the_file(self, workdir, tmp_path, capsys, make):
         manifest = json.loads((workdir / "data" / "manifest.json").read_text())
         entry = next(e for e in manifest["entries"] if e["split"] == "train")

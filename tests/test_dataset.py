@@ -15,8 +15,8 @@ from signflow.dataset import (
     DatasetManifest,
     MalformedRowError,
     ManifestEntry,
+    _pgm_header,
     load_manifest,
-    load_mask,
     load_mask_archive,
     mask_filename,
     parse_skeleton_csv,
@@ -354,6 +354,23 @@ def disk_region(side=HandSide.RIGHT, cx=32, cy=32, r=6):
     return HandRegion(mask=mask, side=side, present=True)
 
 
+def read_pgm(path):
+    """A graymap's mask as load_mask_archive decodes each file: the header
+    by _pgm_header, then nonzero pixels as foreground."""
+    blob = path.read_bytes()
+    height, width, start = _pgm_header(blob)
+    return np.frombuffer(blob, np.uint8, height * width, start).reshape(height, width) > 0
+
+
+def archive_with(tmp_path, blob):
+    """A one-frame mask archive whose left mask file holds blob, and that file."""
+    d = tmp_path / "vid0"
+    save_mask_archive(d, [{HandSide.RIGHT: disk_region(),
+                           HandSide.LEFT: disk_region(HandSide.LEFT)}])
+    (d / "00000_L.pgm").write_bytes(blob)
+    return d, d / "00000_L.pgm"
+
+
 class TestPgm:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(91)
@@ -361,7 +378,7 @@ class TestPgm:
         mask = rng.random((PATCH, PATCH)) < 0.3
         p = tmp_path / "m.pgm"
         save_mask(p, mask, comment="tool test")
-        back = load_mask(p)
+        back = read_pgm(p)
         np.testing.assert_array_equal(back, mask)
 
     def test_header_layout(self, tmp_path):
@@ -379,25 +396,24 @@ class TestPgm:
         assert p.read_bytes().endswith(b"\x00\xff")
 
     def test_bad_magic(self, tmp_path):
-        p = tmp_path / "m.pgm"
-        p.write_bytes(b"P6\n1 1\n255\n\x00")
-        with pytest.raises(CorruptFileError):
-            load_mask(p)
+        d, bad = archive_with(tmp_path, b"P6\n1 1\n255\n\x00")
+        with pytest.raises(CorruptFileError,
+                           match=f"^{re.escape(str(bad))}: not a P5 graymap$"):
+            load_mask_archive(d)
 
     def test_truncated_pixels(self, tmp_path):
         p = tmp_path / "m.pgm"
         save_mask(p, np.ones((4, 4), dtype=bool))
-        blob = p.read_bytes()
-        p.write_bytes(blob[:-3])
+        d, bad = archive_with(tmp_path, p.read_bytes()[:-3])
         with pytest.raises(CorruptFileError) as exc:
-            load_mask(p)
-        assert "pixel" in str(exc.value)
+            load_mask_archive(d)
+        assert str(exc.value) == f"{bad}: expected 16 pixel bytes, got 13"
 
     def test_truncated_header(self, tmp_path):
-        p = tmp_path / "m.pgm"
-        p.write_bytes(b"P5\n3")
-        with pytest.raises(CorruptFileError):
-            load_mask(p)
+        d, bad = archive_with(tmp_path, b"P5\n3")
+        with pytest.raises(CorruptFileError,
+                           match=f"^{re.escape(str(bad))}: truncated header$"):
+            load_mask_archive(d)
 
     @pytest.mark.parametrize("size, message", [
         (b"-5 -5", "non-numeric header field"),
@@ -405,16 +421,12 @@ class TestPgm:
         (b"0 5", "image size 0x5 has no pixels"),
     ], ids=["negative", "signed", "zero"])
     def test_size_fields_are_decimals_of_at_least_one(self, tmp_path, size, message):
-        p = tmp_path / "m.pgm"
-        p.write_bytes(b"P5\n" + size + b"\n255\n" + b"\xff" * 25)
-        with pytest.raises(CorruptFileError, match=f"^{re.escape(str(p))}: {message}$"):
-            load_mask(p)
-        d = tmp_path / "vid0"
-        save_mask_archive(d, [{HandSide.RIGHT: disk_region(),
-                               HandSide.LEFT: disk_region(HandSide.LEFT)}])
-        (d / "00000_L.pgm").write_bytes(p.read_bytes())
+        blob = b"P5\n" + size + b"\n255\n" + b"\xff" * 25
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _pgm_header(blob)
+        d, bad = archive_with(tmp_path, blob)
         with pytest.raises(CorruptFileError,
-                           match=f"^{re.escape(str(d / '00000_L.pgm'))}: {message}$"):
+                           match=f"^{re.escape(str(bad))}: {message}$"):
             load_mask_archive(d)
 
 

@@ -11,7 +11,6 @@ from scipy.special import logsumexp
 from signflow.fusion import (
     BW_FLOOR,
     CLAMP_FLOOR,
-    CoupledResponse,
     KdeFusionModel,
     couple,
     kde_class_log_posteriors,
@@ -57,61 +56,57 @@ def make_rg(values):
 
 class TestCouple:
     def test_plain_concatenation(self):
-        r = couple(np.array([1.0, 2.0]), make_rg([-3.0, -4.0]))
-        np.testing.assert_array_equal(r.values, [1.0, 2.0, -3.0, -4.0])
+        r = couple(np.array([1.0, 2.0]), make_rg([-3.0, -4.0]).values)
+        np.testing.assert_array_equal(r, [1.0, 2.0, -3.0, -4.0])
+        assert r.dtype == np.float64
 
     def test_neg_inf_clamped(self):
-        r = couple(np.array([0.0, 0.0]), make_rg([-np.inf, -5.0]))
-        assert r.values[2] == CLAMP_FLOOR
-        assert r.values[3] == -5.0
+        r = couple(np.array([0.0, 0.0]), make_rg([-np.inf, -5.0]).values)
+        assert r[2] == CLAMP_FLOOR
+        assert r[3] == -5.0
 
     def test_custom_clamp(self):
         # a finite entry below the floor is clamped too
-        r = couple(np.array([0.0]), make_rg([2 * CLAMP_FLOOR]))
-        assert r.values[1] == CLAMP_FLOOR
+        r = couple(np.array([0.0]), make_rg([2 * CLAMP_FLOOR]).values)
+        assert r[1] == CLAMP_FLOOR
 
     def test_order_and_length(self):
         rng = np.random.default_rng(60)
         rp = rng.normal(size=5)
         rgv = rng.normal(size=5)
-        r = couple(rp, make_rg(rgv))
-        assert r.values.shape == (10,)
-        np.testing.assert_array_equal(r.values[:5], rp)
-        np.testing.assert_array_equal(r.values[5:], rgv)
+        r = couple(rp, rgv)
+        assert r.shape == (10,)
+        np.testing.assert_array_equal(r[:5], rp)
+        np.testing.assert_array_equal(r[5:], rgv)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            couple(np.zeros(3), make_rg(np.zeros(4)))
-
-
-def coupled(values):
-    return CoupledResponse(values=np.asarray(values, dtype=np.float64))
+            couple(np.zeros(3), np.zeros(4))
 
 
 class TestLinearFusion:
-    def separable_pairs(self, rng, n_per=12):
+    def separable_data(self, rng, n_per=12):
         # class decided by the sign of coordinate 2 (first gesture slot)
-        pairs = []
+        X, y = [], []
         for c in (0, 1):
             for _ in range(n_per):
                 v = rng.normal(scale=0.1, size=4)
                 v[2] = (1.0 if c == 0 else -1.0) + rng.normal(scale=0.05)
-                pairs.append((coupled(v), c))
-        return pairs
+                X.append(v)
+                y.append(c)
+        return np.array(X), np.array(y)
 
     def test_separable_training_accuracy(self):
         rng = np.random.default_rng(61)
-        pairs = self.separable_pairs(rng)
-        model = train_linear_fusion(pairs, seed=1)
-        X = np.stack([r.values for r, _ in pairs])
-        y = np.array([c for _, c in pairs])
+        X, y = self.separable_data(rng)
+        model = train_linear_fusion(X, y, seed=1)
         assert training_accuracy(model, X, y) == 1.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(62)
-        pairs = self.separable_pairs(rng)
-        a = train_linear_fusion(pairs, seed=5)
-        b = train_linear_fusion(pairs, seed=5)
+        X, y = self.separable_data(rng)
+        a = train_linear_fusion(X, y, seed=5)
+        b = train_linear_fusion(X, y, seed=5)
         assert a.weights.tobytes() == b.weights.tobytes()
 
     def test_gesture_dominant_weights(self):
@@ -119,58 +114,53 @@ class TestLinearFusion:
         # oracle retrains with posture coordinates zeroed and must do as
         # well, confirming they carry nothing
         rng = np.random.default_rng(63)
-        pairs = []
-        for c in (0, 1):
-            for _ in range(25):
-                v = np.empty(4)
-                v[:2] = rng.normal(scale=1.0, size=2)
-                v[2] = 2.0 if c == 0 else -2.0
-                v[3] = -v[2]
-                v[2:] += rng.normal(scale=0.05, size=2)
-                pairs.append((coupled(v), c))
-        model = train_linear_fusion(pairs, seed=2)
+        X = np.empty((50, 4))
+        y = np.repeat([0, 1], 25)
+        for v, c in zip(X, y):
+            v[:2] = rng.normal(scale=1.0, size=2)
+            v[2] = 2.0 if c == 0 else -2.0
+            v[3] = -v[2]
+            v[2:] += rng.normal(scale=0.05, size=2)
+        model = train_linear_fusion(X, y, seed=2)
         w = np.abs(model.weights)
         gesture_mass = w[:, 2:].sum()
         posture_mass = w[:, :2].sum()
         assert gesture_mass >= 2.0 * posture_mass
-        zeroed = [(coupled(np.concatenate([np.zeros(2), r.values[2:]])), c)
-                  for r, c in pairs]
-        zmodel = train_linear_fusion(zeroed, seed=2)
-        Xz = np.stack([r.values for r, _ in zeroed])
-        y = np.array([c for _, c in pairs])
+        Xz = X.copy()
+        Xz[:, :2] = 0.0
+        zmodel = train_linear_fusion(Xz, y, seed=2)
         assert training_accuracy(zmodel, Xz, y) == 1.0
 
     def test_dimension_must_be_twice_classes(self):
-        pairs = [(coupled(np.zeros(6)), c) for c in (0, 1)]
-        with pytest.raises(ValueError):
-            train_linear_fusion(pairs)
+        with pytest.raises(ValueError, match="coupled dimension 6 != 2 x 2"):
+            train_linear_fusion(np.zeros((2, 6)), np.array([0, 1]))
 
     def test_single_class_rejected(self):
-        pairs = [(coupled(np.zeros(2)), 0)]
-        with pytest.raises(ValueError):
-            train_linear_fusion(pairs)
+        with pytest.raises(ValueError, match="need at least 2 classes"):
+            train_linear_fusion(np.zeros((1, 2)), np.array([0]))
+
+    def test_missing_class_rejected(self):
+        with pytest.raises(ValueError, match="class 1 has no examples"):
+            train_linear_fusion(np.zeros((2, 6)), np.array([0, 2]))
 
 
 class TestPredictLinear:
     def identity_model(self):
         rng = np.random.default_rng(64)
-        pairs = []
-        for c in (0, 1, 2):
-            for _ in range(8):
-                v = np.zeros(6)
-                v[c] = 1.0 + rng.normal(scale=0.01)
-                pairs.append((coupled(v), c))
-        return train_linear_fusion(pairs, seed=0)
+        X = np.zeros((24, 6))
+        y = np.repeat([0, 1, 2], 8)
+        X[np.arange(24), y] = 1.0 + rng.normal(scale=0.01, size=24)
+        return train_linear_fusion(X, y, seed=0)
 
     def test_posture_one_hot_routes(self):
         model = self.identity_model()
         v = np.zeros(6)
         v[2] = 1.0
-        assert predict_linear(model, coupled(v)) == 2
+        assert predict_linear(model, v) == 2
 
     def test_all_zero_ties_to_class_zero(self):
         model = self.identity_model()
-        assert predict_linear(model, coupled(np.zeros(6))) == 0
+        assert predict_linear(model, np.zeros(6)) == 0
 
     def test_matches_row_scan_oracle(self):
         model = self.identity_model()
@@ -179,7 +169,7 @@ class TestPredictLinear:
             v = rng.normal(size=6)
             scores = [sum(a * b for a, b in zip(row, v)) for row in model.weights]
             best = max(range(3), key=lambda k: (scores[k], -k))
-            assert predict_linear(model, coupled(v)) == best
+            assert predict_linear(model, v) == best
 
     def test_scale_invariance(self):
         model = self.identity_model()
@@ -188,7 +178,7 @@ class TestPredictLinear:
         rng = np.random.default_rng(66)
         for _ in range(20):
             v = rng.normal(size=6)
-            assert predict_linear(model, coupled(v)) == predict_linear(scaled, coupled(v))
+            assert predict_linear(model, v) == predict_linear(scaled, v)
 
 
 class TestSilverman:
@@ -211,24 +201,21 @@ class TestKdeFusion:
         # four classes, one well-separated 4-D point each: querying at a
         # class's own point must return that class
         locs = [(-9.0, -9.0), (-3.0, 0.0), (3.0, 0.0), (9.0, 9.0)]
-        pairs = [(coupled(np.array([a, b, -a, -b])), c)
-                 for c, (a, b) in enumerate(locs)]
-        model = train_kde_fusion(pairs)
-        for c, (a, b) in enumerate(locs):
-            q = coupled(np.array([a, b, -a, -b]))
+        X = np.array([[a, b, -a, -b] for a, b in locs])
+        model = train_kde_fusion(X, np.arange(4))
+        for c, q in enumerate(X):
             assert predict_kde(model, q) == c
 
     def test_priors_separate_identical_densities(self):
         # both classes sit on the same constant point, so their floored
         # kernels are identical functions and only the priors differ
         p = np.array([0.5, -0.5, 1.0, -1.0])
-        pairs = [(coupled(p), 0) for _ in range(9)] + [(coupled(p), 1)]
-        model = train_kde_fusion(pairs)
+        model = train_kde_fusion(np.tile(p, (10, 1)), np.array([0] * 9 + [1]))
         np.testing.assert_allclose(model.priors, [0.9, 0.1])
         for q in (p, p + 2e-7):
-            lp = kde_class_log_posteriors(model, coupled(q))
+            lp = kde_class_log_posteriors(model, q)
             assert abs((lp[0] - lp[1]) - math.log(9.0)) < 1e-9
-            assert predict_kde(model, coupled(q)) == 0
+            assert predict_kde(model, q) == 0
 
     def test_density_matches_scalar_oracle(self):
         rng = np.random.default_rng(69)
@@ -254,9 +241,9 @@ class TestKdeFusion:
         rng = np.random.default_rng(70)
         a = rng.normal(loc=-2.0, scale=1.0, size=50)
         b = rng.normal(loc=2.0, scale=1.0, size=50)
-        pairs = [(coupled(np.array([x, 0.0, 0.0, 0.0])), 0) for x in a]
-        pairs += [(coupled(np.array([x, 0.0, 0.0, 0.0])), 1) for x in b]
-        model = train_kde_fusion(pairs)
+        X = np.zeros((100, 4))
+        X[:, 0] = np.concatenate([a, b])
+        model = train_kde_fusion(X, np.repeat([0, 1], 50))
         grid = np.linspace(-4, 4, 1601)
 
         def density(train_pts, h, x):
@@ -267,30 +254,26 @@ class TestKdeFusion:
         hb = silverman_bandwidths(b[:, None])[0]
         oracle_sign = np.array([density(a, ha, x) >= density(b, hb, x) for x in grid])
         oracle_boundary = grid[np.argmin(oracle_sign)]  # first False
-        preds = [predict_kde(model, coupled(np.array([x, 0.0, 0.0, 0.0])))
-                 for x in grid]
+        preds = [predict_kde(model, np.array([x, 0.0, 0.0, 0.0])) for x in grid]
         got_boundary = grid[int(np.argmax(np.array(preds) == 1))]
         assert abs(got_boundary - oracle_boundary) <= 0.1
 
     def test_log_posterior_shift_invariance(self):
         rng = np.random.default_rng(71)
-        pairs = [(coupled(rng.normal(size=4)), c) for c in (0, 1) for _ in range(10)]
-        model = train_kde_fusion(pairs)
-        q = coupled(rng.normal(size=4))
+        model = train_kde_fusion(rng.normal(size=(20, 4)), np.repeat([0, 1], 10))
+        q = rng.normal(size=4)
         lp = kde_class_log_posteriors(model, q)
         assert predict_kde(model, q) == int(lp.argmax())
 
     def test_empty_class_rejected(self):
-        pairs = [(coupled(np.zeros(4)), 0), (coupled(np.ones(4)), 2)]
-        with pytest.raises(ValueError):
-            train_kde_fusion(pairs)
+        with pytest.raises(ValueError, match="class 1 has no examples"):
+            train_kde_fusion(np.array([np.zeros(4), np.ones(4)]), np.array([0, 2]))
 
     def test_dimension_mismatch_at_predict(self):
         rng = np.random.default_rng(72)
-        pairs = [(coupled(rng.normal(size=4)), c) for c in (0, 1) for _ in range(5)]
-        model = train_kde_fusion(pairs)
+        model = train_kde_fusion(rng.normal(size=(10, 4)), np.repeat([0, 1], 5))
         with pytest.raises(ValueError):
-            predict_kde(model, coupled(np.zeros(6)))
+            predict_kde(model, np.zeros(6))
 
 
 @st.composite
@@ -325,7 +308,7 @@ class TestStackedKde:
     def test_bytes_equal_per_class_oracle(self, case):
         model, queries = case
         for q in queries:
-            got = kde_class_log_posteriors(model, coupled(q))
+            got = kde_class_log_posteriors(model, q)
             assert got.tobytes() == oracle_log_posteriors(model, q).tobytes()
             assert np.isfinite(got).all()
 
@@ -352,10 +335,35 @@ class TestStackedKde:
 
 
 class TestCoupledResponseValidation:
+    """couple never returns a non-finite response, and both decision rules
+    reject a query of the wrong length or with a non-finite value."""
+
+    def models(self):
+        rng = np.random.default_rng(73)
+        X, y = rng.normal(size=(10, 4)), np.repeat([0, 1], 5)
+        return train_linear_fusion(X, y), train_kde_fusion(X, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_couple_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            couple(np.array([0.0, bad]), np.zeros(2))
+        with pytest.raises(ValueError, match="must be finite"):
+            couple(np.zeros(2), np.array([0.0, bad]))
+
     def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
-            CoupledResponse(values=np.zeros(5))
+        linear, kde = self.models()
+        for predict in (lambda q: predict_linear(linear, q),
+                        lambda q: predict_kde(kde, q),
+                        lambda q: kde_class_log_posteriors(kde, q)):
+            with pytest.raises(ValueError, match="dimension"):
+                predict(np.zeros(5))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            CoupledResponse(values=np.array([0.0, -np.inf]))
+        linear, kde = self.models()
+        for bad in (np.nan, np.inf, -np.inf):
+            q = np.array([0.0, 0.0, 0.0, bad])
+            for predict in (lambda q: predict_linear(linear, q),
+                            lambda q: predict_kde(kde, q),
+                            lambda q: kde_class_log_posteriors(kde, q)):
+                with pytest.raises(ValueError, match="must be finite"):
+                    predict(q)

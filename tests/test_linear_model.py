@@ -35,15 +35,16 @@ class TestFit:
         X[:10, 1] = 1.0
         X[10:, 5] = 1.0
         y[10:] = 1
-        model = fit_multiclass_linear(X, y, n_classes=2, cost=0.8352, seed=3)
+        model = fit_multiclass_linear(X, y, cost=0.8352, seed=3)
         assert training_accuracy(model, X, y) == 1.0
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(30)
         X = rng.normal(size=(45, 6))
         y = rng.integers(0, 3, size=45)
-        a = fit_multiclass_linear(X, y, n_classes=3, cost=0.5, seed=9)
-        b = fit_multiclass_linear(X, y, n_classes=3, cost=0.5, seed=9)
+        a = fit_multiclass_linear(X, y, cost=0.5, seed=9)
+        b = fit_multiclass_linear(X, y, cost=0.5, seed=9)
+        assert a.n_classes == 3
         assert a.weights.tobytes() == b.weights.tobytes()
 
     def test_gaussian_separated_three_class(self):
@@ -51,7 +52,7 @@ class TestFit:
         centers = np.array([[4.0, 0.0], [0.0, 4.0], [-4.0, -4.0]])
         X = np.vstack([rng.normal(size=(30, 2)) * 0.3 + c for c in centers])
         y = np.repeat([0, 1, 2], 30)
-        model = fit_multiclass_linear(X, y, n_classes=3, cost=1.0, seed=1)
+        model = fit_multiclass_linear(X, y, cost=1.0, seed=1)
         assert training_accuracy(model, X, y) >= 0.95
         # every prediction agrees with the scalar row-scan oracle
         for i in range(X.shape[0]):
@@ -59,14 +60,18 @@ class TestFit:
 
     def test_errors(self):
         with pytest.raises(EmptyInputError):
-            fit_multiclass_linear(np.empty((0, 3)), np.empty(0, dtype=int), 2, 1.0)
+            fit_multiclass_linear(np.empty((0, 3)), np.empty(0, dtype=int), 1.0)
         X = np.zeros((4, 2))
-        with pytest.raises(ValueError):
-            fit_multiclass_linear(X, np.zeros(4, dtype=int), n_classes=1, cost=1.0)
-        with pytest.raises(ValueError):
-            fit_multiclass_linear(X, np.array([0, 0, 1, 3]), n_classes=3, cost=1.0)
-        with pytest.raises(ValueError):
-            fit_multiclass_linear(X, np.array([0, 0, 1, 1]), n_classes=2, cost=0.0)
+        with pytest.raises(ValueError, match="X/y length mismatch"):
+            fit_multiclass_linear(X, np.array([0, 1, 1]), cost=1.0)
+        with pytest.raises(ValueError, match="need at least 2 classes"):
+            fit_multiclass_linear(X, np.zeros(4, dtype=int), cost=1.0)
+        with pytest.raises(ValueError, match="class 2 has no examples"):
+            fit_multiclass_linear(X, np.array([0, 0, 1, 3]), cost=1.0)
+        with pytest.raises(ValueError, match="label out of range"):
+            fit_multiclass_linear(X, np.array([0, -1, 1, 1]), cost=1.0)
+        with pytest.raises(ValueError, match="cost must be positive"):
+            fit_multiclass_linear(X, np.array([0, 0, 1, 1]), cost=0.0)
 
 
 class TestPredict:

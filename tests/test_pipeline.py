@@ -290,7 +290,7 @@ class TestPrediction:
         assert pred.mode == "kde"
         assert pred.gesture.values.shape == (3,)
         assert pred.posture.shape == (3,)
-        assert pred.coupled.values.shape == (6,)
+        assert pred.coupled.shape == (6,) and pred.coupled.dtype == np.float64
         assert 0 <= pred.fused_class < 3
         assert set(pred.timings) == set(TIMING_STAGES)
 

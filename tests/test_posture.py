@@ -327,7 +327,7 @@ class TestEncodeVideoBow:
 
 class TestPostureClassifier:
     def make_training_data(self, rng, k=10, n_classes=3, per_class=8):
-        pairs = []
+        X, y = [], []
         for c in range(n_classes):
             for i in range(per_class):
                 h = np.zeros(2 * k)
@@ -339,8 +339,9 @@ class TestPostureClassifier:
                 h[:k] /= h[:k].sum()
                 h[k:] += rng.uniform(0, 0.02, k)
                 h[k:] /= h[k:].sum()
-                pairs.append((h, c))
-        return pairs
+                X.append(h)
+                y.append(c)
+        return np.array(X), np.array(y)
 
     def codebook(self, rng, k=10):
         data = rng.dirichlet(np.ones(SC_DIM), size=100)
@@ -349,38 +350,42 @@ class TestPostureClassifier:
     def test_separable_training(self):
         rng = np.random.default_rng(54)
         cb = self.codebook(rng)
-        pairs = self.make_training_data(rng)
-        model = train_posture_classifier(pairs, cb, seed=2)
-        correct = sum(int(np.argmax(posture_response(model, p)) == c) for p, c in pairs)
-        assert correct == len(pairs)
+        X, y = self.make_training_data(rng)
+        model = train_posture_classifier(X, y, cb, seed=2)
+        correct = sum(int(np.argmax(posture_response(model, p)) == c) for p, c in zip(X, y))
+        assert correct == len(y)
 
     def test_deterministic(self):
         rng = np.random.default_rng(55)
         cb = self.codebook(rng)
-        pairs = self.make_training_data(rng)
-        a = train_posture_classifier(pairs, cb, seed=7)
-        b = train_posture_classifier(pairs, cb, seed=7)
+        X, y = self.make_training_data(rng)
+        a = train_posture_classifier(X, y, cb, seed=7)
+        b = train_posture_classifier(X, y, cb, seed=7)
         assert a.model.weights.tobytes() == b.model.weights.tobytes()
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(56)
         cb = self.codebook(rng)
-        pairs = [(np.zeros(20), 0) for _ in range(4)]
-        with pytest.raises(ValueError):
-            train_posture_classifier(pairs, cb)
+        with pytest.raises(ValueError, match="need at least 2 classes"):
+            train_posture_classifier(np.zeros((4, 20)), np.zeros(4, dtype=int), cb)
 
     def test_missing_class_rejected(self):
         rng = np.random.default_rng(57)
         cb = self.codebook(rng)
-        h = np.zeros(20)
-        pairs = [(h, 0), (h, 2)]
-        with pytest.raises(ValueError):
-            train_posture_classifier(pairs, cb)
+        with pytest.raises(ValueError, match="class 1 has no examples"):
+            train_posture_classifier(np.zeros((2, 20)), np.array([0, 2]), cb)
+
+    def test_bow_dimension_must_match_codebook(self):
+        rng = np.random.default_rng(59)
+        cb = self.codebook(rng)
+        X, y = self.make_training_data(rng, k=12)
+        with pytest.raises(ValueError, match="BoW dimension"):
+            train_posture_classifier(X, y, cb)
 
     def test_response_is_linear(self):
         rng = np.random.default_rng(58)
         cb = self.codebook(rng)
-        pairs = self.make_training_data(rng)
-        model = train_posture_classifier(pairs, cb, seed=3)
+        X, y = self.make_training_data(rng)
+        model = train_posture_classifier(X, y, cb, seed=3)
         z = np.zeros(20)
         np.testing.assert_array_equal(posture_response(model, z), 0.0)
