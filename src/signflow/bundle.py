@@ -51,7 +51,6 @@ class ModelBundle:
     fusion_linear: Optional[MulticlassLinearModel] = None
     fusion_kde: Optional[KdeFusionModel] = None
     config: dict = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if not self.hmms:
@@ -62,8 +61,8 @@ class ModelBundle:
         if len(states) > 1:
             raise ValueError(f"class HMMs disagree on the number of states: {states}")
         for i, hmm in enumerate(self.hmms):
-            if hmm.B.shape[1] != k:
-                raise ValueError(f"HMM {i} expects {hmm.B.shape[1]} symbols, "
+            if hmm.n_symbols != k:
+                raise ValueError(f"HMM {i} expects {hmm.n_symbols} symbols, "
                                  f"codebook has {k}")
         if self.posture_model is not None:
             pm = self.posture_model
@@ -79,10 +78,6 @@ class ModelBundle:
     @property
     def n_classes(self) -> int:
         return len(self.hmms)
-
-    @property
-    def n_symbols(self) -> int:
-        return self.gesture_codebook.k
 
 
 def _codebook_doc(cb: Codebook) -> dict:
@@ -105,17 +100,26 @@ def _floats(value, path) -> np.ndarray:
     return arr
 
 
+def _stored(doc: dict, key: str, derived, path) -> None:
+    """Check the value save_bundle writes under `key` for readers against
+    the one the loaded arrays give."""
+    if doc[key] != derived:
+        raise CorruptFileError(f"{path}: stored {key} {doc[key]!r} does not "
+                               f"match its arrays, which give {derived!r}")
+
+
 def _codebook_from(doc: dict, path) -> Codebook:
     variant = doc.get("variant")
-    return Codebook(
+    cb = Codebook(
         centers=_floats(doc["centers"], path),
-        k=int(doc["k"]),
         znorm=ZNormStats(mean=_floats(doc["znorm"]["mean"], path),
                          stddev=_floats(doc["znorm"]["stddev"], path)),
         seed=int(doc["seed"]),
         variant=DescriptorVariant(variant) if variant is not None else None,
         wcss_history=_floats(doc.get("wcss_history", []), path).tolist(),
     )
+    _stored(doc, "k", cb.k, path)
+    return cb
 
 
 def _linear_doc(m: MulticlassLinearModel) -> dict:
@@ -123,16 +127,15 @@ def _linear_doc(m: MulticlassLinearModel) -> dict:
 
 
 def _linear_from(doc: dict, path) -> MulticlassLinearModel:
-    return MulticlassLinearModel(
-        weights=_floats(doc["weights"], path),
-        n_classes=int(doc["n_classes"]),
-    )
+    model = MulticlassLinearModel(weights=_floats(doc["weights"], path))
+    _stored(doc, "n_classes", model.n_classes, path)
+    return model
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
     doc = {
         "format": FORMAT_NAME,
-        "version": bundle.version,
+        "version": FORMAT_VERSION,
         "tool_version": __version__,
         "config_hash": config_hash(bundle.config),
         "config": bundle.config,
@@ -161,19 +164,14 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
-def _require(doc: dict, key: str, path) -> object:
-    try:
-        return doc[key]
-    except KeyError:
-        raise CorruptFileError(f"{path}: missing key {key!r}") from None
-
-
 def load_bundle(path) -> ModelBundle:
     """Read a bundle; a malformed one raises CorruptFileError naming `path`.
 
     save_bundle never writes NaN or Infinity, so a file that holds one is
     rejected wherever it sits: checks such as a row summing to 1 let NaN
-    through.
+    through. The models derive their sizes and the KDE priors from their
+    arrays; the codebook `k`, linear `n_classes` and KDE `priors` written
+    for readers must equal those.
     """
     def non_finite(token):
         raise CorruptFileError(f"{path}: non-finite number {token}")
@@ -181,20 +179,14 @@ def load_bundle(path) -> ModelBundle:
     doc = read_json(path, parse_constant=non_finite)
     if doc.get("format") != FORMAT_NAME:
         raise CorruptFileError(f"{path}: not a {FORMAT_NAME} file")
-    version = _require(doc, "version", path)
-    if version != FORMAT_VERSION:
-        raise BundleVersionError(
-            f"{path}: format version {version}, this build reads "
-            f"{FORMAT_VERSION}")
     try:
-        hmms = []
-        for h in _require(doc, "hmms", path):
-            b_mat = _floats(h["B"], path)
-            hmms.append(DiscreteHMM(n_states=b_mat.shape[0],
-                                    n_symbols=b_mat.shape[1],
-                                    pi=_floats(h["pi"], path),
-                                    A=_floats(h["A"], path),
-                                    B=b_mat))
+        if doc["version"] != FORMAT_VERSION:
+            raise BundleVersionError(
+                f"{path}: format version {doc['version']}, this build reads "
+                f"{FORMAT_VERSION}")
+        hmms = [DiscreteHMM(pi=_floats(h["pi"], path), A=_floats(h["A"], path),
+                            B=_floats(h["B"], path))
+                for h in doc["hmms"]]
         posture_model = None
         posture = doc.get("posture")
         if posture is not None:
@@ -212,19 +204,17 @@ def load_bundle(path) -> ModelBundle:
             fusion_kde = KdeFusionModel(
                 class_points=[_floats(p, path) for p in fk["class_points"]],
                 bandwidths=_floats(fk["bandwidths"], path),
-                priors=_floats(fk["priors"], path),
             )
+            _stored(fk, "priors", fusion_kde.priors.tolist(), path)
         return ModelBundle(
-            gesture_codebook=_codebook_from(_require(doc, "gesture_codebook",
-                                                     path), path),
+            gesture_codebook=_codebook_from(doc["gesture_codebook"], path),
             hmms=hmms,
             posture_model=posture_model,
             fusion_linear=fusion_linear,
             fusion_kde=fusion_kde,
-            config=dict(_require(doc, "config", path)),
-            version=int(version),
+            config=dict(doc["config"]),
         )
-    except CorruptFileError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise CorruptFileError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: {exc}") from None

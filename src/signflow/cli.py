@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bundle import config_hash, load_bundle, save_bundle
+from .bundle import FORMAT_VERSION, config_hash, load_bundle, save_bundle
 from .dataset import load_manifest, parse_skeleton_csv
 from .descriptors import DescriptorVariant
 from .pipeline import (
@@ -164,12 +164,12 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     bundle = load_bundle(args.model)
-    print(f"signflow bundle version {bundle.version}")
+    print(f"signflow bundle version {FORMAT_VERSION}")
     print(f"config-hash {config_hash(bundle.config)}")
     print(f"classes {bundle.n_classes}")
     print(f"descriptor {bundle.config.get('descriptor', '?')}")
     print(f"gesture-codebook k={bundle.gesture_codebook.k} "
-          f"dim={bundle.gesture_codebook.centers.shape[1]}")
+          f"dim={bundle.gesture_codebook.dimension}")
     print(f"hmm-states {bundle.hmms[0].n_states}")
     if bundle.posture_model is not None:
         print(f"posture-codebook k={bundle.posture_model.codebook.k}")

@@ -29,12 +29,11 @@ DEFAULT_MAX_ITER = 100
 class Codebook:
     """Immutable K-means vocabulary plus the normalization it was fit under.
 
-    variant is None for codebooks over non-skeletal spaces (e.g. the 49-D
-    shape-context space of the posture branch).
+    centers is (k, D). variant is None for codebooks over non-skeletal
+    spaces (e.g. the 49-D shape-context space of the posture branch).
     """
 
     centers: np.ndarray
-    k: int
     znorm: ZNormStats
     seed: int
     variant: Optional[DescriptorVariant] = None
@@ -45,10 +44,9 @@ class Codebook:
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.centers.shape[0] != self.k:
-            raise ValueError(f"{self.centers.shape[0]} centers but k={self.k}")
+        if self.centers.ndim != 2 or self.centers.size == 0:
+            raise ValueError(f"centers must be a non-empty (k, D) array, "
+                             f"got shape {self.centers.shape}")
         if not np.all(np.isfinite(self.centers)):
             raise ValueError("non-finite center")
         if self.centers.shape[1] != self.znorm.dimension:
@@ -57,6 +55,10 @@ class Codebook:
             raise ValueError("center dimension does not match variant")
         self.center_sq = _row_sq_norms(self.centers)
         self.plain = not self.znorm.mean.any() and bool((self.znorm.stddev == 1.0).all())
+
+    @property
+    def k(self) -> int:
+        return self.centers.shape[0]
 
     @property
     def dimension(self) -> int:
@@ -304,7 +306,7 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
 
     if znorm is None:
         znorm = ZNormStats.identity(data.shape[1])
-    return Codebook(centers=centers, k=k, znorm=znorm, seed=seed,
+    return Codebook(centers=centers, znorm=znorm, seed=seed,
                     variant=variant, wcss_history=history)
 
 

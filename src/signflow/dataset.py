@@ -33,6 +33,7 @@ from .skeleton import (
     JointId,
     SignflowError,
     SkeletonSequence,
+    _is_integral,
     forward_fill,
 )
 
@@ -288,7 +289,7 @@ def load_manifest(path) -> DatasetManifest:
     for i, item in enumerate(doc["entries"]):
         try:
             label = item["label"]
-            if isinstance(label, bool) or label != int(label):
+            if not _is_integral(label):
                 raise ValueError(f"label must be an integer, got {label!r}")
             entries.append(ManifestEntry(
                 sequence_path=item["sequence_path"],
@@ -367,18 +368,6 @@ def save_mask_archive(dir_path, frames: list, comment: str = "") -> None:
             save_mask(out / mask_filename(idx, side), mask, comment=comment)
 
 
-def _region_error(root: Path, idx: int, side: HandSide,
-                  mask: np.ndarray) -> Optional[CorruptFileError]:
-    """The error naming a mask's file and frame if it is not a valid
-    HandRegion (wrong size, or more than one 8-connected component)."""
-    try:
-        HandRegion(mask=mask, side=side, present=bool(mask.any()))
-    except ValueError as exc:
-        return CorruptFileError(f"{root / mask_filename(idx, side)}: "
-                                f"frame {idx}: {exc}")
-    return None
-
-
 def _split_masks(masks: np.ndarray) -> np.ndarray:
     """Indices of the (N, h, w) stack's masks whose foreground is more than
     one 8-connected component, found with one ndimage.label over the
@@ -439,19 +428,17 @@ def load_mask_archive(dir_path) -> list:
     whole = next((i for i, code in enumerate(codes) if code != i), len(codes)) // 2 * 2
     end = next((i for i in range(whole) if shapes[i] != (PATCH, PATCH)), whole)
     masks = (np.frombuffer(b"".join(chunks[:end]), np.uint8) > 0).reshape(end, PATCH, PATCH)
-    for flat in _split_masks(masks):  # each is checked again by HandRegion
-        idx, slot = divmod(int(flat), 2)
-        bad = _region_error(root, idx, _SIDES[slot], masks[flat])
-        if bad is not None:
-            raise bad
-    if end < whole:
-        idx, slot = divmod(end, 2)
-        mask = np.frombuffer(chunks[end], np.uint8).reshape(shapes[end]) > 0
-        raise _region_error(root, idx, _SIDES[slot], mask)
+    split = _split_masks(masks)
+    if split.size or end < whole:  # the first bad mask, in frame order
+        idx, slot = divmod(int(split[0]) if split.size else end, 2)
+        reason = ("present region must be a single 8-connected component"
+                  if split.size else f"mask must be {PATCH}x{PATCH}")
+        raise CorruptFileError(f"{root / mask_filename(idx, _SIDES[slot])}: "
+                               f"frame {idx}: {reason}")
     if whole < len(codes):
         raise CorruptFileError(f"{dir_path}: frame {whole // 2} is missing a side")
     stack = masks.reshape(-1, 2, PATCH, PATCH)
     present = stack.any(axis=(2, 3)).tolist()
-    return [{HandSide.RIGHT: HandRegion._validated(right, HandSide.RIGHT, p_right),
-             HandSide.LEFT: HandRegion._validated(left, HandSide.LEFT, p_left)}
+    return [{HandSide.RIGHT: HandRegion._validated(right, p_right),
+             HandSide.LEFT: HandRegion._validated(left, p_left)}
             for (right, left), (p_right, p_left) in zip(stack, present)]

@@ -53,8 +53,9 @@ class ZNormStats:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.stddev = np.asarray(self.stddev, dtype=np.float64)
-        if self.mean.shape != self.stddev.shape:
-            raise ValueError("mean/stddev dimension mismatch")
+        if self.mean.ndim != 1 or self.mean.shape != self.stddev.shape:
+            raise ValueError(f"mean and stddev must be (D,) arrays of one "
+                             f"length, got {self.mean.shape} and {self.stddev.shape}")
         if np.any(self.stddev < ZNORM_FLOOR):
             raise ValueError(f"stddev components must be >= {ZNORM_FLOOR}")
 

@@ -16,9 +16,9 @@ from scipy.special import logsumexp
 
 from .linear_model import (
     MulticlassLinearModel,
-    class_counts,
     fit_multiclass_linear,
     response,
+    training_set,
 )
 
 DEFAULT_FUSION_COST = 0.7641
@@ -28,16 +28,17 @@ BW_FLOOR = 1e-6
 
 @dataclass
 class KdeFusionModel:
-    """Per-class training responses, diagonal bandwidths, and priors.
+    """Per-class training responses and diagonal bandwidths.
 
-    Construction also stacks the classes for `kde_class_log_posteriors`:
-    classes with equal point counts share one (C_g, N, D) block, so no
-    block needs padding.
+    Construction derives the priors, each class's share of the points,
+    and stacks the classes for `kde_class_log_posteriors`: classes with
+    equal point counts share one (C_g, N, D) block, so no block needs
+    padding.
     """
 
     class_points: list
     bandwidths: np.ndarray
-    priors: np.ndarray
+    priors: np.ndarray = field(init=False, repr=False, compare=False)
     blocks: list = field(init=False, repr=False, compare=False)
     log_norm: np.ndarray = field(init=False, repr=False, compare=False)
     log_count: np.ndarray = field(init=False, repr=False, compare=False)
@@ -46,18 +47,11 @@ class KdeFusionModel:
     def __post_init__(self):
         self.class_points = [np.asarray(p, dtype=np.float64) for p in self.class_points]
         self.bandwidths = np.asarray(self.bandwidths, dtype=np.float64)
-        self.priors = np.asarray(self.priors, dtype=np.float64)
         c = len(self.class_points)
-        if self.bandwidths.ndim != 2 or self.bandwidths.shape[0] != c \
-                or self.priors.shape != (c,):
-            raise ValueError("bandwidths must be (classes, D) and priors "
-                             "(classes,)")
+        if self.bandwidths.ndim != 2 or self.bandwidths.shape[0] != c:
+            raise ValueError("bandwidths must be (classes, D)")
         if not np.isfinite(self.bandwidths).all() or np.any(self.bandwidths <= 0):
             raise ValueError("bandwidths must be finite and positive")
-        if not np.isfinite(self.priors).all() or np.any(self.priors < 0):
-            raise ValueError("priors must be finite and non-negative")
-        if abs(self.priors.sum() - 1.0) > 1e-9:
-            raise ValueError("priors must sum to 1")
         dim = self.bandwidths.shape[1]
         for k, p in enumerate(self.class_points):
             if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] != dim:
@@ -66,6 +60,7 @@ class KdeFusionModel:
             if not np.isfinite(p).all():
                 raise ValueError(f"class {k} has a non-finite point")
         counts = np.array([p.shape[0] for p in self.class_points])
+        self.priors = counts / counts.sum()
         self.blocks = []
         for n in np.unique(counts):
             members = np.flatnonzero(counts == n)
@@ -76,8 +71,7 @@ class KdeFusionModel:
         self.log_norm = np.array([np.log(h).sum() for h in self.bandwidths]) \
             + 0.5 * dim * np.log(2.0 * np.pi)
         self.log_count = np.log(counts)
-        with np.errstate(divide="ignore"):
-            self.log_prior = np.log(self.priors)
+        self.log_prior = np.log(self.priors)
 
     @property
     def n_classes(self) -> int:
@@ -136,14 +130,11 @@ def silverman_bandwidths(data: np.ndarray) -> np.ndarray:
 
 def train_kde_fusion(X, y) -> KdeFusionModel:
     """Per-class KDE over (n, 2C) coupled responses X with (n,) classes y;
-    priors = class frequencies."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    counts = class_counts(y)
+    the model's priors are the class frequencies."""
+    X, y, counts = training_set(X, y)
     points = [X[y == c] for c in range(counts.size)]
-    bandwidths = np.stack([silverman_bandwidths(p) for p in points])
-    return KdeFusionModel(class_points=points, bandwidths=bandwidths,
-                          priors=counts / y.shape[0])
+    return KdeFusionModel(class_points=points,
+                          bandwidths=np.stack([silverman_bandwidths(p) for p in points]))
 
 
 def kde_class_log_posteriors(model: KdeFusionModel, r) -> np.ndarray:

@@ -34,10 +34,11 @@ def _symbols(obs) -> np.ndarray:
 
 @dataclass
 class DiscreteHMM:
-    """Left-right model: states may only self-loop or advance by one."""
+    """Left-right model: states may only self-loop or advance by one.
 
-    n_states: int
-    n_symbols: int
+    B is (n_states, n_symbols), and its shape gives both counts.
+    """
+
     pi: np.ndarray
     A: np.ndarray
     B: np.ndarray
@@ -46,9 +47,13 @@ class DiscreteHMM:
         self.pi = np.asarray(self.pi, dtype=np.float64)
         self.A = np.asarray(self.A, dtype=np.float64)
         self.B = np.asarray(self.B, dtype=np.float64)
-        n, k = self.n_states, self.n_symbols
-        if self.pi.shape != (n,) or self.A.shape != (n, n) or self.B.shape != (n, k):
-            raise ValueError("parameter shapes inconsistent with n_states/n_symbols")
+        if self.B.ndim != 2 or self.B.size == 0:
+            raise ValueError(f"B must be a non-empty (states, symbols) array, "
+                             f"got shape {self.B.shape}")
+        n = self.n_states
+        if self.pi.shape != (n,) or self.A.shape != (n, n):
+            raise ValueError(f"pi and A must be ({n},) and ({n}, {n}) for "
+                             f"{n} states, got {self.pi.shape} and {self.A.shape}")
         if np.any(self.pi < 0) or np.any(self.A < 0) or np.any(self.B < 0):
             raise ValueError("negative probability")
         if abs(self.pi.sum() - 1.0) > _ROW_TOL:
@@ -61,14 +66,25 @@ class DiscreteHMM:
         if np.any(self.A[off] != 0.0):
             raise ValueError("transition outside left-right support")
 
+    @property
+    def n_states(self) -> int:
+        return self.B.shape[0]
+
+    @property
+    def n_symbols(self) -> int:
+        return self.B.shape[1]
+
 
 @dataclass
 class TrainReport:
     """Baum-Welch trajectory: one total log-likelihood per iteration."""
 
     log_likelihoods: list = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log_likelihoods)
 
 
 @dataclass
@@ -76,12 +92,16 @@ class GestureResponse:
     """Per-class length-normalized forward log-likelihoods (R_gesture)."""
 
     values: np.ndarray
-    best_class: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if not (0 <= self.best_class < self.values.shape[0]):
-            raise ValueError("best_class out of range")
+        if self.values.ndim != 1 or self.values.size == 0:
+            raise ValueError("values must be a non-empty (classes,) array")
+
+    @property
+    def best_class(self) -> int:
+        """The highest-scoring class; argmax takes the lowest on ties."""
+        return int(self.values.argmax())
 
 
 def _left_right_support(n: int) -> np.ndarray:
@@ -103,7 +123,7 @@ def init_left_right(n_states: int, n_symbols: int) -> DiscreteHMM:
         A[i, i] = A[i, i + 1] = 0.5
     A[n_states - 1, n_states - 1] = 1.0
     B = np.full((n_states, n_symbols), 1.0 / n_symbols)
-    return DiscreteHMM(n_states=n_states, n_symbols=n_symbols, pi=pi, A=A, B=B)
+    return DiscreteHMM(pi=pi, A=A, B=B)
 
 
 def _scaled_forward(pi: np.ndarray, A: np.ndarray, emissions: np.ndarray):
@@ -250,8 +270,8 @@ def _stacked_backward(A: np.ndarray, emissions: np.ndarray, c: np.ndarray,
     return beta
 
 
-def baum_welch_classes(models, trainings, max_iter: int = 50,
-                       tol: float = 1e-6) -> list[tuple[DiscreteHMM, TrainReport]]:
+def baum_welch_classes(models, trainings, max_iter: int,
+                       tol: float) -> list[tuple[DiscreteHMM, TrainReport]]:
     """Multi-sequence EM re-estimation of (pi, A, B), one model per class.
 
     Expected counts are accumulated across a class's sequences before each
@@ -332,7 +352,6 @@ def baum_welch_classes(models, trainings, max_iter: int = 50,
                 np.add.at(B_cnt.T, obs, gamma)
             report = reports[j]
             report.log_likelihoods.append(total_ll)
-            report.iterations += 1
             if (len(report.log_likelihoods) >= 2
                     and total_ll - report.log_likelihoods[-2] < tol):
                 report.converged = done[j] = True
@@ -343,12 +362,12 @@ def baum_welch_classes(models, trainings, max_iter: int = 50,
             B[j] = np.stack([_floor_row(B_cnt[i], B_sup[j, i], B[j, i], EPS_P)
                              for i in range(n)])
 
-    return [(DiscreteHMM(n, k, pi[j].copy(), A[j].copy(), B[j].copy()), reports[j])
+    return [(DiscreteHMM(pi[j].copy(), A[j].copy(), B[j].copy()), reports[j])
             for j in range(len(models))]
 
 
-def baum_welch(hmm: DiscreteHMM, training, max_iter: int = 50,
-               tol: float = 1e-6) -> tuple[DiscreteHMM, TrainReport]:
+def baum_welch(hmm: DiscreteHMM, training, max_iter: int,
+               tol: float) -> tuple[DiscreteHMM, TrainReport]:
     """One model's multi-sequence EM: baum_welch_classes on a single class."""
     return baum_welch_classes([hmm], [training], max_iter, tol)[0]
 
@@ -360,6 +379,4 @@ def classify_gesture(models, obs) -> GestureResponse:
         raise EmptyInputError("no class models")
     sym = _symbols(obs)
     _check_alphabet(models)
-    values = _log_likelihoods(models, sym) / sym.shape[0]
-    best = int(values.argmax())  # argmax takes the first (lowest) on ties
-    return GestureResponse(values=values, best_class=best)
+    return GestureResponse(values=_log_likelihoods(models, sym) / sym.shape[0])

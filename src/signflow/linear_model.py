@@ -24,14 +24,18 @@ class MulticlassLinearModel:
     """Weight rows, one per class."""
 
     weights: np.ndarray
-    n_classes: int
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 2 or self.weights.shape[0] != self.n_classes:
-            raise ValueError("weights must be n_classes x dim")
+        if self.weights.ndim != 2 or self.weights.size == 0:
+            raise ValueError(f"weights must be a non-empty (classes, dim) array, "
+                             f"got shape {self.weights.shape}")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("non-finite weight")
+
+    @property
+    def n_classes(self) -> int:
+        return self.weights.shape[0]
 
     @property
     def dimension(self) -> int:
@@ -64,36 +68,35 @@ def _sgd_pass(X, y, W, lam, rng, t0):
     return t
 
 
-def class_counts(y: np.ndarray) -> np.ndarray:
-    """Examples per class of int labels y, which must cover every class
-    0..C-1: a negative label or a class with no examples is a ValueError."""
-    if y.size == 0:
+def training_set(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An (n, D) float64 matrix X, its (n,) int64 labels y and the examples
+    per class, the one check every trainer makes: the labels must cover
+    every class 0..C-1, so a negative label or a class with no examples is
+    a ValueError, and so is an X/y length mismatch."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyInputError("no training examples")
+    if y.shape != (X.shape[0],):
+        raise ValueError("X/y length mismatch")
     if y.min() < 0:
         raise ValueError("label out of range")
     counts = np.bincount(y)
     if not counts.all():
         raise ValueError(f"class {int(counts.argmin())} has no examples")
-    return counts
+    return X, y, counts
 
 
 def fit_multiclass_linear(X, y, cost: float, epochs: int = DEFAULT_EPOCHS,
                           seed: int = 0) -> MulticlassLinearModel:
     """Train on (X, y), with one class per label 0..max(y); cost plays the
     role of the usual SVM C: lambda = 1 / (cost * n)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyInputError("no training examples")
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X/y length mismatch")
-    n_classes = class_counts(y).size
-    if n_classes < 2:
+    X, y, counts = training_set(X, y)
+    if counts.size < 2:
         raise ValueError("need at least 2 classes")
     if cost <= 0:
         raise ValueError("cost must be positive")
-    W = _fit(X, y, n_classes, cost, epochs, seed)
-    return MulticlassLinearModel(weights=W, n_classes=n_classes)
+    return MulticlassLinearModel(weights=_fit(X, y, counts.size, cost, epochs, seed))
 
 
 def _fit(X, y, n_classes, cost, epochs, seed):

@@ -60,7 +60,7 @@ from .posture import (
 # kept importable from this module: perfbench/tracing.py wraps the posture
 # kernels under the names pipeline has always exposed
 from .posture import frame_shape_contexts, sample_contour  # noqa: F401
-from .skeleton import EmptyInputError, SkeletonSequence
+from .skeleton import EmptyInputError, SkeletonSequence, _is_integral
 
 FUSION_MODES = ("linear", "kde", "gesture-only", "posture-only")
 
@@ -123,14 +123,6 @@ def make_config(**overrides) -> dict:
     return config
 
 
-def _is_integral(value) -> bool:
-    """An integral real number; a bool is not one."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and np.isfinite(value) and value == int(value))
-
-
 def derive_seed(seed: int, *tags) -> int:
     """Stable 31-bit child seed for a named training stage."""
     text = "/".join([str(int(seed)), *map(str, tags)])
@@ -144,7 +136,6 @@ class CorpusItem:
 
     sequence: SkeletonSequence
     label: int
-    subject: str
     split: str
     masks: Optional[list] = None  # per frame: {HandSide: HandRegion}
 
@@ -156,8 +147,7 @@ def items_from_corpus(corpus) -> list:
                                          corpus.manifest.entries)):
         masks = corpus.masks[i] if corpus.masks is not None else None
         items.append(CorpusItem(sequence=seq, label=entry.label,
-                                subject=entry.subject, split=entry.split,
-                                masks=masks))
+                                split=entry.split, masks=masks))
     return items
 
 
@@ -186,13 +176,8 @@ def load_items(manifest: DatasetManifest, root, splits=None,
         if with_masks and entry.mask_dir is not None:
             masks = load_sequence_masks(root / entry.mask_dir, seq)
         items.append(CorpusItem(sequence=seq, label=entry.label,
-                                subject=entry.subject, split=entry.split,
-                                masks=masks))
+                                split=entry.split, masks=masks))
     return items
-
-
-def _video_regions(masks: list) -> list:
-    return [list(frame.values()) for frame in masks]
 
 
 def _codebook_sample(per_video: list, cap: int) -> np.ndarray:
@@ -271,7 +256,7 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
     if with_posture:
         # each train contour's shape contexts, computed once: they feed
         # both the codebook sample and the bags-of-words
-        per_video = [video_shape_contexts(_video_regions(i.masks)) for i in train]
+        per_video = [video_shape_contexts(i.masks) for i in train]
         sc_data = _codebook_sample([rows for rows, _ in per_video],
                                    config["sc_sample_cap"])
         posture_k = min(config["posture_k"], sc_data.shape[0])
@@ -292,7 +277,7 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
         for item in val:
             rg = classify_gesture(hmms, _gesture_symbols(gesture_cb,
                                                          item.sequence))
-            bow = encode_video_bow(_video_regions(item.masks), posture_model.codebook)
+            bow = encode_video_bow(item.masks, posture_model.codebook)
             coupled.append(couple(posture_response(posture_model, bow), rg.values))
         coupled = np.stack(coupled)
         labels = np.array([i.label for i in val])
@@ -362,7 +347,7 @@ def predict_item(bundle: ModelBundle, sequence: SkeletonSequence,
     rp = None
     if mode != "gesture-only":
         t0 = time.perf_counter()
-        bow = encode_video_bow(_video_regions(masks), bundle.posture_model.codebook)
+        bow = encode_video_bow(masks, bundle.posture_model.codebook)
         timings["posture_description"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         rp = posture_response(bundle.posture_model, bow)

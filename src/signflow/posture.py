@@ -20,7 +20,7 @@ multiclass model: R_posture = W p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -52,34 +52,28 @@ class HandSide(str, Enum):
 
 @dataclass
 class HandRegion:
-    """Segmented hand on the common 65x65 grid."""
+    """Segmented hand on the common 65x65 grid, present when its mask has
+    foreground; which hand it is, is the key it is stored under."""
 
     mask: np.ndarray
-    side: HandSide
-    present: bool
+    present: bool = field(init=False)
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mask.shape != (PATCH, PATCH):
             raise ValueError(f"mask must be {PATCH}x{PATCH}")
-        n_fg = int(self.mask.sum())
-        if self.present:
-            if n_fg == 0:
-                raise ValueError("present region with empty mask")
-            _, n_comp = ndimage.label(self.mask, structure=_EIGHT)
-            if n_comp != 1:
-                raise ValueError("present region must be a single 8-connected component")
-        elif n_fg:
-            raise ValueError("absent region must have an empty mask")
+        self.present = bool(self.mask.any())
+        if self.present and ndimage.label(self.mask, structure=_EIGHT)[1] != 1:
+            raise ValueError("present region must be a single 8-connected component")
 
     @classmethod
-    def _validated(cls, mask: np.ndarray, side: HandSide, present: bool) -> "HandRegion":
+    def _validated(cls, mask: np.ndarray, present: bool) -> "HandRegion":
         """A region without the per-mask checks, for load_mask_archive,
         whose one labelled pass over the archive has made them: mask is a
         65x65 bool array, one 8-connected component if present, else
         empty."""
         region = cls.__new__(cls)
-        region.mask, region.side, region.present = mask, side, present
+        region.mask, region.present = mask, present
         return region
 
 
@@ -265,21 +259,21 @@ def video_shape_contexts(frames,
                          m: int = CONTOUR_POINTS) -> tuple[np.ndarray, np.ndarray]:
     """Shape-context rows of a whole video, in frame order.
 
-    frames: iterable of per-frame HandRegion collections (typically a
-    (right, left) pair). Absent hands contribute nothing; a mask too
-    small for a contour is skipped the same way. The present masks are
-    traced, sampled and binned as one stack. Returns the (n, 49) rows and,
-    per row, the histogram half it counts in: 0 for the right hand, 1 for
-    the left.
+    frames: iterable of per-frame {HandSide: HandRegion} dicts. Absent
+    hands contribute nothing; a mask too small for a contour is skipped
+    the same way. The present masks are traced, sampled and binned as one
+    stack. Returns the (n, 49) rows and, per row, the histogram half it
+    counts in: 0 for the right hand, 1 for the left.
     """
     frames = list(frames)
     if not frames:
         raise EmptyInputError("no frames")
-    present = [region for regions in frames for region in regions if region.present]
+    present = [(side, region) for sides in frames
+               for side, region in sides.items() if region.present]
     if not present:
         return np.empty((0, SC_DIM)), np.empty(0, dtype=np.int64)
-    points, kept = sample_contour(np.stack([region.mask for region in present]), m)
-    left = np.array([region.side is HandSide.LEFT for region in present], dtype=np.int64)
+    points, kept = sample_contour(np.stack([region.mask for _, region in present]), m)
+    left = np.array([side == HandSide.LEFT for side, _ in present], dtype=np.int64)
     return frame_shape_contexts(points), np.repeat(left[kept], m)
 
 
@@ -301,8 +295,8 @@ def bow_from_shape_contexts(rows: np.ndarray, halves: np.ndarray,
 
 def encode_video_bow(frames, posture_cb: Codebook,
                      m: int = CONTOUR_POINTS) -> np.ndarray:
-    """Bag-of-words over a whole video's hand regions; see
-    video_shape_contexts and bow_from_shape_contexts."""
+    """Bag-of-words over a whole video's per-frame {HandSide: HandRegion}
+    dicts; see video_shape_contexts and bow_from_shape_contexts."""
     rows, halves = video_shape_contexts(frames, m)
     return bow_from_shape_contexts(rows, halves, posture_cb)
 

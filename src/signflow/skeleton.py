@@ -8,6 +8,7 @@ CSV adapter, the synthetic generator) reads and writes these arrays.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -28,6 +29,15 @@ class MissingJointError(SignflowError):
 
 class EmptyInputError(SignflowError):
     """An operation received an empty collection where data is required."""
+
+
+def _is_integral(value) -> bool:
+    """An integral real number, the one test every count, label and seed
+    read from a config or manifest must pass; a bool is not one."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and np.isfinite(value) and value == int(value))
 
 
 class JointId(IntEnum):

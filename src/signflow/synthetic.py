@@ -35,7 +35,7 @@ from .dataset import (
     write_skeleton_csv,
 )
 from .posture import PATCH, HandRegion, HandSide, _largest_component
-from .skeleton import UPPER_BODY, JointId, SkeletonSequence
+from .skeleton import UPPER_BODY, JointId, SkeletonSequence, _is_integral
 
 FRAME_DT = 1.0 / 30.0
 SEQUENCE_TIME_GAP = 100.0
@@ -156,10 +156,12 @@ class ClassSpec:
     mask: int
 
     def __post_init__(self):
-        if self.template not in TRAJECTORY_TEMPLATES:
-            raise ValueError(f"unknown trajectory template {self.template}")
-        if self.mask not in MASK_SHAPE_IDS:
-            raise ValueError(f"unknown mask shape id {self.mask}")
+        if not (_is_integral(self.template) and self.template in TRAJECTORY_TEMPLATES):
+            raise ValueError(f"unknown trajectory template {self.template!r}")
+        if not (_is_integral(self.mask) and self.mask in MASK_SHAPE_IDS):
+            raise ValueError(f"unknown mask shape id {self.mask!r}")
+        object.__setattr__(self, "template", int(self.template))
+        object.__setattr__(self, "mask", int(self.mask))
         anchor = JointId(self.anchor)
         object.__setattr__(self, "anchor", anchor)
         if anchor not in UPPER_BODY or anchor == JointId.RHand:
@@ -184,7 +186,7 @@ class SyntheticConfig:
                         for c in self.classes]
         if len(self.classes) < 2:
             raise ValueError("fewer than 2 classes")
-        self.counts = tuple(int(v) for v in self.counts)
+        self.counts = _integers(self.counts, "counts")
         if len(self.counts) != 3 or any(v < 0 for v in self.counts):
             raise ValueError("counts must be three non-negative ints")
         if self.counts[0] < 1:
@@ -193,20 +195,28 @@ class SyntheticConfig:
             raise ValueError("noise must be >= 0")
         if not self.subject_scale >= 0:
             raise ValueError("subject_scale must be >= 0")
-        lo, hi = (int(v) for v in self.frame_count_range)
+        self.frame_count_range = _integers(self.frame_count_range, "frame_count_range")
+        lo, hi = self.frame_count_range
         if lo < 2 or hi < lo:
             raise ValueError("frame_count_range must satisfy 2 <= lo <= hi")
-        self.frame_count_range = (lo, hi)
-        self.subjects = tuple(int(v) for v in self.subjects)
+        self.subjects = _integers(self.subjects, "subjects")
         if len(self.subjects) != 3:
             raise ValueError("subjects must be three pool sizes")
         for n_seq, n_subj, split in zip(self.counts, self.subjects,
                                         ("train", "validation", "test")):
             if n_seq > 0 and n_subj < 1:
                 raise ValueError(f"split {split} has sequences but no subjects")
+        if not (_is_integral(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         self.seed = int(self.seed)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+
+
+def _integers(values, name: str) -> tuple:
+    """values as a tuple of ints; ValueError unless each is integral."""
+    values = tuple(values)
+    if not all(_is_integral(v) for v in values):
+        raise ValueError(f"{name} must be integers, got {values!r}")
+    return tuple(int(v) for v in values)
 
 
 @dataclass
@@ -276,7 +286,7 @@ def _render_masks(cfg: SyntheticConfig, spec: ClassSpec, seq_index: int,
             else:
                 cx, cy, scale, phase = 32.0, 32.0, 1.0, 0.0
             mask = _shape_mask(shape_id, cx, cy, scale, phase)
-            sides[side] = HandRegion(mask=mask, side=side, present=True)
+            sides[side] = HandRegion(mask)
         frames.append(sides)
     return frames
 
@@ -353,8 +363,8 @@ def load_synthetic_config(path) -> SyntheticConfig:
         for c in doc.get("classes", []):
             # a joint by name, or by number; ClassSpec rejects any other
             anchor = JointId.__members__.get(c["anchor"], c["anchor"])
-            classes.append(ClassSpec(template=int(c["template"]), anchor=anchor,
-                                     mask=int(c["mask"])))
+            classes.append(ClassSpec(template=c["template"], anchor=anchor,
+                                     mask=c["mask"]))
         kwargs = {k: doc[k] for k in ("counts", "noise", "frame_count_range",
                                       "seed", "subjects", "subject_scale")
                   if k in doc}

@@ -151,7 +151,7 @@ def load_mask_archive(dir_path) -> list:
         for side in HandSide:  # fixed (right, left) order, not directory order
             mask = sides[side]
             try:
-                out[side] = HandRegion(mask=mask, side=side, present=bool(mask.any()))
+                out[side] = HandRegion(mask=mask)
             except ValueError as exc:
                 raise CorruptFileError(f"{root / mask_filename(idx, side)}: "
                                        f"frame {idx}: {exc}") from None

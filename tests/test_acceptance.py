@@ -53,8 +53,7 @@ def _random_hmm(rng, n, k) -> DiscreteHMM:
         A[i, i + 1] = 1.0 - stay
     A[n - 1, n - 1] = 1.0
     B = rng.random((n, k)) + 0.1
-    return DiscreteHMM(n_states=n, n_symbols=k, pi=pi / pi.sum(),
-                       A=A, B=B / B.sum(axis=1, keepdims=True))
+    return DiscreteHMM(pi=pi / pi.sum(), A=A, B=B / B.sum(axis=1, keepdims=True))
 
 
 def _random_sequence(rng, n_frames: int) -> SkeletonSequence:

@@ -24,7 +24,7 @@ from signflow.posture import PostureModel
 
 def tiny_bundle(rng=None, with_optional=True):
     rng = rng or np.random.default_rng(100)
-    gesture_cb = Codebook(centers=rng.normal(size=(3, 6)), k=3,
+    gesture_cb = Codebook(centers=rng.normal(size=(3, 6)),
                           znorm=ZNormStats(mean=rng.normal(size=6),
                                            stddev=np.full(6, 0.5)),
                           seed=7, variant=DescriptorVariant.HD,
@@ -32,18 +32,16 @@ def tiny_bundle(rng=None, with_optional=True):
     hmms = [init_left_right(4, 3), init_left_right(4, 3)]
     kwargs = {}
     if with_optional:
-        posture_cb = Codebook(centers=rng.normal(size=(4, 49)), k=4,
+        posture_cb = Codebook(centers=rng.normal(size=(4, 49)),
                               znorm=ZNormStats.identity(49), seed=1)
         kwargs["posture_model"] = PostureModel(
-            model=MulticlassLinearModel(weights=rng.normal(size=(2, 8)),
-                                        n_classes=2),
+            model=MulticlassLinearModel(weights=rng.normal(size=(2, 8))),
             codebook=posture_cb)
         kwargs["fusion_linear"] = MulticlassLinearModel(
-            weights=rng.normal(size=(2, 4)), n_classes=2)
+            weights=rng.normal(size=(2, 4)))
         kwargs["fusion_kde"] = KdeFusionModel(
             class_points=[rng.normal(size=(3, 4)), rng.normal(size=(2, 4))],
-            bandwidths=np.abs(rng.normal(size=(2, 4))) + 0.1,
-            priors=np.array([0.6, 0.4]))
+            bandwidths=np.abs(rng.normal(size=(2, 4))) + 0.1)
     return ModelBundle(gesture_codebook=gesture_cb, hmms=hmms,
                        config={"seed": 7, "descriptor": "hd"}, **kwargs)
 
@@ -139,7 +137,7 @@ class TestErrors:
         p.write_text(json.dumps(doc))
         with pytest.raises(CorruptFileError) as exc:
             load_bundle(p)
-        assert "gesture_codebook" in str(exc.value)
+        assert str(exc.value) == f"{p}: missing key 'gesture_codebook'"
 
     def test_non_utf8_byte_names_the_file(self, tmp_path):
         p = tmp_path / "model.json"
@@ -223,6 +221,77 @@ class TestBadKdeModel:
         assert "model.json" in str(exc.value)
 
 
+def _edit_stored(doc, case):
+    if case == "gesture k":
+        doc["gesture_codebook"]["k"] = 4
+    elif case == "posture k":
+        doc["posture"]["codebook"]["k"] = 3.5
+    elif case == "posture n_classes":
+        doc["posture"]["model"]["n_classes"] = 3
+    elif case == "fusion n_classes":
+        doc["fusion_linear"]["model"]["n_classes"] = 1
+    elif case == "priors":
+        doc["fusion_kde"]["priors"] = [0.5, 0.5]
+    elif case == "priors length":
+        doc["fusion_kde"]["priors"] = [0.6]
+
+
+class TestStoredValues:
+    """save_bundle writes k, n_classes and the KDE priors for readers; the
+    models derive each from their arrays, and a file whose stored value
+    disagrees does not load."""
+
+    def test_written_for_readers(self, tmp_path):
+        p = tmp_path / "model.json"
+        b = tiny_bundle()
+        save_bundle(b, p)
+        doc = json.loads(p.read_text())
+        assert doc["gesture_codebook"]["k"] == 3
+        assert doc["posture"]["codebook"]["k"] == 4
+        assert doc["posture"]["model"]["n_classes"] == 2
+        assert doc["fusion_linear"]["model"]["n_classes"] == 2
+        assert doc["fusion_kde"]["priors"] == [0.6, 0.4]
+        assert b.fusion_kde.priors.tolist() == [3 / 5, 2 / 5]
+
+    @pytest.mark.parametrize("case", [
+        "gesture k", "posture k", "posture n_classes", "fusion n_classes",
+        "priors", "priors length"])
+    def test_disagreeing_value_names_the_file(self, tmp_path, case):
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(), p)
+        doc = json.loads(p.read_text())
+        _edit_stored(doc, case)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError, match=r"model\.json: stored .* does "
+                                                   r"not match its arrays"):
+            load_bundle(p)
+
+    @pytest.mark.parametrize("member, value", [
+        ("B", [0.5, 0.5]), ("B", []), ("centers", [0.1, 0.2, 0.3])])
+    def test_array_of_wrong_rank_names_the_file(self, tmp_path, member, value):
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(), p)
+        doc = json.loads(p.read_text())
+        if member == "B":
+            doc["hmms"][0]["B"] = value
+        else:
+            doc["gesture_codebook"]["centers"] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError, match=rf"model\.json: {member} must be "
+                                                   r"a non-empty"):
+            load_bundle(p)
+
+    def test_missing_nested_key_says_missing_key(self, tmp_path):
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(), p)
+        doc = json.loads(p.read_text())
+        del doc["hmms"][0]["B"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError) as exc:
+            load_bundle(p)
+        assert str(exc.value) == f"{p}: missing key 'B'"
+
+
 class TestNonFiniteModel:
     """save_bundle never writes NaN, but json reads it: a NaN in an HMM
     passed the row-sum check and won every decision, and a NaN stddev
@@ -264,19 +333,19 @@ class TestNonFiniteModel:
 class TestValidation:
     def test_symbol_count_mismatch(self):
         rng = np.random.default_rng(101)
-        cb = Codebook(centers=rng.normal(size=(5, 6)), k=5,
+        cb = Codebook(centers=rng.normal(size=(5, 6)),
                       znorm=ZNormStats.identity(6), seed=0)
         with pytest.raises(ValueError):
             ModelBundle(gesture_codebook=cb, hmms=[init_left_right(2, 3)])
 
     def test_posture_class_count_mismatch(self):
         rng = np.random.default_rng(102)
-        cb = Codebook(centers=rng.normal(size=(3, 6)), k=3,
+        cb = Codebook(centers=rng.normal(size=(3, 6)),
                       znorm=ZNormStats.identity(6), seed=0)
-        posture_cb = Codebook(centers=rng.normal(size=(4, 49)), k=4,
+        posture_cb = Codebook(centers=rng.normal(size=(4, 49)),
                               znorm=ZNormStats.identity(49), seed=0)
         pm = PostureModel(model=MulticlassLinearModel(
-            weights=rng.normal(size=(3, 8)), n_classes=3), codebook=posture_cb)
+            weights=rng.normal(size=(3, 8))), codebook=posture_cb)
         with pytest.raises(ValueError):
             ModelBundle(gesture_codebook=cb,
                         hmms=[init_left_right(2, 3), init_left_right(2, 3)],
@@ -284,23 +353,22 @@ class TestValidation:
 
     def test_fusion_shape_mismatch(self):
         rng = np.random.default_rng(104)
-        cb = Codebook(centers=rng.normal(size=(3, 6)), k=3,
+        cb = Codebook(centers=rng.normal(size=(3, 6)),
                       znorm=ZNormStats.identity(6), seed=0)
         hmms = [init_left_right(2, 3), init_left_right(2, 3)]
         # a linear rule over 3 classes, or over a 6-D coupled response
-        for weights, n in ((rng.normal(size=(3, 6)), 3), (rng.normal(size=(2, 6)), 2)):
+        for weights in (rng.normal(size=(3, 6)), rng.normal(size=(2, 6))):
             with pytest.raises(ValueError, match="fusion linear"):
                 ModelBundle(gesture_codebook=cb, hmms=hmms,
-                            fusion_linear=MulticlassLinearModel(weights=weights,
-                                                                n_classes=n))
+                            fusion_linear=MulticlassLinearModel(weights=weights))
         kde = KdeFusionModel(class_points=[rng.normal(size=(2, 6))] * 2,
-                             bandwidths=np.ones((2, 6)), priors=np.array([0.5, 0.5]))
+                             bandwidths=np.ones((2, 6)))
         with pytest.raises(ValueError, match="fusion kde"):
             ModelBundle(gesture_codebook=cb, hmms=hmms, fusion_kde=kde)
 
     def test_empty_hmm_list(self):
         rng = np.random.default_rng(103)
-        cb = Codebook(centers=rng.normal(size=(3, 6)), k=3,
+        cb = Codebook(centers=rng.normal(size=(3, 6)),
                       znorm=ZNormStats.identity(6), seed=0)
         with pytest.raises(ValueError):
             ModelBundle(gesture_codebook=cb, hmms=[])

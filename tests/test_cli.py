@@ -252,6 +252,33 @@ def _non_utf8_bundle(workdir, tmp_path, entry):
     return ["inspect", "--model", str(bad)], bad
 
 
+def _bundle_with(edit):
+    """An inspect command whose bundle is the trained one after edit(doc)."""
+    def make(workdir, tmp_path, entry):
+        bad = tmp_path / "model.json"
+        doc = json.loads((workdir / "model.json").read_text())
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        return ["inspect", "--model", str(bad)], bad
+    return make
+
+
+def _set_hmm_b(value):
+    def edit(doc):
+        doc["hmms"][0]["B"] = value
+    return edit
+
+
+def _flat_centers(doc):
+    # k values, one per center: a count check alone lets this through
+    cb = doc["gesture_codebook"]
+    cb["centers"] = [center[0] for center in cb["centers"]]
+
+
+def _scalar_znorm(doc):
+    doc["gesture_codebook"]["znorm"] = {"mean": 1.0, "stddev": 1.0}
+
+
 def _bad_mask_header(workdir, tmp_path, entry):
     masks = tmp_path / "masks"
     shutil.copytree(workdir / "data" / entry["mask_dir"], masks)
@@ -287,10 +314,14 @@ class TestMalformedInput:
         _synth_config(lambda text: f"[{text}]"),
         _synth_config(lambda text: text.replace('"noise": ', '"noise": ,')),
         _synth_config(lambda text: text.replace('"noise": 0.01', '"noise": NaN')),
+        _bundle_with(_set_hmm_b([0.5, 0.5])), _bundle_with(_set_hmm_b([])),
+        _bundle_with(_flat_centers), _bundle_with(_scalar_znorm),
     ], ids=["csv long comment", "csv not utf-8", "manifest not utf-8",
             "bundle not utf-8", "mask bad header", "synth config unknown joint",
             "synth config no anchor", "synth config not an object",
-            "synth config syntax error", "synth config nan noise"])
+            "synth config syntax error", "synth config nan noise",
+            "bundle 1-d emissions", "bundle empty emissions", "bundle 1-d centers",
+            "bundle scalar znorm"])
     def test_one_error_line_names_the_file(self, workdir, tmp_path, capsys, make):
         manifest = json.loads((workdir / "data" / "manifest.json").read_text())
         entry = next(e for e in manifest["entries"] if e["split"] == "train")
@@ -346,3 +377,4 @@ class TestInspect:
         assert "classes 3" in out
         assert "config-hash" in out
         assert "fusion-kde yes" in out
+        assert out.startswith("signflow bundle version 1\n")

@@ -131,7 +131,7 @@ class TestFitKMeans:
 class TestQuantize:
     def make_codebook(self, rng, k=9, d=5):
         centers = rng.normal(size=(k, d)) * 3.0
-        return Codebook(centers=centers, k=k, znorm=ZNormStats.identity(d), seed=0)
+        return Codebook(centers=centers, znorm=ZNormStats.identity(d), seed=0)
 
     def test_center_maps_to_itself(self):
         rng = np.random.default_rng(6)
@@ -140,7 +140,7 @@ class TestQuantize:
 
     def test_tie_breaks_to_lowest_index(self):
         centers = np.array([[0.0], [2.0], [4.0]])
-        cb = Codebook(centers=centers, k=3, znorm=ZNormStats.identity(1), seed=0)
+        cb = Codebook(centers=centers, znorm=ZNormStats.identity(1), seed=0)
         # 1.0 is equidistant from 0 and 2, 3.0 from 2 and 4
         assert quantize_batch(cb, np.array([[1.0], [3.0]])).tolist() == [0, 1]
 
@@ -157,7 +157,7 @@ class TestQuantize:
         rng = np.random.default_rng(8)
         stats = ZNormStats(mean=rng.normal(size=3), stddev=rng.uniform(0.5, 2.0, size=3))
         centers = rng.normal(size=(6, 3)) * 4.0
-        cb = Codebook(centers=centers, k=6, znorm=stats, seed=0)
+        cb = Codebook(centers=centers, znorm=stats, seed=0)
         raw = centers * stats.stddev + stats.mean
         np.testing.assert_array_equal(quantize_batch(cb, raw), np.arange(6))
 
@@ -176,7 +176,7 @@ class TestQuantize:
 class TestEncodeSequence:
     def make_hd_codebook(self, rng, k=5):
         centers = rng.normal(size=(k, 6))
-        return Codebook(centers=centers, k=k, znorm=ZNormStats.identity(6),
+        return Codebook(centers=centers, znorm=ZNormStats.identity(6),
                         seed=0, variant=DescriptorVariant.HD)
 
     def test_constant_stream(self):

@@ -335,8 +335,12 @@ class TestManifest:
         (0, {"label": 1}, r"labels must cover 0\.\.1, got \[1\]"),
         (1, {"label": 1.7}, r"entry 1: label must be an integer, got 1\.7"),
         (1, {"label": True}, r"entry 1: label must be an integer, got True"),
+        (1, {"label": float("nan")}, r"entry 1: label must be an integer, got nan"),
+        (1, {"label": float("inf")}, r"entry 1: label must be an integer, got inf"),
+        (1, {"label": None}, r"entry 1: label must be an integer, got None"),
     ], ids=["unknown split", "label not a number", "label gap",
-            "fractional label", "boolean label"])
+            "fractional label", "boolean label", "nan label", "infinite label",
+            "null label"])
     def test_bad_entry_names_the_file(self, tmp_path, entry, change, message):
         entries = [{"sequence_path": f"{name}.csv", "label": label,
                     "subject": name, "split": "train"}
@@ -348,10 +352,10 @@ class TestManifest:
             load_manifest(p)
 
 
-def disk_region(side=HandSide.RIGHT, cx=32, cy=32, r=6):
+def disk_region(cx=32, cy=32, r=6):
     yy, xx = np.mgrid[:PATCH, :PATCH]
     mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
-    return HandRegion(mask=mask, side=side, present=True)
+    return HandRegion(mask=mask)
 
 
 def read_pgm(path):
@@ -366,7 +370,7 @@ def archive_with(tmp_path, blob):
     """A one-frame mask archive whose left mask file holds blob, and that file."""
     d = tmp_path / "vid0"
     save_mask_archive(d, [{HandSide.RIGHT: disk_region(),
-                           HandSide.LEFT: disk_region(HandSide.LEFT)}])
+                           HandSide.LEFT: disk_region()}])
     (d / "00000_L.pgm").write_bytes(blob)
     return d, d / "00000_L.pgm"
 
@@ -442,7 +446,7 @@ class TestMaskArchive:
         d = tmp_path / "vid0"
         right = disk_region()
         save_mask_archive(d, [{HandSide.RIGHT: right,
-                               HandSide.LEFT: disk_region(HandSide.LEFT)}])
+                               HandSide.LEFT: disk_region()}])
         stray = ["00000_R.pgm\n", "\u0660" * 5 + "_R.pgm"]
         for name in stray:
             save_mask(d / name, disk_region(cx=20).mask)
@@ -458,11 +462,10 @@ class TestMaskArchive:
 
     def test_round_trip(self, tmp_path):
         frames = [
-            {HandSide.RIGHT: disk_region(HandSide.RIGHT),
-             HandSide.LEFT: HandRegion(mask=np.zeros((PATCH, PATCH), dtype=bool),
-                                       side=HandSide.LEFT, present=False)},
-            {HandSide.RIGHT: disk_region(HandSide.RIGHT, cx=20, cy=40, r=4),
-             HandSide.LEFT: disk_region(HandSide.LEFT, cx=50, cy=10, r=5)},
+            {HandSide.RIGHT: disk_region(),
+             HandSide.LEFT: HandRegion(mask=np.zeros((PATCH, PATCH), dtype=bool))},
+            {HandSide.RIGHT: disk_region(cx=20, cy=40, r=4),
+             HandSide.LEFT: disk_region(cx=50, cy=10, r=5)},
         ]
         d = tmp_path / "vid0"
         save_mask_archive(d, frames)
@@ -476,15 +479,12 @@ class TestMaskArchive:
                                       frames[0][HandSide.RIGHT].mask)
         np.testing.assert_array_equal(back[1][HandSide.LEFT].mask,
                                       frames[1][HandSide.LEFT].mask)
-        for sides in back:
-            for side, region in sides.items():
-                assert region.side == side
 
     def test_sides_in_fixed_order_whatever_the_directory_order(self, tmp_path,
                                                                monkeypatch):
         d = tmp_path / "vid0"
         save_mask_archive(d, [{HandSide.RIGHT: disk_region(),
-                               HandSide.LEFT: disk_region(HandSide.LEFT)}] * 3)
+                               HandSide.LEFT: disk_region()}] * 3)
         listdir, listed = os.listdir, []
         for reverse in (False, True):
             def ordered(path, reverse=reverse):
@@ -498,7 +498,7 @@ class TestMaskArchive:
     def test_missing_side_rejected(self, tmp_path):
         d = tmp_path / "vid0"
         save_mask_archive(d, [{HandSide.RIGHT: disk_region(),
-                               HandSide.LEFT: disk_region(HandSide.LEFT, cx=10)}])
+                               HandSide.LEFT: disk_region(cx=10)}])
         (d / "00000_L.pgm").unlink()
         with pytest.raises(CorruptFileError):
             load_mask_archive(d)
@@ -506,7 +506,7 @@ class TestMaskArchive:
     def test_multi_component_mask_names_file_and_frame(self, tmp_path):
         d = tmp_path / "vid0"
         save_mask_archive(d, [{HandSide.RIGHT: disk_region(),
-                               HandSide.LEFT: disk_region(HandSide.LEFT)}] * 2)
+                               HandSide.LEFT: disk_region()}] * 2)
         two_blobs = disk_region(cx=15, cy=15, r=5).mask | disk_region(cx=48, cy=48, r=5).mask
         save_mask(d / "00001_L.pgm", two_blobs)
         with pytest.raises(CorruptFileError) as exc:
@@ -517,7 +517,7 @@ class TestMaskArchive:
     def test_blank_wrong_size_mask_names_file_and_frame(self, tmp_path):
         d = tmp_path / "vid0"
         save_mask_archive(d, [{HandSide.RIGHT: disk_region(),
-                               HandSide.LEFT: disk_region(HandSide.LEFT)}] * 2)
+                               HandSide.LEFT: disk_region()}] * 2)
         save_mask(d / "00000_R.pgm", np.zeros((10, 7), dtype=bool))
         with pytest.raises(CorruptFileError) as exc:
             load_mask_archive(d)

@@ -20,7 +20,6 @@ from signflow.fusion import (
     train_kde_fusion,
     train_linear_fusion,
 )
-from signflow.hmm import GestureResponse
 from signflow.linear_model import MulticlassLinearModel
 from signflow.pipeline import items_from_corpus, predict_item, train_pipeline
 from signflow.skeleton import JointId
@@ -39,7 +38,7 @@ def kde_log_density(train, bandwidths, query):
 def oracle_log_posteriors(model, query):
     return np.array([
         kde_log_density(model.class_points[c], model.bandwidths[c], query)
-        + np.log(model.priors[c])
+        + np.log(len(model.class_points[c]) / sum(map(len, model.class_points)))
         for c in range(model.n_classes)
     ])
 
@@ -49,25 +48,20 @@ def training_accuracy(model, X, y):
     return float(((np.asarray(X) @ model.weights.T).argmax(axis=1) == y).mean())
 
 
-def make_rg(values):
-    v = np.asarray(values, dtype=np.float64)
-    return GestureResponse(values=v, best_class=int(np.nanargmax(np.nan_to_num(v, neginf=-1e18))))
-
-
 class TestCouple:
     def test_plain_concatenation(self):
-        r = couple(np.array([1.0, 2.0]), make_rg([-3.0, -4.0]).values)
+        r = couple(np.array([1.0, 2.0]), np.array([-3.0, -4.0]))
         np.testing.assert_array_equal(r, [1.0, 2.0, -3.0, -4.0])
         assert r.dtype == np.float64
 
     def test_neg_inf_clamped(self):
-        r = couple(np.array([0.0, 0.0]), make_rg([-np.inf, -5.0]).values)
+        r = couple(np.array([0.0, 0.0]), np.array([-np.inf, -5.0]))
         assert r[2] == CLAMP_FLOOR
         assert r[3] == -5.0
 
     def test_custom_clamp(self):
         # a finite entry below the floor is clamped too
-        r = couple(np.array([0.0]), make_rg([2 * CLAMP_FLOOR]).values)
+        r = couple(np.array([0.0]), np.array([2 * CLAMP_FLOOR]))
         assert r[1] == CLAMP_FLOOR
 
     def test_order_and_length(self):
@@ -173,8 +167,7 @@ class TestPredictLinear:
 
     def test_scale_invariance(self):
         model = self.identity_model()
-        scaled = MulticlassLinearModel(weights=model.weights * 13.0,
-                                       n_classes=model.n_classes)
+        scaled = MulticlassLinearModel(weights=model.weights * 13.0)
         rng = np.random.default_rng(66)
         for _ in range(20):
             v = rng.normal(size=6)
@@ -269,6 +262,20 @@ class TestKdeFusion:
         with pytest.raises(ValueError, match="class 1 has no examples"):
             train_kde_fusion(np.array([np.zeros(4), np.ones(4)]), np.array([0, 2]))
 
+    def test_length_mismatch_rejected(self):
+        # as fit_multiclass_linear does, not by an IndexError from numpy
+        for y in (np.array([0, 1]), np.array([0, 1, 0, 1])):
+            with pytest.raises(ValueError, match="X/y length mismatch"):
+                train_kde_fusion(np.zeros((3, 4)), y)
+            with pytest.raises(ValueError, match="X/y length mismatch"):
+                train_linear_fusion(np.zeros((3, 4)), y)
+
+    def test_priors_are_class_shares(self):
+        model = KdeFusionModel(class_points=[np.zeros((3, 2)), np.ones((1, 2)),
+                                             np.ones((3, 2))],
+                               bandwidths=np.ones((3, 2)))
+        assert model.priors.tolist() == [3 / 7, 1 / 7, 3 / 7]
+
     def test_dimension_mismatch_at_predict(self):
         rng = np.random.default_rng(72)
         model = train_kde_fusion(rng.normal(size=(10, 4)), np.repeat([0, 1], 5))
@@ -294,9 +301,7 @@ def kde_models(draw):
             p[:] = p[0]
         points.append(p)
     bandwidths = np.stack([silverman_bandwidths(p) for p in points])
-    priors = np.array(sizes) / sum(sizes)
-    model = KdeFusionModel(class_points=points, bandwidths=bandwidths,
-                           priors=priors)
+    model = KdeFusionModel(class_points=points, bandwidths=bandwidths)
     queries = rng.normal(size=(4, dim)) * scale
     queries[0] = points[-1][0]
     return model, queries

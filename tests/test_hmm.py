@@ -14,7 +14,9 @@ import pytest
 from signflow.hmm import (
     EPS_P,
     DiscreteHMM,
+    GestureResponse,
     baum_welch,
+    baum_welch_classes,
     classify_gesture,
     forward_log_likelihood,
     init_left_right,
@@ -42,7 +44,7 @@ def random_left_right(rng, n, k):
     A[n - 1, n - 1] = 1.0
     B = rng.uniform(0.1, 1.0, size=(n, k))
     B /= B.sum(axis=1, keepdims=True)
-    return DiscreteHMM(n_states=n, n_symbols=k, pi=pi, A=A, B=B)
+    return DiscreteHMM(pi=pi, A=A, B=B)
 
 
 def sample_sequence(rng, hmm, length):
@@ -92,14 +94,43 @@ class TestDiscreteHMMValidation:
         A = np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
         B = np.full((3, 2), 0.5)
         with pytest.raises(ValueError):
-            DiscreteHMM(3, 2, np.array([1.0, 0, 0]), A, B)
+            DiscreteHMM(np.array([1.0, 0, 0]), A, B)
 
     def test_bad_row_sum_rejected(self):
         m = init_left_right(3, 2)
         bad_B = m.B.copy()
         bad_B[0, 0] = 0.9
         with pytest.raises(ValueError):
-            DiscreteHMM(3, 2, m.pi, m.A, bad_B)
+            DiscreteHMM(m.pi, m.A, bad_B)
+
+    def test_sizes_come_from_B(self):
+        m = init_left_right(3, 7)
+        assert (m.n_states, m.n_symbols) == (3, 7)
+        single = DiscreteHMM(np.array([1.0]), np.array([[1.0]]), np.array([[0.25, 0.75]]))
+        assert (single.n_states, single.n_symbols) == (1, 2)
+
+    @pytest.mark.parametrize("B", [np.array([0.5, 0.5]), np.array([]),
+                                   np.empty((1, 0)), np.full((1, 1, 1), 1.0)])
+    def test_B_must_be_a_non_empty_matrix(self, B):
+        with pytest.raises(ValueError, match="B must be a non-empty"):
+            DiscreteHMM(np.array([1.0]), np.array([[1.0]]), B)
+
+    def test_pi_and_A_must_match_B(self):
+        m = init_left_right(3, 2)
+        with pytest.raises(ValueError, match="for 3 states"):
+            DiscreteHMM(m.pi[:2], m.A, m.B)
+        with pytest.raises(ValueError, match="for 3 states"):
+            DiscreteHMM(m.pi, m.A[:2, :2], m.B)
+
+
+class TestGestureResponse:
+    def test_best_class_is_the_first_maximum(self):
+        assert GestureResponse(np.array([-3.0, -1.0, -1.0])).best_class == 1
+        assert GestureResponse(np.array([-np.inf, -np.inf])).best_class == 0
+
+    def test_empty_values_rejected(self):
+        with pytest.raises(ValueError):
+            GestureResponse(np.array([]))
 
 
 class TestForward:
@@ -109,7 +140,7 @@ class TestForward:
         assert abs(ll - math.log(0.125)) < 1e-12
 
     def test_impossible_symbol_gives_neg_inf(self):
-        m = DiscreteHMM(1, 2, np.array([1.0]), np.array([[1.0]]),
+        m = DiscreteHMM(np.array([1.0]), np.array([[1.0]]),
                         np.array([[1.0, 0.0]]))
         assert forward_log_likelihood(m, np.array([0, 1])) == float("-inf")
 
@@ -158,7 +189,7 @@ class TestForward:
         with pytest.raises(ValueError):
             classify_gesture([m, m], np.array([1, -2]))
         with pytest.raises(ValueError):
-            baum_welch(m, [np.array([0, 1]), np.array([1, -2])])
+            baum_welch(m, [np.array([0, 1]), np.array([1, -2])], max_iter=50, tol=1e-6)
         with pytest.raises(EmptyInputError):
             classify_gesture([m], np.array([], dtype=np.int64))
 
@@ -167,14 +198,14 @@ class TestBaumWelch:
     def test_constant_data_concentrates_emissions(self):
         m = init_left_right(3, 5)
         train = [np.zeros(12, dtype=int) for _ in range(4)]
-        trained, report = baum_welch(m, train, max_iter=20)
+        trained, report = baum_welch(m, train, max_iter=20, tol=1e-6)
         assert np.all(trained.B[:, 0] >= 1.0 - 5 * EPS_P)
         assert report.iterations >= 1
 
     def test_max_iter_zero_is_noop(self):
         m = init_left_right(3, 4)
         train = [np.array([0, 1, 2])]
-        trained, report = baum_welch(m, train, max_iter=0)
+        trained, report = baum_welch(m, train, max_iter=0, tol=1e-6)
         np.testing.assert_array_equal(trained.A, m.A)
         np.testing.assert_array_equal(trained.B, m.B)
         assert report.log_likelihoods == []
@@ -218,11 +249,25 @@ class TestBaumWelch:
 
     def test_empty_training_rejected(self):
         with pytest.raises(EmptyInputError):
-            baum_welch(init_left_right(2, 3), [])
+            baum_welch(init_left_right(2, 3), [], max_iter=50, tol=1e-6)
 
     def test_out_of_range_training_symbol(self):
         with pytest.raises(ValueError):
-            baum_welch(init_left_right(2, 3), [np.array([0, 5])])
+            baum_welch(init_left_right(2, 3), [np.array([0, 5])], max_iter=50, tol=1e-6)
+
+    def test_iteration_budget_and_tolerance_are_required(self):
+        m, train = init_left_right(2, 3), [np.array([0, 1, 2])]
+        with pytest.raises(TypeError):
+            baum_welch(m, train)
+        with pytest.raises(TypeError):
+            baum_welch(m, train, max_iter=5)
+        with pytest.raises(TypeError):
+            baum_welch_classes([m], [train])
+
+    def test_iterations_count_the_log_likelihoods(self):
+        m = init_left_right(2, 3)
+        _, report = baum_welch(m, [np.array([0, 1, 2, 2])], max_iter=4, tol=-math.inf)
+        assert report.iterations == len(report.log_likelihoods) == 4
 
     def test_convergence_flag(self):
         m = init_left_right(2, 3)
@@ -243,7 +288,7 @@ class TestClassifyGesture:
     def test_trained_model_wins_on_its_data(self):
         rng = np.random.default_rng(26)
         const = [np.full(10, 2)] * 4
-        specialist, _ = baum_welch(init_left_right(2, 5), const, max_iter=20)
+        specialist, _ = baum_welch(init_left_right(2, 5), const, max_iter=20, tol=1e-6)
         rival = init_left_right(2, 5)
         resp = classify_gesture([rival, specialist], np.full(10, 2))
         assert resp.best_class == 1

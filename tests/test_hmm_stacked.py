@@ -77,7 +77,7 @@ def oracle_baum_welch(hmm, seqs, max_iter, tol):
         A_cnt = np.zeros_like(A)
         B_cnt = np.zeros_like(B)
         total_ll = 0.0
-        cur = DiscreteHMM(hmm.n_states, hmm.n_symbols, pi, A, B)
+        cur = DiscreteHMM(pi, A, B)
         for obs in seqs:
             alpha, c = oracle_forward(cur, obs)
             if alpha is None:
@@ -91,7 +91,6 @@ def oracle_baum_welch(hmm, seqs, max_iter, tol):
                 A_cnt += A * (alpha[:-1].T @ m)
             np.add.at(B_cnt.T, obs, gamma)
         report.log_likelihoods.append(total_ll)
-        report.iterations += 1
         if (len(report.log_likelihoods) >= 2
                 and total_ll - report.log_likelihoods[-2] < tol):
             report.converged = True
@@ -101,7 +100,7 @@ def oracle_baum_welch(hmm, seqs, max_iter, tol):
                       for i in range(hmm.n_states)])
         B = np.stack([_floor_row(B_cnt[i], B_sup[i], B[i], EPS_P)
                       for i in range(hmm.n_states)])
-    return DiscreteHMM(hmm.n_states, hmm.n_symbols, pi, A, B), report
+    return DiscreteHMM(pi, A, B), report
 
 
 def random_left_right(rng, n, k):
@@ -112,7 +111,7 @@ def random_left_right(rng, n, k):
     A[n - 1, n - 1] = 1.0
     B = rng.uniform(0.01, 1.0, size=(n, k))
     B /= B.sum(axis=1, keepdims=True)
-    return DiscreteHMM(n, k, rng.dirichlet(np.ones(n)), A, B)
+    return DiscreteHMM(rng.dirichlet(np.ones(n)), A, B)
 
 
 def sample(rng, hmm, T):
@@ -257,8 +256,8 @@ class TestStackedForward:
         B = good[0].B.copy()
         B[:, obs[at]] = 0.0  # the sequence turns impossible at step `at`
         B /= B.sum(axis=1, keepdims=True)
-        zero = DiscreteHMM(n, k, good[0].pi, good[0].A, B)
-        nan = DiscreteHMM(n, k, good[1].pi, good[1].A, np.full((n, k), np.nan))
+        zero = DiscreteHMM(good[0].pi, good[0].A, B)
+        nan = DiscreteHMM(good[1].pi, good[1].A, np.full((n, k), np.nan))
         models = [good[0], zero, nan, good[1]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -298,7 +297,7 @@ def tiny_entry_model(rng, n, k, exponent):
         A[i, i] = 1.0 - A[i, i + 1]
     B[int(rng.integers(n)), int(rng.integers(k))] = 10.0 ** -exponent
     B /= B.sum(axis=1, keepdims=True)
-    return DiscreteHMM(n, k, m.pi, A, B)
+    return DiscreteHMM(m.pi, A, B)
 
 
 class TestBlockForward:
@@ -355,7 +354,7 @@ class TestBlockForward:
         n, T = 3, 5000
         A = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
         B = np.tile([EPS_P, 1.0 - EPS_P], (n, 1))
-        hmm = DiscreteHMM(n, 2, np.array([1.0, 0.0, 0.0]), A, B)
+        hmm = DiscreteHMM(np.array([1.0, 0.0, 0.0]), A, B)
         obs = np.zeros(T, dtype=np.int64)
         want = exact_log_likelihood(hmm, obs)
         got = forward_log_likelihood(hmm, obs)
@@ -385,14 +384,15 @@ class TestStackedBaumWelch:
 
     def test_zero_probability_sequence_rejected_nan_model_not(self):
         # B puts no mass on symbol 1, so the second sequence is impossible
-        m = DiscreteHMM(1, 2, np.array([1.0]), np.array([[1.0]]),
+        m = DiscreteHMM(np.array([1.0]), np.array([[1.0]]),
                         np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="zero probability"):
-            baum_welch(m, [np.array([0, 0, 0]), np.array([0, 1])], max_iter=1)
-        nan = DiscreteHMM(1, 2, np.array([1.0]), np.array([[1.0]]),
+            baum_welch(m, [np.array([0, 0, 0]), np.array([0, 1])], max_iter=1,
+                       tol=1e-6)
+        nan = DiscreteHMM(np.array([1.0]), np.array([[1.0]]),
                           np.full((1, 2), np.nan))
         trained, report = baum_welch(nan, [np.array([0, 0, 0]), np.array([1])],
-                                     max_iter=2)
+                                     max_iter=2, tol=1e-6)
         assert np.isnan(report.log_likelihoods).all()
 
 
@@ -477,26 +477,29 @@ class TestBaumWelchClasses:
         assert all(np.isfinite(m.B).all() for m, _ in alone)
 
     def test_errors(self):
+        def train(models, trainings):
+            return baum_welch_classes(models, trainings, max_iter=50, tol=1e-6)
+
         init = init_left_right(2, 3)
         ok = [np.array([0, 1, 2])]
         with pytest.raises(EmptyInputError, match="no class models"):
-            baum_welch_classes([], [])
+            train([], [])
         with pytest.raises(ValueError, match="one training set per model"):
-            baum_welch_classes([init, init], [ok])
+            train([init, init], [ok])
         with pytest.raises(EmptyInputError, match="no training sequences"):
-            baum_welch_classes([init, init], [ok, []])
+            train([init, init], [ok, []])
         with pytest.raises(EmptyInputError, match="empty observation"):
-            baum_welch_classes([init, init], [ok, [np.array([], dtype=int)]])
+            train([init, init], [ok, [np.array([], dtype=int)]])
         for bad in (np.array([0, 3]), np.array([-1, 0])):
             with pytest.raises(ValueError, match="training symbol out of range"):
-                baum_welch_classes([init, init], [ok, [bad]])
+                train([init, init], [ok, [bad]])
         with pytest.raises(ValueError, match="number of states"):
-            baum_welch_classes([init, init_left_right(3, 3)], [ok, ok])
+            train([init, init_left_right(3, 3)], [ok, ok])
         with pytest.raises(ValueError, match="symbol alphabet size"):
-            baum_welch_classes([init, init_left_right(2, 4)], [ok, ok])
+            train([init, init_left_right(2, 4)], [ok, ok])
         # B of the second class puts no mass on symbol 1
-        blind = DiscreteHMM(1, 3, np.array([1.0]), np.array([[1.0]]),
+        blind = DiscreteHMM(np.array([1.0]), np.array([[1.0]]),
                             np.array([[0.5, 0.0, 0.5]]))
         with pytest.raises(ValueError, match="zero probability"):
-            baum_welch_classes([init_left_right(1, 3), blind],
-                               [ok, [np.array([0, 2]), np.array([2, 1, 0])]])
+            train([init_left_right(1, 3), blind],
+                  [ok, [np.array([0, 2]), np.array([2, 1, 0])]])

@@ -213,7 +213,7 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_quantize_names_first_bad_row(self, bad):
-        cb = Codebook(centers=np.eye(3), k=3, znorm=ZNormStats.identity(3), seed=0)
+        cb = Codebook(centers=np.eye(3), znorm=ZNormStats.identity(3), seed=0)
         probes = np.random.default_rng(1).normal(size=(5, 3))
         probes[3, 2] = bad
         with pytest.raises(ValueError, match="row 3"):
@@ -222,7 +222,7 @@ class TestNonFinite:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_quantize_rejects_overflow_after_znorm(self):
         stats = ZNormStats(mean=np.zeros(2), stddev=np.full(2, ZNORM_FLOOR))
-        cb = Codebook(centers=np.zeros((1, 2)), k=1, znorm=stats, seed=0)
+        cb = Codebook(centers=np.zeros((1, 2)), znorm=stats, seed=0)
         with pytest.raises(ValueError, match="row 1"):
             quantize_batch(cb, np.array([[0.0, 0.0], [1e308, 0.0]]))
 

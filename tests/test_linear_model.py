@@ -79,7 +79,7 @@ class TestPredict:
         W = np.array([[1.0, 0.0, 0.0],
                       [0.0, 1.0, 0.0],
                       [0.0, 0.0, 1.0]])
-        return MulticlassLinearModel(weights=W, n_classes=3)
+        return MulticlassLinearModel(weights=W)
 
     def test_one_hot_routing(self):
         m = self.make_model()
@@ -92,7 +92,7 @@ class TestPredict:
     def test_response_is_matrix_vector_product(self):
         rng = np.random.default_rng(33)
         W = rng.normal(size=(4, 7))
-        m = MulticlassLinearModel(weights=W, n_classes=4)
+        m = MulticlassLinearModel(weights=W)
         for _ in range(50):
             x = rng.normal(size=7)
             r = response(m, x)
@@ -103,7 +103,7 @@ class TestPredict:
     def test_linearity(self):
         rng = np.random.default_rng(34)
         W = rng.normal(size=(3, 5))
-        m = MulticlassLinearModel(weights=W, n_classes=3)
+        m = MulticlassLinearModel(weights=W)
         p1, p2 = rng.normal(size=5), rng.normal(size=5)
         lhs = response(m, 2.0 * p1 + 3.0 * p2)
         rhs = 2.0 * response(m, p1) + 3.0 * response(m, p2)
@@ -117,8 +117,8 @@ class TestPredict:
     def test_scale_invariance_of_argmax(self):
         rng = np.random.default_rng(35)
         W = rng.normal(size=(5, 4))
-        m1 = MulticlassLinearModel(weights=W, n_classes=5)
-        m2 = MulticlassLinearModel(weights=W * 7.5, n_classes=5)
+        m1 = MulticlassLinearModel(weights=W)
+        m2 = MulticlassLinearModel(weights=W * 7.5)
         for _ in range(30):
             x = rng.normal(size=4)
             assert response(m1, x).argmax() == response(m2, x).argmax()

@@ -239,7 +239,7 @@ def archive_outcome(load, d):
     got = outcome(load, d)
     if got[0] != "ok":
         return got
-    return [[(side, r.side, r.present, r.mask.dtype, r.mask.shape, r.mask.tobytes())
+    return [[(side, r.present, r.mask.dtype, r.mask.shape, r.mask.tobytes())
              for side, r in frame.items()] for frame in got[1]]
 
 
@@ -256,7 +256,7 @@ class TestMaskArchiveAgainstOracle:
         got, want = archive_outcome(load_mask_archive, d), archive_outcome(oracle.load_mask_archive, d)
         assert got == want
         if not injected:  # a valid archive round-trips exactly
-            assert [[r[5] for r in frame] for frame in got] == [
+            assert [[r[4] for r in frame] for frame in got] == [
                 [(np.zeros((PATCH, PATCH), dtype=bool) if m is None else m).tobytes()
                  for m in frame] for frame in frames]
 

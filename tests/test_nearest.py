@@ -29,7 +29,7 @@ MAGNITUDES = [1e-300, 1e-160, 1e-20, 1.0, 1e8, 1e20, 1e150, 1e154]
 
 def codebook_of(centers):
     k, dim = centers.shape
-    return Codebook(centers=centers, k=k, znorm=ZNormStats.identity(dim), seed=0)
+    return Codebook(centers=centers, znorm=ZNormStats.identity(dim), seed=0)
 
 
 def reference(points, centers):

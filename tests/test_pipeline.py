@@ -125,7 +125,6 @@ class TestItems:
         assert len(easy_items) == len(corpus.manifest.entries)
         for item, entry in zip(easy_items, corpus.manifest.entries):
             assert item.label == entry.label
-            assert item.subject == entry.subject
             assert item.split == entry.split
             assert item.masks is not None
 
@@ -240,7 +239,7 @@ class TestTraining:
         monkeypatch.setattr("signflow.pipeline.build_codebook", _no_fit)
 
         def unmasked(i):
-            return CorpusItem(i.sequence, i.label, i.subject, i.split)
+            return CorpusItem(i.sequence, i.label, i.split)
         items = {
             "no-masks": [unmasked(i) for i in easy_items],
             "validation-unmasked": [unmasked(i) if i.split == "validation" else i
@@ -258,8 +257,7 @@ class TestTraining:
         path = tmp_path / "short-train.csv"
         write_skeleton_csv(path, SkeletonSequence(timestamps=seq.timestamps[:1],
                                                   positions=seq.positions[:1]))
-        short = CorpusItem(sequence=parse_skeleton_csv(path), label=0,
-                           subject=easy_items[0].subject, split="train")
+        short = CorpusItem(sequence=parse_skeleton_csv(path), label=0, split="train")
         with pytest.raises(EmptyInputError, match="short-train.csv"):
             train_pipeline(easy_items + [short],
                            {**TRAIN_CONFIG, "fusion": "gesture-only"})
@@ -380,8 +378,7 @@ class TestEvaluation:
         path = tmp_path / "short.csv"
         write_skeleton_csv(path, SkeletonSequence(timestamps=seq.timestamps[:1],
                                                   positions=seq.positions[:1]))
-        short = CorpusItem(sequence=parse_skeleton_csv(path), label=0,
-                           subject="s99", split="test")
+        short = CorpusItem(sequence=parse_skeleton_csv(path), label=0, split="test")
         test = [i for i in easy_items if i.split == "test"][:2]
         with pytest.raises(EmptyInputError, match="short.csv"):
             evaluate_pipeline(easy_bundle, test + [short], mode="gesture-only")

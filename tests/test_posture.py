@@ -263,28 +263,25 @@ def make_posture_codebook(rng, k=12):
 
 
 class TestEncodeVideoBow:
-    def absent(self, side):
-        return HandRegion(mask=np.zeros((PATCH, PATCH), bool), side=side, present=False)
+    def absent(self):
+        return HandRegion(mask=np.zeros((PATCH, PATCH), bool))
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(50)
         cb = make_posture_codebook(rng)
         frames = []
         for t in range(4):
-            right = HandRegion(mask=disk_mask(radius=12 + t), side=HandSide.RIGHT,
-                               present=True)
-            left = HandRegion(mask=np.zeros((PATCH, PATCH), bool) | disk_mask(radius=8),
-                              side=HandSide.LEFT, present=True)
-            frames.append((right, left))
+            frames.append({HandSide.RIGHT: HandRegion(mask=disk_mask(radius=12 + t)),
+                           HandSide.LEFT: HandRegion(mask=disk_mask(radius=8))})
         bow = encode_video_bow(frames, cb)
         # oracle: recount by hand
         counts = {HandSide.RIGHT: np.zeros(cb.k), HandSide.LEFT: np.zeros(cb.k)}
-        for right, left in frames:
-            for region in (right, left):
+        for sides in frames:
+            for side, region in sides.items():
                 pts, _ = sample_contour(region.mask[None], CONTOUR_POINTS)
                 words = quantize_batch(cb, frame_shape_contexts(pts))
                 for wd in words:
-                    counts[region.side][wd] += 1
+                    counts[side][wd] += 1
         want = np.concatenate([counts[HandSide.RIGHT] / counts[HandSide.RIGHT].sum(),
                                counts[HandSide.LEFT] / counts[HandSide.LEFT].sum()])
         assert bow.shape == (2 * cb.k,)
@@ -293,8 +290,8 @@ class TestEncodeVideoBow:
     def test_absent_left_hand_gives_zero_half(self):
         rng = np.random.default_rng(51)
         cb = make_posture_codebook(rng)
-        frames = [(HandRegion(mask=disk_mask(radius=15), side=HandSide.RIGHT, present=True),
-                   self.absent(HandSide.LEFT)) for _ in range(3)]
+        frames = [{HandSide.RIGHT: HandRegion(mask=disk_mask(radius=15)),
+                   HandSide.LEFT: self.absent()} for _ in range(3)]
         bow = encode_video_bow(frames, cb)
         assert abs(bow[:cb.k].sum() - 1.0) <= 1e-9
         assert bow[cb.k:].sum() == 0.0
@@ -302,8 +299,8 @@ class TestEncodeVideoBow:
     def test_identical_videos_identical_bow(self):
         rng = np.random.default_rng(52)
         cb = make_posture_codebook(rng)
-        frames = [(HandRegion(mask=disk_mask(radius=14), side=HandSide.RIGHT, present=True),
-                   self.absent(HandSide.LEFT))]
+        frames = [{HandSide.RIGHT: HandRegion(mask=disk_mask(radius=14)),
+                   HandSide.LEFT: self.absent()}]
         a = encode_video_bow(frames, cb)
         b = encode_video_bow(frames, cb)
         np.testing.assert_array_equal(a, b)
@@ -313,14 +310,13 @@ class TestEncodeVideoBow:
         cb = make_posture_codebook(rng)
         tiny = np.zeros((PATCH, PATCH), bool)
         tiny[5, 5] = True
-        frames = [(HandRegion(mask=tiny, side=HandSide.RIGHT, present=True),
-                   self.absent(HandSide.LEFT))]
+        frames = [{HandSide.RIGHT: HandRegion(mask=tiny), HandSide.LEFT: self.absent()}]
         bow = encode_video_bow(frames, cb)
         assert bow.sum() == 0.0
 
     def test_wrong_codebook_dimension_rejected(self):
-        bad = Codebook(centers=np.zeros((3, 10)), k=3, znorm=ZNormStats.identity(10), seed=0)
-        frames = [(self.absent(HandSide.RIGHT), self.absent(HandSide.LEFT))]
+        bad = Codebook(centers=np.zeros((3, 10)), znorm=ZNormStats.identity(10), seed=0)
+        frames = [{HandSide.RIGHT: self.absent(), HandSide.LEFT: self.absent()}]
         with pytest.raises(ValueError):
             encode_video_bow(frames, bad)
 

@@ -123,35 +123,35 @@ CODEBOOK = make_codebook()
 
 
 @st.composite
-def hand_regions(draw, side):
+def hand_regions(draw):
     """An absent hand, or one ellipse-shaped component (tiny ones are
     degenerate contours)."""
     if not draw(st.booleans()):
-        return HandRegion(mask=np.zeros((PATCH, PATCH), bool), side=side,
-                          present=False)
+        return HandRegion(mask=np.zeros((PATCH, PATCH), bool))
     cy, cx = draw(st.integers(8, 56)), draw(st.integers(8, 56))
     ay, ax = draw(st.integers(0, 20)), draw(st.integers(0, 20))
     yy, xx = np.mgrid[:PATCH, :PATCH]
     mask = ((yy - cy) / (ay + 0.5)) ** 2 + ((xx - cx) / (ax + 0.5)) ** 2 <= 1.0
-    return HandRegion(mask=_largest_component(mask), side=side, present=True)
+    return HandRegion(mask=_largest_component(mask))
 
 
 @st.composite
 def videos(draw):
+    """Per-frame {HandSide: HandRegion} dicts, each side first at random."""
     frames = []
     for _ in range(draw(st.integers(1, 4))):
-        pair = [draw(hand_regions(HandSide.RIGHT)), draw(hand_regions(HandSide.LEFT))]
+        sides = [HandSide.RIGHT, HandSide.LEFT]
         if draw(st.booleans()):
-            pair.reverse()
-        frames.append(pair)
+            sides.reverse()
+        frames.append({side: draw(hand_regions()) for side in sides})
     return frames
 
 
 def per_contour_bow(frames, cb):
     """The bag-of-words contour by contour, one quantize call each."""
     halves = {HandSide.RIGHT: np.zeros(cb.k), HandSide.LEFT: np.zeros(cb.k)}
-    for regions in frames:
-        for region in regions:
+    for sides in frames:
+        for side, region in sides.items():
             if not region.present:
                 continue
             try:
@@ -159,7 +159,7 @@ def per_contour_bow(frames, cb):
             except DegenerateContour:
                 continue
             words = quantize_batch(cb, per_row_shape_contexts(contour))
-            np.add.at(halves[region.side], words, 1.0)
+            np.add.at(halves[side], words, 1.0)
     for side, h in halves.items():
         if h.sum() > 0:
             halves[side] = h / h.sum()
@@ -182,9 +182,9 @@ class TestVideoBow:
         yy, xx = np.mgrid[:PATCH, :PATCH]
         disk = (yy - 32) ** 2 + (xx - 32) ** 2 <= 15 ** 2
         small = (yy - 32) ** 2 + (xx - 32) ** 2 <= 8 ** 2
-        left = HandRegion(mask=disk, side=HandSide.LEFT, present=True)
-        right = HandRegion(mask=small, side=HandSide.RIGHT, present=True)
-        rows, halves = video_shape_contexts([(left, right), (right,)])
+        left, right = HandRegion(mask=disk), HandRegion(mask=small)
+        rows, halves = video_shape_contexts([{HandSide.LEFT: left, HandSide.RIGHT: right},
+                                             {HandSide.RIGHT: right}])
         want = [frame_shape_contexts(sample_contour(r)) for r in (left, right, right)]
         np.testing.assert_array_equal(rows, np.concatenate(want))
         np.testing.assert_array_equal(halves, np.repeat([1, 0, 0], CONTOUR_POINTS))

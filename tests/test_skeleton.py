@@ -11,6 +11,7 @@ from signflow.skeleton import (
     JointId,
     MissingJointError,
     SkeletonSequence,
+    _is_integral,
     forward_fill,
 )
 
@@ -120,3 +121,15 @@ def test_numpy_interop_roundtrip():
     seq = SkeletonSequence(timestamps=np.arange(4.0), positions=pts.tolist())
     assert seq.positions.dtype == np.float64
     np.testing.assert_array_equal(seq.positions, pts)
+
+
+class TestIsIntegral:
+    @pytest.mark.parametrize("value", [0, 7, -3, 2 ** 80, 4.0, -0.0, np.int64(5),
+                                       np.float64(6.0)])
+    def test_integral(self, value):
+        assert _is_integral(value)
+
+    @pytest.mark.parametrize("value", [True, False, 1.5, float("nan"), float("inf"),
+                                       "3", None, [1], 3 + 0j])
+    def test_not_integral(self, value):
+        assert not _is_integral(value)

@@ -1,9 +1,11 @@
 """Tests for the synthetic corpus generator."""
 
+import re
+
 import numpy as np
 import pytest
 
-from signflow.dataset import load_manifest, load_mask_archive, parse_skeleton_csv
+from signflow.dataset import CorruptFileError, load_manifest, load_mask_archive, parse_skeleton_csv
 from signflow.descriptors import DescriptorVariant, describe_sequence
 from signflow.posture import HandSide
 from signflow.skeleton import JointId, UPPER_BODY
@@ -249,6 +251,41 @@ class TestValidation:
         with pytest.raises(ValueError):
             SyntheticConfig(classes=two_anchor_classes(), counts=(2, 1, 0),
                             subjects=(1, 0, 1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("counts", (8.7, True, 4)), ("counts", (8, True, 4)), ("counts", (8, 2, "4")),
+        ("frame_count_range", (10.5, 12)), ("subjects", (2.5, 1, 1)),
+        ("seed", 1.5), ("seed", True), ("seed", float("nan"))])
+    def test_non_integral_value_rejected(self, field, value):
+        # int() would truncate 8.7 to 8 and read True as 1
+        with pytest.raises(ValueError, match="integer"):
+            SyntheticConfig(classes=two_anchor_classes(), **{field: value})
+
+    def test_integral_floats_become_ints(self):
+        cfg = SyntheticConfig(classes=[ClassSpec(1.0, JointId.Head, 2.0),
+                                       ClassSpec(1, JointId.Neck, 3)],
+                              counts=(8.0, 2, 4), frame_count_range=(10.0, 12),
+                              seed=3.0, subjects=(4.0, 2, 2))
+        assert cfg.classes[0] == ClassSpec(1, JointId.Head, 2)
+        values = (cfg.classes[0].template, cfg.classes[0].mask, *cfg.counts,
+                  *cfg.frame_count_range, cfg.seed, *cfg.subjects)
+        assert all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize("field, value", [
+        ("template", True), ("template", 1.5), ("template", "1"),
+        ("mask", False), ("mask", 2.5)])
+    def test_class_spec_ids_must_be_integers(self, field, value):
+        kwargs = {"template": 0, "anchor": JointId.Head, "mask": 0, field: value}
+        with pytest.raises(ValueError, match="unknown"):
+            ClassSpec(**kwargs)
+
+    def test_fractional_template_in_a_file_names_the_file(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        save_synthetic_config(SyntheticConfig(classes=two_anchor_classes()), p)
+        p.write_text(p.read_text().replace('"template": 0', '"template": 0.5', 1))
+        with pytest.raises(CorruptFileError, match=rf"^{re.escape(str(p))}: "
+                                                   r"unknown trajectory template 0\.5"):
+            load_synthetic_config(p)
 
     def test_dict_class_specs_accepted(self):
         cfg = SyntheticConfig(classes=[
