@@ -51,6 +51,7 @@ from .posture import (
     frame_shape_contexts,
     posture_response,
     sample_contour,
+    shape_context_rows,
     train_posture_classifier,
 )
 from .fusion import (

@@ -318,7 +318,8 @@ def build_codebook(descriptors, k: int = DEFAULT_K, seed: int = 0,
     if raw.shape[0] == 0:
         raise EmptyInputError("no descriptors")
     stats = fit_znorm(raw)
-    normed = (raw - stats.mean) / stats.stddev
+    normed = raw - stats.mean  # (raw - mean) / stddev with one temporary
+    normed /= stats.stddev
     return fit_kmeans(normed, k, seed, znorm=stats, variant=variant)
 
 

@@ -54,6 +54,7 @@ from .posture import (
     bow_from_shape_contexts,
     encode_video_bow,
     posture_response,
+    shape_context_rows,
     train_posture_classifier,
     video_shape_contexts,
 )
@@ -236,8 +237,10 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
 
     # gesture branch
     variant = DescriptorVariant(config["descriptor"])
+    # one matrix of every train descriptor; per_seq then holds views of it
     per_seq = [describe_sequence(i.sequence, variant) for i in train]
     flat = np.concatenate(per_seq)
+    per_seq = np.split(flat, np.cumsum([len(ds) for ds in per_seq[:-1]]))
     gesture_k = min(config["gesture_k"], len(flat))
     gesture_cb = build_codebook(flat, k=gesture_k,
                                 seed=derive_seed(seed, "gesture-cb"),
@@ -254,16 +257,16 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
     # posture branch, when the training split carries masks
     posture_model = None
     if with_posture:
-        # each train contour's shape contexts, computed once: they feed
-        # both the codebook sample and the bags-of-words
+        # each train contour's shape-context counts, computed once, feed the
+        # codebook sample and the bags-of-words; each normalizes what it uses
         per_video = [video_shape_contexts(i.masks) for i in train]
-        sc_data = _codebook_sample([rows for rows, _ in per_video],
-                                   config["sc_sample_cap"])
+        sc_data = shape_context_rows(_codebook_sample(
+            [counts for counts, _ in per_video], config["sc_sample_cap"]))
         posture_k = min(config["posture_k"], sc_data.shape[0])
         posture_cb = fit_kmeans(sc_data, k=posture_k,
                                 seed=derive_seed(seed, "posture-cb"))
-        bows = np.stack([bow_from_shape_contexts(rows, halves, posture_cb)
-                         for rows, halves in per_video])
+        bows = np.stack([bow_from_shape_contexts(counts, halves, posture_cb)
+                         for counts, halves in per_video])
         posture_model = train_posture_classifier(
             bows, np.array([i.label for i in train]), posture_cb,
             cost=config["posture_cost"], seed=derive_seed(seed, "posture-clf"),

@@ -10,11 +10,13 @@ rings + 1 merged inner disk, radii 6..32 px). video_shape_contexts stacks
 a video's present masks and describes them in three array passes, with
 no per-contour loop: trace_boundary walks every outer contour at once,
 sample_contour samples them all, and frame_shape_contexts bins every
-point pair of every contour. Training computes each contour's rows once
-and uses them for both the codebook sample and the bag-of-words. A
-video's rows are quantized against a K-means codebook in one call and
-accumulated into one [right | left] histogram, scored by a linear
-multiclass model: R_posture = W p.
+point pair of every contour into integer counts, 1 byte each for 20
+points. Training holds each contour's counts, computed once, for both
+the codebook sample and the bag-of-words; shape_context_rows divides
+them into float rows only where those are used. A video's rows are
+quantized against a K-means codebook in one call and accumulated into
+one [right | left] histogram, scored by a linear multiclass model:
+R_posture = W p.
 """
 
 from __future__ import annotations
@@ -216,22 +218,30 @@ def sample_contour(masks, m: int = CONTOUR_POINTS) -> tuple[np.ndarray, np.ndarr
     return start + t[..., None] * (end - start), kept
 
 
+def _count_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds a bin count of m points."""
+    return np.min_scalar_type(max(m - 1, 0))
+
+
 def frame_shape_contexts(points) -> np.ndarray:
-    """All shape contexts of sampled contours, one row per reference point.
+    """All shape contexts of sampled contours as bin counts, one row per
+    reference point.
 
     points: (m, 2) for one contour, or (..., m, 2) for several; returns
-    their (n * m, 49) rows, contour after contour. Row i of a contour is
-    the log-polar histogram of that contour's other points around point
-    i: bin 0 collects everything closer than 6 px; bins 1..48 are laid
-    out ring-major (4 geometric rings out to 32 px, 12 angle bins each,
-    angles from the +x axis); points at or beyond 32 px are dropped. Each
-    row is divided by its own integer count of binned points, so it sums
-    to 1, or stays all-zero when nothing was binned. All point pairs are
-    binned in one pass.
+    their (n * m, 49) counts, contour after contour, in the narrowest
+    unsigned dtype that holds m - 1. Row i of a contour is the log-polar
+    histogram of that contour's other points around point i: bin 0
+    collects everything closer than 6 px; bins 1..48 are laid out
+    ring-major (4 geometric rings out to 32 px, 12 angle bins each,
+    angles from the +x axis); points at or beyond 32 px are dropped. All
+    point pairs are binned in one pass. A non-finite point raises
+    ValueError.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim < 2 or pts.shape[-1] != 2:
         raise ValueError("points must be (..., m, 2)")
+    if not np.isfinite(pts).all():
+        raise ValueError("non-finite point coordinate")
     m = pts.shape[-2]
     pts = pts.reshape(math.prod(pts.shape[:-2]), m, 2)
     n_rows = pts.shape[0] * m
@@ -251,8 +261,13 @@ def frame_shape_contexts(points) -> np.ndarray:
     key = np.where(keep, np.arange(n_rows).reshape(*keep.shape[:2], 1) * SC_DIM + bins,
                    n_rows * SC_DIM)
     counts = np.bincount(key.ravel(), minlength=n_rows * SC_DIM + 1)[:-1]
-    return (counts.reshape(n_rows, SC_DIM)
-            / np.maximum(keep.sum(-1).reshape(n_rows), 1)[:, None])
+    return counts.reshape(n_rows, SC_DIM).astype(_count_dtype(m))
+
+
+def shape_context_rows(counts) -> np.ndarray:
+    """Float rows of frame_shape_contexts counts: each row divided by its
+    own integer total, so it sums to 1, or left all-zero."""
+    return counts / np.maximum(counts.sum(axis=1, keepdims=True, dtype=np.int64), 1)
 
 
 def video_shape_contexts(frames,
@@ -262,8 +277,8 @@ def video_shape_contexts(frames,
     frames: iterable of per-frame {HandSide: HandRegion} dicts. Absent
     hands contribute nothing; a mask too small for a contour is skipped
     the same way. The present masks are traced, sampled and binned as one
-    stack. Returns the (n, 49) rows and, per row, the histogram half it
-    counts in: 0 for the right hand, 1 for the left.
+    stack. Returns the (n, 49) bin counts and, per row, the histogram
+    half it counts in: 0 for the right hand, 1 for the left.
     """
     frames = list(frames)
     if not frames:
@@ -271,34 +286,34 @@ def video_shape_contexts(frames,
     present = [(side, region) for sides in frames
                for side, region in sides.items() if region.present]
     if not present:
-        return np.empty((0, SC_DIM)), np.empty(0, dtype=np.int64)
+        return np.empty((0, SC_DIM), dtype=_count_dtype(m)), np.empty(0, dtype=np.int64)
     points, kept = sample_contour(np.stack([region.mask for _, region in present]), m)
     left = np.array([side == HandSide.LEFT for side, _ in present], dtype=np.int64)
     return frame_shape_contexts(points), np.repeat(left[kept], m)
 
 
-def bow_from_shape_contexts(rows: np.ndarray, halves: np.ndarray,
+def bow_from_shape_contexts(counts: np.ndarray, halves: np.ndarray,
                             posture_cb: Codebook) -> np.ndarray:
     """(2k,) [right | left] bag-of-words from video_shape_contexts output.
 
-    The whole video is quantized at once; each half is L1-normalized
-    independently by its integer word count, or stays all-zero.
+    The whole video is normalized and quantized at once; each half is
+    L1-normalized by its own integer word count, or stays all-zero.
     """
     if posture_cb.dimension != SC_DIM:
         raise ValueError(f"posture codebook must be {SC_DIM}-D, "
                          f"got {posture_cb.dimension}")
     k = posture_cb.k
-    words = quantize_batch(posture_cb, rows)
-    counts = np.bincount(halves * k + words, minlength=2 * k).reshape(2, k)
-    return (counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)).ravel()
+    words = quantize_batch(posture_cb, shape_context_rows(counts))
+    tally = np.bincount(halves * k + words, minlength=2 * k).reshape(2, k)
+    return (tally / np.maximum(tally.sum(axis=1, keepdims=True), 1)).ravel()
 
 
 def encode_video_bow(frames, posture_cb: Codebook,
                      m: int = CONTOUR_POINTS) -> np.ndarray:
     """Bag-of-words over a whole video's per-frame {HandSide: HandRegion}
     dicts; see video_shape_contexts and bow_from_shape_contexts."""
-    rows, halves = video_shape_contexts(frames, m)
-    return bow_from_shape_contexts(rows, halves, posture_cb)
+    counts, halves = video_shape_contexts(frames, m)
+    return bow_from_shape_contexts(counts, halves, posture_cb)
 
 
 def train_posture_classifier(X, y, codebook: Codebook,

@@ -3,7 +3,7 @@
 These are the one-mask-at-a-time Moore walk, arc-length sampler and
 shape-context binner that signflow.posture's stacked trace_boundary,
 sample_contour and frame_shape_contexts replaced. The batched kernels
-must reproduce their integer paths, points and rows exactly.
+must reproduce their integer paths, points, bin counts and rows exactly.
 """
 
 import numpy as np
@@ -94,7 +94,14 @@ def sample_path(path: np.ndarray, m: int = CONTOUR_POINTS) -> np.ndarray:
 
 
 def frame_shape_contexts(points) -> np.ndarray:
-    """The (m, 49) shape contexts of one sampled contour."""
+    """The (m, 49) shape contexts of one sampled contour, each row divided
+    by its number of binned points."""
+    counts = shape_context_counts(points)
+    return counts / np.maximum(counts.sum(axis=1), 1)[:, None]
+
+
+def shape_context_counts(points) -> np.ndarray:
+    """The (m, 49) int64 bin counts of one sampled contour."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (m, 2)")
@@ -112,5 +119,4 @@ def frame_shape_contexts(points) -> np.ndarray:
                       N_ANGLE_BINS - 1)
     ring = np.minimum(np.searchsorted(RING_EDGES, r, side="right") - 1, N_RINGS - 1)
     bins = np.where(r < INNER_RADIUS, 0, 1 + ring * N_ANGLE_BINS + abin)
-    counts = np.bincount(ref * SC_DIM + bins, minlength=m * SC_DIM).reshape(m, SC_DIM)
-    return counts / np.maximum(np.bincount(ref, minlength=m), 1)[:, None]
+    return np.bincount(ref * SC_DIM + bins, minlength=m * SC_DIM).reshape(m, SC_DIM)

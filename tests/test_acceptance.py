@@ -27,6 +27,7 @@ from signflow.posture import (
     N_RINGS,
     OUTER_RADIUS,
     frame_shape_contexts,
+    shape_context_rows,
 )
 from signflow.skeleton import ALL_JOINTS, JointId, SkeletonSequence
 from signflow.synthetic import (
@@ -184,7 +185,7 @@ def test_criterion_4_shape_context_binning_oracle():
         a = rng.random(20) * 2.0 * np.pi
         pts = np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
         ref = int(rng.integers(0, 20))
-        sc = frame_shape_contexts(pts)[ref]
+        sc = shape_context_rows(frame_shape_contexts(pts))[ref]
         raw = sc * 19.0
         counts_ok &= abs(raw.sum() - 19.0) <= 1e-9
         sums_ok &= abs(sc.sum() - 1.0) <= 1e-9
@@ -207,7 +208,8 @@ def test_criterion_4_shape_context_binning_oracle():
             oracle[1 + ring * N_ANGLE_BINS + abin] += 1.0
         bins_ok &= bool(np.array_equal(raw, oracle))
 
-        shifted = frame_shape_contexts(pts + np.array([190.3, -77.7]))[ref]
+        shifted = shape_context_rows(
+            frame_shape_contexts(pts + np.array([190.3, -77.7])))[ref]
         shift_ok &= float(np.max(np.abs(shifted - sc))) <= 1e-12
     _verdict(4, counts_ok and bins_ok and sums_ok and shift_ok,
              f"raw count 19: {counts_ok}, (r, theta) oracle match: "

@@ -27,6 +27,7 @@ from signflow.posture import (
     frame_shape_contexts,
     posture_response,
     sample_contour,
+    shape_context_rows,
     trace_boundary,
     train_posture_classifier,
 )
@@ -226,25 +227,23 @@ class TestShapeContext:
         for trial in range(40):
             pts = rng.uniform(-22, 22, size=(20, 2))
             ref = int(rng.integers(20))
-            d = frame_shape_contexts(pts)[ref]
-            want = np.zeros(SC_DIM)
-            binned = 0
+            counts = frame_shape_contexts(pts)
+            want = np.zeros(SC_DIM, dtype=np.int64)
             for i in range(20):
                 if i == ref:
                     continue
                 b = oracle_bin_index(pts[i, 0] - pts[ref, 0], pts[i, 1] - pts[ref, 1])
                 if b is not None:
                     want[b] += 1
-                    binned += 1
-            if binned:
-                want /= binned
-            np.testing.assert_allclose(d, want, atol=1e-12)
+            np.testing.assert_array_equal(counts[ref], want)
+            np.testing.assert_allclose(shape_context_rows(counts)[ref],
+                                       want / max(want.sum(), 1), atol=1e-12)
 
     def test_normalization_sums_to_one(self):
         rng = np.random.default_rng(47)
         for trial in range(25):
             pts = rng.uniform(-20, 20, size=(20, 2))
-            s = frame_shape_contexts(pts)[0].sum()
+            s = shape_context_rows(frame_shape_contexts(pts))[0].sum()
             assert s == 0.0 or abs(s - 1.0) <= 1e-9
 
     def test_translation_invariance(self):
@@ -254,7 +253,15 @@ class TestShapeContext:
             offset = rng.uniform(-300, 300, size=2)
             a = frame_shape_contexts(pts)[3]
             b = frame_shape_contexts(pts + offset)[3]
-            assert np.max(np.abs(a - b)) <= 1e-12
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        pts = np.array([[0.0, 0.0], [3.0, 4.0], [bad, 1.0], [10.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            frame_shape_contexts(pts)
+        with pytest.raises(ValueError, match="non-finite"):
+            frame_shape_contexts(np.stack([pts[::-1], pts]))
 
 
 def make_posture_codebook(rng, k=12):
@@ -279,7 +286,7 @@ class TestEncodeVideoBow:
         for sides in frames:
             for side, region in sides.items():
                 pts, _ = sample_contour(region.mask[None], CONTOUR_POINTS)
-                words = quantize_batch(cb, frame_shape_contexts(pts))
+                words = quantize_batch(cb, shape_context_rows(frame_shape_contexts(pts)))
                 for wd in words:
                     counts[side][wd] += 1
         want = np.concatenate([counts[HandSide.RIGHT] / counts[HandSide.RIGHT].sum(),

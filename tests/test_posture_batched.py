@@ -29,6 +29,7 @@ from signflow.posture import (
     bow_from_shape_contexts,
     encode_video_bow,
     frame_shape_contexts,
+    shape_context_rows,
     video_shape_contexts,
 )
 from signflow.skeleton import EmptyInputError
@@ -36,8 +37,9 @@ from signflow.skeleton import EmptyInputError
 from contour_oracle import DegenerateContour, sample_contour
 
 
-def per_row_shape_context(pts, ref):
-    """One shape context the slow way: the other points around pts[ref]."""
+def per_row_counts(pts, ref):
+    """One shape context's raw counts the slow way: the other points
+    around pts[ref]."""
     rel = np.delete(pts, ref, axis=0) - pts[ref]
     counts = np.zeros(SC_DIM)
     r = np.hypot(rel[:, 0], rel[:, 1])
@@ -52,14 +54,17 @@ def per_row_shape_context(pts, ref):
         ring = np.minimum(np.searchsorted(RING_EDGES, r[~inner], side="right") - 1,
                           N_RINGS - 1)
         np.add.at(counts, 1 + ring * N_ANGLE_BINS + abin, 1.0)
-    total = counts.sum()
-    if total > 0:
-        counts /= total
     return counts
 
 
 def per_row_shape_contexts(pts):
-    return np.stack([per_row_shape_context(pts, i) for i in range(pts.shape[0])])
+    """Every row's counts, each divided by its float total if positive."""
+    rows = []
+    for i in range(pts.shape[0]):
+        counts = per_row_counts(pts, i)
+        total = counts.sum()
+        rows.append(counts / total if total > 0 else counts)
+    return np.stack(rows)
 
 
 coordinate = st.one_of(
@@ -96,14 +101,18 @@ class TestFrameShapeContexts:
     @example(np.array([[0.0, 0.0], [40.0, 0.0]]))
     def test_equals_per_row_oracle(self, pts):
         assert 2 <= pts.shape[0] <= 40
-        np.testing.assert_array_equal(frame_shape_contexts(pts),
+        counts = frame_shape_contexts(pts)
+        assert counts.dtype == np.uint8
+        np.testing.assert_array_equal(
+            counts, np.stack([per_row_counts(pts, i) for i in range(pts.shape[0])]))
+        np.testing.assert_array_equal(shape_context_rows(counts),
                                       per_row_shape_contexts(pts))
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets())
     @example(BOUNDARY_POINTS)
     def test_rows_sum_to_one_or_are_zero(self, pts):
-        rows = frame_shape_contexts(pts)
+        rows = shape_context_rows(frame_shape_contexts(pts))
         assert rows.shape == (pts.shape[0], SC_DIM)
         assert np.all(rows >= 0.0)
         for row in rows:

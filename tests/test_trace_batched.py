@@ -3,7 +3,8 @@
 signflow.posture traces, samples and bins a whole stack of hand masks at
 once. tests/contour_oracle.py keeps the one-mask-at-a-time Moore walk,
 arc-length sampler and shape-context binner they replaced; every path,
-sample point and histogram row must equal the oracle's exactly.
+sample point, bin count and histogram row must equal the oracle's
+exactly.
 """
 
 import numpy as np
@@ -20,10 +21,14 @@ from signflow.posture import (
     PATCH,
     RING_EDGES,
     SC_DIM,
+    HandRegion,
+    HandSide,
     _largest_component,
     frame_shape_contexts,
     sample_contour,
+    shape_context_rows,
     trace_boundary,
+    video_shape_contexts,
 )
 from signflow.skeleton import EmptyInputError
 
@@ -126,7 +131,18 @@ def check_stack(stack, m=CONTOUR_POINTS):
     assert points.shape == want_points.shape
     assert points.tobytes() == want_points.tobytes()
 
-    rows = frame_shape_contexts(points)
+    check_rows(points, want_points)
+
+
+def check_rows(points, want_points):
+    """Bin counts and float rows of (n, m, 2) points equal the oracle's."""
+    counts = frame_shape_contexts(points)
+    assert counts.dtype == np.uint8
+    want_counts = np.array([oracle.shape_context_counts(p) for p in want_points],
+                           dtype=np.int64).reshape(-1, SC_DIM)
+    assert counts.shape == want_counts.shape
+    np.testing.assert_array_equal(counts, want_counts)
+    rows = shape_context_rows(counts)
     want_rows = np.array([oracle.frame_shape_contexts(p) for p in want_points],
                          dtype=np.float64).reshape(-1, SC_DIM)
     assert rows.shape == want_rows.shape
@@ -196,6 +212,21 @@ class TestStackedKernels:
         assert points.shape == (0, CONTOUR_POINTS, 2) and kept.size == 0
         assert frame_shape_contexts(points).shape == (0, SC_DIM)
 
+    def test_counts_above_255_widen_the_dtype(self):
+        # every one of a small blob's 1,000 contour points lies within 6 px
+        # of the others, so each row's inner bin counts 999 points
+        yy, xx = np.mgrid[:PATCH, :PATCH]
+        region = HandRegion(mask=(yy - 32) ** 2 + (xx - 32) ** 2 <= 2 ** 2)
+        counts, halves = video_shape_contexts([{HandSide.RIGHT: region}], m=1000)
+        assert counts.dtype == np.uint16
+        points = oracle.sample_contour(region, 1000)
+        want = oracle.shape_context_counts(points)
+        assert want[:, 0].min() > 255
+        np.testing.assert_array_equal(counts, want)
+        assert shape_context_rows(counts).tobytes() == \
+            oracle.frame_shape_contexts(points).tobytes()
+        np.testing.assert_array_equal(halves, np.zeros(1000))
+
 
 coordinate = st.one_of(st.integers(-40, 40).map(float),
                        st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False))
@@ -224,20 +255,14 @@ class TestFrameShapeContextsStacked:
     @settings(max_examples=200, deadline=None)
     @given(point_stacks())
     def test_rows_equal_per_contour_oracle(self, stack):
-        n, m, _ = stack.shape
-        rows = frame_shape_contexts(stack)
-        want = np.array([oracle.frame_shape_contexts(p) for p in stack],
-                        dtype=np.float64).reshape(n * m, SC_DIM)
-        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
-        if n:
-            assert frame_shape_contexts(stack[0]).tobytes() == want[:m].tobytes()
+        check_rows(stack, stack)
+        if stack.shape[0]:
+            check_rows(stack[0], stack[:1])
 
     def test_leading_dimensions_flatten_in_order(self):
         rng = np.random.default_rng(3)
         stack = rng.uniform(-20, 20, size=(2, 3, 7, 2))
-        want = np.concatenate([oracle.frame_shape_contexts(p)
-                               for p in stack.reshape(6, 7, 2)])
-        assert frame_shape_contexts(stack).tobytes() == want.tobytes()
+        check_rows(stack, stack.reshape(6, 7, 2))
 
     def test_angle_just_below_zero_lands_in_last_angle_bin(self):
         pts = np.array([[0.0, 0.0], [8.0, -8e-17]])
