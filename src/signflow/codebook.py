@@ -311,27 +311,24 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
 
 
 def build_codebook(descriptors, k: int = DEFAULT_K, seed: int = 0,
-                   variant: Optional[DescriptorVariant] = None) -> Codebook:
-    """Fit z-normalization on an (n, D) descriptor array, then cluster in
-    z-space."""
-    raw = np.asarray(descriptors, dtype=np.float64)
-    if raw.shape[0] == 0:
+                   variant: Optional[DescriptorVariant] = None) -> tuple[Codebook, list]:
+    """Fit z-normalization on the rows of every (n_i, D) array of
+    `descriptors`, cluster them in z-space and encode each array: returns
+    the Codebook, its k capped at the row count, and each array's (n_i,)
+    symbols. The arrays are concatenated once, normalized in place and
+    encoded by views, so no raw copy is held while k-means runs.
+    """
+    per_seq = [np.asarray(d, dtype=np.float64) for d in descriptors]
+    ends = np.cumsum([len(d) for d in per_seq])
+    if not per_seq or ends[-1] == 0:
         raise EmptyInputError("no descriptors")
-    stats = fit_znorm(raw)
-    normed = raw - stats.mean  # (raw - mean) / stddev with one temporary
-    normed /= stats.stddev
-    return fit_kmeans(normed, k, seed, znorm=stats, variant=variant)
-
-
-def _as_matrix(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.shape[-1] != cb.dimension:
-        raise ValueError(
-            f"descriptor dimension {vectors.shape[-1]} != codebook dimension {cb.dimension}"
-        )
-    if cb.plain:
-        return vectors  # (v - 0) / 1 == v exactly
-    return (vectors - cb.znorm.mean) / cb.znorm.stddev
+    data = np.concatenate(per_seq)
+    del per_seq
+    stats = fit_znorm(data)
+    data -= stats.mean  # (raw - mean) / stddev, in place
+    data /= stats.stddev
+    cb = fit_kmeans(data, min(k, len(data)), seed, znorm=stats, variant=variant)
+    return cb, [_nearest_symbols(cb, z) for z in np.split(data, ends[:-1])]
 
 
 def quantize_batch(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
@@ -339,7 +336,17 @@ def quantize_batch(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
 
     A row that is not finite, raw or normalized, raises ValueError.
     """
-    z = _as_matrix(cb, np.atleast_2d(np.asarray(vectors, dtype=np.float64)))
+    z = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if z.shape[-1] != cb.dimension:
+        raise ValueError(f"descriptor dimension {z.shape[-1]} != "
+                         f"codebook dimension {cb.dimension}")
+    if not cb.plain:  # else (v - 0) / 1 == v exactly
+        z = (z - cb.znorm.mean) / cb.znorm.stddev
+    return _nearest_symbols(cb, z)
+
+
+def _nearest_symbols(cb: Codebook, z: np.ndarray) -> np.ndarray:
+    """quantize_batch of rows already in the codebook's z-space."""
     z_sq = _row_sq_norms(z)
     # a finite norm proves a finite row; only overflow or a bad row look closer
     if not np.isfinite(z_sq).all():

@@ -235,20 +235,16 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
                          f"because {no_fusion}; train with fusion "
                          "'gesture-only' instead")
 
-    # gesture branch
+    # gesture branch: build_codebook holds the train descriptors as one matrix
     variant = DescriptorVariant(config["descriptor"])
-    # one matrix of every train descriptor; per_seq then holds views of it
-    per_seq = [describe_sequence(i.sequence, variant) for i in train]
-    flat = np.concatenate(per_seq)
-    per_seq = np.split(flat, np.cumsum([len(ds) for ds in per_seq[:-1]]))
-    gesture_k = min(config["gesture_k"], len(flat))
-    gesture_cb = build_codebook(flat, k=gesture_k,
-                                seed=derive_seed(seed, "gesture-cb"),
-                                variant=variant)
-    symbol_seqs = [encode_sequence(gesture_cb, ds, source=i.sequence.source)
-                   for ds, i in zip(per_seq, train)]
+    gesture_cb, symbol_seqs = build_codebook(
+        (describe_sequence(i.sequence, variant) for i in train),
+        k=config["gesture_k"], seed=derive_seed(seed, "gesture-cb"), variant=variant)
+    for symbols, item in zip(symbol_seqs, train):
+        if len(symbols) == 0:
+            raise EmptyInputError(f"{item.sequence.source}: no descriptors to encode")
     trained = baum_welch_classes(
-        [init_left_right(config["hmm_states"], gesture_k) for _ in range(n_classes)],
+        [init_left_right(config["hmm_states"], gesture_cb.k) for _ in range(n_classes)],
         [[s for s, item in zip(symbol_seqs, train) if item.label == c]
          for c in range(n_classes)],
         max_iter=config["hmm_iters"], tol=config["hmm_tol"])
@@ -291,7 +287,7 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
 
     echo = dict(config)
     echo["n_classes"] = n_classes
-    echo["gesture_k_effective"] = gesture_k
+    echo["gesture_k_effective"] = gesture_cb.k
     echo["posture_k_effective"] = \
         posture_model.codebook.k if posture_model is not None else None
     return ModelBundle(gesture_codebook=gesture_cb, hmms=hmms,

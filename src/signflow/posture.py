@@ -248,19 +248,25 @@ def frame_shape_contexts(points) -> np.ndarray:
     x, y = pts[..., 0], pts[..., 1]
     dx = x[:, None, :] - x[:, :, None]  # dx[c, i, j]: point j relative to reference i
     dy = y[:, None, :] - y[:, :, None]
-    r = np.hypot(dx, dy)
-    keep = r < OUTER_RADIUS
-    keep[:, np.arange(m), np.arange(m)] = False
     theta = np.arctan2(dy, dx)
-    theta = np.where(theta < 0, theta + 2.0 * np.pi, theta)  # mod 2 pi, as |theta| <= pi
-    abin = np.minimum((theta * (N_ANGLE_BINS / (2.0 * np.pi))).astype(np.int64),
-                      N_ANGLE_BINS - 1)
-    ring = np.minimum(np.searchsorted(RING_EDGES, r, side="right") - 1, N_RINGS - 1)
-    bins = np.where(r < INNER_RADIUS, 0, 1 + ring * N_ANGLE_BINS + abin)
-    # pairs that are not binned all count under one sentinel key
-    key = np.where(keep, np.arange(n_rows).reshape(*keep.shape[:2], 1) * SC_DIM + bins,
-                   n_rows * SC_DIM)
-    counts = np.bincount(key.ravel(), minlength=n_rows * SC_DIM + 1)[:-1]
+    r = np.hypot(dx, dy, out=dx)
+    del dy
+    np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0)  # mod 2 pi, as |theta| <= pi
+    theta *= N_ANGLE_BINS / (2.0 * np.pi)
+    # each pair's key, row * 49 + bin, built in place, 4 bytes where that
+    # holds it; pairs that are not binned all count under one sentinel key
+    sentinel = n_rows * SC_DIM
+    key = theta.astype(np.int32 if sentinel < 2 ** 31 else np.int64)
+    del theta
+    np.minimum(key, N_ANGLE_BINS - 1, out=key)
+    # the ring is the count of inner edges <= r, so at most N_RINGS - 1
+    key += 1 + N_ANGLE_BINS * np.searchsorted(RING_EDGES[1:-1], r, side="right")
+    key[r < INNER_RADIUS] = 0
+    key += np.arange(0, sentinel, SC_DIM, dtype=key.dtype).reshape(-1, m, 1)
+    key[r >= OUTER_RADIUS] = sentinel
+    del r
+    key[:, np.arange(m), np.arange(m)] = sentinel
+    counts = np.bincount(key.ravel(), minlength=sentinel + 1)[:-1]
     return counts.reshape(n_rows, SC_DIM).astype(_count_dtype(m))
 
 

@@ -83,7 +83,8 @@ class SkeletonSequence:
     """An isolated sign recording.
 
     timestamps is (T,), positions (T, 15, 3) with column j holding
-    JointId(j). Every value must be finite.
+    JointId(j). Every value must be finite. Both are copies the sequence
+    owns: a view would keep a larger buffer, such as a parsed CSV table, alive.
     """
 
     timestamps: np.ndarray
@@ -91,8 +92,8 @@ class SkeletonSequence:
     source: str = ""
 
     def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
-        self.positions = np.asarray(self.positions, dtype=np.float64)
+        self.timestamps = np.array(self.timestamps, dtype=np.float64)
+        self.positions = np.array(self.positions, dtype=np.float64)
         n = self.timestamps.shape[0]
         if self.timestamps.ndim != 1 or self.positions.shape != (n, len(JointId), 3):
             raise ValueError(f"positions must be ({n}, {len(JointId)}, 3) "

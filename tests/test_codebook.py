@@ -221,14 +221,27 @@ class TestBuildCodebook:
     def test_znorm_fitted_and_applied(self):
         rng = np.random.default_rng(16)
         data = rng.normal(loc=5.0, scale=3.0, size=(300, 6))
-        cb = build_codebook(data, k=10, seed=2, variant=DescriptorVariant.HD)
+        kept = data.copy()
+        cb, symbols = build_codebook([data[:120], data[120:]], k=10, seed=2,
+                                     variant=DescriptorVariant.HD)
         assert cb.variant is DescriptorVariant.HD
         np.testing.assert_allclose(cb.znorm.mean, data.mean(axis=0))
-        # encoding the training data itself works and uses all usable symbols
-        seq = encode_sequence(cb, data)
-        assert seq.max() < 10
+        # the caller's arrays are not normalized in place
+        np.testing.assert_array_equal(data, kept)
+        # each array's symbols are those of encoding it from raw rows
+        assert [s.dtype for s in symbols] == [np.int64, np.int64]
+        np.testing.assert_array_equal(symbols[0], encode_sequence(cb, data[:120]))
+        np.testing.assert_array_equal(symbols[1], encode_sequence(cb, data[120:]))
+        assert np.concatenate(symbols).max() < 10
+
+    def test_k_capped_at_row_count(self):
+        data = np.random.default_rng(17).normal(size=(5, 6))
+        cb, symbols = build_codebook([data], k=10, seed=0)
+        assert cb.k == 5
+        assert sorted(symbols[0].tolist()) == [0, 1, 2, 3, 4]
 
     def test_build_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            build_codebook(np.empty((0, 6)), k=3, seed=0)
-
+            build_codebook([np.empty((0, 6))], k=3, seed=0)
+        with pytest.raises(EmptyInputError):
+            build_codebook(iter([]), k=3, seed=0)

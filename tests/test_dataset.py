@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,24 @@ class TestRoundTrip:
         assert len(back) == len(seq)
         np.testing.assert_array_equal(back.timestamps, seq.timestamps)
         np.testing.assert_array_equal(back.positions, seq.positions)
+
+    def test_parsed_sequence_retains_only_its_arrays(self, tmp_path):
+        # a view of the parsed (T, 61) table would keep all of it alive,
+        # 2.3 times the bytes of the sequence's own arrays
+        rng = np.random.default_rng(91)
+        p = tmp_path / "long.csv"
+        write_skeleton_csv(p, random_sequence(rng, n_frames=1000))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            seq = parse_skeleton_csv(p)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        own = seq.positions.nbytes + seq.timestamps.nbytes
+        assert len(seq) == 1000
+        assert retained < 1.1 * own, (
+            f"a parsed sequence retains {retained:,} bytes for {own:,} of arrays")
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

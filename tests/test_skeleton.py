@@ -114,6 +114,16 @@ class TestSequence:
         with pytest.raises(ValueError):
             SkeletonSequence(timestamps=[0.0], positions=full_frame())
 
+    def test_owns_its_arrays(self):
+        # views of one table, as a CSV parse makes them: the sequence copies
+        table = np.arange(4 * 46, dtype=np.float64).reshape(4, 46)
+        seq = SkeletonSequence(timestamps=table[:, 0],
+                               positions=table[:, 1:].reshape(4, 15, 3))
+        for array in (seq.timestamps, seq.positions):
+            assert array.flags.owndata
+            assert not np.shares_memory(array, table)
+        np.testing.assert_array_equal(seq.timestamps, table[:, 0])
+
 
 def test_numpy_interop_roundtrip():
     rng = np.random.default_rng(7)
