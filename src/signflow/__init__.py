@@ -86,7 +86,6 @@ from .synthetic import (
     SyntheticCorpus,
     generate_synthetic_corpus,
     load_synthetic_config,
-    save_synthetic_config,
     write_corpus,
 )
 from .bundle import (

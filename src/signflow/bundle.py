@@ -1,10 +1,11 @@
 """Trained-model persistence.
 
-A bundle holds everything predict/eval needs: the gesture codebook, one
-left-right HMM per class, the posture model (codebook + linear weights)
-when masks were available, the fusion models fit on the validation split,
-and a config echo. Serialized as indented JSON with a format version;
-floats go through repr, so a load reproduces the saved model bit for bit.
+A bundle holds everything predict/eval needs: the gesture codebook, the
+class HMMs (one record, stored as one left-right model per class), the
+posture model (codebook + linear weights) when masks were available, the
+fusion models fit on the validation split, and a config echo. Serialized
+as indented JSON with a format version; floats go through repr, so a load
+reproduces the saved model bit for bit.
 """
 
 from __future__ import annotations
@@ -46,24 +47,18 @@ class ModelBundle:
     """All trained members of one pipeline run."""
 
     gesture_codebook: Codebook
-    hmms: list
+    hmms: DiscreteHMM
     posture_model: Optional[PostureModel] = None
     fusion_linear: Optional[MulticlassLinearModel] = None
     fusion_kde: Optional[KdeFusionModel] = None
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.hmms:
-            raise ValueError("bundle needs at least one class HMM")
         c = len(self.hmms)
         k = self.gesture_codebook.k
-        states = sorted({hmm.n_states for hmm in self.hmms})
-        if len(states) > 1:
-            raise ValueError(f"class HMMs disagree on the number of states: {states}")
-        for i, hmm in enumerate(self.hmms):
-            if hmm.n_symbols != k:
-                raise ValueError(f"HMM {i} expects {hmm.n_symbols} symbols, "
-                                 f"codebook has {k}")
+        if self.hmms.n_symbols != k:
+            raise ValueError(f"class HMMs expect {self.hmms.n_symbols} symbols, "
+                             f"codebook has {k}")
         if self.posture_model is not None:
             pm = self.posture_model
             if pm.model.n_classes != c:
@@ -122,6 +117,18 @@ def _codebook_from(doc: dict, path) -> Codebook:
     return cb
 
 
+def _hmms_from(docs: list, path) -> DiscreteHMM:
+    """The file's per-class models as one record; they must agree on shape."""
+    classes = [DiscreteHMM(*(_floats([h[p]], path) for p in ("pi", "A", "B")))
+               for h in docs]
+    for name, axis in (("number of states", 1), ("symbol alphabet size", 2)):
+        sizes = sorted({m.B.shape[axis] for m in classes})
+        if len(sizes) > 1:
+            raise ValueError(f"class HMMs disagree on the {name}: {sizes}")
+    return DiscreteHMM(*(np.concatenate([getattr(m, p) for m in classes])
+                         for p in ("pi", "A", "B")))
+
+
 def _linear_doc(m: MulticlassLinearModel) -> dict:
     return {"weights": m.weights.tolist(), "n_classes": m.n_classes}
 
@@ -140,8 +147,8 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         "config_hash": config_hash(bundle.config),
         "config": bundle.config,
         "gesture_codebook": _codebook_doc(bundle.gesture_codebook),
-        "hmms": [{"pi": h.pi.tolist(), "A": h.A.tolist(), "B": h.B.tolist()}
-                 for h in bundle.hmms],
+        "hmms": [{"pi": pi.tolist(), "A": A.tolist(), "B": B.tolist()}
+                 for pi, A, B in zip(bundle.hmms.pi, bundle.hmms.A, bundle.hmms.B)],
         "posture": None,
         "fusion_linear": None,
         "fusion_kde": None,
@@ -184,9 +191,7 @@ def load_bundle(path) -> ModelBundle:
             raise BundleVersionError(
                 f"{path}: format version {doc['version']}, this build reads "
                 f"{FORMAT_VERSION}")
-        hmms = [DiscreteHMM(pi=_floats(h["pi"], path), A=_floats(h["A"], path),
-                            B=_floats(h["B"], path))
-                for h in doc["hmms"]]
+        hmms = _hmms_from(doc["hmms"], path)
         posture_model = None
         posture = doc.get("posture")
         if posture is not None:

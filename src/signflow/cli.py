@@ -170,7 +170,7 @@ def cmd_inspect(args) -> int:
     print(f"descriptor {bundle.config.get('descriptor', '?')}")
     print(f"gesture-codebook k={bundle.gesture_codebook.k} "
           f"dim={bundle.gesture_codebook.dimension}")
-    print(f"hmm-states {bundle.hmms[0].n_states}")
+    print(f"hmm-states {bundle.hmms.n_states}")
     if bundle.posture_model is not None:
         print(f"posture-codebook k={bundle.posture_model.codebook.k}")
     else:

@@ -291,13 +291,13 @@ def load_manifest(path) -> DatasetManifest:
             label = item["label"]
             if not _is_integral(label):
                 raise ValueError(f"label must be an integer, got {label!r}")
-            entries.append(ManifestEntry(
-                sequence_path=item["sequence_path"],
-                label=int(label),
-                subject=item["subject"],
-                split=item["split"],
-                mask_dir=item.get("mask_dir"),
-            ))
+            fields = {key: item[key] for key in ("sequence_path", "subject", "split")}
+            fields["mask_dir"] = item.get("mask_dir")
+            for key, value in fields.items():
+                # only the mask dir may be null
+                if not (isinstance(value, str) or (key == "mask_dir" and value is None)):
+                    raise ValueError(f"{key} must be a string, got {value!r}")
+            entries.append(ManifestEntry(label=int(label), **fields))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorruptFileError(f"{path}: entry {i}: {exc}") from None
     try:

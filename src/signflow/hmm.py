@@ -1,9 +1,10 @@
 """Discrete-observation left-right HMMs for gesture classification.
 
-One model per sign class, trained by multi-sequence Baum-Welch: one scaled
-recursion per iteration over the sequences of every class still training.
-Classification scores a probe under every model at once, one scaled step
-per 16-frame block product, and takes the best length-normalized score.
+One model per sign class, all classes held as one stacked record and
+trained by multi-sequence Baum-Welch: one scaled recursion per iteration
+over the sequences of every class still training. Classification scores a
+probe under every class at once, one scaled step per 16-frame block
+product, and takes the best length-normalized score.
 
 Re-estimated probabilities are floored at EPS_P on their structural support
 (the entries positive at initialization) so that test symbols unseen in
@@ -34,9 +35,11 @@ def _symbols(obs) -> np.ndarray:
 
 @dataclass
 class DiscreteHMM:
-    """Left-right model: states may only self-loop or advance by one.
+    """One left-right model per class, held as stacks: pi (C, n), A (C, n, n)
+    and B (C, n, k). States may only self-loop or advance by one.
 
-    B is (n_states, n_symbols), and its shape gives both counts.
+    B's shape gives the class, state and symbol counts. Iterating yields
+    each class's model as a (1, ...) view.
     """
 
     pi: np.ndarray
@@ -47,32 +50,38 @@ class DiscreteHMM:
         self.pi = np.asarray(self.pi, dtype=np.float64)
         self.A = np.asarray(self.A, dtype=np.float64)
         self.B = np.asarray(self.B, dtype=np.float64)
-        if self.B.ndim != 2 or self.B.size == 0:
-            raise ValueError(f"B must be a non-empty (states, symbols) array, "
-                             f"got shape {self.B.shape}")
-        n = self.n_states
-        if self.pi.shape != (n,) or self.A.shape != (n, n):
-            raise ValueError(f"pi and A must be ({n},) and ({n}, {n}) for "
-                             f"{n} states, got {self.pi.shape} and {self.A.shape}")
+        if self.B.ndim != 3 or self.B.size == 0:
+            raise ValueError(f"B must be a non-empty (classes, states, symbols) "
+                             f"array, got shape {self.B.shape}")
+        C, n = len(self), self.n_states
+        if self.pi.shape != (C, n) or self.A.shape != (C, n, n):
+            raise ValueError(f"pi and A must be ({C}, {n}) and ({C}, {n}, {n}) "
+                             f"for {n} states, got {self.pi.shape} and {self.A.shape}")
         if np.any(self.pi < 0) or np.any(self.A < 0) or np.any(self.B < 0):
             raise ValueError("negative probability")
-        if abs(self.pi.sum() - 1.0) > _ROW_TOL:
-            raise ValueError("pi does not sum to 1")
-        for name, m in (("A", self.A), ("B", self.B)):
-            err = np.abs(m.sum(axis=1) - 1.0).max()
-            if err > _ROW_TOL:
-                raise ValueError(f"{name} row sums off by {err:.2e}")
-        off = ~_left_right_support(n)
-        if np.any(self.A[off] != 0.0):
+        for name, m in (("pi", self.pi), ("A", self.A), ("B", self.B)):
+            # row by row, so a NaN class (a diverged training) hides no other
+            err = np.abs(m.sum(axis=-1) - 1.0)
+            if np.any(err > _ROW_TOL):
+                raise ValueError(f"{name} row sums off by {np.nanmax(err):.2e}")
+        # np.any counts a NaN as nonzero
+        if np.any(np.tril(self.A, -1)) or np.any(np.triu(self.A, 2)):
             raise ValueError("transition outside left-right support")
+
+    def __len__(self) -> int:
+        return self.B.shape[0]
+
+    def __iter__(self):
+        for j in range(len(self)):
+            yield DiscreteHMM(self.pi[j:j + 1], self.A[j:j + 1], self.B[j:j + 1])
 
     @property
     def n_states(self) -> int:
-        return self.B.shape[0]
+        return self.B.shape[1]
 
     @property
     def n_symbols(self) -> int:
-        return self.B.shape[1]
+        return self.B.shape[2]
 
 
 @dataclass
@@ -104,25 +113,17 @@ class GestureResponse:
         return int(self.values.argmax())
 
 
-def _left_right_support(n: int) -> np.ndarray:
-    sup = np.zeros((n, n), dtype=bool)
-    idx = np.arange(n)
-    sup[idx, idx] = True
-    sup[idx[:-1], idx[:-1] + 1] = True
-    return sup
-
-
-def init_left_right(n_states: int, n_symbols: int) -> DiscreteHMM:
-    """Fresh model: start in state 0, 0.5 self/advance, uniform emissions."""
-    if n_states < 1 or n_symbols < 1:
-        raise ValueError("n_states and n_symbols must be >= 1")
-    pi = np.zeros(n_states)
-    pi[0] = 1.0
-    A = np.zeros((n_states, n_states))
-    for i in range(n_states - 1):
-        A[i, i] = A[i, i + 1] = 0.5
-    A[n_states - 1, n_states - 1] = 1.0
-    B = np.full((n_states, n_symbols), 1.0 / n_symbols)
+def init_left_right(n_states: int, n_symbols: int, n_classes: int = 1) -> DiscreteHMM:
+    """Fresh models: start in state 0, 0.5 self/advance, uniform emissions."""
+    if min(n_states, n_symbols, n_classes) < 1:
+        raise ValueError("n_states, n_symbols and n_classes must be >= 1")
+    pi = np.zeros((n_classes, n_states))
+    pi[:, 0] = 1.0
+    A = np.zeros((n_classes, n_states, n_states))
+    idx = np.arange(n_states - 1)
+    A[:, idx, idx] = A[:, idx, idx + 1] = 0.5
+    A[:, -1, -1] = 1.0
+    B = np.full((n_classes, n_states, n_symbols), 1.0 / n_symbols)
     return DiscreteHMM(pi=pi, A=A, B=B)
 
 
@@ -150,8 +151,8 @@ def _scaled_forward(pi: np.ndarray, A: np.ndarray, emissions: np.ndarray):
     return alpha, c
 
 
-def _log_likelihoods(models, sym: np.ndarray) -> np.ndarray:
-    """log P(sym) under each model (-inf if impossible, NaN for a NaN
+def _log_likelihoods(hmm: DiscreteHMM, sym: np.ndarray) -> np.ndarray:
+    """log P(sym) under each class model (-inf if impossible, NaN for a NaN
     model), one scaled step per block: frames 2..T form nb = ceil((T-1)/q)
     blocks of step matrices A diag(B[:, o_t]), from a per-symbol table and
     identity-padded, which log2(q) batched pairings multiply into P_b; with
@@ -174,9 +175,9 @@ def _log_likelihoods(models, sym: np.ndarray) -> np.ndarray:
     q is also at most the first power of two >= T - 1, so a short sequence
     is not padded to a whole 16-frame block; a smaller q only shrinks K.
     """
-    if sym.min() < 0 or sym.max() >= models[0].n_symbols:
+    if sym.min() < 0 or sym.max() >= hmm.n_symbols:
         raise ValueError("symbol out of range for this model")
-    pi, A, B = (np.stack([getattr(m, p) for m in models]) for p in ("pi", "A", "B"))
+    pi, A, B = hmm.pi, hmm.A, hmm.B
     R, n = pi.shape
     low = A.min(where=A > 0.0, initial=1.0) * B.min(where=B > 0.0, initial=1.0)
     q = 1
@@ -203,9 +204,12 @@ def _log_likelihoods(models, sym: np.ndarray) -> np.ndarray:
 
 
 def forward_log_likelihood(hmm: DiscreteHMM, obs) -> float:
-    """log P(obs | hmm), -inf if impossible. The block recursion normalizes
-    its vector once per block, so 10^4-step sequences do not underflow."""
-    return float(_log_likelihoods([hmm], _symbols(obs))[0])
+    """log P(obs | hmm) of a one-class hmm, -inf if impossible. The block
+    recursion normalizes its vector once per block, so 10^4-step sequences
+    do not underflow."""
+    if len(hmm) != 1:
+        raise ValueError(f"forward_log_likelihood scores one model, got {len(hmm)}")
+    return float(_log_likelihoods(hmm, _symbols(obs))[0])
 
 
 def _floor_row(counts: np.ndarray, support: np.ndarray, prev: np.ndarray,
@@ -240,16 +244,6 @@ def _floor_row(counts: np.ndarray, support: np.ndarray, prev: np.ndarray,
     return out
 
 
-def _check_alphabet(models) -> tuple[int, int]:
-    n, k = models[0].n_states, models[0].n_symbols
-    for m in models:
-        if m.n_symbols != k:
-            raise ValueError("models disagree on symbol alphabet size")
-        if m.n_states != n:
-            raise ValueError("models disagree on the number of states")
-    return n, k
-
-
 def _stacked_backward(A: np.ndarray, emissions: np.ndarray, c: np.ndarray,
                       lengths: np.ndarray) -> np.ndarray:
     """Scaled backward pass over the rows of a stacked forward pass.
@@ -270,9 +264,10 @@ def _stacked_backward(A: np.ndarray, emissions: np.ndarray, c: np.ndarray,
     return beta
 
 
-def baum_welch_classes(models, trainings, max_iter: int,
-                       tol: float) -> list[tuple[DiscreteHMM, TrainReport]]:
-    """Multi-sequence EM re-estimation of (pi, A, B), one model per class.
+def baum_welch_classes(hmm: DiscreteHMM, trainings, max_iter: int,
+                       tol: float) -> tuple[DiscreteHMM, list[TrainReport]]:
+    """Multi-sequence EM re-estimation of (pi, A, B), one model per class:
+    returns the trained models and one report per class.
 
     Expected counts are accumulated across a class's sequences before each
     re-estimation. Structural zeros never become positive; supported
@@ -284,11 +279,9 @@ def baum_welch_classes(models, trainings, max_iter: int,
     class still training, and a converged class's rows leave the stack.
     Each class's model and report are those it would get trained alone.
     """
-    if not models:
-        raise EmptyInputError("no class models")
-    if len(trainings) != len(models):
-        raise ValueError("one training set per model is required")
-    n, k = _check_alphabet(models)
+    C, n, k = hmm.B.shape
+    if len(trainings) != C:
+        raise ValueError("one training set per class model is required")
     per_class = []
     for training in trainings:
         if not training:
@@ -301,25 +294,23 @@ def baum_welch_classes(models, trainings, max_iter: int,
     # one row per sequence, in class order; steps past a sequence's end
     # read the extra symbol k, whose emission is 1.0 in every state
     seqs = [s for class_seqs in per_class for s in class_seqs]
-    row_class = np.repeat(np.arange(len(models)), [len(c) for c in per_class])
+    row_class = np.repeat(np.arange(C), [len(c) for c in per_class])
     lengths = np.array([s.shape[0] for s in seqs])
     padded = np.full((lengths.max(), len(seqs)), k)
     for r, s in enumerate(seqs):
         padded[:s.shape[0], r] = s
 
-    pi = np.stack([m.pi for m in models])
-    A = np.stack([m.A for m in models])
-    B = np.stack([m.B for m in models])
+    pi, A, B = hmm.pi.copy(), hmm.A.copy(), hmm.B.copy()
     pi_sup, A_sup, B_sup = pi > 0.0, A > 0.0, B > 0.0
-    reports = [TrainReport() for _ in models]
-    done = np.zeros(len(models), dtype=bool)
+    reports = [TrainReport() for _ in range(C)]
+    done = np.zeros(C, dtype=bool)
 
     for _ in range(max_iter):
         if done.all():
             break
         rows = np.flatnonzero(~done[row_class])
         cls, sym = row_class[rows], padded[:lengths[rows].max(), rows]
-        B_ext = np.concatenate([B, np.ones((len(models), n, 1))], axis=2)
+        B_ext = np.concatenate([B, np.ones((C, n, 1))], axis=2)
         emissions = B_ext.transpose(0, 2, 1)[cls[None, :], sym]
         A_rows = A[cls]
         alphas, cs = _scaled_forward(pi[cls], A_rows, emissions)
@@ -362,21 +353,18 @@ def baum_welch_classes(models, trainings, max_iter: int,
             B[j] = np.stack([_floor_row(B_cnt[i], B_sup[j, i], B[j, i], EPS_P)
                              for i in range(n)])
 
-    return [(DiscreteHMM(pi[j].copy(), A[j].copy(), B[j].copy()), reports[j])
-            for j in range(len(models))]
+    return DiscreteHMM(pi, A, B), reports
 
 
 def baum_welch(hmm: DiscreteHMM, training, max_iter: int,
                tol: float) -> tuple[DiscreteHMM, TrainReport]:
     """One model's multi-sequence EM: baum_welch_classes on a single class."""
-    return baum_welch_classes([hmm], [training], max_iter, tol)[0]
+    trained, (report,) = baum_welch_classes(hmm, [training], max_iter, tol)
+    return trained, report
 
 
-def classify_gesture(models, obs) -> GestureResponse:
+def classify_gesture(hmm: DiscreteHMM, obs) -> GestureResponse:
     """Score a sequence under every class model (length-normalized), all
-    models in one stacked forward recursion."""
-    if not models:
-        raise EmptyInputError("no class models")
+    classes in one stacked forward recursion."""
     sym = _symbols(obs)
-    _check_alphabet(models)
-    return GestureResponse(values=_log_likelihoods(models, sym) / sym.shape[0])
+    return GestureResponse(values=_log_likelihoods(hmm, sym) / sym.shape[0])

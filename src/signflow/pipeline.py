@@ -14,7 +14,6 @@ so results are a pure function of (inputs, config, seed).
 from __future__ import annotations
 
 import hashlib
-import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,7 +60,7 @@ from .posture import (
 # kept importable from this module: perfbench/tracing.py wraps the posture
 # kernels under the names pipeline has always exposed
 from .posture import frame_shape_contexts, sample_contour  # noqa: F401
-from .skeleton import EmptyInputError, SkeletonSequence, _is_integral
+from .skeleton import EmptyInputError, SkeletonSequence, _is_integral, _is_real
 
 FUSION_MODES = ("linear", "kde", "gesture-only", "posture-only")
 
@@ -111,12 +110,11 @@ def make_config(**overrides) -> dict:
             raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
         config[key] = int(value)
     tol = config["hmm_tol"]
-    if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol >= 0):
+    if not (_is_real(tol) and tol >= 0):
         raise ValueError(f"hmm_tol must be a finite number >= 0, got {tol!r}")
     for key in ("posture_cost", "fusion_cost"):
         cost = config[key]
-        if isinstance(cost, bool) or not (
-                isinstance(cost, numbers.Real) and np.isfinite(cost) and cost > 0):
+        if not (_is_real(cost) and cost > 0):
             raise ValueError(f"{key} must be a finite number > 0, got {cost!r}")
     if not _is_integral(config["seed"]):
         raise ValueError(f"seed must be an integer, got {config['seed']!r}")
@@ -243,12 +241,11 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
     for symbols, item in zip(symbol_seqs, train):
         if len(symbols) == 0:
             raise EmptyInputError(f"{item.sequence.source}: no descriptors to encode")
-    trained = baum_welch_classes(
-        [init_left_right(config["hmm_states"], gesture_cb.k) for _ in range(n_classes)],
+    hmms, _ = baum_welch_classes(
+        init_left_right(config["hmm_states"], gesture_cb.k, n_classes),
         [[s for s, item in zip(symbol_seqs, train) if item.label == c]
          for c in range(n_classes)],
         max_iter=config["hmm_iters"], tol=config["hmm_tol"])
-    hmms = [hmm for hmm, _ in trained]
 
     # posture branch, when the training split carries masks
     posture_model = None

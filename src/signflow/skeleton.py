@@ -8,6 +8,7 @@ CSV adapter, the synthetic generator) reads and writes these arrays.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import IntEnum
@@ -38,6 +39,17 @@ def _is_integral(value) -> bool:
         return False
     return isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and np.isfinite(value) and value == int(value))
+
+
+def _is_real(value) -> bool:
+    """A real number that is finite as a float, the one test every
+    real-valued setting read from a config must pass; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 class JointId(IntEnum):

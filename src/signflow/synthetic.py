@@ -16,7 +16,6 @@ corpus is bitwise reproducible frame for frame.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -35,7 +34,7 @@ from .dataset import (
     write_skeleton_csv,
 )
 from .posture import PATCH, HandRegion, HandSide, _largest_component
-from .skeleton import UPPER_BODY, JointId, SkeletonSequence, _is_integral
+from .skeleton import UPPER_BODY, JointId, SkeletonSequence, _is_integral, _is_real
 
 FRAME_DT = 1.0 / 30.0
 SEQUENCE_TIME_GAP = 100.0
@@ -191,10 +190,10 @@ class SyntheticConfig:
             raise ValueError("counts must be three non-negative ints")
         if self.counts[0] < 1:
             raise ValueError("need at least one training sequence per class")
-        if not self.noise >= 0:  # NaN too
-            raise ValueError("noise must be >= 0")
-        if not self.subject_scale >= 0:
-            raise ValueError("subject_scale must be >= 0")
+        for name in ("noise", "subject_scale"):
+            value = getattr(self, name)
+            if not (_is_real(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         self.frame_count_range = _integers(self.frame_count_range, "frame_count_range")
         lo, hi = self.frame_count_range
         if lo < 2 or hi < lo:
@@ -349,12 +348,8 @@ def config_doc(cfg: SyntheticConfig) -> dict:
     return doc
 
 
-def save_synthetic_config(cfg: SyntheticConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_doc(cfg), indent=2) + "\n")
-
-
 def load_synthetic_config(path) -> SyntheticConfig:
-    """Read a config saved by save_synthetic_config; a file that is not a
+    """Read a config file, config_doc's dict as JSON; a file that is not a
     JSON object, or a missing or bad field, raises CorruptFileError naming
     the file."""
     doc = read_json(path)

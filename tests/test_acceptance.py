@@ -33,8 +33,8 @@ from signflow.skeleton import ALL_JOINTS, JointId, SkeletonSequence
 from signflow.synthetic import (
     ClassSpec,
     SyntheticConfig,
+    config_doc,
     generate_synthetic_corpus,
-    save_synthetic_config,
 )
 
 
@@ -44,8 +44,8 @@ def _verdict(criterion: int, ok: bool, detail: str) -> None:
 
 
 def _random_hmm(rng, n, k) -> DiscreteHMM:
-    # random left-right model: the type constrains A's support, while
-    # pi and B stay dense random stochastics
+    # random left-right model as a one-class record: the type constrains
+    # A's support, while pi and B stay dense random stochastics
     pi = rng.random(n) + 0.1
     A = np.zeros((n, n))
     for i in range(n - 1):
@@ -54,7 +54,8 @@ def _random_hmm(rng, n, k) -> DiscreteHMM:
         A[i, i + 1] = 1.0 - stay
     A[n - 1, n - 1] = 1.0
     B = rng.random((n, k)) + 0.1
-    return DiscreteHMM(pi=pi / pi.sum(), A=A, B=B / B.sum(axis=1, keepdims=True))
+    return DiscreteHMM(pi=(pi / pi.sum())[None], A=A[None],
+                       B=(B / B.sum(axis=1, keepdims=True))[None])
 
 
 def _random_sequence(rng, n_frames: int) -> SkeletonSequence:
@@ -80,12 +81,13 @@ def test_criterion_1_forward_matches_path_enumeration():
         k = int(rng.integers(1, 5))
         T = int(rng.integers(1, 7))
         hmm = _random_hmm(rng, n, k)
+        pi, A, B = hmm.pi[0], hmm.A[0], hmm.B[0]
         obs = rng.integers(0, k, size=T)
         total = 0.0
         for path in itertools.product(range(n), repeat=T):
-            p = hmm.pi[path[0]] * hmm.B[path[0], obs[0]]
+            p = pi[path[0]] * B[path[0], obs[0]]
             for t in range(1, T):
-                p *= hmm.A[path[t - 1], path[t]] * hmm.B[path[t], obs[t]]
+                p *= A[path[t - 1], path[t]] * B[path[t], obs[t]]
             total += p
         reference = math.log(total)
         got = forward_log_likelihood(hmm, obs)
@@ -116,12 +118,13 @@ def test_criterion_2_baum_welch_monotone_and_structured():
             history.extend(report.log_likelihoods)
             off_support = ~(np.eye(n, dtype=bool) |
                             np.eye(n, k=1, dtype=bool))
-            structure_ok &= bool(np.all(model.A[off_support] == 0.0))
-            structure_ok &= bool(np.all(model.pi[1:] == 0.0))
-            structure_ok &= abs(model.pi.sum() - 1.0) <= 1e-12
-            structure_ok &= bool(np.all(np.abs(model.A.sum(axis=1) - 1.0)
+            pi, A, B = model.pi[0], model.A[0], model.B[0]  # the one class
+            structure_ok &= bool(np.all(A[off_support] == 0.0))
+            structure_ok &= bool(np.all(pi[1:] == 0.0))
+            structure_ok &= abs(pi.sum() - 1.0) <= 1e-12
+            structure_ok &= bool(np.all(np.abs(A.sum(axis=1) - 1.0)
                                         <= 1e-12))
-            structure_ok &= bool(np.all(np.abs(model.B.sum(axis=1) - 1.0)
+            structure_ok &= bool(np.all(np.abs(B.sum(axis=1) - 1.0)
                                         <= 1e-12))
         drops = np.diff(np.asarray(history))
         if drops.size:
@@ -358,7 +361,7 @@ def test_criterion_8_bitwise_determinism(tmp_path):
         seed=801,
     )
     config_path = tmp_path / "c.json"
-    save_synthetic_config(cfg, config_path)
+    config_path.write_text(json.dumps(config_doc(cfg), indent=2) + "\n")
     assert run_cli(["synth", "--config", str(config_path),
                     "--out", str(tmp_path / "data")]) == 0
     flags = ["--gesture-k", "16", "--posture-k", "24", "--states", "4",

@@ -29,7 +29,7 @@ def tiny_bundle(rng=None, with_optional=True):
                                            stddev=np.full(6, 0.5)),
                           seed=7, variant=DescriptorVariant.HD,
                           wcss_history=[5.0, 3.5, 3.5])
-    hmms = [init_left_right(4, 3), init_left_right(4, 3)]
+    hmms = init_left_right(4, 3, 2)
     kwargs = {}
     if with_optional:
         posture_cb = Codebook(centers=rng.normal(size=(4, 49)),
@@ -170,12 +170,45 @@ class TestErrors:
         save_bundle(tiny_bundle(with_optional=False), p)
         doc = json.loads(p.read_text())
         h = init_left_right(2, 3)
-        doc["hmms"][0] = {"pi": h.pi.tolist(), "A": h.A.tolist(), "B": h.B.tolist()}
+        doc["hmms"][0] = {"pi": h.pi[0].tolist(), "A": h.A[0].tolist(),
+                          "B": h.B[0].tolist()}
         p.write_text(json.dumps(doc))
         with pytest.raises(CorruptFileError) as exc:
             load_bundle(p)
         assert str(exc.value) == \
             f"{p}: class HMMs disagree on the number of states: [2, 4]"
+
+    def test_mixed_symbol_counts_name_the_file(self, tmp_path):
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(with_optional=False), p)
+        doc = json.loads(p.read_text())
+        h = init_left_right(4, 4)
+        doc["hmms"][1] = {"pi": h.pi[0].tolist(), "A": h.A[0].tolist(),
+                          "B": h.B[0].tolist()}
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError) as exc:
+            load_bundle(p)
+        assert str(exc.value) == \
+            f"{p}: class HMMs disagree on the symbol alphabet size: [3, 4]"
+
+    def test_no_class_hmms_names_the_file(self, tmp_path):
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(with_optional=False), p)
+        doc = json.loads(p.read_text())
+        doc["hmms"] = []
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError, match=r"model\.json: "):
+            load_bundle(p)
+
+    def test_file_holds_one_model_per_class(self, tmp_path):
+        p = tmp_path / "model.json"
+        b = tiny_bundle(with_optional=False)
+        save_bundle(b, p)
+        doc = json.loads(p.read_text())
+        assert [sorted(h) for h in doc["hmms"]] == [["A", "B", "pi"]] * 2
+        for j, h in enumerate(doc["hmms"]):
+            for name in ("pi", "A", "B"):
+                assert h[name] == getattr(b.hmms, name)[j].tolist()
 
 
 def _edit_kde(doc, case):
@@ -336,7 +369,7 @@ class TestValidation:
         cb = Codebook(centers=rng.normal(size=(5, 6)),
                       znorm=ZNormStats.identity(6), seed=0)
         with pytest.raises(ValueError):
-            ModelBundle(gesture_codebook=cb, hmms=[init_left_right(2, 3)])
+            ModelBundle(gesture_codebook=cb, hmms=init_left_right(2, 3))
 
     def test_posture_class_count_mismatch(self):
         rng = np.random.default_rng(102)
@@ -348,14 +381,14 @@ class TestValidation:
             weights=rng.normal(size=(3, 8))), codebook=posture_cb)
         with pytest.raises(ValueError):
             ModelBundle(gesture_codebook=cb,
-                        hmms=[init_left_right(2, 3), init_left_right(2, 3)],
+                        hmms=init_left_right(2, 3, 2),
                         posture_model=pm)
 
     def test_fusion_shape_mismatch(self):
         rng = np.random.default_rng(104)
         cb = Codebook(centers=rng.normal(size=(3, 6)),
                       znorm=ZNormStats.identity(6), seed=0)
-        hmms = [init_left_right(2, 3), init_left_right(2, 3)]
+        hmms = init_left_right(2, 3, 2)
         # a linear rule over 3 classes, or over a 6-D coupled response
         for weights in (rng.normal(size=(3, 6)), rng.normal(size=(2, 6))):
             with pytest.raises(ValueError, match="fusion linear"):
@@ -370,8 +403,9 @@ class TestValidation:
         rng = np.random.default_rng(103)
         cb = Codebook(centers=rng.normal(size=(3, 6)),
                       znorm=ZNormStats.identity(6), seed=0)
+        # a record of no class HMMs cannot be built
         with pytest.raises(ValueError):
-            ModelBundle(gesture_codebook=cb, hmms=[])
+            ModelBundle(gesture_codebook=cb, hmms=init_left_right(2, 3, 0))
 
 
 class TestConfigHash:

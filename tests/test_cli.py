@@ -13,11 +13,7 @@ from signflow.bundle import load_bundle
 from signflow.cli import build_parser, run_cli, train_config
 from signflow.pipeline import make_config
 from signflow.skeleton import JointId
-from signflow.synthetic import (
-    ClassSpec,
-    SyntheticConfig,
-    save_synthetic_config,
-)
+from signflow.synthetic import ClassSpec, SyntheticConfig, config_doc
 
 CORPUS = SyntheticConfig(
     classes=[
@@ -31,6 +27,11 @@ CORPUS = SyntheticConfig(
     seed=11,
 )
 
+def save_config(cfg, path):
+    """Write cfg as a synth config file."""
+    Path(path).write_text(json.dumps(config_doc(cfg), indent=2) + "\n")
+
+
 TRAIN_FLAGS = ["--gesture-k", "20", "--posture-k", "24", "--states", "4",
                "--hmm-iters", "6", "--posture-cost", "10", "--seed", "3"]
 
@@ -40,7 +41,7 @@ def workdir(tmp_path_factory):
     """One synth + train shared by the read-only tests."""
     root = tmp_path_factory.mktemp("cli")
     config = root / "corpus.json"
-    save_synthetic_config(CORPUS, config)
+    save_config(CORPUS, config)
     assert run_cli(["synth", "--config", str(config),
                     "--out", str(root / "data")]) == 0
     assert run_cli(["train", "--data", str(root / "data"),
@@ -51,7 +52,7 @@ def workdir(tmp_path_factory):
 class TestSynth:
     def test_writes_manifest_and_files(self, tmp_path):
         config = tmp_path / "c.json"
-        save_synthetic_config(CORPUS, config)
+        save_config(CORPUS, config)
         assert run_cli(["synth", "--config", str(config),
                         "--out", str(tmp_path / "d")]) == 0
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
@@ -62,7 +63,7 @@ class TestSynth:
 
     def test_no_masks_flag(self, tmp_path):
         config = tmp_path / "c.json"
-        save_synthetic_config(CORPUS, config)
+        save_config(CORPUS, config)
         assert run_cli(["synth", "--config", str(config), "--no-masks",
                         "--out", str(tmp_path / "d")]) == 0
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
@@ -70,7 +71,7 @@ class TestSynth:
 
     def test_seed_override_changes_corpus(self, tmp_path):
         config = tmp_path / "c.json"
-        save_synthetic_config(CORPUS, config)
+        save_config(CORPUS, config)
         run_cli(["synth", "--config", str(config), "--out",
                  str(tmp_path / "a"), "--seed", "1"])
         run_cli(["synth", "--config", str(config), "--out",
@@ -293,9 +294,21 @@ def _synth_config(edit):
     """A synth command whose config file is CORPUS's after edit(text)."""
     def make(workdir, tmp_path, entry):
         bad = tmp_path / "corpus.json"
-        save_synthetic_config(CORPUS, bad)
+        save_config(CORPUS, bad)
         bad.write_text(edit(bad.read_text()))
         return ["synth", "--config", str(bad), "--out", str(tmp_path / "out")], bad
+    return make
+
+
+def _manifest_entry(key, value):
+    """A train command whose manifest is the corpus's with one train entry's
+    key set to value."""
+    def make(workdir, tmp_path, entry):
+        bad = tmp_path / "manifest.json"
+        doc = json.loads((workdir / "data" / "manifest.json").read_text())
+        next(e for e in doc["entries"] if e == entry)[key] = value
+        bad.write_text(json.dumps(doc))
+        return ["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.json")], bad
     return make
 
 
@@ -314,12 +327,17 @@ class TestMalformedInput:
         _synth_config(lambda text: f"[{text}]"),
         _synth_config(lambda text: text.replace('"noise": ', '"noise": ,')),
         _synth_config(lambda text: text.replace('"noise": 0.01', '"noise": NaN')),
+        _synth_config(lambda text: text.replace('"noise": 0.01', '"noise": true')),
+        _synth_config(lambda text: text.replace('"noise": 0.01', '"noise": 1e999')),
+        _manifest_entry("sequence_path", 5), _manifest_entry("subject", ["x"]),
         _bundle_with(_set_hmm_b([0.5, 0.5])), _bundle_with(_set_hmm_b([])),
         _bundle_with(_flat_centers), _bundle_with(_scalar_znorm),
     ], ids=["csv long comment", "csv not utf-8", "manifest not utf-8",
             "bundle not utf-8", "mask bad header", "synth config unknown joint",
             "synth config no anchor", "synth config not an object",
             "synth config syntax error", "synth config nan noise",
+            "synth config boolean noise", "synth config overflowing noise",
+            "manifest numeric path", "manifest list subject",
             "bundle 1-d emissions", "bundle empty emissions", "bundle 1-d centers",
             "bundle scalar znorm"])
     def test_one_error_line_names_the_file(self, workdir, tmp_path, capsys, make):

@@ -357,9 +357,14 @@ class TestManifest:
         (1, {"label": float("nan")}, r"entry 1: label must be an integer, got nan"),
         (1, {"label": float("inf")}, r"entry 1: label must be an integer, got inf"),
         (1, {"label": None}, r"entry 1: label must be an integer, got None"),
+        (0, {"sequence_path": 5}, r"entry 0: sequence_path must be a string, got 5"),
+        (1, {"subject": ["x"]}, r"entry 1: subject must be a string, got \['x'\]"),
+        (1, {"split": None}, r"entry 1: split must be a string, got None"),
+        (0, {"mask_dir": 3}, r"entry 0: mask_dir must be a string, got 3"),
     ], ids=["unknown split", "label not a number", "label gap",
             "fractional label", "boolean label", "nan label", "infinite label",
-            "null label"])
+            "null label", "numeric path", "list subject", "null split",
+            "numeric mask dir"])
     def test_bad_entry_names_the_file(self, tmp_path, entry, change, message):
         entries = [{"sequence_path": f"{name}.csv", "label": label,
                     "subject": name, "split": "train"}

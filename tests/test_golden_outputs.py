@@ -14,13 +14,14 @@ program, and the constants are then recorded again from an unchanged tree.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from signflow.cli import run_cli
 from signflow.pipeline import FUSION_MODES
 from signflow.skeleton import JointId
-from signflow.synthetic import ClassSpec, SyntheticConfig, save_synthetic_config
+from signflow.synthetic import ClassSpec, SyntheticConfig, config_doc
 
 CORPUS = SyntheticConfig(
     classes=[
@@ -57,7 +58,7 @@ GOLDEN = {
 def digests(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     config = root / "corpus.json"
-    save_synthetic_config(CORPUS, config)
+    config.write_text(json.dumps(config_doc(CORPUS), indent=2) + "\n")
     data = str(root / "data")
     assert run_cli(["synth", "--config", str(config), "--out", data]) == 0
     for mode in FUSION_MODES:

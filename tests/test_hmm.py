@@ -23,14 +23,17 @@ from signflow.hmm import (
 )
 from signflow.skeleton import EmptyInputError
 
+from hmm_records import arrays, single, stack
+
 
 def enumerate_log_likelihood(hmm, obs):
     """Sum joint path probabilities over every state path, scalar math."""
+    pi, A, B = arrays(hmm)
     total = 0.0
     for path in product(range(hmm.n_states), repeat=len(obs)):
-        p = hmm.pi[path[0]] * hmm.B[path[0], obs[0]]
+        p = pi[path[0]] * B[path[0], obs[0]]
         for t in range(1, len(obs)):
-            p *= hmm.A[path[t - 1], path[t]] * hmm.B[path[t], obs[t]]
+            p *= A[path[t - 1], path[t]] * B[path[t], obs[t]]
         total += p
     return math.log(total) if total > 0.0 else float("-inf")
 
@@ -44,15 +47,16 @@ def random_left_right(rng, n, k):
     A[n - 1, n - 1] = 1.0
     B = rng.uniform(0.1, 1.0, size=(n, k))
     B /= B.sum(axis=1, keepdims=True)
-    return DiscreteHMM(pi=pi, A=A, B=B)
+    return single(pi, A, B)
 
 
 def sample_sequence(rng, hmm, length):
-    state = int(rng.choice(hmm.n_states, p=hmm.pi))
+    pi, A, B = arrays(hmm)
+    state = int(rng.choice(hmm.n_states, p=pi))
     out = []
     for _ in range(length):
-        out.append(int(rng.choice(hmm.n_symbols, p=hmm.B[state])))
-        state = int(rng.choice(hmm.n_states, p=hmm.A[state]))
+        out.append(int(rng.choice(hmm.n_symbols, p=B[state])))
+        state = int(rng.choice(hmm.n_states, p=A[state]))
     return np.array(out)
 
 
@@ -65,28 +69,37 @@ class TestInitLeftRight:
             [0.0, 0.0, 0.5, 0.5],
             [0.0, 0.0, 0.0, 1.0],
         ])
-        np.testing.assert_array_equal(m.A, want_A)
-        np.testing.assert_array_equal(m.pi, [1, 0, 0, 0])
-        np.testing.assert_array_equal(m.B, np.full((4, 100), 0.01))
+        np.testing.assert_array_equal(m.A, [want_A])
+        np.testing.assert_array_equal(m.pi, [[1, 0, 0, 0]])
+        np.testing.assert_array_equal(m.B, np.full((1, 4, 100), 0.01))
 
     def test_single_state(self):
         m = init_left_right(1, 2)
-        np.testing.assert_array_equal(m.A, [[1.0]])
-        np.testing.assert_array_equal(m.pi, [1.0])
-        np.testing.assert_array_equal(m.B, [[0.5, 0.5]])
+        np.testing.assert_array_equal(m.A, [[[1.0]]])
+        np.testing.assert_array_equal(m.pi, [[1.0]])
+        np.testing.assert_array_equal(m.B, [[[0.5, 0.5]]])
 
     def test_rows_stochastic(self):
         for n in (1, 2, 5, 8):
             m = init_left_right(n, 7)
-            np.testing.assert_allclose(m.A.sum(axis=1), 1.0, atol=1e-12)
-            np.testing.assert_allclose(m.B.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(m.A.sum(axis=-1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(m.B.sum(axis=-1), 1.0, atol=1e-12)
             assert m.pi.sum() == 1.0
+
+    def test_every_class_gets_the_one_class_model(self):
+        one, three = init_left_right(4, 5), init_left_right(4, 5, 3)
+        assert len(one) == 1 and len(three) == 3
+        for name in ("pi", "A", "B"):
+            want = getattr(one, name)
+            assert getattr(three, name).tobytes() == np.concatenate([want] * 3).tobytes()
 
     def test_zero_counts_rejected(self):
         with pytest.raises(ValueError):
             init_left_right(0, 5)
         with pytest.raises(ValueError):
             init_left_right(5, 0)
+        with pytest.raises(ValueError):
+            init_left_right(5, 5, 0)
 
 
 class TestDiscreteHMMValidation:
@@ -94,33 +107,67 @@ class TestDiscreteHMMValidation:
         A = np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
         B = np.full((3, 2), 0.5)
         with pytest.raises(ValueError):
-            DiscreteHMM(np.array([1.0, 0, 0]), A, B)
+            single(np.array([1.0, 0, 0]), A, B)
+        # in any class of the record, a backward step too
+        back = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="left-right support"):
+            stack([init_left_right(3, 2), single(np.array([1.0, 0, 0]), back, B)])
 
     def test_bad_row_sum_rejected(self):
         m = init_left_right(3, 2)
         bad_B = m.B.copy()
-        bad_B[0, 0] = 0.9
+        bad_B[0, 0, 0] = 0.9
         with pytest.raises(ValueError):
             DiscreteHMM(m.pi, m.A, bad_B)
 
+    def test_nan_class_hides_no_bad_row_sum(self):
+        # a NaN class passes the row-sum check, as a diverged training
+        # must; another class's bad row is still found
+        m = init_left_right(3, 2, 2)
+        B = m.B.copy()
+        B[0] = np.nan
+        B[1, 2, 0] = 0.9
+        with pytest.raises(ValueError, match="B row sums off by 4.00e-01"):
+            DiscreteHMM(m.pi, m.A, B)
+        B[1, 2, 0] = 0.5
+        assert len(DiscreteHMM(m.pi, m.A, B)) == 2
+
     def test_sizes_come_from_B(self):
         m = init_left_right(3, 7)
-        assert (m.n_states, m.n_symbols) == (3, 7)
-        single = DiscreteHMM(np.array([1.0]), np.array([[1.0]]), np.array([[0.25, 0.75]]))
-        assert (single.n_states, single.n_symbols) == (1, 2)
+        assert (len(m), m.n_states, m.n_symbols) == (1, 3, 7)
+        one = single(np.array([1.0]), np.array([[1.0]]), np.array([[0.25, 0.75]]))
+        assert (len(one), one.n_states, one.n_symbols) == (1, 1, 2)
+        assert len(init_left_right(3, 7, 5)) == 5
 
-    @pytest.mark.parametrize("B", [np.array([0.5, 0.5]), np.array([]),
-                                   np.empty((1, 0)), np.full((1, 1, 1), 1.0)])
+    @pytest.mark.parametrize("B", [np.full((1, 2), 0.5), np.array([]),
+                                   np.empty((1, 1, 0)), np.full((1, 1, 1, 1), 1.0)])
     def test_B_must_be_a_non_empty_matrix(self, B):
         with pytest.raises(ValueError, match="B must be a non-empty"):
-            DiscreteHMM(np.array([1.0]), np.array([[1.0]]), B)
+            DiscreteHMM(np.array([[1.0]]), np.array([[[1.0]]]), B)
+
+    def test_zero_classes_rejected(self):
+        # a record holds at least one class
+        with pytest.raises(ValueError, match="B must be a non-empty"):
+            DiscreteHMM(np.empty((0, 2)), np.empty((0, 2, 2)), np.empty((0, 2, 3)))
 
     def test_pi_and_A_must_match_B(self):
         m = init_left_right(3, 2)
         with pytest.raises(ValueError, match="for 3 states"):
-            DiscreteHMM(m.pi[:2], m.A, m.B)
+            DiscreteHMM(m.pi[:, :2], m.A, m.B)
         with pytest.raises(ValueError, match="for 3 states"):
-            DiscreteHMM(m.pi, m.A[:2, :2], m.B)
+            DiscreteHMM(m.pi, m.A[:, :2, :2], m.B)
+        with pytest.raises(ValueError, match=r"\(2, 3, 3\) for 3 states"):
+            DiscreteHMM(np.concatenate([m.pi] * 2), m.A, np.concatenate([m.B] * 2))
+
+    def test_iteration_yields_one_class_views(self):
+        m = stack([init_left_right(3, 2), random_left_right(np.random.default_rng(2), 3, 2)])
+        views = list(m)
+        assert len(views) == 2
+        for j, view in enumerate(views):
+            assert len(view) == 1
+            for name in ("pi", "A", "B"):
+                assert getattr(view, name).base is not None
+                np.testing.assert_array_equal(getattr(view, name)[0], getattr(m, name)[j])
 
 
 class TestGestureResponse:
@@ -140,8 +187,7 @@ class TestForward:
         assert abs(ll - math.log(0.125)) < 1e-12
 
     def test_impossible_symbol_gives_neg_inf(self):
-        m = DiscreteHMM(np.array([1.0]), np.array([[1.0]]),
-                        np.array([[1.0, 0.0]]))
+        m = single(np.array([1.0]), np.array([[1.0]]), np.array([[1.0, 0.0]]))
         assert forward_log_likelihood(m, np.array([0, 1])) == float("-inf")
 
     def test_matches_path_enumeration(self):
@@ -175,6 +221,10 @@ class TestForward:
         with pytest.raises(EmptyInputError):
             forward_log_likelihood(m, np.array([], dtype=int))
 
+    def test_scores_one_class_only(self):
+        with pytest.raises(ValueError, match="scores one model, got 2"):
+            forward_log_likelihood(init_left_right(2, 3, 2), np.array([0, 1]))
+
     def test_accepts_any_integer_sequence(self):
         m = init_left_right(2, 3)
         want = forward_log_likelihood(m, np.array([0, 1, 2]))
@@ -187,11 +237,11 @@ class TestForward:
         with pytest.raises(ValueError):
             forward_log_likelihood(m, np.array([1, -2]))
         with pytest.raises(ValueError):
-            classify_gesture([m, m], np.array([1, -2]))
+            classify_gesture(stack([m, m]), np.array([1, -2]))
         with pytest.raises(ValueError):
             baum_welch(m, [np.array([0, 1]), np.array([1, -2])], max_iter=50, tol=1e-6)
         with pytest.raises(EmptyInputError):
-            classify_gesture([m], np.array([], dtype=np.int64))
+            classify_gesture(m, np.array([], dtype=np.int64))
 
 
 class TestBaumWelch:
@@ -199,7 +249,7 @@ class TestBaumWelch:
         m = init_left_right(3, 5)
         train = [np.zeros(12, dtype=int) for _ in range(4)]
         trained, report = baum_welch(m, train, max_iter=20, tol=1e-6)
-        assert np.all(trained.B[:, 0] >= 1.0 - 5 * EPS_P)
+        assert np.all(trained.B[0, :, 0] >= 1.0 - 5 * EPS_P)
         assert report.iterations >= 1
 
     def test_max_iter_zero_is_noop(self):
@@ -232,10 +282,10 @@ class TestBaumWelch:
         off = ~np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool)
         for iters in range(1, 9):
             m, _ = baum_welch(init, train, max_iter=iters, tol=-math.inf)
-            assert np.all(m.A[off] == 0.0)
-            np.testing.assert_allclose(m.A.sum(axis=1), 1.0, atol=1e-9)
-            np.testing.assert_allclose(m.B.sum(axis=1), 1.0, atol=1e-9)
-            np.testing.assert_array_equal(m.pi, [1.0, 0.0, 0.0])
+            assert np.all(m.A[0][off] == 0.0)
+            np.testing.assert_allclose(m.A.sum(axis=-1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(m.B.sum(axis=-1), 1.0, atol=1e-9)
+            np.testing.assert_array_equal(m.pi, [[1.0, 0.0, 0.0]])
             assert np.all(m.B >= EPS_P * (1 - 1e-12))
 
     def test_beats_generator_on_training_set(self):
@@ -262,7 +312,7 @@ class TestBaumWelch:
         with pytest.raises(TypeError):
             baum_welch(m, train, max_iter=5)
         with pytest.raises(TypeError):
-            baum_welch_classes([m], [train])
+            baum_welch_classes(m, [train])
 
     def test_iterations_count_the_log_likelihoods(self):
         m = init_left_right(2, 3)
@@ -281,7 +331,7 @@ class TestClassifyGesture:
     def test_identical_models_tie_to_class_zero(self):
         m = init_left_right(3, 4)
         obs = np.array([0, 1, 2, 3])
-        resp = classify_gesture([m, m, m], obs)
+        resp = classify_gesture(stack([m, m, m]), obs)
         assert resp.best_class == 0
         assert np.all(resp.values == resp.values[0])
 
@@ -290,13 +340,13 @@ class TestClassifyGesture:
         const = [np.full(10, 2)] * 4
         specialist, _ = baum_welch(init_left_right(2, 5), const, max_iter=20, tol=1e-6)
         rival = init_left_right(2, 5)
-        resp = classify_gesture([rival, specialist], np.full(10, 2))
+        resp = classify_gesture(stack([rival, specialist]), np.full(10, 2))
         assert resp.best_class == 1
 
     def test_length_normalization(self):
         m = init_left_right(2, 3)
         obs = np.array([0, 1, 2, 0, 1, 2])
-        resp = classify_gesture([m], obs)
+        resp = classify_gesture(m, obs)
         raw = forward_log_likelihood(m, obs)
         assert abs(resp.values[0] - raw / 6) < 1e-12
 
@@ -305,18 +355,8 @@ class TestClassifyGesture:
         for trial in range(20):
             models = [random_left_right(rng, 2, 4) for _ in range(3)]
             obs = rng.integers(0, 4, size=5)
-            resp = classify_gesture(models, obs)
+            resp = classify_gesture(stack(models), obs)
             oracle = np.array([enumerate_log_likelihood(m, obs) for m in models]) / 5
             np.testing.assert_allclose(resp.values, oracle, rtol=1e-9)
             assert resp.best_class == int(oracle.argmax())
 
-    def test_models_must_agree_on_shape(self):
-        obs = np.array([0, 1])
-        with pytest.raises(ValueError, match="alphabet"):
-            classify_gesture([init_left_right(2, 3), init_left_right(2, 4)], obs)
-        with pytest.raises(ValueError, match="number of states"):
-            classify_gesture([init_left_right(2, 3), init_left_right(3, 3)], obs)
-
-    def test_no_models_rejected(self):
-        with pytest.raises(EmptyInputError):
-            classify_gesture([], np.array([0]))

@@ -35,16 +35,19 @@ from signflow.hmm import (
 )
 from signflow.skeleton import EmptyInputError
 
+from hmm_records import arrays, single, stack
+
 
 def oracle_forward(hmm, obs):
     """(alpha_hat, c) of one sequence, or (None, None) at probability zero."""
+    pi, A, B = arrays(hmm)
     T = obs.shape[0]
     alpha = np.empty((T, hmm.n_states))
     c = np.empty(T)
-    a = hmm.pi * hmm.B[:, obs[0]]
+    a = pi * B[:, obs[0]]
     for t in range(T):
         if t > 0:
-            a = (alpha[t - 1] @ hmm.A) * hmm.B[:, obs[t]]
+            a = (alpha[t - 1] @ A) * B[:, obs[t]]
         s = a.sum()
         if s <= 0.0:
             return None, None
@@ -59,17 +62,19 @@ def oracle_log_likelihood(hmm, obs):
 
 
 def oracle_backward(hmm, obs, c):
+    _, A, B = arrays(hmm)
     T = obs.shape[0]
     beta = np.empty((T, hmm.n_states))
     beta[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
-        beta[t] = (hmm.A @ (hmm.B[:, obs[t + 1]] * beta[t + 1])) / c[t + 1]
+        beta[t] = (A @ (B[:, obs[t + 1]] * beta[t + 1])) / c[t + 1]
     return beta
 
 
 def oracle_baum_welch(hmm, seqs, max_iter, tol):
-    """Multi-sequence EM with one forward pass per sequence."""
-    pi, A, B = hmm.pi.copy(), hmm.A.copy(), hmm.B.copy()
+    """Multi-sequence EM with one forward pass per sequence, on a one-class
+    record."""
+    pi, A, B = (x.copy() for x in arrays(hmm))
     pi_sup, A_sup, B_sup = pi > 0.0, A > 0.0, B > 0.0
     report = TrainReport()
     for _ in range(max_iter):
@@ -77,7 +82,7 @@ def oracle_baum_welch(hmm, seqs, max_iter, tol):
         A_cnt = np.zeros_like(A)
         B_cnt = np.zeros_like(B)
         total_ll = 0.0
-        cur = DiscreteHMM(pi, A, B)
+        cur = single(pi, A, B)
         for obs in seqs:
             alpha, c = oracle_forward(cur, obs)
             if alpha is None:
@@ -100,7 +105,7 @@ def oracle_baum_welch(hmm, seqs, max_iter, tol):
                       for i in range(hmm.n_states)])
         B = np.stack([_floor_row(B_cnt[i], B_sup[i], B[i], EPS_P)
                       for i in range(hmm.n_states)])
-    return DiscreteHMM(pi, A, B), report
+    return single(pi, A, B), report
 
 
 def random_left_right(rng, n, k):
@@ -111,15 +116,16 @@ def random_left_right(rng, n, k):
     A[n - 1, n - 1] = 1.0
     B = rng.uniform(0.01, 1.0, size=(n, k))
     B /= B.sum(axis=1, keepdims=True)
-    return DiscreteHMM(rng.dirichlet(np.ones(n)), A, B)
+    return single(rng.dirichlet(np.ones(n)), A, B)
 
 
 def sample(rng, hmm, T):
-    """One length-T symbol sequence drawn from hmm."""
-    state, out = int(rng.choice(hmm.n_states, p=hmm.pi)), []
+    """One length-T symbol sequence drawn from a one-class hmm."""
+    pi, A, B = arrays(hmm)
+    state, out = int(rng.choice(hmm.n_states, p=pi)), []
     for _ in range(T):
-        out.append(int(rng.choice(hmm.n_symbols, p=hmm.B[state])))
-        state = int(rng.choice(hmm.n_states, p=hmm.A[state]))
+        out.append(int(rng.choice(hmm.n_symbols, p=B[state])))
+        state = int(rng.choice(hmm.n_states, p=A[state]))
     return np.array(out)
 
 
@@ -171,12 +177,13 @@ def exact_log_likelihood(hmm, obs):
         exp = max(f.denominator.bit_length() - 1 for f in fr)
         return [int(f * 2 ** exp) for f in fr], exp
 
+    pi, A, B = arrays(hmm)
     n = hmm.n_states
-    alpha, scale = dyadic(hmm.pi * hmm.B[:, obs[0]])
+    alpha, scale = dyadic(pi * B[:, obs[0]])
     steps = {}
     for o in obs[1:]:
         if o not in steps:
-            steps[o] = dyadic((hmm.A * hmm.B[:, o]).ravel())
+            steps[o] = dyadic((A * B[:, o]).ravel())
         M, exp = steps[o]
         alpha = [sum(alpha[i] * M[i * n + j] for i in range(n)) for j in range(n)]
         scale += exp
@@ -211,7 +218,7 @@ def padded_emissions(hmm, seqs):
     T = max(s.shape[0] for s in seqs)
     out = np.ones((T, len(seqs), hmm.n_states))
     for r, s in enumerate(seqs):
-        out[:s.shape[0], r] = hmm.B[:, s].T
+        out[:s.shape[0], r] = hmm.B[0][:, s].T
     return out
 
 
@@ -227,9 +234,9 @@ class TestStackedForward:
         rng = np.random.default_rng(seed)
         models = [random_left_right(rng, n, k) for _ in range(C)]
         obs = rng.integers(0, k, size=T)
-        emissions = np.stack([m.B for m in models]).transpose(2, 0, 1)[obs]
-        alpha, c = _scaled_forward(np.stack([m.pi for m in models]),
-                                   np.stack([m.A for m in models]), emissions)
+        hmm = stack(models)
+        emissions = hmm.B.transpose(2, 0, 1)[obs]
+        alpha, c = _scaled_forward(hmm.pi, hmm.A, emissions)
         want = [oracle_forward(m, obs) for m in models]
         for r, (alpha_r, c_r) in enumerate(want):
             assert same(alpha[:, r], alpha_r)
@@ -240,7 +247,7 @@ class TestStackedForward:
         q = block_length(models, T)
         tol = [forward_bound(T, n, q, ll) + forward_bound(T, n, 1, ll)
                for ll in lls]
-        assert_scores_close(classify_gesture(models, obs).values * T, lls,
+        assert_scores_close(classify_gesture(hmm, obs).values * T, lls,
                             np.array(tol) + 2 * UNIT * np.abs(lls))
         for m, ll, t in zip(models, lls, tol):
             assert_scores_close([forward_log_likelihood(m, obs)], [ll], [t])
@@ -254,14 +261,14 @@ class TestStackedForward:
         good = [random_left_right(rng, n, k) for _ in range(2)]
         obs = rng.integers(0, k, size=T)
         B = good[0].B.copy()
-        B[:, obs[at]] = 0.0  # the sequence turns impossible at step `at`
-        B /= B.sum(axis=1, keepdims=True)
+        B[..., obs[at]] = 0.0  # the sequence turns impossible at step `at`
+        B /= B.sum(axis=-1, keepdims=True)
         zero = DiscreteHMM(good[0].pi, good[0].A, B)
-        nan = DiscreteHMM(good[1].pi, good[1].A, np.full((n, k), np.nan))
+        nan = DiscreteHMM(good[1].pi, good[1].A, np.full((1, n, k), np.nan))
         models = [good[0], zero, nan, good[1]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = classify_gesture(models, obs).values
+            values = classify_gesture(stack(models), obs).values
             assert forward_log_likelihood(zero, obs) == NEG_INF
             assert np.isnan(forward_log_likelihood(nan, obs))
         want = np.array([oracle_log_likelihood(m, obs) for m in models])
@@ -278,8 +285,7 @@ class TestStackedForward:
         rng = np.random.default_rng(seed)
         hmm = random_left_right(rng, n, k)
         seqs = [rng.integers(0, k, size=T) for T in lengths]
-        alpha, c = _scaled_forward(hmm.pi[None], hmm.A[None],
-                                   padded_emissions(hmm, seqs))
+        alpha, c = _scaled_forward(hmm.pi, hmm.A, padded_emissions(hmm, seqs))
         for r, obs in enumerate(seqs):
             alpha_r, c_r = oracle_forward(hmm, obs)
             assert same(alpha[:obs.shape[0], r], alpha_r)
@@ -289,15 +295,14 @@ class TestStackedForward:
 def tiny_entry_model(rng, n, k, exponent):
     """A random left-right model with one advance probability and one
     emission near 10^-exponent, below EPS_P once exponent > 6."""
-    m = random_left_right(rng, n, k)
-    A, B = m.A.copy(), m.B.copy()
+    pi, A, B = (x.copy() for x in arrays(random_left_right(rng, n, k)))
     if n > 1:
         i = int(rng.integers(n - 1))
         A[i, i + 1] = 10.0 ** -exponent
         A[i, i] = 1.0 - A[i, i + 1]
     B[int(rng.integers(n)), int(rng.integers(k))] = 10.0 ** -exponent
     B /= B.sum(axis=1, keepdims=True)
-    return DiscreteHMM(m.pi, A, B)
+    return single(pi, A, B)
 
 
 class TestBlockForward:
@@ -335,7 +340,7 @@ class TestBlockForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = [forward_log_likelihood(m, obs) for m in models]
-            resp = classify_gesture(models, obs)
+            resp = classify_gesture(stack(models), obs)
         assert_scores_close(got, want, tol)
         assert_scores_close(resp.values * T, want, tol + 2 * UNIT * np.abs(want))
         # the order is settled wherever the exact top-two margin exceeds
@@ -354,14 +359,14 @@ class TestBlockForward:
         n, T = 3, 5000
         A = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
         B = np.tile([EPS_P, 1.0 - EPS_P], (n, 1))
-        hmm = DiscreteHMM(np.array([1.0, 0.0, 0.0]), A, B)
+        hmm = single(np.array([1.0, 0.0, 0.0]), A, B)
         obs = np.zeros(T, dtype=np.int64)
         want = exact_log_likelihood(hmm, obs)
         got = forward_log_likelihood(hmm, obs)
         assert math.isfinite(got)
         assert abs(got - want) <= forward_bound(T, n, 16, want) + oracle_slack(want)
         rival = init_left_right(n, 2)
-        resp = classify_gesture([hmm, rival], obs)
+        resp = classify_gesture(stack([hmm, rival]), obs)
         assert resp.best_class == 1 and np.isfinite(resp.values).all()
 
 
@@ -384,13 +389,11 @@ class TestStackedBaumWelch:
 
     def test_zero_probability_sequence_rejected_nan_model_not(self):
         # B puts no mass on symbol 1, so the second sequence is impossible
-        m = DiscreteHMM(np.array([1.0]), np.array([[1.0]]),
-                        np.array([[1.0, 0.0]]))
+        m = single(np.array([1.0]), np.array([[1.0]]), np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="zero probability"):
             baum_welch(m, [np.array([0, 0, 0]), np.array([0, 1])], max_iter=1,
                        tol=1e-6)
-        nan = DiscreteHMM(np.array([1.0]), np.array([[1.0]]),
-                          np.full((1, 2), np.nan))
+        nan = single(np.array([1.0]), np.array([[1.0]]), np.full((1, 2), np.nan))
         trained, report = baum_welch(nan, [np.array([0, 0, 0]), np.array([1])],
                                      max_iter=2, tol=1e-6)
         assert np.isnan(report.log_likelihoods).all()
@@ -428,6 +431,14 @@ def random_classes(seed, n, k, lengths):
     return inits, trainings
 
 
+def train_classes(inits, trainings, max_iter, tol):
+    """(one-class model, report) per class of one baum_welch_classes run
+    over the stack of inits."""
+    trained, reports = baum_welch_classes(stack(inits), trainings, max_iter, tol)
+    assert len(trained) == len(reports) == len(inits)
+    return list(zip(trained, reports))
+
+
 class TestBaumWelchClasses:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), ragged_classes,
@@ -438,7 +449,7 @@ class TestBaumWelchClasses:
     def test_each_class_equals_its_own_oracle_run(self, n, k, lengths, iters,
                                                   tol, seed):
         inits, trainings = random_classes(seed, n, k, lengths)
-        got = baum_welch_classes(inits, trainings, iters, tol)
+        got = train_classes(inits, trainings, iters, tol)
         assert len(got) == len(inits)
         for pair, init, seqs in zip(got, inits, trainings):
             assert same_training(pair, oracle_baum_welch(init, seqs, iters, tol))
@@ -452,7 +463,7 @@ class TestBaumWelchClasses:
         trainings.insert(1, [np.full(25, 2), np.full(9, 2)])
         inits.append(random_left_right(rng, 3, 4))
         trainings.append([np.arange(35) % 4])
-        got = baum_welch_classes(inits, trainings, 40, 1e-3)
+        got = train_classes(inits, trainings, 40, 1e-3)
         stops = [report.iterations for _, report in got]
         assert len(set(stops)) > 2 and max(stops) == 40
         assert [r.converged for _, r in got] == [s < 40 for s in stops]
@@ -465,9 +476,9 @@ class TestBaumWelchClasses:
         good = [[sample(rng, random_left_right(rng, 8, 5), T) for T in lengths]
                 for lengths in ([60, 45, 80], [33, 70])]
         init = init_left_right(8, 5)
-        alone = baum_welch_classes([init] * 2, good, 30, 1e-4)
-        mixed = baum_welch_classes([init] * 3, [good[0], degenerate_class(), good[1]],
-                                   30, 1e-4)
+        alone = train_classes([init] * 2, good, 30, 1e-4)
+        mixed = train_classes([init] * 3, [good[0], degenerate_class(), good[1]],
+                              30, 1e-4)
         nan_model, nan_report = mixed[1]
         assert np.isnan(nan_model.B).any() and nan_report.iterations == 30
         assert same_training(mixed[1],
@@ -480,26 +491,32 @@ class TestBaumWelchClasses:
         def train(models, trainings):
             return baum_welch_classes(models, trainings, max_iter=50, tol=1e-6)
 
-        init = init_left_right(2, 3)
+        # a record of no classes, or of classes of different shapes, cannot
+        # be built (tests/test_hmm.py::TestDiscreteHMMValidation)
+        two = init_left_right(2, 3, 2)
         ok = [np.array([0, 1, 2])]
-        with pytest.raises(EmptyInputError, match="no class models"):
-            train([], [])
-        with pytest.raises(ValueError, match="one training set per model"):
-            train([init, init], [ok])
+        with pytest.raises(ValueError, match="one training set per class model"):
+            train(two, [ok])
+        with pytest.raises(ValueError, match="one training set per class model"):
+            train(two, [ok, ok, ok])
         with pytest.raises(EmptyInputError, match="no training sequences"):
-            train([init, init], [ok, []])
+            train(two, [ok, []])
         with pytest.raises(EmptyInputError, match="empty observation"):
-            train([init, init], [ok, [np.array([], dtype=int)]])
+            train(two, [ok, [np.array([], dtype=int)]])
         for bad in (np.array([0, 3]), np.array([-1, 0])):
             with pytest.raises(ValueError, match="training symbol out of range"):
-                train([init, init], [ok, [bad]])
-        with pytest.raises(ValueError, match="number of states"):
-            train([init, init_left_right(3, 3)], [ok, ok])
-        with pytest.raises(ValueError, match="symbol alphabet size"):
-            train([init, init_left_right(2, 4)], [ok, ok])
+                train(two, [ok, [bad]])
         # B of the second class puts no mass on symbol 1
-        blind = DiscreteHMM(np.array([1.0]), np.array([[1.0]]),
-                            np.array([[0.5, 0.0, 0.5]]))
+        blind = single(np.array([1.0]), np.array([[1.0]]), np.array([[0.5, 0.0, 0.5]]))
         with pytest.raises(ValueError, match="zero probability"):
-            train([init_left_right(1, 3), blind],
+            train(stack([init_left_right(1, 3), blind]),
                   [ok, [np.array([0, 2]), np.array([2, 1, 0])]])
+
+    def test_input_record_is_not_modified(self):
+        inits, trainings = random_classes(3, 3, 4, [[9, 5], [12]])
+        hmm = stack(inits)
+        before = [getattr(hmm, p).copy() for p in ("pi", "A", "B")]
+        trained, _ = baum_welch_classes(hmm, trainings, 5, -np.inf)
+        for p, want in zip(("pi", "A", "B"), before):
+            assert getattr(hmm, p).tobytes() == want.tobytes()
+            assert not np.shares_memory(getattr(trained, p), getattr(hmm, p))

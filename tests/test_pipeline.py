@@ -90,13 +90,16 @@ class TestConfig:
         ("sc_sample_cap", -2), ("sc_sample_cap", 2.5), ("sc_sample_cap", "5"),
         ("hmm_iters", -1), ("gesture_k", 0), ("epochs", float("inf")),
         ("hmm_tol", float("nan")), ("hmm_tol", float("inf")), ("hmm_tol", -1e-4),
-        ("hmm_tol", "0.1"), ("gesture_k", True), ("sc_sample_cap", False),
+        ("hmm_tol", "0.1"), ("hmm_tol", True), ("hmm_tol", False),
+        ("gesture_k", True), ("sc_sample_cap", False),
         ("seed", 1.5), ("seed", "7"), ("seed", True), ("seed", float("nan")),
         ("seed", None),
         ("posture_cost", float("inf")), ("posture_cost", float("nan")),
         ("posture_cost", -1), ("posture_cost", 0.0), ("posture_cost", "0.8"),
         ("posture_cost", True), ("fusion_cost", float("inf")),
         ("fusion_cost", float("nan")), ("fusion_cost", -1), ("fusion_cost", 0),
+        ("fusion_cost", True),
+        pytest.param("posture_cost", 10 ** 400, id="posture_cost-huge-int"),
     ])
     def test_bad_number_rejected_by_name(self, key, value):
         with pytest.raises(ValueError, match=key):

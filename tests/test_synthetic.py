@@ -1,5 +1,6 @@
 """Tests for the synthetic corpus generator."""
 
+import json
 import re
 
 import numpy as np
@@ -12,9 +13,9 @@ from signflow.skeleton import JointId, UPPER_BODY
 from signflow.synthetic import (
     ClassSpec,
     SyntheticConfig,
+    config_doc,
     generate_synthetic_corpus,
     load_synthetic_config,
-    save_synthetic_config,
     write_corpus,
 )
 
@@ -208,7 +209,7 @@ class TestWriteCorpus:
                               frame_count_range=(10, 20), seed=42,
                               subjects=(3, 1, 2), subject_scale=1.5)
         p = tmp_path / "cfg.json"
-        save_synthetic_config(cfg, p)
+        p.write_text(json.dumps(config_doc(cfg), indent=2) + "\n")
         back = load_synthetic_config(p)
         assert back == cfg
 
@@ -221,6 +222,21 @@ class TestValidation:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             SyntheticConfig(classes=two_anchor_classes(), noise=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise", True), ("noise", float("inf")), ("noise", float("nan")),
+        ("noise", "0.1"), ("noise", None),
+        pytest.param("noise", 10 ** 400, id="noise-huge-int"),
+        ("subject_scale", False), ("subject_scale", float("inf")),
+        ("subject_scale", -1.0)])
+    def test_non_real_value_rejected(self, field, value):
+        # a bool read as 1.0 was 100 times the default noise
+        with pytest.raises(ValueError, match=f"{field} must be a finite number >= 0"):
+            SyntheticConfig(classes=two_anchor_classes(), **{field: value})
+
+    def test_real_values_accepted(self):
+        cfg = SyntheticConfig(classes=two_anchor_classes(), noise=0, subject_scale=1)
+        assert (cfg.noise, cfg.subject_scale) == (0, 1)
 
     def test_active_hand_anchor_rejected(self):
         with pytest.raises(ValueError):
@@ -281,7 +297,8 @@ class TestValidation:
 
     def test_fractional_template_in_a_file_names_the_file(self, tmp_path):
         p = tmp_path / "cfg.json"
-        save_synthetic_config(SyntheticConfig(classes=two_anchor_classes()), p)
+        p.write_text(json.dumps(config_doc(SyntheticConfig(classes=two_anchor_classes())),
+                                indent=2) + "\n")
         p.write_text(p.read_text().replace('"template": 0', '"template": 0.5', 1))
         with pytest.raises(CorruptFileError, match=rf"^{re.escape(str(p))}: "
                                                    r"unknown trajectory template 0\.5"):
