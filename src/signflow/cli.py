@@ -47,7 +47,11 @@ DESCRIPTOR_CHOICES = tuple(v.value for v in DescriptorVariant)
 
 
 def _seed_fallback() -> int:
-    return int(os.environ.get("SIGNFLOW_SEED", "0"))
+    value = os.environ.get("SIGNFLOW_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise SignflowError(f"SIGNFLOW_SEED: expected an integer, got {value!r}") from None
 
 
 def _float_list(values) -> str:

@@ -5,9 +5,10 @@ Descriptor streams are re-encoded as sequences of nearest-center indices
 z-normalized space; `quantize_batch` applies the stored normalization before
 the nearest-neighbor lookup, so callers always pass raw descriptors.
 
-Every lookup is defined by `cdist`'s squared distances and their argmin,
-ties to the lowest index. `_nearest` gets the same labels from one GEMM and
-sends only the rows whose answer it cannot prove back to `cdist`.
+Every lookup is defined by `_sq_dists` (left-to-right sums, cdist's bytes)
+and its argmin, ties to the lowest index. `_nearest` gets the same labels
+from one GEMM and sends only the rows whose answer it cannot prove back to
+`_sq_dists`; the k-means++ seeding screens each new center the same way.
 """
 
 from __future__ import annotations
@@ -16,13 +17,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .descriptors import DescriptorVariant, ZNormStats, fit_znorm
 from .skeleton import EmptyInputError
 
 DEFAULT_K = 100
 DEFAULT_MAX_ITER = 100
+
+# elements per chunk of distance work: a chunk's matrix is about 1 MB
+_CHUNK_ELEMENTS = 1 << 17
+_F32_MAX = float(np.finfo(np.float32).max)
+_UNIT = 2.0 ** -53  # unit roundoff of float64
+_TINY = 2.0 ** -1074  # smallest subnormal float64
 
 
 @dataclass
@@ -66,52 +72,43 @@ class Codebook:
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # the reference distances: cdist accumulates (x_i - y_i)^2 left to
-    # right, the same order the linear-scan oracle uses, so argmin ties
-    # resolve identically; `_nearest` falls back to it
-    return cdist(points, centers, "sqeuclidean")
+    """Exact squared distances (n, k), summed left to right as cdist sums."""
+    size = max(1, _CHUNK_ELEMENTS // centers.size)
+    with np.errstate(over="ignore"):  # a too-large term is inf, as in cdist
+        return np.concatenate([np.add.accumulate(
+            np.square(points[i:i + size, None] - centers), axis=2)[..., -1]
+            for i in range(0, len(points), size)])
 
 
 def _row_sq_norms(rows: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # inf sends the row to cdist
+    with np.errstate(over="ignore"):  # inf sends the row to `_sq_dists`
         return np.einsum("ij,ij->i", rows, rows)
 
 
-_UNIT = 2.0 ** -53  # unit roundoff of float64
-_TINY = 2.0 ** -1074  # smallest subnormal float64
-
-
-def _nearest(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
-             center_sq: np.ndarray):
-    """`cdist(points, centers, "sqeuclidean").argmin(axis=1)`, mostly by GEMM.
-
-    `point_sq` and `center_sq` hold the squared row norms (`_row_sq_norms`).
-    Returns (labels, dist2, err). Row i of `dist2` holds the GEMM distances
-    d~ = |z|^2 - 2 z.c + |c|^2 of finite rows z, and `err[i]`
-    bounds |d~ - d| for every center of that row, d being the exact
-    squared distance; the rows sent to cdist hold its values and err 0.
+def _gemm_sq_dists(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
+                   center_sq: np.ndarray):
+    """The GEMM distances d~ = |z|^2 - 2 z.c + |c|^2, (n, k), from the squared
+    row norms `point_sq` and `center_sq`, and per row a bound `err` with
+    |d~ - d| + |e - d| <= err / 2 for every center, d being the exact
+    squared distance and e its `_sq_dists` value.
 
     Proof. Write X = (|z| + max|c|)^2 and g = gamma_{D+2} = m u / (1 - m u),
     m = D + 2, u = 2**-53 (Higham, "Accuracy and Stability of Numerical
     Algorithms", ch. 3; any summation order, with or without FMA). Without
     underflow, the three length-D sums err by at most gamma_D times their
     absolute terms, so with Cauchy-Schwarz the two roundings of the sum
-    d~ leave |d~ - d| <= g X. cdist rounds each difference, its square and
-    the D - 1 additions of non-negative terms, so |cdist - d| <= g d <= g X.
-    Each product that underflows adds at most 2**-1075; summing is exact
-    there, so the five sums add at most 5 D 2**-1075. Hence
-        |d~ - d| + |cdist - d| <= 2 g X + 2.5 D 2**-1074,
-    and `err` = g (2 sqrt(X))^2 + (5 D + 8) 2**-1074 is at least twice
-    that. The factor 2 also covers the rounding of the norms and of `err`
-    (relatively gamma_D + 6u), and that of the threshold below and of the
-    d~ - err `fit_kmeans` takes (about u X each). A finite `err` means
-    4 X fits in float64, so no sum overflowed and every d~ of the row is
-    finite. A row is settled when its threshold, the best d~ plus 2 err,
-    is finite and no other center's d~ reaches it: then every other cdist
-    value exceeds the best one's, so cdist's argmin, ties included, is the
-    same center. Every other row goes through cdist.
+    d~ leave |d~ - d| <= g X. `_sq_dists` rounds each difference, its
+    square and the D - 1 additions of non-negative terms, so
+    |e - d| <= g d <= g X. Each product that underflows adds at most
+    2**-1075; summing is exact there, so the five sums add at most
+    5 D 2**-1075. Hence |d~ - d| + |e - d| <= 2 g X + 2.5 D 2**-1074, and
+    `err` = g (2 sqrt(X))^2 + (5 D + 8) 2**-1074 is at least twice that.
+    The factor 2 also covers the rounding of the norms and of `err`
+    (relatively gamma_D + 6u), and that of the thresholds the callers
+    compare d~ with (about u X each). A finite `err` means 4 X fits in
+    float64, so no sum overflowed and every d~ of the row is finite.
     """
-    n, dim = points.shape
+    dim = points.shape[1]
     m = dim + 2
     gamma = m * _UNIT / (1.0 - m * _UNIT)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -121,8 +118,22 @@ def _nearest(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
         dist2 += center_sq
         scale = 2.0 * (np.sqrt(point_sq) + np.sqrt(center_sq.max()))
         err = gamma * (scale * scale) + (5 * dim + 8) * _TINY
-        best = dist2.argmin(axis=1)
-        limit = dist2[np.arange(n), best] + 2.0 * err
+    return dist2, err
+
+
+def _nearest(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
+             center_sq: np.ndarray):
+    """`_sq_dists(points, centers).argmin(axis=1)`, mostly by GEMM.
+
+    Returns (labels, dist2, err): `_gemm_sq_dists`'s d~ and err on rows
+    whose threshold, the best d~ plus 2 err, is finite and reached by no
+    other d~ (so every other exact value exceeds the best one's), else
+    `_sq_dists`'s values and err 0.
+    """
+    dist2, err = _gemm_sq_dists(points, point_sq, centers, center_sq)
+    best = dist2.argmin(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        limit = dist2[np.arange(len(points)), best] + 2.0 * err
         near = (dist2 <= limit[:, None]).sum(axis=1, dtype=np.uint32)
     loose = np.flatnonzero((near != 1) | ~np.isfinite(limit))
     if loose.size:
@@ -134,11 +145,8 @@ def _nearest(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
 
 
 def _paired_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distance of each row of `points` to the same row of `centers`.
-
-    The running sum goes left to right over the columns, as cdist's does,
-    so each value equals cdist's bytes.
-    """
+    """Squared distance of each row of `points` to the same (or the one)
+    row of `centers`, summed left to right: `_sq_dists`'s bytes."""
     diff = points - centers
     diff *= diff
     total = diff[:, 0].copy()
@@ -147,11 +155,15 @@ def _paired_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return total
 
 
-def _kmeans_pp_seed(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_seed(data: np.ndarray, data_sq: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """k-means++ centers, drawn with probability d2 / sum(d2), d2 the exact
+    squared distance to the nearest center so far. A row whose GEMV d~
+    exceeds d2 + err cannot get nearer; only the rest get exact values."""
     n = data.shape[0]
     centers = np.empty((k, data.shape[1]), dtype=np.float64)
     centers[0] = data[int(rng.integers(n))]
-    d2 = _sq_dists(data, centers[0:1]).ravel()
+    d2 = _paired_sq_dists(data, centers[0:1])
     for i in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -160,13 +172,10 @@ def _kmeans_pp_seed(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
             # all remaining points coincide with a chosen center
             idx = int(rng.integers(n))
         centers[i] = data[idx]
-        d2 = np.minimum(d2, _sq_dists(data, centers[i:i + 1]).ravel())
+        approx, err = _gemm_sq_dists(data, data_sq, centers[i:i + 1], data_sq[idx:idx + 1])
+        rows = np.flatnonzero(~(approx[:, 0] > d2 + err))
+        d2[rows] = np.minimum(d2[rows], _paired_sq_dists(data[rows], centers[i:i + 1]))
     return centers
-
-
-# rows per chunk of distance work: a chunk's distance matrix is about 1 MB
-_CHUNK_ELEMENTS = 1 << 17
-_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _chunks(rows: np.ndarray, size: int):
@@ -180,9 +189,10 @@ def _chunks(rows: np.ndarray, size: int):
 def _lower_bounds(dist2: np.ndarray) -> np.ndarray:
     """float32 values <= sqrt(dist2) * (1 - 2**-22).
 
-    `dist2` is a cdist value or `_nearest`'s d~ - err, which is at most the
-    exact squared distance. The relative gap is far larger than cdist's own
-    rounding error, so each bound is below the exact distance.
+    `dist2` is a `_sq_dists` value or `_nearest`'s d~ - err, which is at
+    most the exact squared distance. The relative gap is far larger than
+    `_sq_dists`'s own rounding error, so each bound is below the exact
+    distance.
     """
     return np.minimum(np.sqrt(dist2) * (1.0 - 2.0 ** -20) - 2.0 ** -149,
                       _F32_MAX).astype(np.float32)
@@ -228,7 +238,7 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
     per-center lower bounds from the triangle inequality (Elkan, ICML
     2003), and labels the other rows with `_nearest`; labels, ties, centers
     and `wcss_history` are exactly those of plain Lloyd passes over the
-    full cdist matrix.
+    full `_sq_dists` matrix.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
@@ -244,8 +254,8 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
     if not finite.all():
         raise ValueError(f"non-finite value in data row {int(finite.argmin())}")
 
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_seed(data, k, rng)
+    data_sq = _row_sq_norms(data)
+    centers = _kmeans_pp_seed(data, data_sq, k, np.random.default_rng(seed))
     # lower[j, i] <= distance from point i to center j, kept in float32 and
     # rounded down; +inf at the point's own center, which it never tests
     lower = np.full((k, n), -np.inf, dtype=np.float32)
@@ -254,7 +264,6 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
     moved = np.zeros(k, dtype=bool)
     shrink = np.zeros(k, dtype=np.float32)
     reach = _reach(data)
-    data_sq = _row_sq_norms(data)
     chunk = max(1, _CHUNK_ELEMENTS // max(k, dim))
     prev_labels = None
     history = []

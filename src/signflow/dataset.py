@@ -24,10 +24,9 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from . import __version__
-from .posture import PATCH, HandRegion, HandSide
+from .posture import PATCH, HandRegion, HandSide, _label
 from .skeleton import (
     EmptyInputError,
     JointId,
@@ -370,7 +369,7 @@ def save_mask_archive(dir_path, frames: list, comment: str = "") -> None:
 
 def _split_masks(masks: np.ndarray) -> np.ndarray:
     """Indices of the (N, h, w) stack's masks whose foreground is more than
-    one 8-connected component, found with one ndimage.label over the
+    one 8-connected component, found with one `_label` call over the
     stack cropped to its union bounding box. Labels are numbered in scan
     order and never join two masks, so a mask's component count is how
     far the running maximum label rises over it."""
@@ -379,7 +378,7 @@ def _split_masks(masks: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         return rows
     crop = masks[:, rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    labels, _ = ndimage.label(crop, structure=_IN_MASK_EIGHT)
+    labels, _ = _label(crop, _IN_MASK_EIGHT)
     top = np.maximum.accumulate(labels.reshape(len(masks), -1).max(axis=1))
     return np.flatnonzero(np.diff(top, prepend=0) > 1)
 

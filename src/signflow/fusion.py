@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .linear_model import (
     MulticlassLinearModel,
@@ -142,7 +141,8 @@ def kde_class_log_posteriors(model: KdeFusionModel, r) -> np.ndarray:
 
     p(R|c) is the product-Gaussian KDE of class c at R. One pass per block
     of equal-sized classes; each class's value takes the float steps of
-    its own one-class sum, ((logsumexp - log_norm) - log N) + log prior.
+    its own one-class sum, ((logsumexp - log_norm) - log N) + log prior,
+    by scipy's formula log1p(sum(exp(others - max)) / m) + log m + max.
     """
     q = _finite(r)
     if q.shape != (model.dimension,):
@@ -151,7 +151,14 @@ def kde_class_log_posteriors(model: KdeFusionModel, r) -> np.ndarray:
     lse = np.empty(model.n_classes)
     for members, points, bandwidths in model.blocks:
         z = (q - points) / bandwidths
-        lse[members] = logsumexp(-0.5 * (z * z).sum(axis=2), axis=1)
+        a = -0.5 * (z * z).sum(axis=2)
+        top = a.max(axis=1)
+        ties = a == top[:, None]
+        m = ties.sum(axis=1, dtype=np.float64)
+        a[ties] = -np.inf
+        with np.errstate(invalid="ignore"):  # NaN where every term is -inf
+            lse[members] = np.log1p(np.exp(a - top[:, None]).sum(axis=1) / m) + np.log(m) + top
+    lse[np.isnan(lse)] = -np.inf  # log(sum(exp(a))) of those classes
     return ((lse - model.log_norm) - model.log_count) + model.log_prior
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage
 
 from .codebook import Codebook, quantize_batch
 from .linear_model import MulticlassLinearModel, fit_multiclass_linear, response
@@ -47,6 +46,12 @@ RING_EDGES = INNER_RADIUS * (OUTER_RADIUS / INNER_RADIUS) ** (np.arange(N_RINGS 
 _EIGHT = np.ones((3, 3), dtype=int)
 
 
+def _label(masks: np.ndarray, structure: np.ndarray = _EIGHT):
+    """ndimage.label, 8-connected unless told; imports scipy on first use."""
+    from scipy import ndimage
+    return ndimage.label(masks, structure=structure)
+
+
 class HandSide(str, Enum):
     RIGHT = "R"
     LEFT = "L"
@@ -65,7 +70,7 @@ class HandRegion:
         if self.mask.shape != (PATCH, PATCH):
             raise ValueError(f"mask must be {PATCH}x{PATCH}")
         self.present = bool(self.mask.any())
-        if self.present and ndimage.label(self.mask, structure=_EIGHT)[1] != 1:
+        if self.present and _label(self.mask)[1] != 1:
             raise ValueError("present region must be a single 8-connected component")
 
     @classmethod
@@ -90,7 +95,7 @@ class PostureModel:
 def _largest_component(mask: np.ndarray) -> np.ndarray:
     """Largest 8-connected foreground component; size ties keep the
     component labeled first in raster order."""
-    labels, n = ndimage.label(mask, structure=_EIGHT)
+    labels, n = _label(mask)
     if n == 0:
         return np.zeros_like(mask, dtype=bool)
     sizes = np.bincount(labels.ravel())

@@ -348,6 +348,17 @@ class TestMalformedInput:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
 
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_non_integer_seed_variable_is_named(self, workdir, tmp_path, capsys,
+                                                monkeypatch, value):
+        monkeypatch.setenv("SIGNFLOW_SEED", value)
+        out = tmp_path / "m.json"
+        assert run_cli(["train", "--data", str(workdir / "data"),
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: SIGNFLOW_SEED: expected an integer, got {value!r}"]
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):

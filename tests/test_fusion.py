@@ -307,7 +307,44 @@ def kde_models(draw):
     return model, queries
 
 
+def scipy_stacked_log_posteriors(model, query):
+    """Oracle: the stacked pass with its sums by scipy's logsumexp."""
+    lse = np.empty(model.n_classes)
+    for members, points, bandwidths in model.blocks:
+        z = (query - points) / bandwidths
+        lse[members] = logsumexp(-0.5 * (z * z).sum(axis=2), axis=1)
+    return ((lse - model.log_norm) - model.log_count) + model.log_prior
+
+
+@st.composite
+def tied_kde_cases(draw):
+    """Grid models with grid bandwidths: many exponents tie at a class's
+    maximum, some classes hold one point, and the last query is so far
+    out that every exponent is -inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    points = [rng.integers(-2, 3, size=(n, dim)).astype(np.float64) for n in sizes]
+    bandwidths = rng.choice([0.5, 1.0, 2.0], size=(len(sizes), dim))
+    model = KdeFusionModel(class_points=points, bandwidths=bandwidths)
+    queries = rng.integers(-4, 5, size=(6, dim)) * 0.5
+    queries[-1] = 1e200
+    return model, queries
+
+
 class TestStackedKde:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_kde_cases())
+    def test_bytes_equal_scipy_logsumexp(self, case):
+        model, queries = case
+        for q in queries:
+            with np.errstate(over="ignore"):
+                got = kde_class_log_posteriors(model, q)
+                want = scipy_stacked_log_posteriors(model, q)
+            assert got.tobytes() == want.tobytes()
+        assert (got == -np.inf).all()
+
+
     @settings(max_examples=200, deadline=None)
     @given(kde_models())
     def test_bytes_equal_per_class_oracle(self, case):

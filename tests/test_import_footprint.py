@@ -1,0 +1,86 @@
+"""Which parts of scipy the package loads, checked in fresh interpreters.
+
+The gesture branch and the fusion rules run on numpy alone: importing
+signflow, and training, saving, loading and predicting gesture-only on a
+corpus without masks, load no scipy module. Labelling hand masks is the
+one use of scipy, and it loads `scipy.ndimage` only, on first use.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from signflow.dataset import save_mask_archive
+from signflow.skeleton import JointId
+from signflow.synthetic import (
+    ClassSpec,
+    SyntheticConfig,
+    generate_synthetic_corpus,
+    write_corpus,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CORPUS = SyntheticConfig(
+    classes=[ClassSpec(template=0, anchor=JointId.Head, mask=0),
+             ClassSpec(template=1, anchor=JointId.Neck, mask=1)],
+    counts=(3, 0, 1), frame_count_range=(10, 12), seed=2)
+
+REPORT = "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+
+GESTURE_PATH = """
+import json, sys
+from pathlib import Path
+from signflow.bundle import load_bundle, save_bundle
+from signflow.dataset import load_manifest
+from signflow.pipeline import load_items, predict_item, train_pipeline
+root = Path(sys.argv[1])
+items = load_items(load_manifest(root / "manifest.json"), root)
+assert all(i.masks is None for i in items)
+save_bundle(train_pipeline(items, {"fusion": "gesture-only", "gesture_k": 4,
+                                   "hmm_states": 2, "hmm_iters": 2}),
+            root / "model.json")
+bundle = load_bundle(root / "model.json")
+predict_item(bundle, next(i for i in items if i.split == "test").sequence)
+"""
+
+MASK_LOAD = """
+import json, sys
+from signflow.dataset import load_mask_archive
+assert len(load_mask_archive(sys.argv[1])) > 0
+"""
+
+
+def scipy_modules(code: str, *args) -> list:
+    """The scipy modules a fresh interpreter holds after running code."""
+    done = subprocess.run([sys.executable, "-c", code + REPORT, *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules("import json, sys\nimport signflow") == []
+
+
+def test_gesture_only_train_save_load_predict_load_no_scipy(tmp_path):
+    write_corpus(generate_synthetic_corpus(CORPUS, with_masks=False), tmp_path)
+    assert scipy_modules(GESTURE_PATH, tmp_path) == []
+    assert (tmp_path / "model.json").exists()
+
+
+@pytest.fixture
+def mask_archive(tmp_path):
+    frames = generate_synthetic_corpus(CORPUS).masks[0]
+    save_mask_archive(tmp_path / "masks", frames)
+    return tmp_path / "masks"
+
+
+def test_mask_labelling_loads_ndimage_but_not_spatial(mask_archive):
+    loaded = scipy_modules(MASK_LOAD, mask_archive)
+    assert "scipy.ndimage" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.spatial")]

@@ -4,7 +4,8 @@ The oracle is the plain Lloyd loop the bounds replaced: every pass takes
 the full n x k `cdist` matrix, and each center is the mean of
 `data[labels == j]`. The pruned loop must give the same centers (bytes),
 the same `wcss_history` and so the same iteration count, from the same
-k-means++ start.
+k-means++ start. That start is the cdist-based seeding the screened
+`_kmeans_pp_seed` replaced, which must give the same centers and draws.
 """
 
 from fractions import Fraction
@@ -20,10 +21,28 @@ from signflow.codebook import (
     Codebook,
     _kmeans_pp_seed,
     _paired_sq_dists,
+    _row_sq_norms,
     fit_kmeans,
     quantize_batch,
 )
 from signflow.descriptors import ZNORM_FLOOR, ZNormStats
+
+
+def cdist_kmeans_pp_seed(data, k, rng):
+    """k-means++ with one full cdist pass per new center."""
+    n = data.shape[0]
+    centers = np.empty((k, data.shape[1]), dtype=np.float64)
+    centers[0] = data[int(rng.integers(n))]
+    d2 = cdist(data, centers[0:1], "sqeuclidean").ravel()
+    for i in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[i] = data[idx]
+        d2 = np.minimum(d2, cdist(data, centers[i:i + 1], "sqeuclidean").ravel())
+    return centers
 
 
 def lloyd_oracle(data, k, seed, max_iter=codebook.DEFAULT_MAX_ITER):
@@ -31,7 +50,7 @@ def lloyd_oracle(data, k, seed, max_iter=codebook.DEFAULT_MAX_ITER):
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_seed(data, k, rng)
+    centers = cdist_kmeans_pp_seed(data, k, rng)
     rows = np.arange(n)
     prev_labels = None
     history = []
@@ -158,9 +177,64 @@ class TestMatchesLloyd:
     def test_no_pass_leaves_the_seeds(self):
         points = np.random.default_rng(0).normal(size=(30, 3))
         cb = fit_kmeans(points, 4, seed=1, max_iter=0)
-        seeds = _kmeans_pp_seed(points, 4, np.random.default_rng(1))
+        seeds = cdist_kmeans_pp_seed(points, 4, np.random.default_rng(1))
         assert cb.wcss_history == []
         assert cb.centers.tobytes() == seeds.tobytes()
+
+
+def assert_seeding_matches(data, k, seed):
+    """Same centers and same draws: both generators end in one state."""
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = cdist_kmeans_pp_seed(data, k, want_rng)
+    got = _kmeans_pp_seed(data, _row_sq_norms(data), k, got_rng)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.random() == want_rng.random()
+
+
+class TestSeeding:
+    @settings(max_examples=150, deadline=None)
+    @given(blobs(), st.data())
+    def test_blobs(self, case, data):
+        points, seed = case
+        k = data.draw(st.integers(1, min(16, points.shape[0])))
+        assert_seeding_matches(points, k, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_points(), st.data())
+    def test_duplicate_points_and_ties(self, case, data):
+        points, seed = case
+        k = data.draw(st.integers(1, points.shape[0]))
+        assert_seeding_matches(points, k, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(2, 9),
+           st.sampled_from([(0.0, 1e-310), (0.0, 1.0), (1.2e154, 1e150)]))
+    def test_all_points_covered_draws_uniformly(self, seed, distinct, extra, where):
+        # once every distinct point is a center, d2 sums to 0 and the next
+        # centers come from rng.integers; around 1.2e154 every squared norm
+        # overflows, so no row can be screened out
+        offset, spread = where
+        rng = np.random.default_rng(seed)
+        sites = offset + rng.normal(size=(distinct, 3)) * spread
+        points = sites[rng.integers(distinct, size=20)]
+        assert offset == 0.0 or np.isinf(_row_sq_norms(points)).all()
+        assert_seeding_matches(points, min(20, distinct + extra), seed)
+
+    @pytest.mark.parametrize("spread", [1e-5, 1e-3])
+    def test_gemv_rounding_is_screened_by_its_bound(self, spread):
+        # far from the origin with a small spread, d~ rounds by a good part
+        # of the distances it screens: without err, rows would be missed
+        rng = np.random.default_rng(5)
+        points = 1e3 + rng.normal(size=(400, 64)) * spread
+        assert_seeding_matches(points, 40, 3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_several_seeds_on_one_set(self, seed):
+        rng = np.random.default_rng(11)
+        means = rng.normal(size=(8, 5)) * 6.0
+        points = means[rng.integers(8, size=600)] + rng.normal(size=(600, 5))
+        points[:50] = points[50]
+        assert_seeding_matches(points, 30, seed)
 
 
 class TestPairedDistances:

@@ -169,3 +169,48 @@ class TestOneSidedBound:
                 continue
             for v, w, d in zip(row, row_full, row_d):
                 assert abs(exact(v) - d) + abs(exact(w) - d) <= exact(e)
+
+
+@st.composite
+def exact_lookups(draw):
+    """(points, centers) whose rows each take their own magnitude, from
+    subnormal to overflowing, with tied, duplicated and shared rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 130))
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    scales = [1e-320, 1e-310, 1e-160, 1.0, 1e150, 1e154, 1e200, 1e300]
+    centers = rng.normal(size=(k, dim)) * rng.choice(scales, size=(k, 1))
+    points = rng.normal(size=(n, dim)) * rng.choice(scales, size=(n, 1))
+    if draw(st.booleans()):
+        centers = np.round(centers)  # small integers: exact ties
+        points = np.round(points)
+    for i in range(n):
+        how = rng.integers(3)
+        if how == 0:
+            points[i] = centers[rng.integers(k)]
+        elif how == 1:
+            points[i] = -centers[rng.integers(k)]
+    if k > 1 and draw(st.booleans()):
+        centers[1] = centers[0]
+    return points, centers
+
+
+class TestExactDistances:
+    """`_sq_dists`, the exact distances every lookup is defined by, holds
+    cdist's bytes: the same left-to-right sum of squared differences."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_lookups())
+    def test_bytes_equal_cdist(self, case):
+        points, centers = case
+        want = cdist(points, centers, "sqeuclidean")
+        assert codebook._sq_dists(points, centers).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, k, dim", [(700, 60, 66), (3, 1100, 130)])
+    def test_chunked_rows_equal_cdist(self, n, k, dim):
+        # more rows than one chunk holds, and one row past a chunk alone
+        rng = np.random.default_rng(n)
+        points, centers = rng.normal(size=(n, dim)), rng.normal(size=(k, dim))
+        want = cdist(points, centers, "sqeuclidean")
+        assert codebook._sq_dists(points, centers).tobytes() == want.tobytes()
