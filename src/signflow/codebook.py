@@ -163,7 +163,10 @@ def _kmeans_pp_seed(data: np.ndarray, data_sq: np.ndarray, k: int,
     n = data.shape[0]
     centers = np.empty((k, data.shape[1]), dtype=np.float64)
     centers[0] = data[int(rng.integers(n))]
-    d2 = _paired_sq_dists(data, centers[0:1])
+    with np.errstate(over="ignore"):
+        d2 = _paired_sq_dists(data, centers[0:1])
+        if np.isinf(d2.sum()):  # later totals, seeding's or Lloyd's, are no larger
+            raise ValueError("squared distances overflow float64")
     for i in range(1, k):
         total = d2.sum()
         if total > 0.0:

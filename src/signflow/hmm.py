@@ -216,10 +216,14 @@ def _floor_row(counts: np.ndarray, support: np.ndarray, prev: np.ndarray,
                eps: float) -> np.ndarray:
     """Exact M-step under the constraints x >= eps on support, 0 elsewhere,
     sum x = 1: proportional shares, with undersized entries pinned at eps.
+    Stacked (..., m) arrays are floored row by row.
 
     A row with no counts keeps its previous value (state never visited, any
     feasible row is optimal).
     """
+    if counts.ndim > 1:
+        rows = zip(counts, support, prev)
+        return np.reshape([_floor_row(*row, eps) for row in rows], counts.shape)
     out = np.zeros_like(counts)
     sup_idx = np.flatnonzero(support)
     if sup_idx.size == 1:
@@ -277,28 +281,29 @@ def baum_welch_classes(hmm: DiscreteHMM, trainings, max_iter: int,
     Every class shares one E-step per iteration: the forward and backward
     recursions run once over a stack holding one row per sequence of each
     class still training, and a converged class's rows leave the stack.
-    Each class's model and report are those it would get trained alone.
+    The pi and B counts and the log-likelihoods are one reduction each over
+    the stack, adding each bin's terms in (row, time) order from 0.0, and xi
+    one matrix product per row: each class's model and report are those it
+    would get trained alone.
     """
     C, n, k = hmm.B.shape
     if len(trainings) != C:
         raise ValueError("one training set per class model is required")
-    per_class = []
-    for training in trainings:
+    seqs = []
+    for training in trainings:  # the first class at fault names the error
         if not training:
             raise EmptyInputError("no training sequences")
-        seqs = [_symbols(s) for s in training]
-        for s in seqs:
-            if s.min() < 0 or s.max() >= k:
-                raise ValueError("training symbol out of range")
-        per_class.append(seqs)
+        class_seqs = [_symbols(s) for s in training]
+        flat = np.concatenate(class_seqs)
+        if flat.min() < 0 or flat.max() >= k:
+            raise ValueError("training symbol out of range")
+        seqs += class_seqs
     # one row per sequence, in class order; steps past a sequence's end
     # read the extra symbol k, whose emission is 1.0 in every state
-    seqs = [s for class_seqs in per_class for s in class_seqs]
-    row_class = np.repeat(np.arange(C), [len(c) for c in per_class])
+    row_class = np.repeat(np.arange(C), [len(t) for t in trainings])
     lengths = np.array([s.shape[0] for s in seqs])
-    padded = np.full((lengths.max(), len(seqs)), k)
-    for r, s in enumerate(seqs):
-        padded[:s.shape[0], r] = s
+    padded = np.full((len(seqs), lengths.max()), k)
+    padded[np.arange(lengths.max()) < lengths[:, None]] = np.concatenate(seqs)
 
     pi, A, B = hmm.pi.copy(), hmm.A.copy(), hmm.B.copy()
     pi_sup, A_sup, B_sup = pi > 0.0, A > 0.0, B > 0.0
@@ -309,49 +314,43 @@ def baum_welch_classes(hmm: DiscreteHMM, trainings, max_iter: int,
         if done.all():
             break
         rows = np.flatnonzero(~done[row_class])
-        cls, sym = row_class[rows], padded[:lengths[rows].max(), rows]
+        cls, lens = row_class[rows], lengths[rows]
+        sym = padded[rows, :lens.max()]
         B_ext = np.concatenate([B, np.ones((C, n, 1))], axis=2)
-        emissions = B_ext.transpose(0, 2, 1)[cls[None, :], sym]
+        emissions = B_ext.transpose(0, 2, 1)[cls, sym.T]
         A_rows = A[cls]
         alphas, cs = _scaled_forward(pi[cls], A_rows, emissions)
         # steps past a sequence's end do not count; a NaN model's c passes
-        if np.any((cs <= 0.0) & (sym.T < k)):
+        if np.any((cs <= 0.0) & (sym < k)):
             raise ValueError("training sequence has zero probability")
-        betas = _stacked_backward(A_rows, emissions, cs, lengths[rows])
-        r = 0  # the stack holds the training classes' rows in class order
+        betas = _stacked_backward(A_rows, emissions, cs, lens)
+        # (R, T, n) gammas give the B terms in (row, time) order; the pad
+        # symbol's bin takes the steps past each row's end
+        gammas = np.multiply(alphas.transpose(1, 0, 2), betas.transpose(1, 0, 2),
+                             order="C")
+        pi_cnt = np.zeros((C, n))
+        np.add.at(pi_cnt, cls, gammas[:, 0])
+        keys = ((cls[:, None] * n + np.arange(n)) * (k + 1))[:, None] + sym[..., None]
+        B_cnt = np.bincount(keys.ravel(), gammas.ravel(), C * n * (k + 1))
+        B_cnt = B_cnt.reshape(C, n, k + 1)[:, :, :k]
+        A_cnt = np.zeros((C, n, n))
+        for r, (j, T) in enumerate(zip(cls, lens)):
+            if T > 1:
+                # xi summed over t, on contiguous copies as one sequence's
+                # pass has them: a GEMM over padded rows may sum otherwise
+                alpha = np.ascontiguousarray(alphas[:T - 1, r])
+                beta = np.ascontiguousarray(betas[1:T, r])
+                m = (B[j][:, sym[r, 1:T]].T * beta) / cs[r, 1:T, None]
+                A_cnt[j] += A[j] * (alpha.T @ m)
+        row_ll = [np.log(cs[r, :T]).sum() for r, T in enumerate(lens)]
+        class_ll = np.bincount(cls, row_ll, C)
         for j in np.flatnonzero(~done):
-            pi_cnt = np.zeros(n)
-            A_cnt = np.zeros((n, n))
-            B_cnt = np.zeros((n, k))
-            total_ll = 0.0
-            for obs in per_class[j]:
-                T = obs.shape[0]
-                # contiguous copies, so the matrix products below see the
-                # same layout as a single-sequence pass
-                alpha = np.ascontiguousarray(alphas[:T, r])
-                beta = np.ascontiguousarray(betas[:T, r])
-                c = cs[r, :T]
-                r += 1
-                gamma = alpha * beta
-                total_ll += float(np.log(c).sum())
-                pi_cnt += gamma[0]
-                if T > 1:
-                    # xi summed over t collapses to one matrix product, one
-                    # per sequence: a GEMM over padded rows may sum otherwise
-                    m = (B[j][:, obs[1:]].T * beta[1:]) / c[1:, None]
-                    A_cnt += A[j] * (alpha[:-1].T @ m)
-                np.add.at(B_cnt.T, obs, gamma)
-            report = reports[j]
-            report.log_likelihoods.append(total_ll)
-            if (len(report.log_likelihoods) >= 2
-                    and total_ll - report.log_likelihoods[-2] < tol):
-                report.converged = done[j] = True
-                continue
-            pi[j] = _floor_row(pi_cnt, pi_sup[j], pi[j], EPS_P)
-            A[j] = np.stack([_floor_row(A_cnt[i], A_sup[j, i], A[j, i], EPS_P)
-                             for i in range(n)])
-            B[j] = np.stack([_floor_row(B_cnt[i], B_sup[j, i], B[j, i], EPS_P)
-                             for i in range(n)])
+            lls = reports[j].log_likelihoods
+            lls.append(float(class_ll[j]))
+            reports[j].converged = done[j] = len(lls) >= 2 and lls[-1] - lls[-2] < tol
+        pi[~done] = _floor_row(pi_cnt[~done], pi_sup[~done], pi[~done], EPS_P)
+        A[~done] = _floor_row(A_cnt[~done], A_sup[~done], A[~done], EPS_P)
+        B[~done] = _floor_row(B_cnt[~done], B_sup[~done], B[~done], EPS_P)
 
     return DiscreteHMM(pi, A, B), reports
 

@@ -75,10 +75,10 @@ class HandRegion:
 
     @classmethod
     def _validated(cls, mask: np.ndarray, present: bool) -> "HandRegion":
-        """A region without the per-mask checks, for load_mask_archive,
-        whose one labelled pass over the archive has made them: mask is a
-        65x65 bool array, one 8-connected component if present, else
-        empty."""
+        """A region without the per-mask checks, for callers that made them
+        (load_mask_archive's one labelled pass) or need none (the generator's
+        `_largest_component` masks): mask is a 65x65 bool array, one
+        8-connected component if present, else empty."""
         region = cls.__new__(cls)
         region.mask, region.present = mask, present
         return region

@@ -115,7 +115,7 @@ _GRID_Y, _GRID_X = np.mgrid[:PATCH, :PATCH].astype(np.float64)
 
 def _shape_mask(shape_id: int, cx: float, cy: float, scale: float,
                 phase: float) -> np.ndarray:
-    """One procedural hand silhouette on the 65x65 grid."""
+    """One procedural hand silhouette on the 65x65 grid: one component."""
     dx = _GRID_X - cx
     dy = _GRID_Y - cy
     r = np.hypot(dx, dy)
@@ -285,7 +285,7 @@ def _render_masks(cfg: SyntheticConfig, spec: ClassSpec, seq_index: int,
             else:
                 cx, cy, scale, phase = 32.0, 32.0, 1.0, 0.0
             mask = _shape_mask(shape_id, cx, cy, scale, phase)
-            sides[side] = HandRegion(mask)
+            sides[side] = HandRegion._validated(mask, bool(mask.any()))
         frames.append(sides)
     return frames
 

@@ -127,6 +127,14 @@ class TestFitKMeans:
         with pytest.raises(ValueError):
             fit_kmeans(np.zeros((5, 2)), k=6, seed=0)
 
+    @pytest.mark.parametrize("big, k", [(1e300, 3), (1e154, 3), (1e300, 1)])
+    def test_overflowing_distances_fail_by_name(self, big, k):
+        # at 1e300 the squared distances overflow, at 1e154 only their
+        # total does; k = 1 draws no seed from them but sums them as WCSS
+        data = np.array([[0.0], [big], [-big], [5.0]])
+        with pytest.raises(ValueError, match="squared distances overflow"):
+            fit_kmeans(data, k, 0)
+
 
 class TestQuantize:
     def make_codebook(self, rng, k=9, d=5):

@@ -446,6 +446,12 @@ class TestBaumWelchClasses:
            st.integers(0, 2 ** 32 - 1))
     @example(3, 4, [[9, 1, 5], [12]], 0, 1e-6, 1)
     @example(3, 4, [[9, 1, 5], [12]], 1, 1e-6, 1)
+    # the edges of the stack-wide counts: a 1-frame row beside a 40-frame
+    # row of another class, a class of one sequence, and k = 1, where the
+    # pad symbol's bin sits next to the only real one
+    @example(3, 4, [[1], [40]], 6, -np.inf, 2)
+    @example(4, 5, [[17], [9, 30, 4]], 8, 1e-6, 3)
+    @example(3, 1, [[6, 2], [11]], 4, -np.inf, 4)
     def test_each_class_equals_its_own_oracle_run(self, n, k, lengths, iters,
                                                   tol, seed):
         inits, trainings = random_classes(seed, n, k, lengths)
@@ -506,6 +512,13 @@ class TestBaumWelchClasses:
         for bad in (np.array([0, 3]), np.array([-1, 0])):
             with pytest.raises(ValueError, match="training symbol out of range"):
                 train(two, [ok, [bad]])
+        # checked class by class: the first class at fault names the error
+        with pytest.raises(ValueError, match="training symbol out of range"):
+            train(two, [[ok[0], np.array([0, 3])], []])
+        with pytest.raises(EmptyInputError, match="empty observation"):
+            train(two, [[np.array([0, 3]), np.array([], dtype=int)], []])
+        with pytest.raises(EmptyInputError, match="no training sequences"):
+            train(two, [[], [np.array([], dtype=int)]])
         # B of the second class puts no mass on symbol 1
         blind = single(np.array([1.0]), np.array([[1.0]]), np.array([[0.5, 0.0, 0.5]]))
         with pytest.raises(ValueError, match="zero probability"):
