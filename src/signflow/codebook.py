@@ -304,8 +304,14 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
         # each cluster's members in row order, as `data[labels == j]` has them
         order = np.argsort(labels, kind="stable")
         ends = np.cumsum(counts)
-        for j in np.flatnonzero(changed & (counts > 0)):
-            centers[j] = data[order[ends[j] - counts[j]:ends[j]]].mean(axis=0)
+        # the mean sums before it divides, so finite points near the
+        # float64 limit can average to inf
+        with np.errstate(over="ignore"):
+            for j in np.flatnonzero(changed & (counts > 0)):
+                centers[j] = data[order[ends[j] - counts[j]:ends[j]]].mean(axis=0)
+        finite = np.isfinite(centers).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"the mean of cluster {int(finite.argmin())} overflows float64")
         empties = np.flatnonzero(counts == 0)
         if empties.size:
             claim = d2.copy()

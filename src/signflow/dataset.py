@@ -10,7 +10,8 @@ splits is enforced at construction time.
 Both loaders work once per file or archive, not once per cell or mask: a
 CSV's data lines go through one np.loadtxt call, looked at one by one
 only to name the first bad line, and an archive's masks are read into
-one stack and validated with one ndimage.label.
+one stack and validated with one count of 8-connected components per
+mask, over the whole stack at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .posture import PATCH, HandRegion, HandSide, _label
+from .posture import PATCH, HandRegion, HandSide, _component_counts
 from .skeleton import (
     EmptyInputError,
     JointId,
@@ -49,9 +50,6 @@ _PGM_HEADER = re.compile(rb"P5" + _PGM_TOKEN * 3 + rb"(?:\s|\Z)")
 
 # the sides of a frame in the order of its two masks in an archive's stack
 _SIDES = (HandSide.RIGHT, HandSide.LEFT)
-
-# 8-connectivity inside each mask of an (N, h, w) stack, none across masks
-_IN_MASK_EIGHT = np.pad(np.ones((1, 3, 3), dtype=bool), ((1, 1), (0, 0), (0, 0)))
 
 
 class MalformedRowError(SignflowError):
@@ -367,29 +365,13 @@ def save_mask_archive(dir_path, frames: list, comment: str = "") -> None:
             save_mask(out / mask_filename(idx, side), mask, comment=comment)
 
 
-def _split_masks(masks: np.ndarray) -> np.ndarray:
-    """Indices of the (N, h, w) stack's masks whose foreground is more than
-    one 8-connected component, found with one `_label` call over the
-    stack cropped to its union bounding box. Labels are numbered in scan
-    order and never join two masks, so a mask's component count is how
-    far the running maximum label rises over it."""
-    union = masks.any(axis=0)
-    rows, cols = np.flatnonzero(union.any(axis=1)), np.flatnonzero(union.any(axis=0))
-    if rows.size == 0:
-        return rows
-    crop = masks[:, rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    labels, _ = _label(crop, _IN_MASK_EIGHT)
-    top = np.maximum.accumulate(labels.reshape(len(masks), -1).max(axis=1))
-    return np.flatnonzero(np.diff(top, prepend=0) > 1)
-
-
 def load_mask_archive(dir_path) -> list:
     """Read a mask directory back to per-frame {HandSide: HandRegion} dicts.
 
     Each dict holds the right hand first, whatever order the directory
     lists its files in: that order would otherwise reach the posture
     codebook sample. The masks are views of one (T, 2, 65, 65) bool stack,
-    frame-major, right then left, checked in one labelled pass. A file
+    frame-major, right then left, checked in one component count. A file
     that is not a graymap (see _pgm_header) raises CorruptFileError naming
     it. Otherwise, in frame order, the first frame missing a side, or the
     first mask that is not a valid region (wrong size, even when blank, or
@@ -427,7 +409,9 @@ def load_mask_archive(dir_path) -> list:
     whole = next((i for i, code in enumerate(codes) if code != i), len(codes)) // 2 * 2
     end = next((i for i in range(whole) if shapes[i] != (PATCH, PATCH)), whole)
     masks = (np.frombuffer(b"".join(chunks[:end]), np.uint8) > 0).reshape(end, PATCH, PATCH)
-    split = _split_masks(masks)
+    # the masks of more than one 8-connected component, counted for the
+    # whole stack at once, without painting labels
+    split = np.flatnonzero(_component_counts(masks) > 1)
     if split.size or end < whole:  # the first bad mask, in frame order
         idx, slot = divmod(int(split[0]) if split.size else end, 2)
         reason = ("present region must be a single 8-connected component"

@@ -43,13 +43,109 @@ DEFAULT_POSTURE_COST = 0.8352
 # geometric ring edges from 6 to 32 px
 RING_EDGES = INNER_RADIUS * (OUTER_RADIUS / INNER_RADIUS) ** (np.arange(N_RINGS + 1) / N_RINGS)
 
-_EIGHT = np.ones((3, 3), dtype=int)
+
+# 8-connected components inside each mask of an (N, h, w) stack, none
+# across masks, by a two-pass labelling over foreground runs (Rosenfeld &
+# Pfaltz 1966; Wu, Otoo & Suzuki 2009). A run is a row's maximal stretch
+# of foreground; components are numbered in raster order of their first
+# pixel, as scipy.ndimage.label numbers them.
 
 
-def _label(masks: np.ndarray, structure: np.ndarray = _EIGHT):
-    """ndimage.label, 8-connected unless told; imports scipy on first use."""
-    from scipy import ndimage
-    return ndimage.label(masks, structure=structure)
+def _runs(masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The foreground runs of every row of an (N, h, w) stack, in raster
+    order: each run's row as n * (h + 1) + r, so that no two masks have
+    adjacent rows, and its first and past-the-last columns."""
+    masks = np.asarray(masks, dtype=bool)
+    n, h, w = masks.shape
+    union = masks.any(axis=0)
+    rows, cols = np.flatnonzero(union.any(axis=1)), np.flatnonzero(union.any(axis=0))
+    if rows.size == 0:
+        return rows, rows, rows
+    ch, cw = rows[-1] + 1 - rows[0], cols[-1] + 1 - cols[0]
+    # the crop between two background columns: each row's edges
+    # alternate start, end
+    padded = np.zeros((n, ch, cw + 2), dtype=bool)
+    padded[:, :, 1:-1] = masks[:, rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    edges = np.flatnonzero(padded[:, :, 1:] != padded[:, :, :-1])
+    line, col = np.divmod(edges, cw + 1)
+    index, r = np.divmod(line[::2], ch)
+    return index * (h + 1) + r + rows[0], col[::2] + cols[0], col[1::2] + cols[0]
+
+
+def _links(row, start, end) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (upper, lower) index pairs of runs that touch 8-connectedly
+    from adjacent rows, and each run's count of touching runs above.
+
+    The runs that touch run b from above are those of the row above b's
+    that end at or after b's first column and start at or before its
+    past-the-last column: a contiguous range of the raster order, found
+    by two searchsorted calls over (row, column) keys."""
+    span = int(end.max(initial=0)) + 1
+    lo = np.searchsorted(row * span + end, (row - 1) * span + start, side="left")
+    hi = np.searchsorted(row * span + start, (row - 1) * span + end, side="right")
+    above = np.maximum(hi - lo, 0)
+    lower = np.repeat(np.arange(row.size), above)
+    upper = np.arange(lower.size) - np.repeat(np.cumsum(above) - above - lo, above)
+    return upper, lower, above
+
+
+def _first_runs(n: int, upper, lower) -> np.ndarray:
+    """For each of n runs, the lowest-indexed run of its component.
+
+    Union-find without a loop over links: every link hooks the larger of
+    its two roots under the smaller (np.minimum.at), then pointer jumping
+    points every run at its root; links whose ends share a root are
+    settled for good and dropped."""
+    root = np.arange(n)
+    while upper.size:
+        a, b = root[upper], root[lower]
+        np.minimum.at(root, a, b)
+        np.minimum.at(root, b, a)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+        open_ = root[upper] != root[lower]
+        upper, lower = upper[open_], lower[open_]
+    return root
+
+
+def _component_counts(masks) -> np.ndarray:
+    """The number of 8-connected components of each mask of an (N, h, w)
+    stack. Every component has a run with no touching run above it, so a
+    mask with at most one such run has that many components; only masks
+    with two or more go through union-find."""
+    row, start, end = _runs(masks)
+    upper, lower, above = _links(row, start, end)
+    owner = row // (masks.shape[1] + 1)
+    counts = np.bincount(owner[above == 0], minlength=len(masks))
+    hard = counts > 1
+    if hard.any():
+        linked = hard[owner[lower]]
+        first = _first_runs(row.size, upper[linked], lower[linked])
+        roots = owner[first == np.arange(row.size)]
+        counts[hard] = np.bincount(roots, minlength=len(masks))[hard]
+    return counts
+
+
+def _labelled_runs(masks) -> tuple[np.ndarray, ...]:
+    """The runs of an (N, h, w) stack (see `_runs`) and each run's
+    component, numbered from 1 in raster order over the whole stack."""
+    row, start, end = _runs(masks)
+    upper, lower, _ = _links(row, start, end)
+    first = _first_runs(row.size, upper, lower)
+    own = first == np.arange(row.size)
+    return row, start, end, np.cumsum(own)[first]
+
+
+def _paint(shape, row, start, end, values) -> np.ndarray:
+    """An (N, h, w) array of `values`' dtype holding each run's value on
+    its pixels and 0 elsewhere: one cumulative sum over +value at each
+    start and -value at each end, every position distinct."""
+    n, h, w = shape
+    values = np.asarray(values)
+    steps = np.zeros(n * (h + 1) * (w + 1), dtype=values.dtype)
+    steps[row * (w + 1) + start] = values
+    steps[row * (w + 1) + end] = -values
+    return np.cumsum(steps, dtype=values.dtype).reshape(n, h + 1, w + 1)[:, :h, :w]
 
 
 class HandSide(str, Enum):
@@ -70,13 +166,13 @@ class HandRegion:
         if self.mask.shape != (PATCH, PATCH):
             raise ValueError(f"mask must be {PATCH}x{PATCH}")
         self.present = bool(self.mask.any())
-        if self.present and _label(self.mask)[1] != 1:
+        if self.present and _component_counts(self.mask[None])[0] != 1:
             raise ValueError("present region must be a single 8-connected component")
 
     @classmethod
     def _validated(cls, mask: np.ndarray, present: bool) -> "HandRegion":
         """A region without the per-mask checks, for callers that made them
-        (load_mask_archive's one labelled pass) or need none (the generator's
+        (load_mask_archive's one component count) or need none (the generator's
         `_largest_component` masks): mask is a 65x65 bool array, one
         8-connected component if present, else empty."""
         region = cls.__new__(cls)
@@ -93,14 +189,14 @@ class PostureModel:
 
 
 def _largest_component(mask: np.ndarray) -> np.ndarray:
-    """Largest 8-connected foreground component; size ties keep the
-    component labeled first in raster order."""
-    labels, n = _label(mask)
-    if n == 0:
-        return np.zeros_like(mask, dtype=bool)
-    sizes = np.bincount(labels.ravel())
-    sizes[0] = 0
-    return labels == int(sizes.argmax())
+    """Largest 8-connected foreground component of a 2-D mask, painted
+    back from its runs; size ties keep the component numbered first, the
+    one whose first pixel comes first in raster order."""
+    row, start, end, label = _labelled_runs(np.asarray(mask)[None])
+    if row.size:
+        keep = label == np.bincount(label, weights=end - start).argmax()
+        row, start, end = row[keep], start[keep], end[keep]
+    return _paint((1, *np.shape(mask)), row, start, end, np.int8(1))[0] > 0
 
 
 # clockwise king moves, image coords (row grows downward)

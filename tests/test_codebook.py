@@ -135,6 +135,17 @@ class TestFitKMeans:
         with pytest.raises(ValueError, match="squared distances overflow"):
             fit_kmeans(data, k, 0)
 
+    @pytest.mark.parametrize("data, k, cluster", [
+        ([[1e308], [1e308]], 1, 0),
+        ([[1e308, 0.0], [1e308, 1.0], [1e308, 10.0], [1e308, 11.0]], 2, 0),
+        # cluster 0 holds the lone point, whose mean is the point itself
+        ([[-1e308, 3.0], [-1e308, 3.0], [-1e308, 4.0]], 2, 1),
+    ])
+    def test_overflowing_cluster_mean_fails_by_name(self, data, k, cluster):
+        # the distances are small, but the sum a mean takes is not finite
+        with pytest.raises(ValueError, match=f"the mean of cluster {cluster} overflows float64"):
+            fit_kmeans(np.array(data), k, 0)
+
 
 class TestQuantize:
     def make_codebook(self, rng, k=9, d=5):

@@ -8,9 +8,8 @@ ulp changes a digest here, and one that changes outputs on purpose
 records them again and says so.
 
 The digests depend on the floating-point behaviour of the numpy/BLAS
-build (they were recorded with Python 3.11 and numpy 2.4 on x86-64), not
-on the scipy version: every float the run computes is numpy's, and scipy
-only labels mask pixels. A change of platform that changes them is not a
+build (they were recorded with Python 3.11 and numpy 2.4 on x86-64); the
+run uses no scipy. A change of platform that changes them is not a
 defect of the program, and the constants are then recorded again from an
 unchanged tree.
 """

@@ -1,9 +1,10 @@
-"""Which parts of scipy the package loads, checked in fresh interpreters.
+"""That the package runs without scipy, checked in fresh interpreters.
 
-The gesture branch and the fusion rules run on numpy alone: importing
-signflow, and training, saving, loading and predicting gesture-only on a
-corpus without masks, load no scipy module. Labelling hand masks is the
-one use of scipy, and it loads `scipy.ndimage` only, on first use.
+Every run path is numpy alone: importing signflow, loading a hand-mask
+archive (its 8-connected components are counted in numpy), and training,
+saving, loading and predicting, gesture-only on a corpus without masks
+and with KDE fusion on one with masks, load no scipy module. scipy is a
+test dependency: the tests' byte oracles use it.
 """
 
 import json
@@ -30,22 +31,27 @@ CORPUS = SyntheticConfig(
              ClassSpec(template=1, anchor=JointId.Neck, mask=1)],
     counts=(3, 0, 1), frame_count_range=(10, 12), seed=2)
 
+# fusion is trained on the validation split
+MASK_CORPUS = SyntheticConfig(classes=CORPUS.classes, counts=(3, 2, 1),
+                              frame_count_range=(10, 12), seed=2)
+
 REPORT = "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
 
-GESTURE_PATH = """
+TRAIN_SAVE_LOAD_PREDICT = """
 import json, sys
 from pathlib import Path
 from signflow.bundle import load_bundle, save_bundle
 from signflow.dataset import load_manifest
 from signflow.pipeline import load_items, predict_item, train_pipeline
-root = Path(sys.argv[1])
+root, fusion = Path(sys.argv[1]), sys.argv[2]
 items = load_items(load_manifest(root / "manifest.json"), root)
-assert all(i.masks is None for i in items)
-save_bundle(train_pipeline(items, {"fusion": "gesture-only", "gesture_k": 4,
-                                   "hmm_states": 2, "hmm_iters": 2}),
+assert all((i.masks is None) == (fusion == "gesture-only") for i in items)
+save_bundle(train_pipeline(items, {"fusion": fusion, "gesture_k": 4, "posture_k": 4,
+                                   "hmm_states": 2, "hmm_iters": 2, "epochs": 2}),
             root / "model.json")
 bundle = load_bundle(root / "model.json")
-predict_item(bundle, next(i for i in items if i.split == "test").sequence)
+test = next(i for i in items if i.split == "test")
+assert predict_item(bundle, test.sequence, test.masks).mode == fusion
 """
 
 MASK_LOAD = """
@@ -69,7 +75,13 @@ def test_import_loads_no_scipy():
 
 def test_gesture_only_train_save_load_predict_load_no_scipy(tmp_path):
     write_corpus(generate_synthetic_corpus(CORPUS, with_masks=False), tmp_path)
-    assert scipy_modules(GESTURE_PATH, tmp_path) == []
+    assert scipy_modules(TRAIN_SAVE_LOAD_PREDICT, tmp_path, "gesture-only") == []
+    assert (tmp_path / "model.json").exists()
+
+
+def test_with_masks_kde_train_save_load_predict_load_no_scipy(tmp_path):
+    write_corpus(generate_synthetic_corpus(MASK_CORPUS), tmp_path)
+    assert scipy_modules(TRAIN_SAVE_LOAD_PREDICT, tmp_path, "kde") == []
     assert (tmp_path / "model.json").exists()
 
 
@@ -80,7 +92,5 @@ def mask_archive(tmp_path):
     return tmp_path / "masks"
 
 
-def test_mask_labelling_loads_ndimage_but_not_spatial(mask_archive):
-    loaded = scipy_modules(MASK_LOAD, mask_archive)
-    assert "scipy.ndimage" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.spatial")]
+def test_mask_archive_load_loads_no_scipy(mask_archive):
+    assert scipy_modules(MASK_LOAD, mask_archive) == []
