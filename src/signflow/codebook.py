@@ -74,10 +74,13 @@ class Codebook:
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Exact squared distances (n, k), summed left to right as cdist sums."""
     size = max(1, _CHUNK_ELEMENTS // centers.size)
+    out = np.empty((len(points), len(centers)))
     with np.errstate(over="ignore"):  # a too-large term is inf, as in cdist
-        return np.concatenate([np.add.accumulate(
-            np.square(points[i:i + size, None] - centers), axis=2)[..., -1]
-            for i in range(0, len(points), size)])
+        # one chunk's (rows, k, D) running sums alive at a time
+        for i in range(0, len(points), size):
+            out[i:i + size] = np.add.accumulate(
+                np.square(points[i:i + size, None] - centers), axis=2)[..., -1]
+    return out
 
 
 def _row_sq_norms(rows: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ Both loaders work once per file or archive, not once per cell or mask: a
 CSV's data lines go through one np.loadtxt call, looked at one by one
 only to name the first bad line, and an archive's masks are read into
 one stack and validated with one count of 8-connected components per
-mask, over the whole stack at once.
+mask, over the whole stack at once. The loaded masks are kept as rows
+packed 8 pixels to a byte, one array per archive.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .posture import PATCH, HandRegion, HandSide, _component_counts
+from .posture import PATCH, HandSide, _component_counts, _frame_regions
 from .skeleton import (
     EmptyInputError,
     JointId,
@@ -370,8 +371,10 @@ def load_mask_archive(dir_path) -> list:
 
     Each dict holds the right hand first, whatever order the directory
     lists its files in: that order would otherwise reach the posture
-    codebook sample. The masks are views of one (T, 2, 65, 65) bool stack,
-    frame-major, right then left, checked in one component count. A file
+    codebook sample. The masks are read into one (T, 2, 65, 65) bool stack,
+    frame-major, right then left, and checked in one component count; the
+    stack is then packed once into (T, 2, 65, 9) uint8 rows (see
+    HandRegion), whose views the regions hold, and freed. A file
     that is not a graymap (see _pgm_header) raises CorruptFileError naming
     it. Otherwise, in frame order, the first frame missing a side, or the
     first mask that is not a valid region (wrong size, even when blank, or
@@ -420,8 +423,4 @@ def load_mask_archive(dir_path) -> list:
                                f"frame {idx}: {reason}")
     if whole < len(codes):
         raise CorruptFileError(f"{dir_path}: frame {whole // 2} is missing a side")
-    stack = masks.reshape(-1, 2, PATCH, PATCH)
-    present = stack.any(axis=(2, 3)).tolist()
-    return [{HandSide.RIGHT: HandRegion._validated(right, p_right),
-             HandSide.LEFT: HandRegion._validated(left, p_left)}
-            for (right, left), (p_right, p_left) in zip(stack, present)]
+    return _frame_regions(np.packbits(masks.reshape(-1, 2, PATCH, PATCH), axis=-1))

@@ -2,18 +2,20 @@
 
 A hand arrives as a binary mask on a common 65x65 grid, one per hand and
 frame (a PGM mask archive on disk, or the synthetic generator's masks); a
-present hand is a single 8-connected region.
+present hand is a single 8-connected region. A HandRegion holds its mask
+as rows packed 8 pixels to a byte, 585 bytes, and unpacks it on demand.
 
 Each mask's outer contour is sampled at 20 equal arc-length points; every
 point yields a 49-bin log-polar shape context (12 angle bins x 4 outer
-rings + 1 merged inner disk, radii 6..32 px). video_shape_contexts stacks
-a video's present masks and describes them in three array passes, with
-no per-contour loop: trace_boundary walks every outer contour at once,
-sample_contour samples them all, and frame_shape_contexts bins every
-point pair of every contour into integer counts, 1 byte each for 20
-points. Training holds each contour's counts, computed once, for both
-the codebook sample and the bag-of-words; shape_context_rows divides
-them into float rows only where those are used. A video's rows are
+rings + 1 merged inner disk, radii 6..32 px). video_shape_contexts
+unpacks a video's present masks in one call and describes them in three
+array passes, with no per-contour loop: trace_boundary walks every outer
+contour at once, sample_contour samples them all, and
+frame_shape_contexts bins every point pair of every contour into integer
+counts, 1 byte each for 20 points. Training holds each contour's counts,
+computed once, for both the codebook sample and the bag-of-words;
+shape_context_rows divides them into float rows only where those are
+used. A video's rows are
 quantized against a K-means codebook in one call and accumulated into
 one [right | left] histogram, scored by a linear multiclass model:
 R_posture = W p.
@@ -22,7 +24,7 @@ R_posture = W p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -153,31 +155,49 @@ class HandSide(str, Enum):
     LEFT = "L"
 
 
-@dataclass
 class HandRegion:
     """Segmented hand on the common 65x65 grid, present when its mask has
-    foreground; which hand it is, is the key it is stored under."""
+    foreground; which hand it is, is the key it is stored under. It holds
+    the mask's rows packed by np.packbits, (65, 9) uint8 `bits`, 585 bytes
+    against 4,225; `mask` unpacks them into a read-only bool array."""
 
-    mask: np.ndarray
-    present: bool = field(init=False)
+    __slots__ = ("bits", "present")
 
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.shape != (PATCH, PATCH):
+    def __init__(self, mask):
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (PATCH, PATCH):
             raise ValueError(f"mask must be {PATCH}x{PATCH}")
-        self.present = bool(self.mask.any())
-        if self.present and _component_counts(self.mask[None])[0] != 1:
+        self.present = bool(mask.any())
+        if self.present and _component_counts(mask[None])[0] != 1:
             raise ValueError("present region must be a single 8-connected component")
+        self.bits = np.packbits(mask, axis=-1)
+
+    @property
+    def mask(self) -> np.ndarray:
+        mask = np.unpackbits(self.bits, axis=-1, count=PATCH).view(bool)
+        mask.flags.writeable = False
+        return mask
 
     @classmethod
-    def _validated(cls, mask: np.ndarray, present: bool) -> "HandRegion":
+    def _validated(cls, bits: np.ndarray, present: bool) -> "HandRegion":
         """A region without the per-mask checks, for callers that made them
-        (load_mask_archive's one component count) or need none (the generator's
-        `_largest_component` masks): mask is a 65x65 bool array, one
-        8-connected component if present, else empty."""
+        (load_mask_archive's one component count) or need none (the
+        generator's `_largest_component` masks): bits is a 65x65 bool mask's
+        rows packed by np.packbits, one 8-connected component if present,
+        else empty."""
         region = cls.__new__(cls)
-        region.mask, region.present = mask, present
+        region.bits, region.present = bits, present
         return region
+
+
+def _frame_regions(bits) -> list:
+    """Per-frame {HandSide: HandRegion} dicts, right hand first, over
+    (T, 2, 65, 9) packed rows, right then left, that hold valid regions
+    (see HandRegion._validated); each region's bits is a view of `bits`."""
+    present = bits.any(axis=(2, 3)).tolist()
+    return [{HandSide.RIGHT: HandRegion._validated(right, p_right),
+             HandSide.LEFT: HandRegion._validated(left, p_left)}
+            for (right, left), (p_right, p_left) in zip(bits, present)]
 
 
 @dataclass
@@ -188,15 +208,23 @@ class PostureModel:
     codebook: Codebook
 
 
-def _largest_component(mask: np.ndarray) -> np.ndarray:
-    """Largest 8-connected foreground component of a 2-D mask, painted
-    back from its runs; size ties keep the component numbered first, the
-    one whose first pixel comes first in raster order."""
-    row, start, end, label = _labelled_runs(np.asarray(mask)[None])
-    if row.size:
-        keep = label == np.bincount(label, weights=end - start).argmax()
-        row, start, end = row[keep], start[keep], end[keep]
-    return _paint((1, *np.shape(mask)), row, start, end, np.int8(1))[0] > 0
+def _largest_component(masks) -> np.ndarray:
+    """The largest 8-connected foreground component of each mask of an
+    (N, h, w) stack, painted back from its runs; size ties keep the
+    component numbered first in its mask, the one whose first pixel comes
+    first in raster order."""
+    masks = np.asarray(masks)
+    row, start, end, label = _labelled_runs(masks)
+    size = np.bincount(label, weights=end - start)
+    owner = np.zeros(size.size, dtype=np.int64)  # each component's mask
+    owner[label] = row // (masks.shape[1] + 1)
+    # each mask's components largest first; the stable sort keeps ties in
+    # label order, so each mask's first is the one kept
+    order = np.lexsort((-size[1:], owner[1:])) + 1
+    kept = np.zeros(size.size, dtype=bool)
+    kept[order[np.unique(owner[order], return_index=True)[1]]] = True
+    keep = kept[label]
+    return _paint(masks.shape, row[keep], start[keep], end[keep], np.int8(1)) > 0
 
 
 # clockwise king moves, image coords (row grows downward)
@@ -383,7 +411,8 @@ def video_shape_contexts(frames,
 
     frames: iterable of per-frame {HandSide: HandRegion} dicts. Absent
     hands contribute nothing; a mask too small for a contour is skipped
-    the same way. The present masks are traced, sampled and binned as one
+    the same way. The present regions' packed rows are stacked and
+    unpacked once, and their masks traced, sampled and binned as one
     stack. Returns the (n, 49) bin counts and, per row, the histogram
     half it counts in: 0 for the right hand, 1 for the left.
     """
@@ -394,7 +423,8 @@ def video_shape_contexts(frames,
                for side, region in sides.items() if region.present]
     if not present:
         return np.empty((0, SC_DIM), dtype=_count_dtype(m)), np.empty(0, dtype=np.int64)
-    points, kept = sample_contour(np.stack([region.mask for _, region in present]), m)
+    bits = np.stack([region.bits for _, region in present])
+    points, kept = sample_contour(np.unpackbits(bits, axis=-1, count=PATCH).view(bool), m)
     left = np.array([side == HandSide.LEFT for side, _ in present], dtype=np.int64)
     return frame_shape_contexts(points), np.repeat(left[kept], m)
 

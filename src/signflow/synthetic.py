@@ -33,7 +33,7 @@ from .dataset import (
     save_mask_archive,
     write_skeleton_csv,
 )
-from .posture import PATCH, HandRegion, HandSide, _largest_component
+from .posture import PATCH, _frame_regions, _largest_component
 from .skeleton import UPPER_BODY, JointId, SkeletonSequence, _is_integral, _is_real
 
 FRAME_DT = 1.0 / 30.0
@@ -115,7 +115,8 @@ _GRID_Y, _GRID_X = np.mgrid[:PATCH, :PATCH].astype(np.float64)
 
 def _shape_mask(shape_id: int, cx: float, cy: float, scale: float,
                 phase: float) -> np.ndarray:
-    """One procedural hand silhouette on the 65x65 grid: one component."""
+    """One procedural hand silhouette on the 65x65 grid, before
+    `_largest_component` keeps its largest component."""
     dx = _GRID_X - cx
     dy = _GRID_Y - cy
     r = np.hypot(dx, dy)
@@ -140,7 +141,7 @@ def _shape_mask(shape_id: int, cx: float, cy: float, scale: float,
         mask = r <= 6.5 * scale
     else:
         raise ValueError(f"unknown mask shape id {shape_id}")
-    return _largest_component(mask)
+    return mask
 
 
 MASK_SHAPE_IDS = (0, 1, 2, 3, 4, REST_MASK_ID)
@@ -270,13 +271,14 @@ def _render_sequence(cfg: SyntheticConfig, spec: ClassSpec, puppet: dict,
 
 def _render_masks(cfg: SyntheticConfig, spec: ClassSpec, seq_index: int,
                   n_frames: int) -> list:
+    """A video's per-frame {HandSide: HandRegion} dicts: its masks are
+    rendered into one (T, 2, 65, 65) stack, right then left, cut to their
+    largest components and packed in one call each."""
     rng = np.random.default_rng([cfg.seed, 303, seq_index])
-    frames = []
+    masks = np.empty((n_frames, 2, PATCH, PATCH), dtype=bool)
     jitter = cfg.noise > 0
-    for _ in range(n_frames):
-        sides = {}
-        for side, shape_id in ((HandSide.RIGHT, spec.mask),
-                               (HandSide.LEFT, REST_MASK_ID)):
+    for t in range(n_frames):
+        for slot, shape_id in enumerate((spec.mask, REST_MASK_ID)):
             if jitter:
                 cx = 32.0 + rng.uniform(-2.0, 2.0)
                 cy = 32.0 + rng.uniform(-2.0, 2.0)
@@ -284,10 +286,9 @@ def _render_masks(cfg: SyntheticConfig, spec: ClassSpec, seq_index: int,
                 phase = rng.uniform(0.0, 2.0 * math.pi)
             else:
                 cx, cy, scale, phase = 32.0, 32.0, 1.0, 0.0
-            mask = _shape_mask(shape_id, cx, cy, scale, phase)
-            sides[side] = HandRegion._validated(mask, bool(mask.any()))
-        frames.append(sides)
-    return frames
+            masks[t, slot] = _shape_mask(shape_id, cx, cy, scale, phase)
+    masks = _largest_component(masks.reshape(-1, PATCH, PATCH))
+    return _frame_regions(np.packbits(masks.reshape(n_frames, 2, PATCH, PATCH), axis=-1))
 
 
 def generate_synthetic_corpus(cfg: SyntheticConfig,

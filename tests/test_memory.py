@@ -1,4 +1,5 @@
-"""Training memory: what `train_pipeline` holds at its traced peak.
+"""Memory: what training, a loaded mask archive and the exact distance
+kernel hold, traced by tracemalloc.
 
 Shape contexts are held as bin counts, not float rows: a float64
 shape-context row takes 392 bytes, its 1-byte bin counts 49. On a corpus
@@ -7,13 +8,23 @@ allocate less, at its peak, than the split's rows would take as float64.
 
 The gesture descriptors are held as one matrix, normalized in place: no
 raw copy of it is alive while k-means runs.
+
+A loaded hand mask is held as its rows packed 8 pixels to a byte, 585
+bytes against a bool mask's 4,225, in one array per archive.
+`_sq_dists` holds its output and one chunk's work, not every chunk's.
 """
 
 import tracemalloc
 
+import numpy as np
+import pytest
+from scipy.spatial.distance import cdist
+
+from signflow.codebook import _sq_dists
+from signflow.dataset import load_mask_archive, save_mask_archive
 from signflow.descriptors import DescriptorVariant
 from signflow.pipeline import items_from_corpus, train_pipeline
-from signflow.posture import SC_DIM, video_shape_contexts
+from signflow.posture import PATCH, SC_DIM, HandRegion, HandSide, video_shape_contexts
 from signflow.skeleton import JointId
 from signflow.synthetic import ClassSpec, SyntheticConfig, generate_synthetic_corpus
 
@@ -71,3 +82,50 @@ def test_gesture_training_holds_one_descriptor_matrix():
     assert peak < 2.8 * matrix, (
         f"train_pipeline peaked at {peak:,} traced bytes, "
         f"{peak / matrix:.2f} times the {matrix:,}-byte descriptor matrix")
+
+
+def disk(radius):
+    yy, xx = np.mgrid[:PATCH, :PATCH]
+    return (yy - 32) ** 2 + (xx - 32) ** 2 <= radius ** 2
+
+
+def test_loaded_archive_keeps_packed_rows(tmp_path):
+    # 120 frames: the right hand a disk of radius 3 to 22, the left absent
+    # every third frame
+    frames = [{HandSide.RIGHT: HandRegion(disk(3 + t % 20)),
+               HandSide.LEFT: HandRegion(disk(8) & (t % 3 > 0))}
+              for t in range(120)]
+    save_mask_archive(tmp_path, frames)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = load_mask_archive(tmp_path)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    regions = [region for frame in back for region in frame.values()]
+    assert len(regions) == 240
+    assert kept < 1024 * len(regions), (
+        f"a loaded archive keeps {kept / len(regions):,.0f} traced bytes a mask")
+    bases = {id(region.bits.base) for region in regions}
+    assert len(bases) == 1 and regions[0].bits.base is not None
+    for got, want in zip(back, frames):
+        for side in HandSide:
+            assert got[side].mask.tobytes() == want[side].mask.tobytes()
+    with pytest.raises(ValueError):
+        regions[0].mask[32, 32] = False
+
+
+def test_sq_dists_holds_its_output_and_one_chunk():
+    rng = np.random.default_rng(11)
+    points, centers = rng.normal(size=(2000, 49)), rng.normal(size=(100, 49))
+    tracemalloc.start()
+    try:
+        got = _sq_dists(points, centers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes == 1_600_000
+    assert peak < 3 * got.nbytes, (
+        f"_sq_dists peaked at {peak:,} traced bytes for a {got.nbytes:,}-byte output")
+    assert got.tobytes() == cdist(points, centers, "sqeuclidean").tobytes()

@@ -86,7 +86,7 @@ class TestLargestComponent:
         rng = np.random.default_rng(40)
         for trial in range(15):
             mask = rng.random((30, 30)) < 0.35
-            got = _largest_component(mask)
+            got = _largest_component(mask[None])[0]
             comps = flood_fill_components(mask)
             if not comps:
                 assert not got.any()
@@ -103,7 +103,7 @@ class TestLargestComponent:
         mask = np.zeros((10, 10), bool)
         mask[1, 1:4] = True   # first in raster order
         mask[5, 5:8] = True
-        got = _largest_component(mask)
+        got = _largest_component(mask[None])[0]
         assert got[1, 1:4].all() and not got[5, 5:8].any()
 
 

@@ -141,7 +141,7 @@ def hand_regions(draw):
     ay, ax = draw(st.integers(0, 20)), draw(st.integers(0, 20))
     yy, xx = np.mgrid[:PATCH, :PATCH]
     mask = ((yy - cy) / (ay + 0.5)) ** 2 + ((xx - cx) / (ax + 0.5)) ** 2 <= 1.0
-    return HandRegion(mask=_largest_component(mask))
+    return HandRegion(mask=_largest_component(mask[None])[0])
 
 
 @st.composite

@@ -98,7 +98,7 @@ def single_component(draw, shape):
         mask &= rng.random(shape) >= draw(st.floats(0.0, 0.3))
     else:
         mask = rng.random(shape) < draw(st.floats(0.2, 0.8))
-    mask = _largest_component(mask)
+    mask = _largest_component(mask[None])[0]
     if not mask.any():
         mask[r, c] = True
     return mask
