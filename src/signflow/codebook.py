@@ -24,8 +24,10 @@ from .skeleton import EmptyInputError
 DEFAULT_K = 100
 DEFAULT_MAX_ITER = 100
 
-# elements per chunk of distance work: a chunk's matrix is about 1 MB
-_CHUNK_ELEMENTS = 1 << 17
+# elements per chunk of distance work: a chunk's matrix is about 0.5 MB, so
+# its temporaries stay under glibc's heap trim threshold as training leaves
+# it (at 1 MB a gesture-long k-means fit took ~440,000 page faults)
+_CHUNK_ELEMENTS = 1 << 16
 _F32_MAX = float(np.finfo(np.float32).max)
 _UNIT = 2.0 ** -53  # unit roundoff of float64
 _TINY = 2.0 ** -1074  # smallest subnormal float64
@@ -88,6 +90,21 @@ def _row_sq_norms(rows: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", rows, rows)
 
 
+def _finite_sq_norms(rows: np.ndarray, name: str) -> np.ndarray:
+    """`_row_sq_norms(rows)`, after naming the first row that is not finite.
+
+    A finite norm proves a finite row, so only the rows whose norm is not
+    finite (a bad value, or an overflow) are scanned.
+    """
+    sq = _row_sq_norms(rows)
+    if not np.isfinite(sq).all():
+        suspect = np.flatnonzero(~np.isfinite(sq))
+        finite = np.isfinite(rows[suspect]).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite value in {name} {int(suspect[finite.argmin()])}")
+    return sq
+
+
 def _gemm_sq_dists(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
                    center_sq: np.ndarray):
     """The GEMM distances d~ = |z|^2 - 2 z.c + |c|^2, (n, k), from the squared
@@ -147,15 +164,44 @@ def _nearest(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
     return best, dist2, err
 
 
+def _chunks(rows: np.ndarray, size: int):
+    # copies: a view would keep every row index alive after the loop
+    for start in range(0, rows.size, size):
+        yield rows[start:start + size].copy()
+
+
 def _paired_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance of each row of `points` to the same (or the one)
-    row of `centers`, summed left to right: `_sq_dists`'s bytes."""
-    diff = points - centers
-    diff *= diff
-    total = diff[:, 0].copy()
-    for column in diff.T[1:]:
-        total += column
-    return total
+    row of `centers`, summed left to right: `_sq_dists`'s bytes. Rows are
+    taken in chunks, so no (n, D) difference is made."""
+    size = max(1, _CHUNK_ELEMENTS // points.shape[1])
+    out = np.empty(len(points))
+    for i in range(0, len(points), size):
+        diff = points[i:i + size] - (centers if len(centers) == 1 else centers[i:i + size])
+        diff *= diff
+        total = out[i:i + size]
+        total[:] = diff[:, 0]
+        for column in diff.T[1:]:
+            total += column
+    return out
+
+
+def _mean_rows(data: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`data[rows].mean(axis=0)`, holding one chunk of the rows at a time.
+
+    numpy sums a C-ordered gather of D >= 2 columns row after row, so a
+    cluster larger than a chunk is summed in that order, the running total
+    riding as each chunk's first row; one column, which numpy sums
+    pairwise, is gathered whole (8 bytes a row).
+    """
+    size = max(1, _CHUNK_ELEMENTS // data.shape[1])
+    if rows.size <= size or data.shape[1] < 2:
+        return data[rows].mean(axis=0)
+    work = np.zeros((size + 1, data.shape[1]))
+    for part in _chunks(rows, size):
+        work[1:part.size + 1] = data[part]
+        work[0] = np.add.reduce(work[:part.size + 1], axis=0)
+    return work[0] / rows.size
 
 
 def _kmeans_pp_seed(data: np.ndarray, data_sq: np.ndarray, k: int,
@@ -163,8 +209,8 @@ def _kmeans_pp_seed(data: np.ndarray, data_sq: np.ndarray, k: int,
     """k-means++ centers, drawn with probability d2 / sum(d2), d2 the exact
     squared distance to the nearest center so far. A row whose GEMV d~
     exceeds d2 + err cannot get nearer; only the rest get exact values."""
-    n = data.shape[0]
-    centers = np.empty((k, data.shape[1]), dtype=np.float64)
+    n, dim = data.shape
+    centers = np.empty((k, dim), dtype=np.float64)
     centers[0] = data[int(rng.integers(n))]
     with np.errstate(over="ignore"):
         d2 = _paired_sq_dists(data, centers[0:1])
@@ -179,14 +225,26 @@ def _kmeans_pp_seed(data: np.ndarray, data_sq: np.ndarray, k: int,
             idx = int(rng.integers(n))
         centers[i] = data[idx]
         approx, err = _gemm_sq_dists(data, data_sq, centers[i:i + 1], data_sq[idx:idx + 1])
-        rows = np.flatnonzero(~(approx[:, 0] > d2 + err))
-        d2[rows] = np.minimum(d2[rows], _paired_sq_dists(data[rows], centers[i:i + 1]))
+        near = np.flatnonzero(~(approx[:, 0] > d2 + err))
+        for rows in _chunks(near, max(1, _CHUNK_ELEMENTS // dim)):
+            d2[rows] = np.minimum(d2[rows], _paired_sq_dists(data[rows], centers[i:i + 1]))
     return centers
 
 
-def _chunks(rows: np.ndarray, size: int):
-    for start in range(0, rows.size, size):
-        yield rows[start:start + size]
+def _groups(centers: np.ndarray) -> list:
+    """The center indices of each group for the Yinyang bounds, no group
+    empty: up to max(1, k // 5) groups from a few Lloyd passes over the
+    centers, started at the first ones. Any grouping keeps the bounds
+    valid; a good one only makes them prune more."""
+    means = centers[:max(1, len(centers) // 5)].copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # any group will do
+        for _ in range(5):
+            group = _sq_dists(centers, means).argmin(axis=1)
+            for g in np.flatnonzero(np.bincount(group)):
+                means[g] = centers[group == g].mean(axis=0)
+        group = _sq_dists(centers, means).argmin(axis=1)
+    members = [np.flatnonzero(group == g) for g in range(len(means))]
+    return [cols for cols in members if cols.size]
 
 
 # The pruning bounds are float32 and every rounding step is one-sided, so a
@@ -202,6 +260,23 @@ def _lower_bounds(dist2: np.ndarray) -> np.ndarray:
     """
     return np.minimum(np.sqrt(dist2) * (1.0 - 2.0 ** -20) - 2.0 ** -149,
                       _F32_MAX).astype(np.float32)
+
+
+def _group_bounds(dist2: np.ndarray, err: np.ndarray, best: np.ndarray,
+                  groups: list) -> np.ndarray:
+    """float32 (t, m) bounds, each <= the distance from a row to every
+    center of a group but the row's own, `best`, from `_nearest`'s d~ and
+    err. Overwrites `dist2`.
+
+    d~ - err <= d, and subtracting err, the floor at 0 and `_lower_bounds`
+    are monotone, so they may follow each group's least d~.
+    """
+    dist2[np.arange(len(best)), best] = np.inf
+    least = np.empty((len(groups), len(best)))
+    for g, cols in enumerate(groups):
+        np.minimum.reduce(dist2[:, cols], axis=1, out=least[g])
+    least -= err
+    return _lower_bounds(np.maximum(least, 0.0))
 
 
 def _upper_radii(d2: np.ndarray) -> np.ndarray:
@@ -240,11 +315,14 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
     are re-seeded to the point farthest from its assigned center, keeping
     all k symbols alive.
 
-    Each pass skips the distances that cannot change a label, using
-    per-center lower bounds from the triangle inequality (Elkan, ICML
-    2003), and labels the other rows with `_nearest`; labels, ties, centers
-    and `wcss_history` are exactly those of plain Lloyd passes over the
-    full `_sq_dists` matrix.
+    Each pass skips the rows whose label cannot change, using one float32
+    lower bound per row and group of centers from the triangle inequality
+    (Yinyang k-means, Ding et al., ICML 2015: `_groups` makes
+    max(1, k // 5) groups once from the seeds), and labels the other rows
+    with `_nearest`. The bounds only choose which rows are searched, so
+    labels, ties, centers and `wcss_history` are exactly those of plain
+    Lloyd passes over the full `_sq_dists` matrix. Besides `data`, the
+    work is O(n + chunk) memory: the bounds take 4 bytes per row and group.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
@@ -256,16 +334,14 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
     n, dim = data.shape
     if k > n:
         raise ValueError(f"k={k} exceeds {n} data points")
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite value in data row {int(finite.argmin())}")
+    data_sq = _finite_sq_norms(data, "data row")
 
-    data_sq = _row_sq_norms(data)
     centers = _kmeans_pp_seed(data, data_sq, k, np.random.default_rng(seed))
-    # lower[j, i] <= distance from point i to center j, kept in float32 and
-    # rounded down; +inf at the point's own center, which it never tests
-    lower = np.full((k, n), -np.inf, dtype=np.float32)
-    labels = np.zeros(n, dtype=np.intp)
+    groups = _groups(centers)
+    # lower[g, i] <= distance from point i to every center of group g but
+    # its own, kept in float32 and rounded down
+    lower = np.full((len(groups), n), -np.inf, dtype=np.float32)
+    labels = np.full(n, -1, dtype=np.intp)  # -1: every row is relabelled in pass 1
     d2 = np.full(n, np.inf)  # exact squared distance to the own center
     moved = np.zeros(k, dtype=bool)
     shrink = np.zeros(k, dtype=np.float32)
@@ -274,7 +350,8 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
     prev_labels = None
     history = []
     for _ in range(max_iter):
-        lower -= shrink[:, None]
+        # a group's bounds shrink by its largest center move
+        lower -= np.array([shrink[cols].max() for cols in groups], dtype=np.float32)[:, None]
         for rows in _chunks(np.flatnonzero(moved[labels]), chunk):
             d2[rows] = _paired_sq_dists(data[rows], centers[labels[rows]])
         # a point keeps its label when every other center is certainly
@@ -283,12 +360,11 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
         center_sq = _row_sq_norms(centers)
         for rows in _chunks(np.flatnonzero(lower.min(axis=0) <= radius), chunk):
             best, dist2, err = _nearest(data[rows], data_sq[rows], centers, center_sq)
+            relabelled = rows[best != labels[rows]]
             labels[rows] = best
-            d2[rows] = _paired_sq_dists(data[rows], centers[best])
-            # d~ - err <= d, and the float32 rounding stays below its root
-            bound = _lower_bounds(np.maximum(dist2 - err[:, None], 0.0))
-            bound[np.arange(rows.size), best] = np.inf
-            lower[:, rows] = bound.T
+            d2[relabelled] = _paired_sq_dists(data[relabelled], centers[labels[relabelled]])
+            lower[:, rows] = _group_bounds(dist2, err, best, groups)
+            del dist2  # a chunk's work is not held through the next pass
         history.append(float(d2.sum()))
         counts = np.bincount(labels, minlength=k)
         if (prev_labels is not None and counts.min() > 0
@@ -311,7 +387,7 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
         # float64 limit can average to inf
         with np.errstate(over="ignore"):
             for j in np.flatnonzero(changed & (counts > 0)):
-                centers[j] = data[order[ends[j] - counts[j]:ends[j]]].mean(axis=0)
+                centers[j] = _mean_rows(data, order[ends[j] - counts[j]:ends[j]])
         finite = np.isfinite(centers).all(axis=1)
         if not finite.all():
             raise ValueError(f"the mean of cluster {int(finite.argmin())} overflows float64")
@@ -336,20 +412,33 @@ def build_codebook(descriptors, k: int = DEFAULT_K, seed: int = 0,
     """Fit z-normalization on the rows of every (n_i, D) array of
     `descriptors`, cluster them in z-space and encode each array: returns
     the Codebook, its k capped at the row count, and each array's (n_i,)
-    symbols. The arrays are concatenated once, normalized in place and
-    encoded by views, so no raw copy is held while k-means runs.
+    symbols.
+
+    `len` gives each item's row count before numpy reads its rows
+    (`np.asarray`), so an item may compute them only then, as training's
+    do. The rows are copied into one preallocated matrix, normalized in
+    place and encoded by views: at most one item's own rows are alive
+    beside it, and the caller's arrays are never modified.
     """
-    per_seq = [np.asarray(d, dtype=np.float64) for d in descriptors]
-    ends = np.cumsum([len(d) for d in per_seq])
-    if not per_seq or ends[-1] == 0:
+    items = list(descriptors)
+    ends = np.cumsum([len(item) for item in items], dtype=np.intp)
+    if not items or ends[-1] == 0:
         raise EmptyInputError("no descriptors")
-    data = np.concatenate(per_seq)
-    del per_seq
+    for i, item in enumerate(items):
+        rows = np.asarray(item, dtype=np.float64)
+        if i == 0:
+            data = np.empty((ends[-1],) + rows.shape[1:])
+            views = np.split(data, ends[:-1])
+        if rows.shape != views[i].shape:
+            raise ValueError(f"descriptor array {i} has shape {rows.shape}, "
+                             f"expected {views[i].shape}")
+        views[i][...] = rows
+    del items, rows
     stats = fit_znorm(data)
     data -= stats.mean  # (raw - mean) / stddev, in place
     data /= stats.stddev
     cb = fit_kmeans(data, min(k, len(data)), seed, znorm=stats, variant=variant)
-    return cb, [_nearest_symbols(cb, z) for z in np.split(data, ends[:-1])]
+    return cb, [_nearest_symbols(cb, z) for z in views]
 
 
 def quantize_batch(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
@@ -368,13 +457,7 @@ def quantize_batch(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
 
 def _nearest_symbols(cb: Codebook, z: np.ndarray) -> np.ndarray:
     """quantize_batch of rows already in the codebook's z-space."""
-    z_sq = _row_sq_norms(z)
-    # a finite norm proves a finite row; only overflow or a bad row look closer
-    if not np.isfinite(z_sq).all():
-        finite = np.isfinite(z).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"non-finite value in row {int(finite.argmin())}")
-    return _nearest(z, z_sq, cb.centers, cb.center_sq)[0]
+    return _nearest(z, _finite_sq_norms(z, "row"), cb.centers, cb.center_sq)[0]
 
 
 def encode_sequence(cb: Codebook, descriptors, source: str = "") -> np.ndarray:

@@ -26,6 +26,8 @@ import numpy as np
 from .skeleton import UPPER_BODY, JointId, SkeletonSequence
 
 ZNORM_FLOOR = 1e-8
+# elements per block of `fit_znorm`'s centred squares: about 0.5 MB
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class DescriptorVariant(str, Enum):
@@ -91,10 +93,28 @@ def describe_sequence(seq: SkeletonSequence, variant: DescriptorVariant) -> np.n
 
 def fit_znorm(data) -> ZNormStats:
     """Population mean/stddev over the rows of a (n, D) descriptor array,
-    stddev floored. Needs at least two rows."""
+    stddev floored. Needs at least two rows.
+
+    The bytes are `data.mean(axis=0)` and `np.maximum(data.std(axis=0),
+    ZNORM_FLOOR)`. `np.std` of a C-ordered matrix with D >= 2 sums the
+    centred squares row after row; they are summed here in that order one
+    block of rows at a time, the running total carried as each block's
+    first row, so no (n, D) temporary is made. A one-column array, which
+    numpy sums pairwise, keeps `np.std`.
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError(f"need >= 2 descriptor rows to fit stats, got shape {data.shape}")
+    n, dim = data.shape
     mean = data.mean(axis=0)
-    std = np.maximum(data.std(axis=0), ZNORM_FLOOR)
-    return ZNormStats(mean, std)
+    if dim < 2:
+        return ZNormStats(mean, np.maximum(data.std(axis=0), ZNORM_FLOOR))
+    size = max(1, _BLOCK_ELEMENTS // dim)
+    work = np.zeros((min(n, size) + 1, dim))
+    for start in range(0, n, size):
+        block = data[start:start + size]
+        squares = work[1:len(block) + 1]
+        np.subtract(block, mean, out=squares)
+        np.square(squares, out=squares)
+        work[0] = np.add.reduce(work[:len(block) + 1], axis=0)
+    return ZNormStats(mean, np.maximum(np.sqrt(work[0] / n), ZNORM_FLOOR))

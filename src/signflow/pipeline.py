@@ -194,6 +194,22 @@ def _codebook_sample(per_video: list, cap: int) -> np.ndarray:
     return np.concatenate(picks)
 
 
+@dataclass
+class _Described:
+    """A sequence's descriptor rows, counted up front and described only
+    when numpy reads them, so `build_codebook` can copy each stream into
+    its matrix as it is made."""
+
+    sequence: SkeletonSequence
+    variant: DescriptorVariant
+
+    def __len__(self) -> int:
+        return max(0, len(self.sequence) - self.variant.time_extended)
+
+    def __array__(self, dtype=None, copy=None):
+        return describe_sequence(self.sequence, self.variant)
+
+
 def _gesture_symbols(cb: Codebook, seq: SkeletonSequence):
     descriptors = describe_sequence(seq, cb.variant)
     return encode_sequence(cb, descriptors, source=seq.source)
@@ -236,7 +252,7 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
     # gesture branch: build_codebook holds the train descriptors as one matrix
     variant = DescriptorVariant(config["descriptor"])
     gesture_cb, symbol_seqs = build_codebook(
-        (describe_sequence(i.sequence, variant) for i in train),
+        [_Described(i.sequence, variant) for i in train],
         k=config["gesture_k"], seed=derive_seed(seed, "gesture-cb"), variant=variant)
     for symbols, item in zip(symbol_seqs, train):
         if len(symbols) == 0:

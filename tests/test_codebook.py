@@ -259,6 +259,42 @@ class TestBuildCodebook:
         assert cb.k == 5
         assert sorted(symbols[0].tolist()) == [0, 1, 2, 3, 4]
 
+    def test_items_read_once_when_copied(self):
+        # an item gives its row count up front and its rows when numpy
+        # reads them, as training's do
+        data = np.random.default_rng(18).normal(size=(90, 6))
+        parts = [data[:40], data[40:41], data[41:41], data[41:]]
+        reads = []
+
+        class Lazy:
+            def __init__(self, rows):
+                self.rows = rows
+
+            def __len__(self):
+                return len(self.rows)
+
+            def __array__(self, dtype=None, copy=None):
+                reads.append(len(self.rows))
+                return self.rows
+
+        cb, symbols = build_codebook([Lazy(p) for p in parts], k=5, seed=4)
+        want_cb, want = build_codebook(parts, k=5, seed=4)
+        assert reads == [40, 1, 0, 49]
+        assert cb.centers.tobytes() == want_cb.centers.tobytes()
+        assert cb.znorm.stddev.tobytes() == want_cb.znorm.stddev.tobytes()
+        assert [s.tolist() for s in symbols] == [s.tolist() for s in want]
+
+    def test_row_count_must_match_the_rows(self):
+        class Short:
+            def __len__(self):
+                return 3
+
+            def __array__(self, dtype=None, copy=None):
+                return np.zeros((2, 6))
+
+        with pytest.raises(ValueError, match=r"descriptor array 1 has shape \(2, 6\)"):
+            build_codebook([np.ones((4, 6)), Short()], k=2, seed=0)
+
     def test_build_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             build_codebook([np.empty((0, 6))], k=3, seed=0)

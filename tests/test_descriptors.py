@@ -5,6 +5,8 @@ frame pair) at a time, each joint looked up by id, the right-hand half
 built before the left. describe_sequence must equal it exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from signflow.descriptors import (
+    _BLOCK_ELEMENTS,
     ZNORM_FLOOR,
     DescriptorVariant,
     ZNormStats,
@@ -265,6 +268,40 @@ class TestZNorm:
         out = (data[3] - stats.mean) / stats.stddev
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 6, 7, 66]),
+           st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]), st.data())
+    def test_blocked_stats_are_numpy_bytes(self, seed, dim, scale, data):
+        # n from 2 up to several blocks of rows, block edges included
+        block = _BLOCK_ELEMENTS // dim
+        n = data.draw(st.one_of(
+            st.integers(2, 4 * block + 1),
+            st.sampled_from([block - 1, block, block + 1, 3 * block])))
+        rng = np.random.default_rng(seed)
+        offset = rng.normal(size=dim) * rng.choice([0.0, 5.0, 1e4])
+        rows = (rng.normal(size=(n, dim)) + offset) * scale
+        rows[:, rng.random(dim) < 0.2] = offset[0] * scale  # constant columns
+        stats = fit_znorm(rows)
+        assert stats.mean.tobytes() == rows.mean(axis=0).tobytes()
+        assert stats.stddev.tobytes() == \
+            np.maximum(rows.std(axis=0), ZNORM_FLOOR).tobytes()
+
+    def test_fit_holds_one_block(self):
+        # np.std would hold a second (n, D) matrix of centred squares
+        dim = 66
+        rows = np.random.default_rng(21).normal(size=(48_000, dim))
+        fit_znorm(rows[:10])
+        tracemalloc.start()
+        try:
+            fit_znorm(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = (_BLOCK_ELEMENTS // dim + 1) * dim * 8
+        # plus numpy's reduction buffer and a few (D,) arrays
+        assert peak < block + 8 * np.getbufsize() + 64 * dim * 8, (
+            f"fit_znorm peaked at {peak:,} traced bytes; one block is {block:,}")
 
     def test_fit_requires_two(self):
         with pytest.raises(ValueError):

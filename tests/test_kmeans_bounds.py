@@ -9,6 +9,7 @@ k-means++ start. That start is the cdist-based seeding the screened
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from scipy.spatial.distance import cdist
 
 import signflow.codebook as codebook
 from signflow.codebook import (
+    _CHUNK_ELEMENTS,
     Codebook,
     _kmeans_pp_seed,
+    _mean_rows,
     _paired_sq_dists,
     _row_sq_norms,
     fit_kmeans,
@@ -251,6 +254,95 @@ class TestPairedDistances:
         assert got.tobytes() == full[np.arange(n), labels].tobytes()
 
 
+def one_center_groups(centers):
+    return [np.array([j]) for j in range(len(centers))]
+
+
+def one_group(centers):
+    return [np.arange(len(centers))]
+
+
+class TestGroupEdges:
+    """The edges of the group rule: max(1, k // 5) groups, so one group
+    below k = 10; groups of one center; k = n; empty clusters reseeded
+    while groups shrink by their largest move. The groups only choose
+    which rows are searched, so every grouping must match the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(blobs(max_n=80), st.integers(1, 6))
+    def test_few_centers_form_one_group(self, case, k):
+        points, seed = case
+        k = min(k, points.shape[0])
+        seeds = _kmeans_pp_seed(points, _row_sq_norms(points), k,
+                                np.random.default_rng(seed))
+        assert [g.tolist() for g in codebook._groups(seeds)] == [list(range(k))]
+        assert_matches_oracle(points, k, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(blobs(), st.sampled_from([one_center_groups, one_group]), st.data())
+    def test_groups_of_one_center_and_one_group(self, case, grouping, data):
+        points, seed = case
+        k = data.draw(st.integers(1, min(15, points.shape[0])))
+        with mock.patch.object(codebook, "_groups", grouping):
+            assert_matches_oracle(points, k, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(blobs(max_n=60).filter(lambda case: case[0].shape[0] >= 10),
+           st.sampled_from([codebook._groups, one_center_groups]))
+    def test_k_is_n_with_several_groups(self, case, grouping):
+        points, seed = case
+        with mock.patch.object(codebook, "_groups", grouping):
+            assert_matches_oracle(points, points.shape[0], seed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
+           st.sampled_from([codebook._groups, one_center_groups]), st.data())
+    def test_reseeds_with_several_groups(self, seed, distinct, grouping, data):
+        # fewer distinct points than centers, k >= 10: several groups, and
+        # clusters come up empty and are reseeded
+        rng = np.random.default_rng(seed)
+        sites = rng.normal(size=(distinct, 3))
+        points = sites[rng.integers(distinct, size=60)]
+        k = data.draw(st.integers(10, 20))
+        with mock.patch.object(codebook, "_groups", grouping):
+            assert assert_matches_oracle(points, k, seed) > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(blobs(max_n=150), st.data())
+    def test_groups_partition_the_centers(self, case, data):
+        points, _ = case
+        k = data.draw(st.integers(1, points.shape[0]))
+        groups = codebook._groups(points[:k])
+        assert 1 <= len(groups) <= max(1, k // 5)
+        assert all(g.size for g in groups)
+        assert sorted(np.concatenate(groups).tolist()) == list(range(k))
+
+
+class TestClusterMeans:
+    """A cluster larger than a chunk is summed a chunk at a time, in the
+    order numpy sums the whole gather."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 7, 66]),
+           st.sampled_from([1e-6, 1.0, 1e6]), st.data())
+    def test_bytes_equal_numpy_mean(self, seed, dim, scale, data):
+        chunk = _CHUNK_ELEMENTS // dim
+        size = data.draw(st.one_of(
+            st.integers(1, 3 * chunk + 2),
+            st.sampled_from([chunk - 1, chunk, chunk + 1, 2 * chunk + 1])))
+        rng = np.random.default_rng(seed)
+        points = (rng.normal(size=(size + 50, dim)) + rng.normal(size=dim) * 5) * scale
+        rows = np.sort(rng.choice(size + 50, size=size, replace=False))
+        want = points[rows].mean(axis=0)
+        assert _mean_rows(points, rows).tobytes() == want.tobytes()
+
+    def test_one_cluster_of_several_chunks_matches_lloyd(self):
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(3 * _CHUNK_ELEMENTS // 66 + 5, 66)) * 3.0 + 1.0
+        assert_matches_oracle(points, 1, 12)
+        assert_matches_oracle(points, 2, 13)
+
+
 class TestPruning:
     def test_most_rows_skip_cdist(self, monkeypatch):
         # well-separated blobs: after the first passes few points are near a
@@ -283,6 +375,17 @@ class TestNonFinite:
         points[6, 1] = bad
         points[8, 0] = bad
         with pytest.raises(ValueError, match="row 6"):
+            fit_kmeans(points, 3, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_fit_scans_only_rows_whose_norm_is_not_finite(self):
+        # rows 1 and 4 are finite but their squared norms overflow: they are
+        # scanned and passed over, and row 5 is named
+        points = np.random.default_rng(2).normal(size=(8, 3))
+        points[[1, 4], 0] = 1e200
+        points[5, 2] = np.nan
+        points[7, 1] = np.inf
+        with pytest.raises(ValueError, match=r"non-finite value in data row 5\b"):
             fit_kmeans(points, 3, seed=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

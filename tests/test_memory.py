@@ -1,17 +1,20 @@
-"""Memory: what training, a loaded mask archive and the exact distance
-kernel hold, traced by tracemalloc.
+"""Memory: what training, k-means, a loaded mask archive and the exact
+distance kernels hold, traced by tracemalloc.
 
 Shape contexts are held as bin counts, not float rows: a float64
 shape-context row takes 392 bytes, its 1-byte bin counts 49. On a corpus
 whose shape contexts dominate, the whole of `train_pipeline` must
 allocate less, at its peak, than the split's rows would take as float64.
 
-The gesture descriptors are held as one matrix, normalized in place: no
-raw copy of it is alive while k-means runs.
+Gesture training peaks at one normalized descriptor matrix plus O(n +
+chunk) work: each sequence's descriptors are written into one
+preallocated matrix, normalized in place, and `fit_kmeans` keeps one
+float32 bound per row and group of centers, not per row and center.
 
 A loaded hand mask is held as its rows packed 8 pixels to a byte, 585
 bytes against a bool mask's 4,225, in one array per archive.
-`_sq_dists` holds its output and one chunk's work, not every chunk's.
+`_sq_dists` holds its output and one chunk's work, not every chunk's;
+`_paired_sq_dists` holds a chunk or two of difference, not an (n, D) one.
 """
 
 import tracemalloc
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from signflow.codebook import _sq_dists
+from signflow.codebook import _CHUNK_ELEMENTS, _paired_sq_dists, _sq_dists, fit_kmeans
 from signflow.dataset import load_mask_archive, save_mask_archive
 from signflow.descriptors import DescriptorVariant
 from signflow.pipeline import items_from_corpus, train_pipeline
@@ -66,9 +69,11 @@ GESTURE_RUN = {"fusion": "gesture-only", "descriptor": "rbpd-t", "gesture_k": 10
 
 
 def test_gesture_training_holds_one_descriptor_matrix():
-    # k-means holds the matrix and its (k, n) float32 bounds, 400 bytes a
-    # row against the matrix's 528, plus chunked work: about 2.3 matrices.
-    # A raw copy kept beside the normalized one would add a whole matrix.
+    # training holds the normalized matrix, and k-means adds its (t, n)
+    # float32 group bounds, 80 bytes a row at t = 20 against the matrix's
+    # 528, a few (n,) arrays and chunked work: about 1.4 matrices. A raw
+    # copy, an (n, D) temporary or per-center bounds would each add 0.75
+    # to a whole matrix.
     items = items_from_corpus(generate_synthetic_corpus(LONG_CORPUS, with_masks=False))
     dim = DescriptorVariant.RBPD_T.dimension
     matrix = sum(len(i.sequence) - 1 for i in items) * dim * 8
@@ -79,9 +84,58 @@ def test_gesture_training_holds_one_descriptor_matrix():
     finally:
         tracemalloc.stop()
     assert bundle.gesture_codebook.k == 100
-    assert peak < 2.8 * matrix, (
+    assert peak < 1.8 * matrix, (
         f"train_pipeline peaked at {peak:,} traced bytes, "
         f"{peak / matrix:.2f} times the {matrix:,}-byte descriptor matrix")
+
+
+@pytest.mark.parametrize("k", [1, 100])
+def test_kmeans_work_is_a_fraction_of_its_data(k):
+    # gesture-long's shape: 48,000 rows of 66 components. Bounds per row
+    # and center (400 bytes a row at k = 100), an (n, D) temporary (528)
+    # or the gather of one cluster of every row (k = 1) would each exceed
+    # the bound alone.
+    rng = np.random.default_rng(8)
+    means = rng.normal(size=(40, 66)) * 2.0
+    data = means[rng.integers(40, size=48_000)] + rng.normal(size=(48_000, 66))
+    tracemalloc.start()
+    try:
+        cb = fit_kmeans(data, k, seed=8, max_iter=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cb.wcss_history) == (10 if k > 1 else 2)
+    assert peak < 0.4 * data.nbytes, (
+        f"fit_kmeans peaked at {peak:,} traced bytes, "
+        f"{peak / data.nbytes:.2f} times its {data.nbytes:,}-byte data")
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["one-center", "per-row-centers"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_paired_sq_dists_works_in_row_chunks(per_row, offset):
+    # n rows at a chunk boundary give cdist's bytes, alone and as the first
+    # rows of a larger call, which holds a chunk or two of difference at a
+    # time, not an (n, D) one
+    dim = 66
+    chunk = _CHUNK_ELEMENTS // dim
+    n = chunk + offset
+    rng = np.random.default_rng(chunk + offset)
+    points = rng.normal(size=(8 * n, dim)) * 1e3
+    centers = rng.normal(size=(5, dim)) * 1e3
+    labels = rng.integers(5, size=8 * n) if per_row else np.zeros(8 * n, dtype=int)
+    targets = centers[labels] if per_row else centers[:1]
+    want = cdist(points, centers, "sqeuclidean")[np.arange(8 * n), labels]
+    first = _paired_sq_dists(points[:n], targets[:n] if per_row else targets)
+    assert first.tobytes() == want[:n].tobytes()
+    tracemalloc.start()
+    try:
+        got = _paired_sq_dists(points, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < got.nbytes + 3 * chunk * dim * 8, (
+        f"_paired_sq_dists peaked at {peak:,} traced bytes for {8 * n:,} rows")
 
 
 def disk(radius):

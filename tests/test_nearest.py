@@ -154,6 +154,30 @@ class TestOneSidedBound:
                 assert b <= 0 or exact(b) ** 2 <= d
 
     @settings(max_examples=300, deadline=None)
+    @given(st.one_of(lookups(max_dim=6), cancelling_lookups()), st.data())
+    def test_group_bounds_below_exact_distance(self, case, data):
+        # any grouping: a row's bound for a group stays below its exact
+        # distance to each center of that group but its own
+        points, centers = case
+        cb = codebook_of(centers)
+        best, dist2, err = _nearest(points, _row_sq_norms(points), cb.centers,
+                                    cb.center_sq)
+        k = len(centers)
+        group = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=k,
+                                            max_size=k)))
+        groups = [np.flatnonzero(group == g) for g in np.unique(group)]
+        with np.errstate(invalid="ignore"):  # inf - inf in fallback rows
+            bounds = codebook._group_bounds(dist2, err, best, groups)
+        assert bounds.dtype == np.float32 and bounds.shape == (len(groups), len(points))
+        exact_d = exact_sq_dists(points, centers)
+        for g, cols in enumerate(groups):
+            for i, row_d in enumerate(exact_d):
+                b = bounds[g, i]
+                for j in cols:
+                    if j != best[i]:
+                        assert b <= 0 or exact(b) ** 2 <= row_d[j]
+
+    @settings(max_examples=300, deadline=None)
     @given(st.one_of(lookups(max_dim=6), cancelling_lookups()))
     def test_bound_covers_both_roundings(self, case):
         # err covers |d~ - d| + |cdist - d| on every settled row

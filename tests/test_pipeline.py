@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from signflow.bundle import load_bundle, save_bundle
+from signflow.codebook import build_codebook
 from signflow.dataset import CorruptFileError, load_manifest, parse_skeleton_csv, write_skeleton_csv
+from signflow.descriptors import describe_sequence
 from signflow.pipeline import (
     TIMING_STAGES,
     CorpusItem,
@@ -200,6 +202,31 @@ class TestTraining:
                                         "fusion": "gesture-only"})
         assert bundle.gesture_codebook.k == 24
         assert bundle.config["gesture_k_effective"] == 24
+
+    @pytest.mark.parametrize("descriptor", ["hd", "rbpd-t"])
+    def test_training_describes_each_sequence_once(self, descriptor, monkeypatch):
+        # through the name perfbench traces, straight into the codebook's
+        # matrix: the same codebook as from the described arrays
+        cfg = SyntheticConfig(classes=EASY_CONFIG.classes, counts=(3, 0, 0),
+                              frame_count_range=(6, 9), seed=4)
+        train = items_from_corpus(generate_synthetic_corpus(cfg, with_masks=False))
+        rows = []
+
+        def counting(seq, variant):
+            out = describe_sequence(seq, variant)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr("signflow.pipeline.describe_sequence", counting)
+        bundle = train_pipeline(train, {"descriptor": descriptor, "gesture_k": 8,
+                                        "hmm_states": 2, "hmm_iters": 2, "seed": 5,
+                                        "fusion": "gesture-only"})
+        shift = descriptor.endswith("-t")
+        assert rows == [len(i.sequence) - shift for i in train]
+        want, _ = build_codebook([describe_sequence(i.sequence, descriptor) for i in train],
+                                 k=8, seed=derive_seed(5, "gesture-cb"))
+        assert bundle.gesture_codebook.centers.tobytes() == want.centers.tobytes()
+        assert bundle.gesture_codebook.wcss_history == want.wcss_history
 
     def test_no_training_items_rejected(self):
         with pytest.raises(EmptyInputError):
