@@ -18,16 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .descriptors import DescriptorVariant, ZNormStats, fit_znorm
+from .descriptors import _CHUNK_ELEMENTS, DescriptorVariant, ZNormStats, fit_znorm
 from .skeleton import EmptyInputError
 
 DEFAULT_K = 100
 DEFAULT_MAX_ITER = 100
 
-# elements per chunk of distance work: a chunk's matrix is about 0.5 MB, so
-# its temporaries stay under glibc's heap trim threshold as training leaves
-# it (at 1 MB a gesture-long k-means fit took ~440,000 page faults)
-_CHUNK_ELEMENTS = 1 << 16
 _F32_MAX = float(np.finfo(np.float32).max)
 _UNIT = 2.0 ** -53  # unit roundoff of float64
 _TINY = 2.0 ** -1074  # smallest subnormal float64
@@ -186,24 +182,6 @@ def _paired_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mean_rows(data: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`data[rows].mean(axis=0)`, holding one chunk of the rows at a time.
-
-    numpy sums a C-ordered gather of D >= 2 columns row after row, so a
-    cluster larger than a chunk is summed in that order, the running total
-    riding as each chunk's first row; one column, which numpy sums
-    pairwise, is gathered whole (8 bytes a row).
-    """
-    size = max(1, _CHUNK_ELEMENTS // data.shape[1])
-    if rows.size <= size or data.shape[1] < 2:
-        return data[rows].mean(axis=0)
-    work = np.zeros((size + 1, data.shape[1]))
-    for part in _chunks(rows, size):
-        work[1:part.size + 1] = data[part]
-        work[0] = np.add.reduce(work[:part.size + 1], axis=0)
-    return work[0] / rows.size
-
-
 def _kmeans_pp_seed(data: np.ndarray, data_sq: np.ndarray, k: int,
                     rng: np.random.Generator) -> np.ndarray:
     """k-means++ centers, drawn with probability d2 / sum(d2), d2 the exact
@@ -321,8 +299,9 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
     max(1, k // 5) groups once from the seeds), and labels the other rows
     with `_nearest`. The bounds only choose which rows are searched, so
     labels, ties, centers and `wcss_history` are exactly those of plain
-    Lloyd passes over the full `_sq_dists` matrix. Besides `data`, the
-    work is O(n + chunk) memory: the bounds take 4 bytes per row and group.
+    Lloyd passes over the full `_sq_dists` matrix. Besides `data` and the
+    gathered rows of the cluster whose mean is being taken, the work is
+    O(n + chunk) memory: the bounds take 4 bytes per row and group.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
@@ -387,7 +366,7 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
         # float64 limit can average to inf
         with np.errstate(over="ignore"):
             for j in np.flatnonzero(changed & (counts > 0)):
-                centers[j] = _mean_rows(data, order[ends[j] - counts[j]:ends[j]])
+                centers[j] = data[order[ends[j] - counts[j]:ends[j]]].mean(axis=0)
         finite = np.isfinite(centers).all(axis=1)
         if not finite.all():
             raise ValueError(f"the mean of cluster {int(finite.argmin())} overflows float64")

@@ -26,8 +26,11 @@ import numpy as np
 from .skeleton import UPPER_BODY, JointId, SkeletonSequence
 
 ZNORM_FLOOR = 1e-8
-# elements per block of `fit_znorm`'s centred squares: about 0.5 MB
-_BLOCK_ELEMENTS = 1 << 16
+# elements per chunk of row-blocked work (`fit_znorm`'s centred squares,
+# the codebook's distances): a chunk's matrix is about 0.5 MB, so its
+# temporaries stay under glibc's heap trim threshold as the work leaves it
+# (at 1 MB a gesture-long k-means fit took ~440,000 page faults)
+_CHUNK_ELEMENTS = 1 << 16
 
 
 class DescriptorVariant(str, Enum):
@@ -70,6 +73,12 @@ class ZNormStats:
         return cls(np.zeros(dimension), np.ones(dimension))
 
 
+def descriptor_rows(seq: SkeletonSequence, variant: DescriptorVariant) -> int:
+    """Row count of `describe_sequence(seq, variant)`, without describing:
+    T for spatial variants, T - 1 (and 0 for T = 0) for time-extended ones."""
+    return max(0, len(seq) - DescriptorVariant(variant).time_extended)
+
+
 def describe_sequence(seq: SkeletonSequence, variant: DescriptorVariant) -> np.ndarray:
     """Descriptor stream for a whole sequence, one row per frame, in order.
 
@@ -99,17 +108,18 @@ def fit_znorm(data) -> ZNormStats:
     ZNORM_FLOOR)`. `np.std` of a C-ordered matrix with D >= 2 sums the
     centred squares row after row; they are summed here in that order one
     block of rows at a time, the running total carried as each block's
-    first row, so no (n, D) temporary is made. A one-column array, which
-    numpy sums pairwise, keeps `np.std`.
+    first row, so no (n, D) temporary is made. Any other array, such as
+    one column or a Fortran-ordered matrix, whose columns numpy sums
+    pairwise, keeps `np.std`.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError(f"need >= 2 descriptor rows to fit stats, got shape {data.shape}")
     n, dim = data.shape
     mean = data.mean(axis=0)
-    if dim < 2:
+    if dim < 2 or not data.flags.c_contiguous:
         return ZNormStats(mean, np.maximum(data.std(axis=0), ZNORM_FLOOR))
-    size = max(1, _BLOCK_ELEMENTS // dim)
+    size = max(1, _CHUNK_ELEMENTS // dim)
     work = np.zeros((min(n, size) + 1, dim))
     for start in range(0, n, size):
         block = data[start:start + size]

@@ -29,7 +29,7 @@ from .dataset import (
     load_mask_archive,
     parse_skeleton_csv,
 )
-from .descriptors import DescriptorVariant, describe_sequence
+from .descriptors import DescriptorVariant, describe_sequence, descriptor_rows
 from .fusion import (
     DEFAULT_FUSION_COST,
     couple,
@@ -204,7 +204,7 @@ class _Described:
     variant: DescriptorVariant
 
     def __len__(self) -> int:
-        return max(0, len(self.sequence) - self.variant.time_extended)
+        return descriptor_rows(self.sequence, self.variant)
 
     def __array__(self, dtype=None, copy=None):
         return describe_sequence(self.sequence, self.variant)

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from signflow.descriptors import (
-    _BLOCK_ELEMENTS,
+    _CHUNK_ELEMENTS,
     ZNORM_FLOOR,
     DescriptorVariant,
     ZNormStats,
     describe_sequence,
+    descriptor_rows,
     fit_znorm,
 )
 from signflow.skeleton import ALL_JOINTS, UPPER_BODY, JointId, SkeletonSequence
@@ -187,13 +188,16 @@ class TestDescribeSequence:
         seq = random_sequence(np.random.default_rng(13), n=9)
         assert describe_sequence(seq, DescriptorVariant.RBPD).shape == (9, 66)
         assert describe_sequence(seq, DescriptorVariant.HD).shape == (9, 6)
+        assert descriptor_rows(seq, DescriptorVariant.HD) == 9
 
     def test_time_extended_counts(self):
         seq = random_sequence(np.random.default_rng(14), n=9)
         assert describe_sequence(seq, DescriptorVariant.RBPD_T).shape == (8, 66)
         assert describe_sequence(seq, DescriptorVariant.HD_T).shape == (8, 6)
+        assert descriptor_rows(seq, DescriptorVariant.HD_T) == 8
         one = random_sequence(np.random.default_rng(14), n=1)
         assert describe_sequence(one, DescriptorVariant.RBPD_T).shape == (0, 66)
+        assert descriptor_rows(one, DescriptorVariant.RBPD_T) == 0
 
     def test_frame_indices_sequential(self):
         # row i describes frame i (and frame i + 1 for the -T variants)
@@ -273,8 +277,9 @@ class TestZNorm:
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 6, 7, 66]),
            st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]), st.data())
     def test_blocked_stats_are_numpy_bytes(self, seed, dim, scale, data):
-        # n from 2 up to several blocks of rows, block edges included
-        block = _BLOCK_ELEMENTS // dim
+        # n from 2 up to several blocks of rows, block edges included; a
+        # Fortran-ordered matrix, whose columns numpy sums pairwise, too
+        block = _CHUNK_ELEMENTS // dim
         n = data.draw(st.one_of(
             st.integers(2, 4 * block + 1),
             st.sampled_from([block - 1, block, block + 1, 3 * block])))
@@ -282,6 +287,7 @@ class TestZNorm:
         offset = rng.normal(size=dim) * rng.choice([0.0, 5.0, 1e4])
         rows = (rng.normal(size=(n, dim)) + offset) * scale
         rows[:, rng.random(dim) < 0.2] = offset[0] * scale  # constant columns
+        rows = np.asarray(rows, order=data.draw(st.sampled_from("CF")))
         stats = fit_znorm(rows)
         assert stats.mean.tobytes() == rows.mean(axis=0).tobytes()
         assert stats.stddev.tobytes() == \
@@ -298,7 +304,7 @@ class TestZNorm:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = (_BLOCK_ELEMENTS // dim + 1) * dim * 8
+        block = (_CHUNK_ELEMENTS // dim + 1) * dim * 8
         # plus numpy's reduction buffer and a few (D,) arrays
         assert peak < block + 8 * np.getbufsize() + 64 * dim * 8, (
             f"fit_znorm peaked at {peak:,} traced bytes; one block is {block:,}")

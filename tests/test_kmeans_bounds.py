@@ -19,10 +19,8 @@ from scipy.spatial.distance import cdist
 
 import signflow.codebook as codebook
 from signflow.codebook import (
-    _CHUNK_ELEMENTS,
     Codebook,
     _kmeans_pp_seed,
-    _mean_rows,
     _paired_sq_dists,
     _row_sq_norms,
     fit_kmeans,
@@ -316,31 +314,6 @@ class TestGroupEdges:
         assert 1 <= len(groups) <= max(1, k // 5)
         assert all(g.size for g in groups)
         assert sorted(np.concatenate(groups).tolist()) == list(range(k))
-
-
-class TestClusterMeans:
-    """A cluster larger than a chunk is summed a chunk at a time, in the
-    order numpy sums the whole gather."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 7, 66]),
-           st.sampled_from([1e-6, 1.0, 1e6]), st.data())
-    def test_bytes_equal_numpy_mean(self, seed, dim, scale, data):
-        chunk = _CHUNK_ELEMENTS // dim
-        size = data.draw(st.one_of(
-            st.integers(1, 3 * chunk + 2),
-            st.sampled_from([chunk - 1, chunk, chunk + 1, 2 * chunk + 1])))
-        rng = np.random.default_rng(seed)
-        points = (rng.normal(size=(size + 50, dim)) + rng.normal(size=dim) * 5) * scale
-        rows = np.sort(rng.choice(size + 50, size=size, replace=False))
-        want = points[rows].mean(axis=0)
-        assert _mean_rows(points, rows).tobytes() == want.tobytes()
-
-    def test_one_cluster_of_several_chunks_matches_lloyd(self):
-        rng = np.random.default_rng(12)
-        points = rng.normal(size=(3 * _CHUNK_ELEMENTS // 66 + 5, 66)) * 3.0 + 1.0
-        assert_matches_oracle(points, 1, 12)
-        assert_matches_oracle(points, 2, 13)
 
 
 class TestPruning:

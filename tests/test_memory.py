@@ -89,22 +89,20 @@ def test_gesture_training_holds_one_descriptor_matrix():
         f"{peak / matrix:.2f} times the {matrix:,}-byte descriptor matrix")
 
 
-@pytest.mark.parametrize("k", [1, 100])
-def test_kmeans_work_is_a_fraction_of_its_data(k):
-    # gesture-long's shape: 48,000 rows of 66 components. Bounds per row
-    # and center (400 bytes a row at k = 100), an (n, D) temporary (528)
-    # or the gather of one cluster of every row (k = 1) would each exceed
-    # the bound alone.
+def test_kmeans_work_is_a_fraction_of_its_data():
+    # gesture-long's shape: 48,000 rows of 66 components and k = 100.
+    # Bounds per row and center (400 bytes a row) or an (n, D) temporary
+    # (528) would each exceed the bound alone.
     rng = np.random.default_rng(8)
     means = rng.normal(size=(40, 66)) * 2.0
     data = means[rng.integers(40, size=48_000)] + rng.normal(size=(48_000, 66))
     tracemalloc.start()
     try:
-        cb = fit_kmeans(data, k, seed=8, max_iter=10)
+        cb = fit_kmeans(data, 100, seed=8, max_iter=10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(cb.wcss_history) == (10 if k > 1 else 2)
+    assert len(cb.wcss_history) == 10
     assert peak < 0.4 * data.nbytes, (
         f"fit_kmeans peaked at {peak:,} traced bytes, "
         f"{peak / data.nbytes:.2f} times its {data.nbytes:,}-byte data")
