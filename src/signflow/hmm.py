@@ -1,10 +1,10 @@
 """Discrete-observation left-right HMMs for gesture classification.
 
 One model per sign class, all classes held as one stacked record and
-trained by multi-sequence Baum-Welch: one scaled recursion per iteration
-over the sequences of every class still training. Classification scores a
-probe under every class at once, one scaled step per 16-frame block
-product, and takes the best length-normalized score.
+trained by multi-sequence Baum-Welch: one scaled recursion on A's two bands
+per iteration, over the sequences of every class still training.
+Classification scores a probe under every class at once, one scaled step
+per 16-frame block product, and takes the best length-normalized score.
 
 Re-estimated probabilities are floored at EPS_P on their structural support
 (the entries positive at initialization) so that test symbols unseen in
@@ -127,28 +127,36 @@ def init_left_right(n_states: int, n_symbols: int, n_classes: int = 1) -> Discre
     return DiscreteHMM(pi=pi, A=A, B=B)
 
 
-def _scaled_forward(pi: np.ndarray, A: np.ndarray, emissions: np.ndarray):
-    """Normalized forward pass over R stacked rows, in one time loop.
+def _bands(A: np.ndarray, cls: np.ndarray, emissions: np.ndarray) -> np.ndarray:
+    """Each row's emissions (T, R, n) folded into its class's two bands of A
+    (C, n, n), cls (R,) naming the classes: (T, 2, R, n), [:, 0] holding
+    A[i, i] P(o_t | i) (stay) but the first step's emissions at t = 0, and
+    [:, 1, :, :-1] A[i, i + 1] P(o_t | i + 1) (move), its last column 0."""
+    bands = np.zeros((emissions.shape[0], 2) + emissions.shape[1:])
+    np.multiply(A.diagonal(0, 1, 2)[cls], emissions, out=bands[:, 0])
+    np.multiply(A.diagonal(1, 1, 2)[cls], emissions[..., 1:], out=bands[:, 1, :, :-1])
+    bands[0, 0] = emissions[0]
+    return bands
 
-    pi is (R, n) and A (R, n, n), either with a leading 1 that broadcasts;
-    emissions (T, R, n) holds each row's P(o_t | state). Returns alpha_hat
+
+def _scaled_forward(pi: np.ndarray, stay: np.ndarray, move: np.ndarray):
+    """Normalized forward pass over R stacked rows, in one time loop, on
+    the two bands of _bands; pi is (R, n) or (1, n). Returns alpha_hat
     (T, R, n) and c (R, T), c[r, t] = P(o_t | o_1..t-1) in row r. A row of
     probability zero reads c = 0 at that step and NaN after it, and a NaN
-    model reads NaN; neither touches the other rows.
-    """
-    T, R, n = emissions.shape
+    model reads NaN; neither touches the other rows."""
+    T, R, n = stay.shape
     alpha = np.empty((T, R, n))
-    c = np.empty((R, T))
+    c = np.empty((T, R))
     with np.errstate(invalid="ignore"):  # 0/0 in a zero-probability row
-        a = pi * emissions[0]
         for t in range(T):
-            if t > 0:
-                # the same products and sums as one model's alpha @ A
-                a = np.matmul(alpha[t - 1][:, None, :], A)[:, 0, :] * emissions[t]
-            s = a.sum(axis=1)
-            c[:, t] = s
-            alpha[t] = a / s[:, None]
-    return alpha, c
+            a = alpha[t]
+            np.multiply(alpha[t - 1] if t else pi, stay[t], out=a)
+            if t:
+                a[:, 1:] += alpha[t - 1, :, :-1] * move[t]
+            np.add.reduce(a, axis=1, out=c[t])
+            a /= c[t, :, None]
+    return alpha, c.T
 
 
 def _log_likelihoods(hmm: DiscreteHMM, sym: np.ndarray) -> np.ndarray:
@@ -212,59 +220,47 @@ def forward_log_likelihood(hmm: DiscreteHMM, obs) -> float:
     return float(_log_likelihoods(hmm, _symbols(obs))[0])
 
 
-def _floor_row(counts: np.ndarray, support: np.ndarray, prev: np.ndarray,
-               eps: float) -> np.ndarray:
+def _floor_rows(counts: np.ndarray, support: np.ndarray, prev: np.ndarray,
+                eps: float) -> np.ndarray:
     """Exact M-step under the constraints x >= eps on support, 0 elsewhere,
-    sum x = 1: proportional shares, with undersized entries pinned at eps.
-    Stacked (..., m) arrays are floored row by row.
-
-    A row with no counts keeps its previous value (state never visited, any
-    feasible row is optimal).
-    """
-    if counts.ndim > 1:
-        rows = zip(counts, support, prev)
-        return np.reshape([_floor_row(*row, eps) for row in rows], counts.shape)
-    out = np.zeros_like(counts)
-    sup_idx = np.flatnonzero(support)
-    if sup_idx.size == 1:
-        out[sup_idx[0]] = 1.0
-        return out
-    cnt = counts[sup_idx]
-    total = cnt.sum()
-    if total <= 0.0:
-        return prev.copy()
-    pinned = cnt <= 0.0
-    for _ in range(sup_idx.size):
-        budget = 1.0 - pinned.sum() * eps
-        share = np.zeros_like(cnt)
-        free = ~pinned
-        share[free] = cnt[free] * (budget / cnt[free].sum())
-        newly = free & (share < eps)
-        if not newly.any():
-            break
-        pinned |= newly
-    share[pinned] = eps
-    out[sup_idx] = share
-    return out
+    sum x = 1, on every row of (..., m) stacks at once: proportional
+    shares, with undersized entries pinned at eps until no share falls
+    below it (each round pins one more entry of some row, so at most m).
+    A row with one supported entry gets 1.0 there; a row with no counts
+    keeps prev (state never visited, any feasible row is optimal)."""
+    cnt = np.where(support, counts, 0.0)
+    pinned = support & (cnt <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows of no counts
+        for _ in range(counts.shape[-1]):
+            free = support & ~pinned
+            budget = 1.0 - pinned.sum(axis=-1, keepdims=True) * eps
+            free_cnt = np.where(free, cnt, 0.0)
+            share = free_cnt * (budget / free_cnt.sum(axis=-1, keepdims=True))
+            newly = free & (share < eps)
+            if not newly.any():
+                break
+            pinned |= newly
+    out = np.where(pinned, eps, np.where(free, share, 0.0))
+    out = np.where((cnt.sum(axis=-1) <= 0.0)[..., None], prev, out)
+    return np.where(support.sum(axis=-1, keepdims=True) == 1, support, out)
 
 
-def _stacked_backward(A: np.ndarray, emissions: np.ndarray, c: np.ndarray,
+def _stacked_backward(stay: np.ndarray, move: np.ndarray, c: np.ndarray,
                       lengths: np.ndarray) -> np.ndarray:
-    """Scaled backward pass over the rows of a stacked forward pass.
-
-    A is (R, n, n), emissions (T, R, n), c (R, T) from _scaled_forward, and
-    lengths (R,) each row's sequence length. beta is 1.0 from each row's
-    last step on, so each row gets the bytes of its own backward pass,
-    beta[t] = A @ (B[:, o_t+1] * beta[t+1]) / c[t+1]. Returns (T, R, n).
-    """
-    T = emissions.shape[0]
+    """Scaled backward pass over the rows of a stacked forward pass, its
+    step's mirror image, with c (R, T) from _scaled_forward and lengths (R,)
+    the rows' sequence lengths. beta is 1.0 from each row's last step on, so
+    each row gets the bytes of its own backward pass. Returns (T, R, n)."""
+    T = stay.shape[0]
     ended = np.arange(T)[:, None] >= lengths - 1
-    beta = np.empty_like(emissions)
+    beta = np.empty_like(stay)
     beta[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
-        nxt = (emissions[t + 1] * beta[t + 1])[:, :, None]
-        beta[t] = np.matmul(A, nxt)[:, :, 0] / c[:, t + 1, None]
-        beta[t, ended[t]] = 1.0
+        b = beta[t]
+        np.multiply(stay[t + 1], beta[t + 1], out=b)
+        b[:, :-1] += move[t + 1] * beta[t + 1, :, 1:]
+        b /= c[:, t + 1, None]
+        b[ended[t]] = 1.0
     return beta
 
 
@@ -279,12 +275,12 @@ def baum_welch_classes(hmm: DiscreteHMM, trainings, max_iter: int,
     log-likelihood improves by less than tol, or after max_iter iterations.
 
     Every class shares one E-step per iteration: the forward and backward
-    recursions run once over a stack holding one row per sequence of each
-    class still training, and a converged class's rows leave the stack.
-    The pi and B counts and the log-likelihoods are one reduction each over
-    the stack, adding each bin's terms in (row, time) order from 0.0, and xi
-    one matrix product per row: each class's model and report are those it
-    would get trained alone.
+    recursions run once on A's two bands, with no matrix product, over a
+    stack holding one row per sequence of each class still training, and a
+    converged class's rows leave the stack. Each count is a reduction over
+    the stack that adds its terms in (row, time) order from 0.0, the A
+    counts a row's summed steps at a time: each class's model and report
+    are those it would get trained alone.
     """
     C, n, k = hmm.B.shape
     if len(trainings) != C:
@@ -317,40 +313,44 @@ def baum_welch_classes(hmm: DiscreteHMM, trainings, max_iter: int,
         cls, lens = row_class[rows], lengths[rows]
         sym = padded[rows, :lens.max()]
         B_ext = np.concatenate([B, np.ones((C, n, 1))], axis=2)
-        emissions = B_ext.transpose(0, 2, 1)[cls, sym.T]
-        A_rows = A[cls]
-        alphas, cs = _scaled_forward(pi[cls], A_rows, emissions)
+        bands = _bands(A, cls, B_ext.transpose(0, 2, 1)[cls, sym.T])
+        stay, move = bands[:, 0], bands[:, 1, :, :-1]
+        alphas, cs = _scaled_forward(pi[cls], stay, move)
         # steps past a sequence's end do not count; a NaN model's c passes
-        if np.any((cs <= 0.0) & (sym < k)):
+        real = sym < k
+        if np.any((cs <= 0.0) & real):
             raise ValueError("training sequence has zero probability")
-        betas = _stacked_backward(A_rows, emissions, cs, lens)
-        # (R, T, n) gammas give the B terms in (row, time) order; the pad
-        # symbol's bin takes the steps past each row's end
-        gammas = np.multiply(alphas.transpose(1, 0, 2), betas.transpose(1, 0, 2),
-                             order="C")
-        pi_cnt = np.zeros((C, n))
-        np.add.at(pi_cnt, cls, gammas[:, 0])
-        keys = ((cls[:, None] * n + np.arange(n)) * (k + 1))[:, None] + sym[..., None]
-        B_cnt = np.bincount(keys.ravel(), gammas.ravel(), C * n * (k + 1))
-        B_cnt = B_cnt.reshape(C, n, k + 1)[:, :, :k]
+        betas = _stacked_backward(stay, move, cs, lens)
+        # xi_t(i, j) = alpha_t(i) A[i, j] P(o_t+1 | j) beta_t+1(j) / c_t+1 in place
+        # of both bands; a sum over time of blocks of 2 R n entries adds in order
+        m = betas[1:] / cs.T[1:, :, None]
+        m[~real.T[1:]] = 0.0
+        bands[1:] *= alphas[:-1, None]
+        stay[1:] *= m
+        move[1:] *= m[:, :, 1:]
+        xi = bands[1:].sum(axis=0)
         A_cnt = np.zeros((C, n, n))
-        for r, (j, T) in enumerate(zip(cls, lens)):
-            if T > 1:
-                # xi summed over t, on contiguous copies as one sequence's
-                # pass has them: a GEMM over padded rows may sum otherwise
-                alpha = np.ascontiguousarray(alphas[:T - 1, r])
-                beta = np.ascontiguousarray(betas[1:T, r])
-                m = (B[j][:, sym[r, 1:T]].T * beta) / cs[r, 1:T, None]
-                A_cnt[j] += A[j] * (alpha.T @ m)
-        row_ll = [np.log(cs[r, :T]).sum() for r, T in enumerate(lens)]
-        class_ll = np.bincount(cls, row_ll, C)
+        np.add.at(A_cnt.reshape(C, n * n)[:, ::n + 1], cls, xi[0])
+        np.add.at(A_cnt.reshape(C, n * n)[:, 1::n + 1], cls, xi[1, :, :-1])
+        del bands, stay, move, m
+        # gamma = alpha beta, in (R, T, n) order for the B terms in (row, time)
+        # order; the pad symbol's bin takes the steps past each row's end
+        alphas *= betas
+        pi_cnt = np.zeros((C, n))
+        np.add.at(pi_cnt, cls, alphas[0])
+        keys = ((cls[:, None] * n + np.arange(n)) * (k + 1))[:, None] + sym[..., None]
+        B_cnt = np.bincount(keys.ravel(), alphas.swapaxes(0, 1).ravel(), C * n * (k + 1))
+        B_cnt = B_cnt.reshape(C, n, k + 1)[:, :, :k]
+        del alphas, betas, keys
+        class_ll = np.bincount(np.broadcast_to(cls[:, None], real.shape)[real],
+                               np.log(cs[real]), C)
         for j in np.flatnonzero(~done):
             lls = reports[j].log_likelihoods
             lls.append(float(class_ll[j]))
             reports[j].converged = done[j] = len(lls) >= 2 and lls[-1] - lls[-2] < tol
-        pi[~done] = _floor_row(pi_cnt[~done], pi_sup[~done], pi[~done], EPS_P)
-        A[~done] = _floor_row(A_cnt[~done], A_sup[~done], A[~done], EPS_P)
-        B[~done] = _floor_row(B_cnt[~done], B_sup[~done], B[~done], EPS_P)
+        pi[~done] = _floor_rows(pi_cnt[~done], pi_sup[~done], pi[~done], EPS_P)
+        A[~done] = _floor_rows(A_cnt[~done], A_sup[~done], A[~done], EPS_P)
+        B[~done] = _floor_rows(B_cnt[~done], B_sup[~done], B[~done], EPS_P)
 
     return DiscreteHMM(pi, A, B), reports
 

@@ -1,9 +1,15 @@
 """Property tests for the stacked HMM recursions.
 
-The oracles are the per-model paths the stacked code replaced: one scaled
-forward pass per (model, sequence), and Baum-Welch training one class at a
-time with one forward and one backward pass per sequence. Every comparison
-of the per-frame recursion and of Baum-Welch is exact, NaN included.
+The oracles are per-model paths: one scaled forward and one backward pass
+per (model, sequence) on A's two bands, and Baum-Welch training one class
+at a time with those passes per sequence. Every comparison of the
+per-frame recursion and of Baum-Welch with them is exact, NaN included.
+
+The matrix-product oracles the banded code replaced (`alpha @ A`, and
+`alpha.T @ m` for xi, floored row by row) are a second check. They round
+in another order, so they agree within MATMUL_TOL, about six times the
+largest difference measured at these tests' sizes. The M-step floor
+(`_floor_rows`) has its own per-row oracle and tolerance.
 
 Scoring multiplies 16-frame blocks of step matrices, which changes the
 float order: its finite log-likelihoods are held to the error bound of
@@ -25,8 +31,11 @@ from signflow.hmm import (
     NEG_INF,
     DiscreteHMM,
     TrainReport,
-    _floor_row,
+    _ROW_TOL,
+    _bands,
+    _floor_rows,
     _scaled_forward,
+    _stacked_backward,
     baum_welch,
     baum_welch_classes,
     classify_gesture,
@@ -38,8 +47,57 @@ from signflow.skeleton import EmptyInputError
 from hmm_records import arrays, single, stack
 
 
-def oracle_forward(hmm, obs):
-    """(alpha_hat, c) of one sequence, or (None, None) at probability zero."""
+def band_forward(hmm, obs):
+    """(alpha_hat, c) of one sequence on A's two bands, or (None, None) at
+    probability zero."""
+    pi, A, B = arrays(hmm)
+    stay, move = np.diag(A), np.diag(A, 1)
+    T = obs.shape[0]
+    alpha = np.empty((T, hmm.n_states))
+    c = np.empty(T)
+    a = pi * B[:, obs[0]]
+    for t in range(T):
+        if t > 0:
+            e = B[:, obs[t]]
+            a = alpha[t - 1] * (stay * e)
+            a[1:] += alpha[t - 1, :-1] * (move * e[1:])
+        s = a.sum()
+        if s <= 0.0:
+            return None, None
+        c[t] = s
+        alpha[t] = a / s
+    return alpha, c
+
+
+def band_backward(hmm, obs, c):
+    _, A, B = arrays(hmm)
+    stay, move = np.diag(A), np.diag(A, 1)
+    T = obs.shape[0]
+    beta = np.empty((T, hmm.n_states))
+    beta[T - 1] = 1.0
+    for t in range(T - 2, -1, -1):
+        e = B[:, obs[t + 1]]
+        b = (stay * e) * beta[t + 1]
+        b[:-1] += (move * e[1:]) * beta[t + 1, 1:]
+        beta[t] = b / c[t + 1]
+    return beta
+
+
+def band_xi(hmm, obs, alpha, beta, c):
+    """Summed xi of one sequence, (n, n): each band summed in time order."""
+    _, A, B = arrays(hmm)
+    stay, move = np.diag(A), np.diag(A, 1)
+    stay_sum, move_sum = np.zeros_like(stay), np.zeros_like(move)
+    for t in range(obs.shape[0] - 1):
+        e = B[:, obs[t + 1]]
+        m = beta[t + 1] / c[t + 1]
+        stay_sum += (stay * e) * alpha[t] * m
+        move_sum += (move * e[1:]) * alpha[t, :-1] * m[1:]
+    return np.diag(stay_sum) + np.diag(move_sum, 1)
+
+
+def matmul_forward(hmm, obs):
+    """band_forward with one matrix product per step."""
     pi, A, B = arrays(hmm)
     T = obs.shape[0]
     alpha = np.empty((T, hmm.n_states))
@@ -56,12 +114,7 @@ def oracle_forward(hmm, obs):
     return alpha, c
 
 
-def oracle_log_likelihood(hmm, obs):
-    _, c = oracle_forward(hmm, obs)
-    return NEG_INF if c is None else float(np.log(c).sum())
-
-
-def oracle_backward(hmm, obs, c):
+def matmul_backward(hmm, obs, c):
     _, A, B = arrays(hmm)
     T = obs.shape[0]
     beta = np.empty((T, hmm.n_states))
@@ -71,9 +124,57 @@ def oracle_backward(hmm, obs, c):
     return beta
 
 
-def oracle_baum_welch(hmm, seqs, max_iter, tol):
-    """Multi-sequence EM with one forward pass per sequence, on a one-class
-    record."""
+def matmul_xi(hmm, obs, alpha, beta, c):
+    _, A, B = arrays(hmm)
+    m = (B[:, obs[1:]].T * beta[1:]) / c[1:, None]
+    return A * (alpha[:-1].T @ m)
+
+
+def oracle_floor_row(counts, support, prev, eps):
+    """The M-step floor one row at a time: proportional shares, with
+    undersized entries pinned at eps; stacked (..., m) arrays row by row."""
+    if counts.ndim > 1:
+        rows = zip(counts, support, prev)
+        return np.reshape([oracle_floor_row(*row, eps) for row in rows],
+                          counts.shape)
+    out = np.zeros_like(counts)
+    sup_idx = np.flatnonzero(support)
+    if sup_idx.size == 1:
+        out[sup_idx[0]] = 1.0
+        return out
+    cnt = counts[sup_idx]
+    total = cnt.sum()
+    if total <= 0.0:
+        return prev.copy()
+    pinned = cnt <= 0.0
+    for _ in range(sup_idx.size):
+        budget = 1.0 - pinned.sum() * eps
+        share = np.zeros_like(cnt)
+        free = ~pinned
+        share[free] = cnt[free] * (budget / cnt[free].sum())
+        newly = free & (share < eps)
+        if not newly.any():
+            break
+        pinned |= newly
+    share[pinned] = eps
+    out[sup_idx] = share
+    return out
+
+
+BANDS = (band_forward, band_backward, band_xi, _floor_rows)
+MATMUL = (matmul_forward, matmul_backward, matmul_xi, oracle_floor_row)
+
+
+def oracle_log_likelihood(hmm, obs):
+    _, c = band_forward(hmm, obs)
+    return NEG_INF if c is None else float(np.log(c).sum())
+
+
+def oracle_baum_welch(hmm, seqs, max_iter, tol, steps=BANDS):
+    """Multi-sequence EM with one forward and one backward pass per
+    sequence, on a one-class record; the log-likelihood adds each step's
+    log c in (sequence, time) order from 0.0."""
+    forward, backward, xi, floor = steps
     pi, A, B = (x.copy() for x in arrays(hmm))
     pi_sup, A_sup, B_sup = pi > 0.0, A > 0.0, B > 0.0
     report = TrainReport()
@@ -84,27 +185,24 @@ def oracle_baum_welch(hmm, seqs, max_iter, tol):
         total_ll = 0.0
         cur = single(pi, A, B)
         for obs in seqs:
-            alpha, c = oracle_forward(cur, obs)
+            alpha, c = forward(cur, obs)
             if alpha is None:
                 raise ValueError("training sequence has zero probability")
-            beta = oracle_backward(cur, obs, c)
+            beta = backward(cur, obs, c)
             gamma = alpha * beta
-            total_ll += float(np.log(c).sum())
+            for log_c in np.log(c):
+                total_ll += float(log_c)
             pi_cnt += gamma[0]
-            if obs.shape[0] > 1:
-                m = (B[:, obs[1:]].T * beta[1:]) / c[1:, None]
-                A_cnt += A * (alpha[:-1].T @ m)
+            A_cnt += xi(cur, obs, alpha, beta, c)
             np.add.at(B_cnt.T, obs, gamma)
         report.log_likelihoods.append(total_ll)
         if (len(report.log_likelihoods) >= 2
                 and total_ll - report.log_likelihoods[-2] < tol):
             report.converged = True
             break
-        pi = _floor_row(pi_cnt, pi_sup, pi, EPS_P)
-        A = np.stack([_floor_row(A_cnt[i], A_sup[i], A[i], EPS_P)
-                      for i in range(hmm.n_states)])
-        B = np.stack([_floor_row(B_cnt[i], B_sup[i], B[i], EPS_P)
-                      for i in range(hmm.n_states)])
+        pi = floor(pi_cnt, pi_sup, pi, EPS_P)
+        A = floor(A_cnt, A_sup, A, EPS_P)
+        B = floor(B_cnt, B_sup, B, EPS_P)
     return single(pi, A, B), report
 
 
@@ -134,6 +232,22 @@ def same(a, b):
 
 
 UNIT = 2.0 ** -53
+# Largest band-against-matmul difference measured over 3,000 forward and
+# 600 Baum-Welch draws of these tests' sizes (up to 60 frames, 12
+# iterations): 6 u for alpha, 8 u relative for c, 31 u relative for beta,
+# 88 u for trained parameters and 47 u relative for log-likelihoods.
+MATMUL_TOL = 512 * UNIT
+
+
+def assert_near_matmul(hmm, obs, alpha, c, beta=None):
+    """The banded passes of one sequence against matmul_forward and
+    matmul_backward: alpha absolutely, c and beta relatively."""
+    alpha_m, c_m = matmul_forward(hmm, obs)
+    assert np.all(np.abs(alpha - alpha_m) <= MATMUL_TOL)
+    assert np.all(np.abs(c - c_m) <= MATMUL_TOL * c_m)
+    if beta is not None:
+        beta_m = matmul_backward(hmm, obs, c_m)
+        assert np.all(np.abs(beta - beta_m) <= MATMUL_TOL * beta_m)
 
 
 def block_length(models, T):
@@ -236,11 +350,13 @@ class TestStackedForward:
         obs = rng.integers(0, k, size=T)
         hmm = stack(models)
         emissions = hmm.B.transpose(2, 0, 1)[obs]
-        alpha, c = _scaled_forward(hmm.pi, hmm.A, emissions)
-        want = [oracle_forward(m, obs) for m in models]
-        for r, (alpha_r, c_r) in enumerate(want):
+        bands = _bands(hmm.A, np.arange(C), emissions)
+        alpha, c = _scaled_forward(hmm.pi, bands[:, 0], bands[:, 1, :, :-1])
+        for r, m in enumerate(models):
+            alpha_r, c_r = band_forward(m, obs)
             assert same(alpha[:, r], alpha_r)
             assert same(c[r], c_r)
+            assert_near_matmul(m, obs, alpha_r, c_r)
         # the block forward and the per-frame oracle each err by at most
         # their own bound from the exact value
         lls = np.array([oracle_log_likelihood(m, obs) for m in models])
@@ -285,11 +401,20 @@ class TestStackedForward:
         rng = np.random.default_rng(seed)
         hmm = random_left_right(rng, n, k)
         seqs = [rng.integers(0, k, size=T) for T in lengths]
-        alpha, c = _scaled_forward(hmm.pi, hmm.A, padded_emissions(hmm, seqs))
+        lens = np.array(lengths)
+        bands = _bands(hmm.A, np.zeros_like(lens), padded_emissions(hmm, seqs))
+        stay, move = bands[:, 0], bands[:, 1, :, :-1]
+        alpha, c = _scaled_forward(hmm.pi, stay, move)
+        beta = _stacked_backward(stay, move, c, lens)
         for r, obs in enumerate(seqs):
-            alpha_r, c_r = oracle_forward(hmm, obs)
-            assert same(alpha[:obs.shape[0], r], alpha_r)
-            assert same(c[r, :obs.shape[0]], c_r)
+            T = obs.shape[0]
+            alpha_r, c_r = band_forward(hmm, obs)
+            beta_r = band_backward(hmm, obs, c_r)
+            assert same(alpha[:T, r], alpha_r)
+            assert same(c[r, :T], c_r)
+            assert same(beta[:T, r], beta_r)
+            assert np.all(beta[T:, r] == 1.0)
+            assert_near_matmul(hmm, obs, alpha_r, c_r, beta_r)
 
 
 def tiny_entry_model(rng, n, k, exponent):
@@ -370,6 +495,53 @@ class TestBlockForward:
         assert resp.best_class == 1 and np.isfinite(resp.values).all()
 
 
+@st.composite
+def floor_stacks(draw):
+    """(counts, support, prev, eps) of a (rows, m) stack. Each row is of
+    one kind: counts on a support of several entries, no counts, or a
+    single supported entry. eps = 0.5 / m pins often and in cascades."""
+    rows, m = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    eps = draw(st.sampled_from([EPS_P, 0.5 / m]))
+    entries = st.one_of(st.just(0.0), st.floats(1e-9, 1e-5), st.floats(1e-3, 1e3))
+    counts = np.array(draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                                    min_size=rows, max_size=rows)))
+    support = np.array(draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                     min_size=rows, max_size=rows)))
+    for r, kind in enumerate(draw(st.lists(st.sampled_from(["counts", "idle", "single"]),
+                                           min_size=rows, max_size=rows))):
+        if kind == "idle":
+            counts[r] = 0.0
+        elif kind == "single":
+            support[r] = False
+        support[r, draw(st.integers(0, m - 1))] = True
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=rows * m,
+                                     max_size=rows * m))).reshape(rows, m) * support
+    return counts, support, weights / weights.sum(axis=1, keepdims=True), eps
+
+
+class TestFloorRows:
+    # the two floors sum a row's free counts in different orders; measured
+    # over these draws the entries differ by at most 2 u
+    @settings(max_examples=300, deadline=None)
+    @given(floor_stacks())
+    # cascading pins: the 0.01 count is pinned first, which leaves the 0.3
+    # count's share below eps = 0.2; the floor is [0.6, 0.2, 0.2]
+    @example((np.array([[1.0, 0.3, 0.01]]), np.ones((1, 3), dtype=bool),
+              np.full((1, 3), 1 / 3), 0.2))
+    def test_rows_are_feasible_and_near_the_per_row_oracle(self, stack_):
+        counts, support, prev, eps = stack_
+        got = _floor_rows(counts, support, prev, eps)
+        want = oracle_floor_row(counts, support, prev, eps)
+        single = support.sum(axis=1) == 1
+        idle = ~single & (np.where(support, counts, 0.0).sum(axis=1) <= 0.0)
+        assert np.all(np.abs(got.sum(axis=1) - 1.0) <= _ROW_TOL)
+        assert np.all(got[~support] == 0.0)
+        assert np.all(got[~idle][support[~idle]] >= eps)
+        assert got[idle].tobytes() == prev[idle].tobytes()
+        assert np.all(got[single] == support[single])
+        assert np.all(np.abs(got - want) <= 4 * counts.shape[1] * UNIT)
+
+
 class TestStackedBaumWelch:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8),
@@ -386,6 +558,14 @@ class TestStackedBaumWelch:
         for name in ("pi", "A", "B"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert got_report == want_report
+        # the matrix-product oracle, both run for all iters
+        bands, bands_report = oracle_baum_welch(init, seqs, iters, -np.inf)
+        prods, prods_report = oracle_baum_welch(init, seqs, iters, -np.inf, MATMUL)
+        for name in ("pi", "A", "B"):
+            assert np.all(np.abs(getattr(bands, name) - getattr(prods, name))
+                          <= MATMUL_TOL)
+        ll, ll_prods = (np.array(r.log_likelihoods) for r in (bands_report, prods_report))
+        assert np.all(np.abs(ll - ll_prods) <= MATMUL_TOL * np.maximum(1.0, np.abs(ll)))
 
     def test_zero_probability_sequence_rejected_nan_model_not(self):
         # B puts no mass on symbol 1, so the second sequence is impossible
