@@ -123,17 +123,19 @@ def _gemm_sq_dists(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray
     (relatively gamma_D + 6u), and that of the thresholds the callers
     compare d~ with (about u X each). A finite `err` means 4 X fits in
     float64, so no sum overflowed and every d~ of the row is finite.
+
+    Callers ignore overflow and invalid values around it: an overflowing
+    row reads inf or NaN, and its `err` is inf.
     """
     dim = points.shape[1]
     m = dim + 2
     gamma = m * _UNIT / (1.0 - m * _UNIT)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist2 = points @ centers.T
-        dist2 *= -2.0
-        dist2 += point_sq[:, None]
-        dist2 += center_sq
-        scale = 2.0 * (np.sqrt(point_sq) + np.sqrt(center_sq.max()))
-        err = gamma * (scale * scale) + (5 * dim + 8) * _TINY
+    dist2 = points @ centers.T
+    dist2 *= -2.0
+    dist2 += point_sq[:, None]
+    dist2 += center_sq
+    scale = 2.0 * (np.sqrt(point_sq) + np.sqrt(center_sq.max()))
+    err = gamma * (scale * scale) + (5 * dim + 8) * _TINY
     return dist2, err
 
 
@@ -142,16 +144,21 @@ def _nearest(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
     """`_sq_dists(points, centers).argmin(axis=1)`, mostly by GEMM.
 
     Returns (labels, dist2, err): `_gemm_sq_dists`'s d~ and err on rows
-    whose threshold, the best d~ plus 2 err, is finite and reached by no
-    other d~ (so every other exact value exceeds the best one's), else
-    `_sq_dists`'s values and err 0.
+    whose threshold, the best d~ plus 2 err, is finite and below the
+    runner-up d~, the least of the others (so every other exact value
+    exceeds the best one's), else `_sq_dists`'s values and err 0.
     """
-    dist2, err = _gemm_sq_dists(points, point_sq, centers, center_sq)
-    best = dist2.argmin(axis=1)
+    rows = np.arange(len(points))
     with np.errstate(over="ignore", invalid="ignore"):
-        limit = dist2[np.arange(len(points)), best] + 2.0 * err
-        near = (dist2 <= limit[:, None]).sum(axis=1, dtype=np.uint32)
-    loose = np.flatnonzero((near != 1) | ~np.isfinite(limit))
+        dist2, err = _gemm_sq_dists(points, point_sq, centers, center_sq)
+        best = dist2.argmin(axis=1)
+        best_d2 = dist2[rows, best]
+        limit = best_d2 + 2.0 * err
+        dist2[rows, best] = np.inf
+        runner_up = dist2.min(axis=1)
+        dist2[rows, best] = best_d2
+    # no runner-up exceeds an inf or NaN threshold
+    loose = np.flatnonzero(~(runner_up > limit))
     if loose.size:
         exact = _sq_dists(points[loose], centers)
         best[loose] = exact.argmin(axis=1)
@@ -202,7 +209,9 @@ def _kmeans_pp_seed(data: np.ndarray, data_sq: np.ndarray, k: int,
             # all remaining points coincide with a chosen center
             idx = int(rng.integers(n))
         centers[i] = data[idx]
-        approx, err = _gemm_sq_dists(data, data_sq, centers[i:i + 1], data_sq[idx:idx + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx, err = _gemm_sq_dists(data, data_sq, centers[i:i + 1],
+                                         data_sq[idx:idx + 1])
         near = np.flatnonzero(~(approx[:, 0] > d2 + err))
         for rows in _chunks(near, max(1, _CHUNK_ELEMENTS // dim)):
             d2[rows] = np.minimum(d2[rows], _paired_sq_dists(data[rows], centers[i:i + 1]))

@@ -5,6 +5,8 @@ trained by multi-sequence Baum-Welch: one scaled recursion on A's two bands
 per iteration, over the sequences of every class still training.
 Classification scores a probe under every class at once, one scaled step
 per 16-frame block product, and takes the best length-normalized score.
+Symbols come in runs, so over several blocks the first pairing of the
+block products multiplies each distinct pair of consecutive steps once.
 
 Re-estimated probabilities are floored at EPS_P on their structural support
 (the entries positive at initialization) so that test symbols unseen in
@@ -164,7 +166,9 @@ def _log_likelihoods(hmm: DiscreteHMM, sym: np.ndarray) -> np.ndarray:
     model), one scaled step per block: frames 2..T form nb = ceil((T-1)/q)
     blocks of step matrices A diag(B[:, o_t]), from a per-symbol table and
     identity-padded, which log2(q) batched pairings multiply into P_b; with
-    v normalized, c_b = sum(v P_b) and log P = log c_0 + sum log c_b.
+    v normalized, c_b = sum(v P_b) and log P = log c_0 + sum log c_b. Over
+    more than one block the first pairing multiplies each distinct pair of
+    steps once and gathers the products back to their blocks.
 
     Proof. With L_0 = fl(min positive A * min positive B), L_(l+1) =
     fl(L_l^2), q = 2^l is the largest power of two <= 16 with L_l >=
@@ -182,6 +186,9 @@ def _log_likelihoods(hmm: DiscreteHMM, sym: np.ndarray) -> np.ndarray:
     recursion). An impossible sequence has an exact block sum 0: c_b = 0.
     q is also at most the first power of two >= T - 1, so a short sequence
     is not padded to a whole 16-frame block; a smaller q only shrinks K.
+    Taking a repeated pair's product once leaves K as it is: each block is
+    still the same product of the same matrices in the same order, so its
+    roundings, and every score's bytes, are those of a product per pair.
     """
     if sym.min() < 0 or sym.max() >= hmm.n_symbols:
         raise ValueError("symbol out of range for this model")
@@ -195,7 +202,16 @@ def _log_likelihoods(hmm: DiscreteHMM, sym: np.ndarray) -> np.ndarray:
     table = np.concatenate([A * B[:, :, symbols].transpose(2, 0, 1)[:, :, None, :],
                             np.broadcast_to(np.eye(n), (1, R, n, n))])
     padded = np.append(step, np.full(-step.size % q, symbols.size))
-    blocks = table[padded].reshape(-1, q, R, n, n)
+    if 1 < q < step.size:
+        # symbols come in runs, so over several blocks most pairs of steps
+        # repeat: the first pairing takes one product per distinct pair (on
+        # one block, a short probe, the np.unique costs more than it saves)
+        pairs, at = np.unique(padded[0::2] * len(table) + padded[1::2],
+                              return_inverse=True)
+        left, right = np.divmod(pairs, len(table))
+        blocks = np.matmul(table[left], table[right])[at].reshape(-1, q // 2, R, n, n)
+    else:
+        blocks = table[padded].reshape(-1, q, R, n, n)
     while blocks.shape[1] > 1:
         blocks = np.matmul(blocks[:, 0::2], blocks[:, 1::2])
     v = pi * B[:, :, sym[0]]

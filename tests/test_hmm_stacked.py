@@ -14,7 +14,9 @@ largest difference measured at these tests' sizes. The M-step floor
 Scoring multiplies 16-frame blocks of step matrices, which changes the
 float order: its finite log-likelihoods are held to the error bound of
 `_log_likelihoods`' docstring, against the per-frame oracle and against an
-exact rational oracle, and its -inf and NaN positions stay exact.
+exact rational oracle, and its -inf and NaN positions stay exact. Over
+several blocks, where the first pairing takes each distinct pair of steps
+once, every score keeps the bytes of a step-by-step gather of the blocks.
 """
 
 import math
@@ -34,6 +36,7 @@ from signflow.hmm import (
     _ROW_TOL,
     _bands,
     _floor_rows,
+    _log_likelihoods,
     _scaled_forward,
     _stacked_backward,
     baum_welch,
@@ -168,6 +171,35 @@ MATMUL = (matmul_forward, matmul_backward, matmul_xi, oracle_floor_row)
 def oracle_log_likelihood(hmm, obs):
     _, c = band_forward(hmm, obs)
     return NEG_INF if c is None else float(np.log(c).sum())
+
+
+def gather_log_likelihoods(hmm, sym):
+    """`_log_likelihoods` with every block gathered step by step from the
+    table, one product per pair of steps at every pairing level."""
+    pi, A, B = hmm.pi, hmm.A, hmm.B
+    R, n = pi.shape
+    low = A.min(where=A > 0.0, initial=1.0) * B.min(where=B > 0.0, initial=1.0)
+    q = 1
+    while q < min(16, sym.shape[0] - 1) and low * low >= 2.0 ** -1022:
+        low, q = low * low, 2 * q
+    symbols, step = np.unique(sym[1:], return_inverse=True)
+    table = np.concatenate([A * B[:, :, symbols].transpose(2, 0, 1)[:, :, None, :],
+                            np.broadcast_to(np.eye(n), (1, R, n, n))])
+    padded = np.append(step, np.full(-step.size % q, symbols.size))
+    blocks = table[padded].reshape(-1, q, R, n, n)
+    while blocks.shape[1] > 1:
+        blocks = np.matmul(blocks[:, 0::2], blocks[:, 1::2])
+    v = pi * B[:, :, sym[0]]
+    c = [v.sum(axis=1)]
+    with np.errstate(invalid="ignore"):  # 0/0 in a zero-probability row
+        for P in blocks[:, 0]:
+            v = np.matmul((v / c[-1][:, None])[:, None, :], P)[:, 0, :]
+            c.append(v.sum(axis=1))
+    c = np.array(c).T
+    out = np.full(R, NEG_INF)
+    possible = ~(c <= 0.0).any(axis=1)
+    out[possible] = np.log(c[possible]).sum(axis=1)
+    return out
 
 
 def oracle_baum_welch(hmm, seqs, max_iter, tol, steps=BANDS):
@@ -493,6 +525,67 @@ class TestBlockForward:
         rival = init_left_right(n, 2)
         resp = classify_gesture(stack([hmm, rival]), obs)
         assert resp.best_class == 1 and np.isfinite(resp.values).all()
+
+
+def paired_steps(rng, kind, k, steps):
+    """`steps` symbols after the first: a few symbols in runs, every pair
+    of steps (0, 1), (2, 3), ... distinct, or uniform draws."""
+    if kind == "runs":
+        few = rng.choice(k, size=min(k, 3), replace=False)
+        runs = [np.full(int(rng.integers(1, 30)), rng.choice(few))
+                for _ in range(steps)]
+        return np.concatenate(runs)[:steps]
+    if kind == "distinct":
+        pairs = rng.choice(k * k, size=-(-steps // 2), replace=False)
+        return np.stack(np.divmod(pairs, k), axis=1).ravel()[:steps]
+    return rng.integers(0, k, size=steps)
+
+
+class TestPairedBlocks:
+    """Over two or more blocks the first pairing multiplies each distinct
+    pair of steps once; every score keeps the bytes of the step-by-step
+    gather, -inf and NaN included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(3, 8), st.integers(1, 3),
+           st.integers(0, 150), st.sampled_from(["runs", "distinct", "uniform"]),
+           st.integers(1, 4), st.booleans(), st.booleans(), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @example(3, 4, 2, 0, "runs", 1, True, True, True, 1)       # q = 16, odd
+    @example(3, 4, 2, 0, "distinct", 2, False, True, True, 2)  # q = 16, even
+    @example(2, 3, 1, 60, "uniform", 3, True, False, False, 3)  # q < 16
+    def test_equal_step_by_step_gather(self, n, k, C, exponent, kind, extent,
+                                       odd, zero, nan, seed):
+        rng = np.random.default_rng(seed)
+        models = [tiny_entry_model(rng, n, k, exponent) for _ in range(C)]
+        q = block_length(models, 10 ** 6)
+        # more than q steps; at most 2 k^2, so that k^2 pairs can be distinct
+        cap = 2 * k * k if kind == "distinct" else 4 * q + 2
+        steps = min(int(rng.integers(q + 1, extent * q + 2)), cap)
+        if steps % 2 != odd:
+            steps += 1 if steps < cap else -1
+        obs = np.append(rng.integers(k), paired_steps(rng, kind, k, steps))
+        if zero:  # the sequence turns impossible at a random step
+            pi, A, B = (x.copy() for x in arrays(models[0]))
+            B[:, obs[int(rng.integers(obs.size))]] = 0.0
+            models.append(single(pi, A, B / B.sum(axis=1, keepdims=True)))
+        if nan:
+            pi, A, _ = arrays(models[0])
+            models.append(single(pi, A, np.full((n, k), np.nan)))
+        hmm = stack(models)
+        T = obs.size
+        assert T - 1 == steps and (T - 1) % 2 == odd
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _log_likelihoods(hmm, obs)
+        want = gather_log_likelihoods(hmm, obs)
+        assert got.tobytes() == want.tobytes()
+        if q > 1:
+            assert T - 1 > block_length(models, T)  # two or more blocks
+        if zero:
+            assert got[C] == NEG_INF
+        if nan:
+            assert np.isnan(got[-1])
 
 
 @st.composite

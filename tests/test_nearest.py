@@ -3,7 +3,9 @@
 Its labels must equal `cdist(...).argmin(axis=1)` on every input, ties to
 the lowest index included, and the distances it hands to `fit_kmeans`
 minus their error bound must never exceed the exact squared distance.
-Exact values come from `Fraction` arithmetic on the float inputs.
+Exact values come from `Fraction` arithmetic on the float inputs. Which
+rows the GEMM settles is held to its first rule, a count of the d~ that
+reach each row's threshold, byte for byte.
 """
 
 from fractions import Fraction
@@ -106,6 +108,58 @@ class TestLabels:
         assert err.tolist() == [0.0] * len(points)
         assert dist2.tobytes() == cdist(points, centers, "sqeuclidean").tobytes()
         assert labels.tolist() == reference(points, centers).tolist()
+
+
+def count_rule_nearest(points, point_sq, centers, center_sq):
+    """`_nearest` by its first rule: a row is settled when its threshold
+    is finite and exactly one d~ of the row, the best one's, reaches it."""
+    dist2, err = codebook._gemm_sq_dists(points, point_sq, centers, center_sq)
+    best = dist2.argmin(axis=1)
+    limit = dist2[np.arange(len(points)), best] + 2.0 * err
+    near = (dist2 <= limit[:, None]).sum(axis=1, dtype=np.uint32)
+    loose = np.flatnonzero((near != 1) | ~np.isfinite(limit))
+    if loose.size:
+        exact = codebook._sq_dists(points[loose], centers)
+        best[loose] = exact.argmin(axis=1)
+        dist2[loose] = exact
+        err[loose] = 0.0
+    return best, dist2, err
+
+
+class TestSettledRows:
+    """The runner-up rule settles exactly the rows the count rule does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lookups(), st.sampled_from(["none", "tie", "inf norm", "nan"]))
+    def test_equal_count_rule(self, case, extra):
+        points, centers = case
+        dim = centers.shape[1]
+        if extra == "tie":  # midway between two centers: an exact tie
+            row = (centers[:1] + centers[-1:]) * 0.5
+        elif extra == "inf norm":  # finite values whose squared norm overflows
+            row = np.full((1, dim), 1e200)
+        elif extra == "nan":
+            row = np.full((1, dim), np.nan)
+        if extra != "none":
+            points = np.vstack([points, row])
+        cb = codebook_of(centers)
+        point_sq = _row_sq_norms(points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = count_rule_nearest(points, point_sq, cb.centers, cb.center_sq)
+        got = _nearest(points, point_sq, cb.centers, cb.center_sq)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_each_extra_row_takes_its_path(self):
+        centers = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 5.0]])
+        points = np.array([[1.0, 0.0], [1e200, 1e200], [np.nan, 0.0], [0.1, 0.0]])
+        cb = codebook_of(centers)
+        labels, dist2, err = _nearest(points, _row_sq_norms(points), cb.centers,
+                                      cb.center_sq)
+        # the tie, the overflowing norm and the NaN go to `_sq_dists`
+        assert err[:3].tolist() == [0.0] * 3 and err[3] > 0.0
+        assert labels[[0, 1, 3]].tolist() == reference(points[[0, 1, 3]], centers).tolist()
+        assert dist2[1].tolist() == [np.inf] * 3 and np.isnan(dist2[2]).all()
 
 
 def exact(x):
