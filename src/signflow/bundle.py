@@ -25,7 +25,7 @@ from .descriptors import DescriptorVariant, ZNormStats
 from .fusion import KdeFusionModel
 from .hmm import DiscreteHMM
 from .linear_model import MulticlassLinearModel
-from .posture import PostureModel
+from .posture import SC_DIM, PostureModel
 from .skeleton import SignflowError
 
 FORMAT_VERSION = 1
@@ -65,10 +65,15 @@ class ModelBundle:
                 raise ValueError("posture class count != gesture class count")
             if pm.model.dimension != 2 * pm.codebook.k:
                 raise ValueError("posture weights do not match its codebook")
+            if pm.codebook.dimension != SC_DIM:
+                raise ValueError(f"posture codebook must be {SC_DIM}-D, "
+                                 f"got {pm.codebook.dimension}")
         for name, fm in (("linear", self.fusion_linear),
                          ("kde", self.fusion_kde)):
             if fm is not None and (fm.n_classes != c or fm.dimension != 2 * c):
                 raise ValueError(f"fusion {name} model shape mismatch")
+        if self.gesture_codebook.variant is None:
+            raise ValueError("gesture codebook has no descriptor variant")
 
     @property
     def n_classes(self) -> int:

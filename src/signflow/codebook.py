@@ -219,19 +219,11 @@ def _kmeans_pp_seed(data: np.ndarray, data_sq: np.ndarray, k: int,
 
 
 def _groups(centers: np.ndarray) -> list:
-    """The center indices of each group for the Yinyang bounds, no group
-    empty: up to max(1, k // 5) groups from a few Lloyd passes over the
-    centers, started at the first ones. Any grouping keeps the bounds
-    valid; a good one only makes them prune more."""
-    means = centers[:max(1, len(centers) // 5)].copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # any group will do
-        for _ in range(5):
-            group = _sq_dists(centers, means).argmin(axis=1)
-            for g in np.flatnonzero(np.bincount(group)):
-                means[g] = centers[group == g].mean(axis=0)
-        group = _sq_dists(centers, means).argmin(axis=1)
-    members = [np.flatnonzero(group == g) for g in range(len(means))]
-    return [cols for cols in members if cols.size]
+    """The center indices of each group for the Yinyang bounds: max(1, k // 5)
+    runs of consecutive indices, none empty. Any grouping keeps the bounds
+    valid; clustering the seeds into groups prunes a little more rows but
+    fits no faster."""
+    return np.array_split(np.arange(len(centers)), max(1, len(centers) // 5))
 
 
 # The pruning bounds are float32 and every rounding step is one-sided, so a
@@ -304,13 +296,14 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
 
     Each pass skips the rows whose label cannot change, using one float32
     lower bound per row and group of centers from the triangle inequality
-    (Yinyang k-means, Ding et al., ICML 2015: `_groups` makes
-    max(1, k // 5) groups once from the seeds), and labels the other rows
-    with `_nearest`. The bounds only choose which rows are searched, so
-    labels, ties, centers and `wcss_history` are exactly those of plain
-    Lloyd passes over the full `_sq_dists` matrix. Besides `data` and the
-    gathered rows of the cluster whose mean is being taken, the work is
-    O(n + chunk) memory: the bounds take 4 bytes per row and group.
+    (Yinyang k-means, Ding et al., ICML 2015: `_groups` splits the k
+    centers into max(1, k // 5) runs of consecutive indices), and labels
+    the other rows with `_nearest`. The bounds only choose which rows are
+    searched, so labels, ties, centers and `wcss_history` are exactly
+    those of plain Lloyd passes over the full `_sq_dists` matrix. Besides
+    `data` and the gathered rows of the cluster whose mean is being taken,
+    the work is O(n + chunk) memory: the bounds take 4 bytes per row and
+    group.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:

@@ -283,6 +283,9 @@ def load_manifest(path) -> DatasetManifest:
     doc = read_json(path)
     if "entries" not in doc:
         raise CorruptFileError(f"{path}: missing 'entries'")
+    if not isinstance(doc["entries"], list):
+        raise CorruptFileError(f"{path}: 'entries' must be a list, "
+                               f"got {type(doc['entries']).__name__}")
     entries = []
     for i, item in enumerate(doc["entries"]):
         try:
@@ -300,7 +303,7 @@ def load_manifest(path) -> DatasetManifest:
             raise CorruptFileError(f"{path}: entry {i}: {exc}") from None
     try:
         return DatasetManifest(entries=entries)
-    except ValueError as exc:
+    except (ValueError, EmptyInputError) as exc:
         raise CorruptFileError(f"{path}: {exc}") from None
 
 
@@ -372,9 +375,8 @@ def load_mask_archive(dir_path) -> list:
     Each dict holds the right hand first, whatever order the directory
     lists its files in: that order would otherwise reach the posture
     codebook sample. The masks are read into one (T, 2, 65, 65) bool stack,
-    frame-major, right then left, and checked in one component count; the
-    stack is then packed once into (T, 2, 65, 9) uint8 rows (see
-    HandRegion), whose views the regions hold, and freed. A file
+    frame-major, right then left, checked in one component count and
+    handed to `_frame_regions`, which packs it for the regions. A file
     that is not a graymap (see _pgm_header) raises CorruptFileError naming
     it. Otherwise, in frame order, the first frame missing a side, or the
     first mask that is not a valid region (wrong size, even when blank, or
@@ -423,4 +425,4 @@ def load_mask_archive(dir_path) -> list:
                                f"frame {idx}: {reason}")
     if whole < len(codes):
         raise CorruptFileError(f"{dir_path}: frame {whole // 2} is missing a side")
-    return _frame_regions(np.packbits(masks.reshape(-1, 2, PATCH, PATCH), axis=-1))
+    return _frame_regions(masks.reshape(-1, 2, PATCH, PATCH))

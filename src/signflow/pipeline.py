@@ -348,42 +348,31 @@ def predict_item(bundle: ModelBundle, sequence: SkeletonSequence,
     mode = _check_mode(bundle, mode, masks is not None)
     timings = dict.fromkeys(TIMING_STAGES, 0.0)
 
-    t0 = time.perf_counter()
-    symbols = _gesture_symbols(bundle.gesture_codebook, sequence)
-    timings["gesture_description"] = time.perf_counter() - t0
+    def timed(stage, step, *args):
+        t0 = time.perf_counter()
+        out = step(*args)
+        timings[stage] = time.perf_counter() - t0
+        return out
 
-    t0 = time.perf_counter()
-    rg = classify_gesture(bundle.hmms, symbols)
-    timings["gesture_classification"] = time.perf_counter() - t0
-
-    rp = None
+    # steps are read from the module's globals per call, as a tracer wraps them
+    symbols = timed("gesture_description", _gesture_symbols,
+                    bundle.gesture_codebook, sequence)
+    rg = timed("gesture_classification", classify_gesture, bundle.hmms, symbols)
+    rp = coupled = None
     if mode != "gesture-only":
-        t0 = time.perf_counter()
-        bow = encode_video_bow(masks, bundle.posture_model.codebook)
-        timings["posture_description"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        rp = posture_response(bundle.posture_model, bow)
-        timings["posture_classification"] = time.perf_counter() - t0
-
-    coupled = None
+        bow = timed("posture_description", encode_video_bow, masks,
+                    bundle.posture_model.codebook)
+        rp = timed("posture_classification", posture_response,
+                   bundle.posture_model, bow)
     if mode == "gesture-only":
-        t0 = time.perf_counter()
-        fused = rg.best_class
-        timings["combination_classification"] = time.perf_counter() - t0
+        fused = timed("combination_classification", lambda: rg.best_class)
     elif mode == "posture-only":
-        t0 = time.perf_counter()
-        fused = int(rp.argmax())
-        timings["combination_classification"] = time.perf_counter() - t0
+        fused = timed("combination_classification", rp.argmax)
     else:
-        t0 = time.perf_counter()
-        coupled = couple(rp, rg.values)
-        timings["combination_description"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        if mode == "linear":
-            fused = predict_linear(bundle.fusion_linear, coupled)
-        else:
-            fused = predict_kde(bundle.fusion_kde, coupled)
-        timings["combination_classification"] = time.perf_counter() - t0
+        coupled = timed("combination_description", couple, rp, rg.values)
+        rule, model = ((predict_linear, bundle.fusion_linear) if mode == "linear"
+                       else (predict_kde, bundle.fusion_kde))
+        fused = timed("combination_classification", rule, model, coupled)
 
     return Prediction(gesture=rg, posture=rp, coupled=coupled,
                       fused_class=int(fused), mode=mode, timings=timings)

@@ -190,10 +190,12 @@ class HandRegion:
         return region
 
 
-def _frame_regions(bits) -> list:
-    """Per-frame {HandSide: HandRegion} dicts, right hand first, over
-    (T, 2, 65, 9) packed rows, right then left, that hold valid regions
-    (see HandRegion._validated); each region's bits is a view of `bits`."""
+def _frame_regions(masks) -> list:
+    """Per-frame {HandSide: HandRegion} dicts, right hand first, over a
+    (T, 2, 65, 65) bool stack, right then left, of valid regions (see
+    HandRegion._validated). The stack is packed once into (T, 2, 65, 9)
+    uint8 rows, of which each region's bits is a view."""
+    bits = np.packbits(masks, axis=-1)
     present = bits.any(axis=(2, 3)).tolist()
     return [{HandSide.RIGHT: HandRegion._validated(right, p_right),
              HandSide.LEFT: HandRegion._validated(left, p_left)}

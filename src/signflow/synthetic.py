@@ -273,7 +273,7 @@ def _render_masks(cfg: SyntheticConfig, spec: ClassSpec, seq_index: int,
                   n_frames: int) -> list:
     """A video's per-frame {HandSide: HandRegion} dicts: its masks are
     rendered into one (T, 2, 65, 65) stack, right then left, cut to their
-    largest components and packed in one call each."""
+    largest components in one call and packed by `_frame_regions`."""
     rng = np.random.default_rng([cfg.seed, 303, seq_index])
     masks = np.empty((n_frames, 2, PATCH, PATCH), dtype=bool)
     jitter = cfg.noise > 0
@@ -288,7 +288,7 @@ def _render_masks(cfg: SyntheticConfig, spec: ClassSpec, seq_index: int,
                 cx, cy, scale, phase = 32.0, 32.0, 1.0, 0.0
             masks[t, slot] = _shape_mask(shape_id, cx, cy, scale, phase)
     masks = _largest_component(masks.reshape(-1, PATCH, PATCH))
-    return _frame_regions(np.packbits(masks.reshape(n_frames, 2, PATCH, PATCH), axis=-1))
+    return _frame_regions(masks.reshape(n_frames, 2, PATCH, PATCH))
 
 
 def generate_synthetic_corpus(cfg: SyntheticConfig,

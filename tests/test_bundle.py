@@ -191,6 +191,30 @@ class TestErrors:
         assert str(exc.value) == \
             f"{p}: class HMMs disagree on the symbol alphabet size: [3, 4]"
 
+    def test_gesture_codebook_without_variant_names_the_file(self, tmp_path):
+        # predict could not describe a sequence for it
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(with_optional=False), p)
+        doc = json.loads(p.read_text())
+        doc["gesture_codebook"]["variant"] = None
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError) as exc:
+            load_bundle(p)
+        assert str(exc.value) == f"{p}: gesture codebook has no descriptor variant"
+
+    def test_posture_codebook_off_the_shape_context_space_names_the_file(self, tmp_path):
+        # a 48-D posture codebook, consistent in itself, over no shape contexts
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(), p)
+        doc = json.loads(p.read_text())
+        cb = doc["posture"]["codebook"]
+        cb["centers"] = [center[:48] for center in cb["centers"]]
+        cb["znorm"] = {"mean": [0.0] * 48, "stddev": [1.0] * 48}
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError) as exc:
+            load_bundle(p)
+        assert str(exc.value) == f"{p}: posture codebook must be 49-D, got 48"
+
     def test_no_class_hmms_names_the_file(self, tmp_path):
         p = tmp_path / "model.json"
         save_bundle(tiny_bundle(with_optional=False), p)

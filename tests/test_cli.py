@@ -300,13 +300,13 @@ def _synth_config(edit):
     return make
 
 
-def _manifest_entry(key, value):
-    """A train command whose manifest is the corpus's with one train entry's
-    key set to value."""
+def _manifest_with(edit):
+    """A train command whose manifest is the corpus's after edit(doc, e),
+    e being the doc's copy of one train entry."""
     def make(workdir, tmp_path, entry):
         bad = tmp_path / "manifest.json"
         doc = json.loads((workdir / "data" / "manifest.json").read_text())
-        next(e for e in doc["entries"] if e == entry)[key] = value
+        edit(doc, next(e for e in doc["entries"] if e == entry))
         bad.write_text(json.dumps(doc))
         return ["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.json")], bad
     return make
@@ -329,7 +329,10 @@ class TestMalformedInput:
         _synth_config(lambda text: text.replace('"noise": 0.01', '"noise": NaN')),
         _synth_config(lambda text: text.replace('"noise": 0.01', '"noise": true')),
         _synth_config(lambda text: text.replace('"noise": 0.01', '"noise": 1e999')),
-        _manifest_entry("sequence_path", 5), _manifest_entry("subject", ["x"]),
+        _manifest_with(lambda doc, e: e.update(sequence_path=5)),
+        _manifest_with(lambda doc, e: e.update(subject=["x"])),
+        _manifest_with(lambda doc, e: doc.update(entries=5)),
+        _manifest_with(lambda doc, e: doc.update(entries=[])),
         _bundle_with(_set_hmm_b([0.5, 0.5])), _bundle_with(_set_hmm_b([])),
         _bundle_with(_flat_centers), _bundle_with(_scalar_znorm),
     ], ids=["csv long comment", "csv not utf-8", "manifest not utf-8",
@@ -338,6 +341,7 @@ class TestMalformedInput:
             "synth config syntax error", "synth config nan noise",
             "synth config boolean noise", "synth config overflowing noise",
             "manifest numeric path", "manifest list subject",
+            "manifest numeric entries", "manifest no entries",
             "bundle 1-d emissions", "bundle empty emissions", "bundle 1-d centers",
             "bundle scalar znorm"])
     def test_one_error_line_names_the_file(self, workdir, tmp_path, capsys, make):

@@ -1,10 +1,13 @@
 """End-to-end tests for the training/prediction/evaluation orchestration."""
 
 import json
+from itertools import count
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from signflow import pipeline
 from signflow.bundle import load_bundle, save_bundle
 from signflow.codebook import build_codebook
 from signflow.dataset import CorruptFileError, load_manifest, parse_skeleton_csv, write_skeleton_csv
@@ -363,6 +366,25 @@ class TestPrediction:
         item = next(i for i in easy_items if i.split == "test")
         pred = predict_item(easy_bundle, item.sequence, masks=item.masks)
         assert pred.mode == easy_bundle.config["fusion"]
+
+    @pytest.mark.parametrize("mode, stages", [
+        ("kde", TIMING_STAGES),
+        ("linear", TIMING_STAGES),
+        ("gesture-only", ("gesture_description", "gesture_classification",
+                          "combination_classification")),
+        ("posture-only", ("posture_description", "posture_classification",
+                          "gesture_description", "gesture_classification",
+                          "combination_classification")),
+    ])
+    def test_each_mode_times_the_stages_it_runs(self, easy_bundle, easy_items,
+                                                monkeypatch, mode, stages):
+        # a clock that moves 1.0 per read: each timed stage spans one step
+        reads = count()
+        monkeypatch.setattr(pipeline, "time",
+                            SimpleNamespace(perf_counter=lambda: float(next(reads))))
+        item = next(i for i in easy_items if i.split == "test")
+        pred = predict_item(easy_bundle, item.sequence, masks=item.masks, mode=mode)
+        assert pred.timings == {stage: float(stage in stages) for stage in TIMING_STAGES}
 
 
 class TestEvaluation:
