@@ -5,10 +5,12 @@ Descriptor streams are re-encoded as sequences of nearest-center indices
 z-normalized space; `quantize_batch` applies the stored normalization before
 the nearest-neighbor lookup, so callers always pass raw descriptors.
 
-Every lookup is defined by `_sq_dists` (left-to-right sums, cdist's bytes)
-and its argmin, ties to the lowest index. `_nearest` gets the same labels
-from one GEMM and sends only the rows whose answer it cannot prove back to
-`_sq_dists`; the k-means++ seeding screens each new center the same way.
+Every lookup is defined by the exact squared distances, each summed left
+to right as cdist sums them (`_paired_sq_dists`, cdist's bytes), and their
+argmin, ties to the lowest index. `_nearest` gets the same labels from
+one float32 GEMM and sends only the rows whose answer it cannot prove, and
+of those only the centers that may still win, back to the exact sum; the
+k-means++ seeding screens each new center with a float64 GEMV.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ DEFAULT_MAX_ITER = 100
 
 _F32_MAX = float(np.finfo(np.float32).max)
 _UNIT = 2.0 ** -53  # unit roundoff of float64
+_UNIT32 = 2.0 ** -24  # unit roundoff of float32
 _TINY = 2.0 ** -1074  # smallest subnormal float64
 
 
@@ -42,8 +45,10 @@ class Codebook:
     seed: int
     variant: Optional[DescriptorVariant] = None
     wcss_history: list = field(default_factory=list, repr=False)
-    # squared center norms for `_nearest`, and whether znorm is (v - 0) / 1
-    center_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    # float32 centers and squared norms for `_nearest`, and whether znorm
+    # is (v - 0) / 1
+    centers32: np.ndarray = field(init=False, repr=False, compare=False)
+    center_sq32: np.ndarray = field(init=False, repr=False, compare=False)
     plain: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,7 +62,7 @@ class Codebook:
             raise ValueError("center dimension does not match znorm stats")
         if self.variant is not None and self.centers.shape[1] != self.variant.dimension:
             raise ValueError("center dimension does not match variant")
-        self.center_sq = _row_sq_norms(self.centers)
+        self.centers32, self.center_sq32 = _float32_centers(self.centers)
         self.plain = not self.znorm.mean.any() and bool((self.znorm.stddev == 1.0).all())
 
     @property
@@ -69,20 +74,8 @@ class Codebook:
         return self.centers.shape[1]
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Exact squared distances (n, k), summed left to right as cdist sums."""
-    size = max(1, _CHUNK_ELEMENTS // centers.size)
-    out = np.empty((len(points), len(centers)))
-    with np.errstate(over="ignore"):  # a too-large term is inf, as in cdist
-        # one chunk's (rows, k, D) running sums alive at a time
-        for i in range(0, len(points), size):
-            out[i:i + size] = np.add.accumulate(
-                np.square(points[i:i + size, None] - centers), axis=2)[..., -1]
-    return out
-
-
 def _row_sq_norms(rows: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # inf sends the row to `_sq_dists`
+    with np.errstate(over="ignore"):  # inf sends the row to the exact sum
         return np.einsum("ij,ij->i", rows, rows)
 
 
@@ -101,20 +94,26 @@ def _finite_sq_norms(rows: np.ndarray, name: str) -> np.ndarray:
     return sq
 
 
+def _gamma(m: int, unit: float) -> float:
+    """gamma_m = m u / (1 - m u): bounds the relative error of m roundings
+    at unit roundoff u (Higham, ch. 3)."""
+    return m * unit / (1.0 - m * unit)
+
+
 def _gemm_sq_dists(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
                    center_sq: np.ndarray):
     """The GEMM distances d~ = |z|^2 - 2 z.c + |c|^2, (n, k), from the squared
     row norms `point_sq` and `center_sq`, and per row a bound `err` with
     |d~ - d| + |e - d| <= err / 2 for every center, d being the exact
-    squared distance and e its `_sq_dists` value.
+    squared distance and e its `_paired_sq_dists` value.
 
     Proof. Write X = (|z| + max|c|)^2 and g = gamma_{D+2} = m u / (1 - m u),
     m = D + 2, u = 2**-53 (Higham, "Accuracy and Stability of Numerical
     Algorithms", ch. 3; any summation order, with or without FMA). Without
     underflow, the three length-D sums err by at most gamma_D times their
     absolute terms, so with Cauchy-Schwarz the two roundings of the sum
-    d~ leave |d~ - d| <= g X. `_sq_dists` rounds each difference, its
-    square and the D - 1 additions of non-negative terms, so
+    d~ leave |d~ - d| <= g X. `_paired_sq_dists` rounds each difference,
+    its square and the D - 1 additions of non-negative terms, so
     |e - d| <= g d <= g X. Each product that underflows adds at most
     2**-1075; summing is exact there, so the five sums add at most
     5 D 2**-1075. Hence |d~ - d| + |e - d| <= 2 g X + 2.5 D 2**-1074, and
@@ -128,43 +127,103 @@ def _gemm_sq_dists(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray
     row reads inf or NaN, and its `err` is inf.
     """
     dim = points.shape[1]
-    m = dim + 2
-    gamma = m * _UNIT / (1.0 - m * _UNIT)
     dist2 = points @ centers.T
     dist2 *= -2.0
     dist2 += point_sq[:, None]
     dist2 += center_sq
     scale = 2.0 * (np.sqrt(point_sq) + np.sqrt(center_sq.max()))
-    err = gamma * (scale * scale) + (5 * dim + 8) * _TINY
+    err = _gamma(dim + 2, _UNIT) * (scale * scale) + (5 * dim + 8) * _TINY
     return dist2, err
 
 
-def _nearest(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
-             center_sq: np.ndarray):
-    """`_sq_dists(points, centers).argmin(axis=1)`, mostly by GEMM.
+def _float32_centers(centers: np.ndarray):
+    """The float32 centers and squared norms `_nearest` screens with; a
+    value beyond the float32 range reads inf, and then every row falls
+    back to the exact sum."""
+    with np.errstate(over="ignore"):
+        return centers.astype(np.float32), _row_sq_norms(centers).astype(np.float32)
 
-    Returns (labels, dist2, err): `_gemm_sq_dists`'s d~ and err on rows
-    whose threshold, the best d~ plus 2 err, is finite and below the
-    runner-up d~, the least of the others (so every other exact value
-    exceeds the best one's), else `_sq_dists`'s values and err 0.
+
+def _nearest(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
+             centers32: np.ndarray, center_sq32: np.ndarray):
+    """The argmin of each row's exact squared distances to `centers`, ties
+    to the lowest index, mostly by one float32 GEMM, from the rows' float64
+    squared norms `point_sq` and `_float32_centers(centers)`.
+
+    Returns (labels, g, err): the float32 (n, k) g = |c|^2 - 2 z.c, and per
+    row a bound err with |d~ - d| + |e - d| <= err / 2 for every center,
+    where d~ = g + |z|^2, d is the exact squared distance and e its
+    `_paired_sq_dists` value; err is inf on a row the screen cannot bound.
+    |z|^2 is the same for every center of a row, so the argmin and the
+    settle test run on g. A row is settled when its threshold, the best g
+    plus 2 err, is below the runner-up g, the least of the others.
+
+    Proof. Write u = 2**-24 and v = 2**-53, the unit roundoffs of float32
+    and float64, gamma_m(w) = m w / (1 - m w), D the dimension (D < 2**20)
+    and X = (|z| + max|c|)^2. A row whose computed 4X reaches 2**120, or
+    is not finite, gets err = inf; on any other row every float32 value
+    below is under 2**119, so nothing overflows. A float32 rounding of an
+    exact x (a cast, a product or a sum) gives x (1 + a) + b, |a| <= u,
+    |b| < 2**-126 and b = 0 unless |x| < 2**-126, with gradual underflow
+    or with flush to zero (Higham, "Accuracy and Stability of Numerical
+    Algorithms", ch. 2-3).
+    - Casts. z' = fl(-2z) and c' = fl(c) make each z'_i c'_i differ from
+      -2 z_i c_i by at most (2u + u^2) 2|z_i c_i|, in all at most
+      (2u + u^2) X as 2|z||c| <= X, plus what underflow moves: under
+      2**-126 times the other factor, and as 2**-126 y <= (u/2) y^2 +
+      2**-229, at most 2u (1 + u)^2 X + D 2**-227 over the row.
+    - The sum g = fl(fl(|c|^2) + sum_i z'_i c'_i), in any order, with or
+      without FMA, takes each of its D + 1 terms through at most D + 2
+      roundings (the cast of the float64 norm counted), so it errs by at
+      most gamma_(D+2)(u) (1 + 3u) X, the absolute terms summing to at
+      most (1 + 3u) X, plus (2D + 2) 2**-126 for its underflows.
+    - The float64 norms |z|^2 and |c|^2 err by at most gamma_D(v) X in
+      all, and `_paired_sq_dists` by |e - d| <= gamma_(D+2)(v) X +
+      5D 2**-1075 (its differences, squares and left-to-right additions).
+    So |d~ - d| + |e - d| <= (gamma_(D+2)(u) + 5u + 2 gamma_(D+2)(v))
+    (1 + 3u) X + (3D + 3) 2**-126, and err = (gamma_(D+2)(u) + 5u +
+    gamma_(D+2)(v)) (2 sqrt(X))^2 + (6D + 16) 2**-120 is about twice
+    that: the slack covers the roundings of X, computed from the rounded
+    norms, of err, and of the thresholds compared with g (about v X each).
+
+    Settled rows. Every other center has d~ > d~_best + 2 err, so
+    e > e_best + err: the label is the exact argmin, with no tie. Other
+    rows. A center whose g exceeds the threshold has d~ > d~_best + 2 err,
+    so its exact sum e exceeds the best center's by more than err: it can
+    neither be the argmin nor tie it. Only the rest (every center, on a
+    row of err = inf, whose threshold is inf or NaN) get exact sums, and
+    their argmin, ties to the lowest index, is the row's exact argmin.
     """
-    rows = np.arange(len(points))
+    n, dim = points.shape
+    rows = np.arange(n)
+    scaled = np.empty((n, dim), dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
-        dist2, err = _gemm_sq_dists(points, point_sq, centers, center_sq)
-        best = dist2.argmin(axis=1)
-        best_d2 = dist2[rows, best]
-        limit = best_d2 + 2.0 * err
-        dist2[rows, best] = np.inf
-        runner_up = dist2.min(axis=1)
-        dist2[rows, best] = best_d2
+        np.multiply(points, -2.0, out=scaled, casting="same_kind")
+        g = scaled @ centers32.T
+        g += center_sq32
+        del scaled
+        reach = 2.0 * (np.sqrt(point_sq) + np.sqrt(float(center_sq32.max())))
+        reach *= reach  # 4X
+        err = ((_gamma(dim + 2, _UNIT32) + 5 * _UNIT32 + _gamma(dim + 2, _UNIT)) * reach
+               + (6 * dim + 16) * 2.0 ** -120)
+        err[~(reach < 2.0 ** 120)] = np.inf
+        best = g.argmin(axis=1)
+        best_g = g[rows, best]
+        limit = best_g + 2.0 * err
+        g[rows, best] = np.inf
+        runner_up = g.min(axis=1)
+        g[rows, best] = best_g
     # no runner-up exceeds an inf or NaN threshold
     loose = np.flatnonzero(~(runner_up > limit))
     if loose.size:
-        exact = _sq_dists(points[loose], centers)
+        row, col = np.nonzero(~(g[loose] > limit[loose, None]))
+        exact = np.full((loose.size, len(centers)), np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for pairs in _chunks(np.arange(row.size), max(1, _CHUNK_ELEMENTS // dim)):
+                exact[row[pairs], col[pairs]] = _paired_sq_dists(
+                    points[loose[row[pairs]]], centers[col[pairs]])
         best[loose] = exact.argmin(axis=1)
-        dist2[loose] = exact
-        err[loose] = 0.0
-    return best, dist2, err
+    return best, g, err
 
 
 def _chunks(rows: np.ndarray, size: int):
@@ -175,7 +234,7 @@ def _chunks(rows: np.ndarray, size: int):
 
 def _paired_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance of each row of `points` to the same (or the one)
-    row of `centers`, summed left to right: `_sq_dists`'s bytes. Rows are
+    row of `centers`, summed left to right: cdist's bytes. Rows are
     taken in chunks, so no (n, D) difference is made."""
     size = max(1, _CHUNK_ELEMENTS // points.shape[1])
     out = np.empty(len(points))
@@ -232,30 +291,34 @@ def _groups(centers: np.ndarray) -> list:
 def _lower_bounds(dist2: np.ndarray) -> np.ndarray:
     """float32 values <= sqrt(dist2) * (1 - 2**-22).
 
-    `dist2` is a `_sq_dists` value or `_nearest`'s d~ - err, which is at
-    most the exact squared distance. The relative gap is far larger than
-    `_sq_dists`'s own rounding error, so each bound is below the exact
-    distance.
+    `dist2` is `_group_bounds`' d~ - err, which is at most the exact
+    squared distance, or a `_paired_sq_dists` value. The relative gap is
+    far larger than that sum's own rounding error, so each bound is below
+    the exact distance.
     """
     return np.minimum(np.sqrt(dist2) * (1.0 - 2.0 ** -20) - 2.0 ** -149,
                       _F32_MAX).astype(np.float32)
 
 
-def _group_bounds(dist2: np.ndarray, err: np.ndarray, best: np.ndarray,
-                  groups: list) -> np.ndarray:
+def _group_bounds(g: np.ndarray, point_sq: np.ndarray, err: np.ndarray,
+                  best: np.ndarray, groups: list) -> np.ndarray:
     """float32 (t, m) bounds, each <= the distance from a row to every
-    center of a group but the row's own, `best`, from `_nearest`'s d~ and
-    err. Overwrites `dist2`.
+    center of a group but the row's own, `best`, from `_nearest`'s g and
+    err and the rows' squared norms. Overwrites `g`.
 
-    d~ - err <= d, and subtracting err, the floor at 0 and `_lower_bounds`
-    are monotone, so they may follow each group's least d~.
+    d~ - err = g + |z|^2 - err <= d - err / 2, a margin far wider than the
+    two float64 roundings here, and adding |z|^2, subtracting err, the
+    floor at 0 and `_lower_bounds` are monotone, so they may follow each
+    group's least g. A row of err = inf gets 0: fmax takes 0 over NaN.
     """
-    dist2[np.arange(len(best)), best] = np.inf
+    g[np.arange(len(best)), best] = np.inf
     least = np.empty((len(groups), len(best)))
-    for g, cols in enumerate(groups):
-        np.minimum.reduce(dist2[:, cols], axis=1, out=least[g])
-    least -= err
-    return _lower_bounds(np.maximum(least, 0.0))
+    for j, cols in enumerate(groups):
+        np.minimum.reduce(g[:, cols], axis=1, out=least[j])
+    with np.errstate(invalid="ignore"):  # inf - inf
+        least += point_sq
+        least -= err
+    return _lower_bounds(np.fmax(least, 0.0))
 
 
 def _upper_radii(d2: np.ndarray) -> np.ndarray:
@@ -300,7 +363,7 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
     centers into max(1, k // 5) runs of consecutive indices), and labels
     the other rows with `_nearest`. The bounds only choose which rows are
     searched, so labels, ties, centers and `wcss_history` are exactly
-    those of plain Lloyd passes over the full `_sq_dists` matrix. Besides
+    those of plain Lloyd passes over every exact distance. Besides
     `data` and the gathered rows of the cluster whose mean is being taken,
     the work is O(n + chunk) memory: the bounds take 4 bytes per row and
     group.
@@ -338,14 +401,15 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
         # a point keeps its label when every other center is certainly
         # farther; ties and near ties go to `_nearest` with the rest
         radius = _upper_radii(d2)
-        center_sq = _row_sq_norms(centers)
+        centers32, center_sq32 = _float32_centers(centers)
         for rows in _chunks(np.flatnonzero(lower.min(axis=0) <= radius), chunk):
-            best, dist2, err = _nearest(data[rows], data_sq[rows], centers, center_sq)
+            best, g, err = _nearest(data[rows], data_sq[rows], centers, centers32,
+                                    center_sq32)
             relabelled = rows[best != labels[rows]]
             labels[rows] = best
             d2[relabelled] = _paired_sq_dists(data[relabelled], centers[labels[relabelled]])
-            lower[:, rows] = _group_bounds(dist2, err, best, groups)
-            del dist2  # a chunk's work is not held through the next pass
+            lower[:, rows] = _group_bounds(g, data_sq[rows], err, best, groups)
+            del g  # a chunk's work is not held through the next pass
         history.append(float(d2.sum()))
         counts = np.bincount(labels, minlength=k)
         if (prev_labels is not None and counts.min() > 0
@@ -438,7 +502,8 @@ def quantize_batch(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
 
 def _nearest_symbols(cb: Codebook, z: np.ndarray) -> np.ndarray:
     """quantize_batch of rows already in the codebook's z-space."""
-    return _nearest(z, _finite_sq_norms(z, "row"), cb.centers, cb.center_sq)[0]
+    return _nearest(z, _finite_sq_norms(z, "row"), cb.centers, cb.centers32,
+                    cb.center_sq32)[0]
 
 
 def encode_sequence(cb: Codebook, descriptors, source: str = "") -> np.ndarray:

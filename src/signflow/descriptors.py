@@ -91,12 +91,16 @@ def describe_sequence(seq: SkeletonSequence, variant: DescriptorVariant) -> np.n
     variant = DescriptorVariant(variant)
     pos = seq.positions
     ref, moved = (pos[:-1], pos[1:]) if variant.time_extended else (pos, pos)
-    hands = ref[:, [JointId.RHand, JointId.LHand]]
     if variant in (DescriptorVariant.RBPD, DescriptorVariant.RBPD_T):
-        joints = moved[:, list(UPPER_BODY)]
-        delta = joints[:, None, :, :] - hands[:, :, None, :]  # (T', hand, joint, 3)
+        # UPPER_BODY is joints 0..10 in order and RHand follows LHand, so
+        # each frame's joints are 33 contiguous values and its hands one
+        # reversed slice, tiled once per joint: one subtraction per hand row
+        n = len(UPPER_BODY)
+        hands = np.tile(ref[:, JointId.RHand:JointId.LHand - 1:-1], n)
+        delta = np.empty((len(ref), 2, 3 * n))
+        np.subtract(moved[:, :n].reshape(len(ref), 1, 3 * n), hands, out=delta)
     else:
-        delta = hands - moved[:, [JointId.Torso]]
+        delta = ref[:, [JointId.RHand, JointId.LHand]] - moved[:, [JointId.Torso]]
     return delta.reshape(len(delta), variant.dimension)
 
 

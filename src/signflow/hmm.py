@@ -47,6 +47,10 @@ class DiscreteHMM:
     pi: np.ndarray
     A: np.ndarray
     B: np.ndarray
+    # scoring's step matrices (k + 1, C, n, n), A * B[:, :, s] for each
+    # symbol s and then the identity, and its underflow constant
+    steps: np.ndarray = field(init=False, repr=False, compare=False)
+    low: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=np.float64)
@@ -69,6 +73,10 @@ class DiscreteHMM:
         # np.any counts a NaN as nonzero
         if np.any(np.tril(self.A, -1)) or np.any(np.triu(self.A, 2)):
             raise ValueError("transition outside left-right support")
+        self.steps = np.concatenate([self.A * self.B.transpose(2, 0, 1)[:, :, None, :],
+                                     np.broadcast_to(np.eye(n), (1, C, n, n))])
+        self.low = float(self.A.min(where=self.A > 0.0, initial=1.0)
+                         * self.B.min(where=self.B > 0.0, initial=1.0))
 
     def __len__(self) -> int:
         return self.B.shape[0]
@@ -149,26 +157,33 @@ def _scaled_forward(pi: np.ndarray, stay: np.ndarray, move: np.ndarray):
     model reads NaN; neither touches the other rows."""
     T, R, n = stay.shape
     alpha = np.empty((T, R, n))
-    c = np.empty((T, R))
+    c = np.empty((T, R, 1))
+    flow = np.empty((R, n - 1))  # the move band's share of each step
     with np.errstate(invalid="ignore"):  # 0/0 in a zero-probability row
-        for t in range(T):
-            a = alpha[t]
-            np.multiply(alpha[t - 1] if t else pi, stay[t], out=a)
-            if t:
-                a[:, 1:] += alpha[t - 1, :, :-1] * move[t]
-            np.add.reduce(a, axis=1, out=c[t])
-            a /= c[t, :, None]
-    return alpha, c.T
+        # out, and reduce's (axis, dtype, out, keepdims), passed by position:
+        # keywords cost a parse on each of the T steps
+        np.multiply(pi, stay[0], alpha[0])
+        np.add.reduce(alpha[0], 1, None, c[0], True)
+        alpha[0] /= c[0]
+        for a, prev, head, s, m, ct in zip(alpha[1:], alpha[:-1], alpha[:-1, :, :-1],
+                                          stay[1:], move[1:], c[1:]):
+            np.multiply(prev, s, a)
+            np.multiply(head, m, flow)
+            a[:, 1:] += flow
+            np.add.reduce(a, 1, None, ct, True)
+            a /= ct
+    return alpha, c[:, :, 0].T
 
 
 def _log_likelihoods(hmm: DiscreteHMM, sym: np.ndarray) -> np.ndarray:
     """log P(sym) under each class model (-inf if impossible, NaN for a NaN
     model), one scaled step per block: frames 2..T form nb = ceil((T-1)/q)
-    blocks of step matrices A diag(B[:, o_t]), from a per-symbol table and
-    identity-padded, which log2(q) batched pairings multiply into P_b; with
-    v normalized, c_b = sum(v P_b) and log P = log c_0 + sum log c_b. Over
-    more than one block the first pairing multiplies each distinct pair of
-    steps once and gathers the products back to their blocks.
+    blocks of step matrices A diag(B[:, o_t]), gathered from the record's
+    `steps` and identity-padded, which log2(q) batched pairings multiply
+    into P_b; with v normalized, c_b = sum(v P_b) and log P = log c_0 +
+    sum log c_b. Over more than one block the first pairing multiplies each
+    distinct pair of steps once and gathers the products back to their
+    blocks.
 
     Proof. With L_0 = fl(min positive A * min positive B), L_(l+1) =
     fl(L_l^2), q = 2^l is the largest power of two <= 16 with L_l >=
@@ -192,20 +207,16 @@ def _log_likelihoods(hmm: DiscreteHMM, sym: np.ndarray) -> np.ndarray:
     """
     if sym.min() < 0 or sym.max() >= hmm.n_symbols:
         raise ValueError("symbol out of range for this model")
-    pi, A, B = hmm.pi, hmm.A, hmm.B
+    pi, B, table = hmm.pi, hmm.B, hmm.steps
     R, n = pi.shape
-    low = A.min(where=A > 0.0, initial=1.0) * B.min(where=B > 0.0, initial=1.0)
-    q = 1
+    pad = len(table) - 1  # the identity, after one step matrix per symbol
+    low, q = hmm.low, 1
     while q < min(16, sym.shape[0] - 1) and low * low >= 2.0 ** -1022:
         low, q = low * low, 2 * q
-    symbols, step = np.unique(sym[1:], return_inverse=True)
-    table = np.concatenate([A * B[:, :, symbols].transpose(2, 0, 1)[:, :, None, :],
-                            np.broadcast_to(np.eye(n), (1, R, n, n))])
-    padded = np.append(step, np.full(-step.size % q, symbols.size))
-    if 1 < q < step.size:
+    padded = np.append(sym[1:], np.full(-(sym.shape[0] - 1) % q, pad))
+    if 1 < q < sym.shape[0] - 1:
         # symbols come in runs, so over several blocks most pairs of steps
-        # repeat: the first pairing takes one product per distinct pair (on
-        # one block, a short probe, the np.unique costs more than it saves)
+        # repeat: the first pairing takes one product per distinct pair
         pairs, at = np.unique(padded[0::2] * len(table) + padded[1::2],
                               return_inverse=True)
         left, right = np.divmod(pairs, len(table))
@@ -215,12 +226,15 @@ def _log_likelihoods(hmm: DiscreteHMM, sym: np.ndarray) -> np.ndarray:
     while blocks.shape[1] > 1:
         blocks = np.matmul(blocks[:, 0::2], blocks[:, 1::2])
     v = pi * B[:, :, sym[0]]
-    c = [v.sum(axis=1)]
+    c = np.empty((len(blocks) + 1, R))
+    v.sum(axis=1, out=c[0])
+    scaled = np.empty((R, 1, n))
     with np.errstate(invalid="ignore"):  # 0/0 in a zero-probability row
-        for P in blocks[:, 0]:
-            v = np.matmul((v / c[-1][:, None])[:, None, :], P)[:, 0, :]
-            c.append(v.sum(axis=1))
-    c = np.array(c).T
+        for P, prev, total in zip(blocks[:, 0], c, c[1:]):
+            np.divide(v, prev[:, None], out=scaled[:, 0])
+            v = np.matmul(scaled, P)[:, 0, :]
+            v.sum(axis=1, out=total)
+    c = c.T
     out = np.full(R, NEG_INF)
     possible = ~(c <= 0.0).any(axis=1)
     out[possible] = np.log(c[possible]).sum(axis=1)
@@ -267,16 +281,22 @@ def _stacked_backward(stay: np.ndarray, move: np.ndarray, c: np.ndarray,
     step's mirror image, with c (R, T) from _scaled_forward and lengths (R,)
     the rows' sequence lengths. beta is 1.0 from each row's last step on, so
     each row gets the bytes of its own backward pass. Returns (T, R, n)."""
-    T = stay.shape[0]
+    T, R, n = stay.shape
     ended = np.arange(T)[:, None] >= lengths - 1
     beta = np.empty_like(stay)
     beta[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        b = beta[t]
-        np.multiply(stay[t + 1], beta[t + 1], out=b)
-        b[:, :-1] += move[t + 1] * beta[t + 1, :, 1:]
-        b /= c[:, t + 1, None]
-        b[ended[t]] = 1.0
+    flow = np.empty((R, n - 1))  # the move band's share of each step
+    # t = T - 2 down to 0 from reversed slices, each of T - 1 entries (at
+    # T = 1, beta[T - 2::-1] would start at the end instead)
+    for b, nxt, tail, s, m, ct, end in zip(beta[:-1][::-1], beta[1:][::-1],
+                                            beta[1:, :, 1:][::-1], stay[1:][::-1],
+                                            move[1:][::-1], c.T[1:, :, None][::-1],
+                                            ended[:-1][::-1]):
+        np.multiply(s, nxt, b)
+        np.multiply(m, tail, flow)
+        b[:, :-1] += flow
+        b /= ct
+        b[end] = 1.0
     return beta
 
 

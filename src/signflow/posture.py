@@ -390,8 +390,12 @@ def frame_shape_contexts(points) -> np.ndarray:
     key = theta.astype(np.int32 if sentinel < 2 ** 31 else np.int64)
     del theta
     np.minimum(key, N_ANGLE_BINS - 1, out=key)
-    # the ring is the count of inner edges <= r, so at most N_RINGS - 1
-    key += 1 + N_ANGLE_BINS * np.searchsorted(RING_EDGES[1:-1], r, side="right")
+    # the ring is the count of inner edges <= r, so at most N_RINGS - 1,
+    # counted in key's dtype (numpy's bool + bool is OR)
+    ring = np.zeros_like(key)
+    for edge in RING_EDGES[1:-1]:
+        ring += r >= edge
+    key += 1 + N_ANGLE_BINS * ring
     key[r < INNER_RADIUS] = 0
     key += np.arange(0, sentinel, SC_DIM, dtype=key.dtype).reshape(-1, m, 1)
     key[r >= OUTER_RADIUS] = sentinel

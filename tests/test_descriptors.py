@@ -228,11 +228,36 @@ def sequences(draw):
     return SkeletonSequence(timestamps=np.arange(n) / 30.0, positions=positions)
 
 
+def gathered_rbpd(seq, variant):
+    """RBPD rows by gathering the joints and hands by id: every upper-body
+    joint minus each hand, as (T', hand, joint, 3)."""
+    pos = seq.positions
+    ref, moved = (pos[:-1], pos[1:]) if variant.time_extended else (pos, pos)
+    joints = moved[:, list(UPPER_BODY)]
+    hands = ref[:, [JointId.RHand, JointId.LHand]]
+    delta = joints[:, None, :, :] - hands[:, :, None, :]
+    return delta.reshape(len(delta), variant.dimension)
+
+
 class TestProperties:
     @settings(max_examples=200, deadline=None)
     @given(sequences(), st.sampled_from(list(DescriptorVariant)))
     def test_equals_per_frame_oracle(self, seq, variant):
         np.testing.assert_array_equal(describe_sequence(seq, variant), oracle(seq, variant))
+
+    def test_joint_layout_the_slices_rely_on(self):
+        # describe_sequence takes the upper body as joints 0..10 and both
+        # hands as one reversed slice, right then left
+        assert UPPER_BODY == tuple(JointId)[:11]
+        assert JointId.RHand == JointId.LHand + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(sequences(), st.sampled_from(RBPD_VARIANTS))
+    def test_rbpd_bytes_equal_the_gather(self, seq, variant):
+        got = describe_sequence(seq, variant)
+        want = gathered_rbpd(seq, variant)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(15), st.just(3)),

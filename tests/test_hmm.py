@@ -170,6 +170,33 @@ class TestDiscreteHMMValidation:
                 np.testing.assert_array_equal(getattr(view, name)[0], getattr(m, name)[j])
 
 
+class TestStepTable:
+    """Each record derives scoring's step matrices and underflow constant
+    once, from its arrays alone."""
+
+    def test_each_symbol_then_the_identity(self):
+        rng = np.random.default_rng(7)
+        m = stack([random_left_right(rng, 4, 5) for _ in range(3)])
+        assert m.steps.shape == (6, 3, 4, 4)
+        for c in range(3):
+            for s in range(5):
+                assert m.steps[s, c].tobytes() == (m.A[c] * m.B[c, :, s]).tobytes()
+            assert m.steps[5, c].tobytes() == np.eye(4).tobytes()
+        want = m.A.min(where=m.A > 0.0, initial=1.0) * m.B.min(where=m.B > 0.0, initial=1.0)
+        assert m.low == want
+
+    def test_rebuilt_record_scores_alike(self):
+        # a record rebuilt from its arrays' values, as a loaded bundle is,
+        # scores short and multi-block probes with the same bytes
+        rng = np.random.default_rng(8)
+        m = stack([random_left_right(rng, 5, 6) for _ in range(4)])
+        rebuilt = DiscreteHMM(*(np.array(getattr(m, p).tolist()) for p in ("pi", "A", "B")))
+        for length in (1, 2, 3, 17, 40, 200):
+            obs = rng.integers(6, size=length)
+            got = classify_gesture(rebuilt, obs).values
+            assert got.tobytes() == classify_gesture(m, obs).values.tobytes()
+
+
 class TestGestureResponse:
     def test_best_class_is_the_first_maximum(self):
         assert GestureResponse(np.array([-3.0, -1.0, -1.0])).best_class == 1

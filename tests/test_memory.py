@@ -13,7 +13,6 @@ float32 bound per row and group of centers, not per row and center.
 
 A loaded hand mask is held as its rows packed 8 pixels to a byte, 585
 bytes against a bool mask's 4,225, in one array per archive.
-`_sq_dists` holds its output and one chunk's work, not every chunk's;
 `_paired_sq_dists` holds a chunk or two of difference, not an (n, D) one.
 """
 
@@ -23,7 +22,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from signflow.codebook import _CHUNK_ELEMENTS, _paired_sq_dists, _sq_dists, fit_kmeans
+from signflow.codebook import _CHUNK_ELEMENTS, _paired_sq_dists, fit_kmeans
 from signflow.dataset import load_mask_archive, save_mask_archive
 from signflow.descriptors import DescriptorVariant
 from signflow.pipeline import items_from_corpus, train_pipeline
@@ -166,18 +165,3 @@ def test_loaded_archive_keeps_packed_rows(tmp_path):
             assert got[side].mask.tobytes() == want[side].mask.tobytes()
     with pytest.raises(ValueError):
         regions[0].mask[32, 32] = False
-
-
-def test_sq_dists_holds_its_output_and_one_chunk():
-    rng = np.random.default_rng(11)
-    points, centers = rng.normal(size=(2000, 49)), rng.normal(size=(100, 49))
-    tracemalloc.start()
-    try:
-        got = _sq_dists(points, centers)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert got.nbytes == 1_600_000
-    assert peak < 3 * got.nbytes, (
-        f"_sq_dists peaked at {peak:,} traced bytes for a {got.nbytes:,}-byte output")
-    assert got.tobytes() == cdist(points, centers, "sqeuclidean").tobytes()

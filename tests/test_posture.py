@@ -19,6 +19,7 @@ from signflow.posture import (
     N_RINGS,
     OUTER_RADIUS,
     PATCH,
+    RING_EDGES,
     SC_DIM,
     HandRegion,
     HandSide,
@@ -221,6 +222,23 @@ class TestShapeContext:
         assert at6[0] == 0.0 and at6[1] == 1.0
         at32 = frame_shape_contexts(np.array([[0.0, 0.0], [32.0, 0.0]]))[0]
         assert at32.sum() == 0.0
+
+    def test_ring_edges_bin_as_searchsorted(self):
+        # r exactly on each ring edge and one ulp either side, along +x so
+        # that hypot(r, 0) is r: the ring is searchsorted's over the inner
+        # edges, side="right", below 6 px bin 0, from 32 px dropped
+        radii = np.array([np.nextafter(e, side) for e in RING_EDGES
+                          for side in (-np.inf, e, np.inf)])
+        pts = np.zeros((len(radii), 2, 2))
+        pts[:, 1, 0] = radii
+        rows = frame_shape_contexts(pts)[0::2]
+        for r, row in zip(radii, rows):
+            want = np.zeros(SC_DIM, dtype=np.int64)
+            if r < INNER_RADIUS:
+                want[0] = 1
+            elif r < OUTER_RADIUS:
+                want[1 + N_ANGLE_BINS * np.searchsorted(RING_EDGES[1:-1], r, side="right")] = 1
+            assert row.tolist() == want.tolist(), r
 
     def test_matches_scalar_binning_oracle(self):
         rng = np.random.default_rng(46)
