@@ -123,15 +123,25 @@ def _codebook_from(doc: dict, path) -> Codebook:
 
 
 def _hmms_from(docs: list, path) -> DiscreteHMM:
-    """The file's per-class models as one record; they must agree on shape."""
-    classes = [DiscreteHMM(*(_floats([h[p]], path) for p in ("pi", "A", "B")))
-               for h in docs]
-    for name, axis in (("number of states", 1), ("symbol alphabet size", 2)):
-        sizes = sorted({m.B.shape[axis] for m in classes})
+    """The file's per-class models as one record, which derives its step
+    table once; the classes must agree on shape."""
+    if not docs:
+        raise ValueError("no class HMMs")
+    pi, A, B = ([_floats(h[p], path) for h in docs] for p in ("pi", "A", "B"))
+    for c, b in enumerate(B):
+        if b.ndim != 2 or b.size == 0:
+            raise ValueError(f"B must be a non-empty (states, symbols) array, "
+                             f"class {c} has shape {b.shape}")
+    for name, axis in (("number of states", 0), ("symbol alphabet size", 1)):
+        sizes = sorted({b.shape[axis] for b in B})
         if len(sizes) > 1:
             raise ValueError(f"class HMMs disagree on the {name}: {sizes}")
-    return DiscreteHMM(*(np.concatenate([getattr(m, p) for m in classes])
-                         for p in ("pi", "A", "B")))
+    n = B[0].shape[0]
+    for c, (p, a) in enumerate(zip(pi, A)):
+        if p.shape != (n,) or a.shape != (n, n):
+            raise ValueError(f"class {c}: pi and A must be ({n},) and ({n}, {n}) "
+                             f"for {n} states, got {p.shape} and {a.shape}")
+    return DiscreteHMM(np.stack(pi), np.stack(A), np.stack(B))
 
 
 def _linear_doc(m: MulticlassLinearModel) -> dict:

@@ -248,25 +248,39 @@ def _paired_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
+def _in_sample(values: np.ndarray, inverse) -> np.ndarray:
+    """Per-row `values` of the distinct rows, one per sample row in sample
+    order: gathered through `inverse`, or as given when it is None."""
+    return values if inverse is None else values[inverse]
+
+
 def _kmeans_pp_seed(data: np.ndarray, data_sq: np.ndarray, k: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """k-means++ centers, drawn with probability d2 / sum(d2), d2 the exact
-    squared distance to the nearest center so far. A row whose GEMV d~
+                    rng: np.random.Generator, inverse=None) -> np.ndarray:
+    """k-means++ centers of the sample `data[inverse]` (`data` when inverse
+    is None), drawn with probability d2 / sum(d2), d2 the exact squared
+    distance to the nearest center so far. d2 is kept per row of `data`
+    and gathered per sample row for each draw. A row whose GEMV d~
     exceeds d2 + err cannot get nearer; only the rest get exact values."""
     n, dim = data.shape
+    draws = n if inverse is None else len(inverse)
     centers = np.empty((k, dim), dtype=np.float64)
-    centers[0] = data[int(rng.integers(n))]
+    idx = int(rng.integers(draws))
+    centers[0] = data[idx if inverse is None else inverse[idx]]
     with np.errstate(over="ignore"):
         d2 = _paired_sq_dists(data, centers[0:1])
-        if np.isinf(d2.sum()):  # later totals, seeding's or Lloyd's, are no larger
+        # later totals, seeding's or Lloyd's, are no larger
+        if np.isinf(_in_sample(d2, inverse).sum()):
             raise ValueError("squared distances overflow float64")
     for i in range(1, k):
-        total = d2.sum()
+        sample_d2 = _in_sample(d2, inverse)
+        total = sample_d2.sum()
         if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = int(rng.choice(draws, p=sample_d2 / total))
         else:
             # all remaining points coincide with a chosen center
-            idx = int(rng.integers(n))
+            idx = int(rng.integers(draws))
+        if inverse is not None:
+            idx = int(inverse[idx])
         centers[i] = data[idx]
         with np.errstate(over="ignore", invalid="ignore"):
             approx, err = _gemm_sq_dists(data, data_sq, centers[i:i + 1],
@@ -277,12 +291,25 @@ def _kmeans_pp_seed(data: np.ndarray, data_sq: np.ndarray, k: int,
     return centers
 
 
-def _groups(centers: np.ndarray) -> list:
-    """The center indices of each group for the Yinyang bounds: max(1, k // 5)
-    runs of consecutive indices, none empty. Any grouping keeps the bounds
-    valid; clustering the seeds into groups prunes a little more rows but
-    fits no faster."""
-    return np.array_split(np.arange(len(centers)), max(1, len(centers) // 5))
+def _groups(k: int) -> int:
+    """The group count t of the Yinyang bounds, max(1, k // 5): group j
+    holds centers j, j + t, j + 2t, ..., so each group is one column of
+    every t-wide slice of the centers, and none is empty. Any grouping
+    keeps the bounds valid; clustering the seeds into groups prunes a
+    little more rows but fits no faster."""
+    return max(1, k // 5)
+
+
+def _group_reduce(ufunc, values: np.ndarray, t: int) -> np.ndarray:
+    """`ufunc` (np.minimum or np.maximum) over each group's columns of
+    (..., k) `values`, slice by t-wide slice: the (..., t) result, a view
+    that overwrites the first t columns of `values`."""
+    head = values[..., :t]
+    for start in range(t, values.shape[-1], t):
+        part = values[..., start:start + t]
+        width = part.shape[-1]
+        ufunc(head[..., :width], part, out=head[..., :width])
+    return head
 
 
 # The pruning bounds are float32 and every rounding step is one-sided, so a
@@ -301,10 +328,11 @@ def _lower_bounds(dist2: np.ndarray) -> np.ndarray:
 
 
 def _group_bounds(g: np.ndarray, point_sq: np.ndarray, err: np.ndarray,
-                  best: np.ndarray, groups: list) -> np.ndarray:
+                  best: np.ndarray, t: int) -> np.ndarray:
     """float32 (t, m) bounds, each <= the distance from a row to every
     center of a group but the row's own, `best`, from `_nearest`'s g and
-    err and the rows' squared norms. Overwrites `g`.
+    err and the rows' squared norms, for the t groups of `_groups`.
+    Overwrites `g`.
 
     d~ - err = g + |z|^2 - err <= d - err / 2, a margin far wider than the
     two float64 roundings here, and adding |z|^2, subtracting err, the
@@ -312,13 +340,11 @@ def _group_bounds(g: np.ndarray, point_sq: np.ndarray, err: np.ndarray,
     group's least g. A row of err = inf gets 0: fmax takes 0 over NaN.
     """
     g[np.arange(len(best)), best] = np.inf
-    least = np.empty((len(groups), len(best)))
-    for j, cols in enumerate(groups):
-        np.minimum.reduce(g[:, cols], axis=1, out=least[j])
+    least = _group_reduce(np.minimum, g, t).astype(np.float64)
     with np.errstate(invalid="ignore"):  # inf - inf
-        least += point_sq
-        least -= err
-    return _lower_bounds(np.fmax(least, 0.0))
+        least += point_sq[:, None]
+        least -= err[:, None]
+    return _lower_bounds(np.fmax(least, 0.0)).T
 
 
 def _upper_radii(d2: np.ndarray) -> np.ndarray:
@@ -347,7 +373,8 @@ def _shrinks(step: np.ndarray, reach: float) -> np.ndarray:
 
 def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
                znorm: Optional[ZNormStats] = None,
-               variant: Optional[DescriptorVariant] = None) -> Codebook:
+               variant: Optional[DescriptorVariant] = None,
+               inverse=None) -> Codebook:
     """Lloyd's algorithm from a k-means++ start, fully deterministic per seed.
 
     `data` is clustered as given (no normalization applied here); the
@@ -357,34 +384,49 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
     are re-seeded to the point farthest from its assigned center, keeping
     all k symbols alive.
 
+    With `inverse`, the sample clustered is `data[inverse]`: `data` holds
+    its distinct rows, each named by `inverse` at least once, and the
+    result is that of `fit_kmeans(data[inverse], ...)` byte for byte. A
+    row's label and distances depend on the row alone, so the seeding's
+    screens, the searches and the bounds run once per row of `data`. What
+    the sample's order or multiplicities decide runs over the sample: the
+    draws, the WCSS, the counts, each mean over its members in sample
+    order, the reseeds and the check of k.
+
     Each pass skips the rows whose label cannot change, using one float32
     lower bound per row and group of centers from the triangle inequality
     (Yinyang k-means, Ding et al., ICML 2015: `_groups` splits the k
-    centers into max(1, k // 5) runs of consecutive indices), and labels
-    the other rows with `_nearest`. The bounds only choose which rows are
-    searched, so labels, ties, centers and `wcss_history` are exactly
-    those of plain Lloyd passes over every exact distance. Besides
-    `data` and the gathered rows of the cluster whose mean is being taken,
-    the work is O(n + chunk) memory: the bounds take 4 bytes per row and
-    group.
+    centers into max(1, k // 5) groups), and labels the other rows with
+    `_nearest`. The bounds only choose which rows are searched, so labels,
+    ties, centers and `wcss_history` are exactly those of plain Lloyd
+    passes over every exact distance. Besides `data` and the gathered
+    rows of the cluster whose mean is being taken, the work is O(n +
+    chunk) memory, n counting the sample's rows: the bounds take 4 bytes
+    per row of `data` and group.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
+    if inverse is not None:
+        inverse = np.asarray(inverse, dtype=np.intp)
+        if inverse.ndim != 1 or not np.array_equal(np.unique(inverse),
+                                                   np.arange(len(data))):
+            raise ValueError("inverse must name every row of data, and no other")
     if data.size == 0:
         raise EmptyInputError("no data to cluster")
     if k < 1:
         raise ValueError("k must be >= 1")
     n, dim = data.shape
-    if k > n:
-        raise ValueError(f"k={k} exceeds {n} data points")
+    n_sample = n if inverse is None else len(inverse)
+    if k > n_sample:
+        raise ValueError(f"k={k} exceeds {n_sample} data points")
     data_sq = _finite_sq_norms(data, "data row")
 
-    centers = _kmeans_pp_seed(data, data_sq, k, np.random.default_rng(seed))
-    groups = _groups(centers)
+    centers = _kmeans_pp_seed(data, data_sq, k, np.random.default_rng(seed), inverse)
+    t = _groups(k)
     # lower[g, i] <= distance from point i to every center of group g but
     # its own, kept in float32 and rounded down
-    lower = np.full((len(groups), n), -np.inf, dtype=np.float32)
+    lower = np.full((t, n), -np.inf, dtype=np.float32)
     labels = np.full(n, -1, dtype=np.intp)  # -1: every row is relabelled in pass 1
     d2 = np.full(n, np.inf)  # exact squared distance to the own center
     moved = np.zeros(k, dtype=bool)
@@ -394,8 +436,9 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
     prev_labels = None
     history = []
     for _ in range(max_iter):
-        # a group's bounds shrink by its largest center move
-        lower -= np.array([shrink[cols].max() for cols in groups], dtype=np.float32)[:, None]
+        # a group's bounds shrink by its largest center move; `shrink` is
+        # rebuilt at the end of the pass
+        lower -= _group_reduce(np.maximum, shrink, t)[:, None]
         for rows in _chunks(np.flatnonzero(moved[labels]), chunk):
             d2[rows] = _paired_sq_dists(data[rows], centers[labels[rows]])
         # a point keeps its label when every other center is certainly
@@ -408,10 +451,13 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
             relabelled = rows[best != labels[rows]]
             labels[rows] = best
             d2[relabelled] = _paired_sq_dists(data[relabelled], centers[labels[relabelled]])
-            lower[:, rows] = _group_bounds(g, data_sq[rows], err, best, groups)
+            lower[:, rows] = _group_bounds(g, data_sq[rows], err, best, t)
             del g  # a chunk's work is not held through the next pass
-        history.append(float(d2.sum()))
-        counts = np.bincount(labels, minlength=k)
+        history.append(float(_in_sample(d2, inverse).sum()))
+        sample_labels = _in_sample(labels, inverse)
+        counts = np.bincount(sample_labels, minlength=k)
+        # every row of data is in the sample, so its labels repeat when the
+        # sample's do
         if (prev_labels is not None and counts.min() > 0
                 and np.array_equal(labels, prev_labels)):
             break
@@ -425,8 +471,11 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
             changed[prev_labels[switched]] = True
         prev_labels = labels.copy()
         old = centers.copy()
-        # each cluster's members in row order, as `data[labels == j]` has them
-        order = np.argsort(labels, kind="stable")
+        # each cluster's members in sample order, as `sample[labels == j]`
+        # has them, as rows of data
+        order = np.argsort(sample_labels, kind="stable")
+        if inverse is not None:
+            order = inverse[order]
         ends = np.cumsum(counts)
         # the mean sums before it divides, so finite points near the
         # float64 limit can average to inf
@@ -438,10 +487,10 @@ def fit_kmeans(data, k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER,
             raise ValueError(f"the mean of cluster {int(finite.argmin())} overflows float64")
         empties = np.flatnonzero(counts == 0)
         if empties.size:
-            claim = d2.copy()
+            claim = _in_sample(d2, inverse).copy()
             for j in empties:
                 far = int(claim.argmax())
-                centers[j] = data[far]
+                centers[j] = data[far if inverse is None else inverse[far]]
                 claim[far] = -1.0
         moved = (centers != old).any(axis=1)
         shrink = _shrinks(np.sqrt(np.square(centers - old).sum(axis=1)), reach)

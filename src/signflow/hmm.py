@@ -18,6 +18,7 @@ the floor, row re-summing to 1), which keeps the EM monotonicity guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -33,6 +34,12 @@ def _symbols(obs) -> np.ndarray:
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise EmptyInputError("empty observation sequence")
     return arr
+
+
+def _first_class(bad: np.ndarray) -> Optional[int]:
+    """The first class, along the leading axis, with a True entry in `bad`."""
+    per_class = bad.reshape(len(bad), -1).any(axis=1)
+    return int(per_class.argmax()) if per_class.any() else None
 
 
 @dataclass
@@ -63,16 +70,20 @@ class DiscreteHMM:
         if self.pi.shape != (C, n) or self.A.shape != (C, n, n):
             raise ValueError(f"pi and A must be ({C}, {n}) and ({C}, {n}, {n}) "
                              f"for {n} states, got {self.pi.shape} and {self.A.shape}")
-        if np.any(self.pi < 0) or np.any(self.A < 0) or np.any(self.B < 0):
-            raise ValueError("negative probability")
         for name, m in (("pi", self.pi), ("A", self.A), ("B", self.B)):
+            c = _first_class(m < 0)
+            if c is not None:
+                raise ValueError(f"class {c}: negative probability in {name}")
             # row by row, so a NaN class (a diverged training) hides no other
             err = np.abs(m.sum(axis=-1) - 1.0)
-            if np.any(err > _ROW_TOL):
-                raise ValueError(f"{name} row sums off by {np.nanmax(err):.2e}")
-        # np.any counts a NaN as nonzero
-        if np.any(np.tril(self.A, -1)) or np.any(np.triu(self.A, 2)):
-            raise ValueError("transition outside left-right support")
+            c = _first_class(err > _ROW_TOL)
+            if c is not None:
+                raise ValueError(f"class {c}: {name} row sums off by "
+                                 f"{np.nanmax(err[c]):.2e}")
+        # a NaN is not 0
+        c = _first_class((np.tril(self.A, -1) != 0) | (np.triu(self.A, 2) != 0))
+        if c is not None:
+            raise ValueError(f"class {c}: transition outside left-right support")
         self.steps = np.concatenate([self.A * self.B.transpose(2, 0, 1)[:, :, None, :],
                                      np.broadcast_to(np.eye(n), (1, C, n, n))])
         self.low = float(self.A.min(where=self.A > 0.0, initial=1.0)

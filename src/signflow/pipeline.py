@@ -194,6 +194,18 @@ def _codebook_sample(per_video: list, cap: int) -> np.ndarray:
     return np.concatenate(picks)
 
 
+def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (n, D) count array, in byte order, and each
+    row's index among them: distinct[inverse] equals `counts`. One
+    np.unique over the rows as opaque byte strings, far cheaper than
+    np.unique(axis=0)."""
+    counts = np.ascontiguousarray(counts)
+    width = counts.dtype.itemsize * counts.shape[1]
+    distinct, inverse = np.unique(counts.view(np.dtype((np.void, width)))[:, 0],
+                                  return_inverse=True)
+    return distinct.view(counts.dtype).reshape(-1, counts.shape[1]), inverse
+
+
 @dataclass
 class _Described:
     """A sequence's descriptor rows, counted up front and described only
@@ -269,13 +281,21 @@ def train_pipeline(items, config: Optional[dict] = None) -> ModelBundle:
         # each train contour's shape-context counts, computed once, feed the
         # codebook sample and the bags-of-words; each normalizes what it uses
         per_video = [video_shape_contexts(i.masks) for i in train]
-        sc_data = shape_context_rows(_codebook_sample(
-            [counts for counts, _ in per_video], config["sc_sample_cap"]))
-        posture_k = min(config["posture_k"], sc_data.shape[0])
-        posture_cb = fit_kmeans(sc_data, k=posture_k,
-                                seed=derive_seed(seed, "posture-cb"))
+        sample = _codebook_sample([counts for counts, _ in per_video],
+                                  config["sc_sample_cap"])
+        posture_k = min(config["posture_k"], len(sample))
+        # a row is at most 19 counts over their total, so the sample repeats
+        # rows: k-means normalizes and searches each distinct row once and
+        # sees the sample through `inverse`
+        distinct, inverse = _distinct_rows(sample)
+        del sample
+        distinct = shape_context_rows(distinct)
+        posture_cb = fit_kmeans(distinct, k=posture_k,
+                                seed=derive_seed(seed, "posture-cb"), inverse=inverse)
+        del distinct, inverse
         bows = np.stack([bow_from_shape_contexts(counts, halves, posture_cb)
                          for counts, halves in per_video])
+        del per_video
         posture_model = train_posture_classifier(
             bows, np.array([i.label for i in train]), posture_cb,
             cost=config["posture_cost"], seed=derive_seed(seed, "posture-clf"),

@@ -420,7 +420,7 @@ def video_shape_contexts(frames,
     the same way. The present regions' packed rows are stacked and
     unpacked once, and their masks traced, sampled and binned as one
     stack. Returns the (n, 49) bin counts and, per row, the histogram
-    half it counts in: 0 for the right hand, 1 for the left.
+    half it counts in, as uint8: 0 for the right hand, 1 for the left.
     """
     frames = list(frames)
     if not frames:
@@ -428,10 +428,10 @@ def video_shape_contexts(frames,
     present = [(side, region) for sides in frames
                for side, region in sides.items() if region.present]
     if not present:
-        return np.empty((0, SC_DIM), dtype=_count_dtype(m)), np.empty(0, dtype=np.int64)
+        return np.empty((0, SC_DIM), dtype=_count_dtype(m)), np.empty(0, dtype=np.uint8)
     bits = np.stack([region.bits for _, region in present])
     points, kept = sample_contour(np.unpackbits(bits, axis=-1, count=PATCH).view(bool), m)
-    left = np.array([side == HandSide.LEFT for side, _ in present], dtype=np.int64)
+    left = np.array([side == HandSide.LEFT for side, _ in present], dtype=np.uint8)
     return frame_shape_contexts(points), np.repeat(left[kept], m)
 
 
@@ -447,7 +447,7 @@ def bow_from_shape_contexts(counts: np.ndarray, halves: np.ndarray,
                          f"got {posture_cb.dimension}")
     k = posture_cb.k
     words = quantize_batch(posture_cb, shape_context_rows(counts))
-    tally = np.bincount(halves * k + words, minlength=2 * k).reshape(2, k)
+    tally = np.bincount(words + k * halves.astype(np.intp), minlength=2 * k).reshape(2, k)
     return (tally / np.maximum(tally.sum(axis=1, keepdims=True), 1)).ravel()
 
 

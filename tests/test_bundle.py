@@ -17,7 +17,7 @@ from signflow.codebook import Codebook
 from signflow.dataset import CorruptFileError
 from signflow.descriptors import DescriptorVariant, ZNormStats
 from signflow.fusion import KdeFusionModel
-from signflow.hmm import init_left_right
+from signflow.hmm import DiscreteHMM, init_left_right
 from signflow.linear_model import MulticlassLinearModel
 from signflow.posture import PostureModel
 
@@ -233,6 +233,51 @@ class TestErrors:
         for j, h in enumerate(doc["hmms"]):
             for name in ("pi", "A", "B"):
                 assert h[name] == getattr(b.hmms, name)[j].tolist()
+
+
+class TestOneHmmRecord:
+    """A load builds the class HMMs as one record, so it derives the step
+    table once, and still names the class of a bad row."""
+
+    def test_load_builds_one_record_and_round_trips(self, tmp_path, monkeypatch):
+        p = tmp_path / "model.json"
+        b = tiny_bundle()
+        save_bundle(b, p)
+        built = []
+        real = DiscreteHMM.__post_init__
+
+        def counting(self):
+            built.append(self.B.shape)
+            real(self)
+
+        monkeypatch.setattr(DiscreteHMM, "__post_init__", counting)
+        back = load_bundle(p)
+        monkeypatch.undo()
+        assert built == [(2, 4, 3)]
+        assert back.hmms.steps.tobytes() == b.hmms.steps.tobytes()
+        again = tmp_path / "again.json"
+        save_bundle(back, again)
+        assert again.read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("case, want", [
+        ("off row sum", "class 1: B row sums off by 2.50e-01"),
+        ("backward step", "class 1: transition outside left-right support"),
+        ("negative", "class 1: negative probability in pi")])
+    def test_bad_row_names_its_class(self, tmp_path, case, want):
+        p = tmp_path / "model.json"
+        save_bundle(tiny_bundle(with_optional=False), p)
+        doc = json.loads(p.read_text())
+        h = doc["hmms"][1]
+        if case == "off row sum":
+            h["B"][0][0] += 0.25
+        elif case == "backward step":  # state 1's self-loop mass steps back
+            h["A"][1][0], h["A"][1][1] = h["A"][1][1], 0.0
+        else:
+            h["pi"][0], h["pi"][1] = -0.25, 1.25
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError) as exc:
+            load_bundle(p)
+        assert str(exc.value) == f"{p}: {want}"
 
 
 def _edit_kde(doc, case):

@@ -252,12 +252,16 @@ class TestPairedDistances:
         assert got.tobytes() == full[np.arange(n), labels].tobytes()
 
 
-def one_center_groups(centers):
-    return [np.array([j]) for j in range(len(centers))]
+def one_group(k):
+    return 1
 
 
-def one_group(centers):
-    return [np.arange(len(centers))]
+def one_center_groups(k):
+    return k
+
+
+def groups_of_three(k):
+    return max(1, k // 3)
 
 
 class TestGroupEdges:
@@ -271,14 +275,14 @@ class TestGroupEdges:
     def test_few_centers_form_one_group(self, case, k):
         points, seed = case
         k = min(k, points.shape[0])
-        seeds = _kmeans_pp_seed(points, _row_sq_norms(points), k,
-                                np.random.default_rng(seed))
-        assert [g.tolist() for g in codebook._groups(seeds)] == [list(range(k))]
+        assert codebook._groups(k) == 1
         assert_matches_oracle(points, k, seed)
 
     @settings(max_examples=100, deadline=None)
-    @given(blobs(), st.sampled_from([one_center_groups, one_group]), st.data())
+    @given(blobs(), st.sampled_from([one_center_groups, one_group, groups_of_three]),
+           st.data())
     def test_groups_of_one_center_and_one_group(self, case, grouping, data):
+        # and several groups of three or more centers
         points, seed = case
         k = data.draw(st.integers(1, min(15, points.shape[0])))
         with mock.patch.object(codebook, "_groups", grouping):
@@ -286,7 +290,7 @@ class TestGroupEdges:
 
     @settings(max_examples=60, deadline=None)
     @given(blobs(max_n=60).filter(lambda case: case[0].shape[0] >= 10),
-           st.sampled_from([codebook._groups, one_center_groups]))
+           st.sampled_from([codebook._groups, one_center_groups, groups_of_three]))
     def test_k_is_n_with_several_groups(self, case, grouping):
         points, seed = case
         with mock.patch.object(codebook, "_groups", grouping):
@@ -294,7 +298,8 @@ class TestGroupEdges:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
-           st.sampled_from([codebook._groups, one_center_groups]), st.data())
+           st.sampled_from([codebook._groups, one_center_groups, groups_of_three]),
+           st.data())
     def test_reseeds_with_several_groups(self, seed, distinct, grouping, data):
         # fewer distinct points than centers, k >= 10: several groups, and
         # clusters come up empty and are reseeded
@@ -305,15 +310,106 @@ class TestGroupEdges:
         with mock.patch.object(codebook, "_groups", grouping):
             assert assert_matches_oracle(points, k, seed) > 0
 
-    @settings(max_examples=100, deadline=None)
-    @given(blobs(max_n=150), st.data())
-    def test_groups_partition_the_centers(self, case, data):
-        points, _ = case
-        k = data.draw(st.integers(1, points.shape[0]))
-        groups = codebook._groups(points[:k])
-        assert 1 <= len(groups) <= max(1, k // 5)
-        assert all(g.size for g in groups)
-        assert sorted(np.concatenate(groups).tolist()) == list(range(k))
+    def test_groups_partition_the_centers(self):
+        # group j holds centers j, j + t, ...: t non-empty groups that
+        # partition the centers, and the reductions over t-wide slices
+        # equal those over each group's own columns
+        for k in list(range(1, 31)) + [99, 100, 101, 104]:
+            t = codebook._groups(k)
+            assert t == max(1, k // 5) and t <= k
+            groups = [np.arange(j, k, t) for j in range(t)]
+            assert all(g.size for g in groups)
+            assert sorted(np.concatenate(groups).tolist()) == list(range(k))
+            values = np.random.default_rng(k).normal(size=(3, k)).astype(np.float32)
+            for ufunc, reduce in ((np.minimum, np.min), (np.maximum, np.max)):
+                want = np.stack([reduce(values[:, g], axis=1) for g in groups], axis=1)
+                got = codebook._group_reduce(ufunc, values.copy(), t)
+                assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def repeated_rows(draw):
+    """(rows, inverse, seed): distinct rows and a sample of them in drawn
+    order, each row named at least once and some many times, from a few
+    rows for many sample rows up to one sample row per distinct row."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    distinct = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 6))
+    if draw(st.booleans()):  # counts over their total, as shape contexts are
+        counts = rng.integers(0, 4, size=(4 * distinct, dim))
+        rows = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+    else:
+        rows = rng.normal(size=(distinct, dim)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rows = np.unique(rows, axis=0)[:distinct]
+    extra = draw(st.sampled_from([0, 1, 3, 10]))
+    inverse = np.concatenate([np.arange(len(rows)),
+                              rng.integers(len(rows), size=extra * len(rows))])
+    return rows, rng.permutation(inverse), seed
+
+
+def assert_fits_the_sample(rows, inverse, k, seed, max_iter=codebook.DEFAULT_MAX_ITER):
+    """fit_kmeans over the distinct rows gives the sample's fit, byte for
+    byte: centers, `wcss_history` and so the pass count, and labels."""
+    want = fit_kmeans(rows[inverse], k, seed, max_iter)
+    got = fit_kmeans(rows, k, seed, max_iter, inverse=inverse)
+    assert got.centers.tobytes() == want.centers.tobytes()
+    assert got.wcss_history == want.wcss_history
+    assert (quantize_batch(got, rows[inverse]).tolist()
+            == quantize_batch(want, rows[inverse]).tolist())
+    return want
+
+
+class TestDistinctRows:
+    """`fit_kmeans(rows, k, seed, inverse=inv)` is the fit of the sample
+    `rows[inv]`: the seeding's draws, the WCSS, the means in sample order
+    and the reseeds all run over the sample."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_rows(), st.data())
+    def test_equals_the_fit_of_the_sample(self, case, data):
+        rows, inverse, seed = case
+        k = data.draw(st.integers(1, min(12, len(inverse))))
+        assert_fits_the_sample(rows, inverse, k, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(blobs(max_n=80), st.data())
+    def test_identity_inverse(self, case, data):
+        points, seed = case
+        points = np.unique(points, axis=0)
+        k = data.draw(st.integers(1, min(12, len(points))))
+        assert_fits_the_sample(points, np.arange(len(points)), k, seed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 4), st.data())
+    def test_k_at_and_above_the_distinct_count(self, seed, distinct, above, data):
+        # heavy duplication: each of a few rows repeats up to 40 times, and
+        # k reaches or passes their count, so clusters are reseeded
+        rng = np.random.default_rng(seed)
+        rows = np.unique(rng.normal(size=(distinct, 3)), axis=0)
+        inverse = rng.permutation(np.concatenate(
+            [np.arange(len(rows)), rng.integers(len(rows), size=40)]))
+        k = min(len(rows) + above, len(inverse))
+        assert_fits_the_sample(rows, inverse, k, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_rows(), st.integers(0, 3), st.data())
+    def test_max_iter_cut_offs(self, case, max_iter, data):
+        rows, inverse, seed = case
+        k = data.draw(st.integers(1, min(10, len(inverse))))
+        cb = assert_fits_the_sample(rows, inverse, k, seed, max_iter=max_iter)
+        assert len(cb.wcss_history) <= max_iter
+
+    def test_k_counts_the_sample(self):
+        rows = np.array([[0.0], [1.0]])
+        assert fit_kmeans(rows, 4, 0, inverse=[0, 1, 1, 0]).k == 4
+        with pytest.raises(ValueError, match="k=5 exceeds 4 data points"):
+            fit_kmeans(rows, 5, 0, inverse=[0, 1, 1, 0])
+
+    @pytest.mark.parametrize("inverse", [[0, 0, 0], [0, 1, 2], [[0, 1]], [-1, 0, 1]])
+    def test_inverse_names_every_row_and_no_other(self, inverse):
+        with pytest.raises(ValueError, match="inverse must name every row"):
+            fit_kmeans(np.array([[0.0], [1.0]]), 1, 0, inverse=inverse)
 
 
 class TestPruning:

@@ -5,6 +5,9 @@ Shape contexts are held as bin counts, not float rows: a float64
 shape-context row takes 392 bytes, its 1-byte bin counts 49. On a corpus
 whose shape contexts dominate, the whole of `train_pipeline` must
 allocate less, at its peak, than the split's rows would take as float64.
+The posture codebook is fitted on the sample's distinct rows through
+their indices, so even a codebook sample of every row is never held as
+float rows.
 
 Gesture training peaks at one normalized descriptor matrix plus O(n +
 chunk) work: each sequence's descriptors are written into one
@@ -55,6 +58,34 @@ def test_training_peak_stays_below_float_rows_of_the_split():
     assert peak < float_rows, (
         f"train_pipeline peaked at {peak:,} traced bytes; the split's "
         f"{n_rows:,} shape-context rows take {float_rows:,} as float64")
+
+
+# the same clips at 30-36 frames: 25,840 shape-context rows, of which only
+# 8,860 are distinct, each a row's 19 counts over their total. A codebook
+# sample of every row takes 10.1 MB as float64.
+REPEATING_CORPUS = SyntheticConfig(
+    classes=CORPUS.classes, counts=(10, 0, 0), frame_count_range=(30, 36), seed=5)
+
+
+def test_posture_codebook_sample_is_never_held_as_float_rows():
+    # k-means normalizes and searches the sample's distinct rows and sees
+    # the sample through their indices, so training holds no float row
+    # per sample row: its whole peak stays below what a float64 sample
+    # alone would add to the counts it is drawn from
+    items = items_from_corpus(generate_synthetic_corpus(REPEATING_CORPUS))
+    counts = np.concatenate([video_shape_contexts(i.masks)[0] for i in items])
+    float_sample = counts.shape[0] * SC_DIM * 8
+    assert len(np.unique(counts, axis=0)) < 0.4 * counts.shape[0]
+    tracemalloc.start()
+    try:
+        bundle = train_pipeline(items, dict(SMALL_RUN, posture_k=16, sc_sample_cap=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bundle.posture_model.codebook.k == 16
+    assert peak < float_sample, (
+        f"train_pipeline peaked at {peak:,} traced bytes; the codebook "
+        f"sample's {counts.shape[0]:,} rows take {float_sample:,} as float64")
 
 
 # 20 gesture-only train sequences of about 1,000 frames: about 19,500

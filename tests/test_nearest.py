@@ -5,11 +5,13 @@ Its labels must equal `cdist(...).argmin(axis=1)` on every input, ties to
 the lowest index included. On every row, d~ = g + |z|^2 from its screen
 must lie within err / 2 of the exact squared distance, together with
 cdist's own rounding, and the bounds `fit_kmeans` takes from d~ - err must
-never exceed the exact distance. Exact values come from `Fraction`
+never exceed the exact distance, and each finite err must be the
+docstring's formula. Exact values come from `Fraction`
 arithmetic on the float inputs. Inputs run from below float32's subnormals
 to beyond float32's range, and past float64's.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -285,23 +287,22 @@ class TestOneSidedBound:
     @settings(max_examples=300, deadline=None)
     @given(any_lookups(max_dim=6), st.data())
     def test_group_bounds_below_exact_distance(self, case, data):
-        # any grouping: a row's bound for a group stays below its exact
-        # distance to each center of that group but its own
+        # any group count t, group j holding centers j, j + t, ...: a row's
+        # bound for a group stays below its exact distance to each center
+        # of that group but its own
         points, centers = case
         best, g, err = nearest(points, centers)
         k = len(centers)
-        group = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=k,
-                                            max_size=k)))
-        groups = [np.flatnonzero(group == j) for j in np.unique(group)]
+        t = data.draw(st.integers(1, k))
         with np.errstate(over="ignore"):  # norms beyond float64
             point_sq = _row_sq_norms(points)
-        bounds = codebook._group_bounds(g, point_sq, err, best, groups)
-        assert bounds.dtype == np.float32 and bounds.shape == (len(groups), len(points))
+        bounds = codebook._group_bounds(g, point_sq, err, best, t)
+        assert bounds.dtype == np.float32 and bounds.shape == (t, len(points))
         exact_d = exact_sq_dists(points, centers)
-        for j, cols in enumerate(groups):
+        for j in range(t):
             for i, row_d in enumerate(exact_d):
                 b = bounds[j, i]
-                for c in cols:
+                for c in range(j, k, t):
                     if c != best[i]:
                         assert b <= 0 or exact(b) ** 2 <= row_d[c]
 
@@ -322,6 +323,65 @@ class TestOneSidedBound:
                 continue
             for v, w, d in zip(row, row_full, row_d):
                 assert abs(exact(v) + exact(zsq) - d) + abs(exact(w) - d) <= exact(e) / 2
+
+
+def gamma(m, unit):
+    return m * unit / (1 - m * unit)
+
+
+def exact_sqrt(value):
+    """sqrt of a non-negative Fraction to 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Fraction((Decimal(value.numerator) / Decimal(value.denominator)).sqrt())
+
+
+def formula_err(point, centers):
+    """err as `_nearest`'s docstring defines it, (gamma_(D+2)(u) + 5u +
+    gamma_(D+2)(v)) (2 sqrt(X))^2 + (6D + 16) 2**-120 with X = (|z| +
+    max|c|)^2, from the exact norms of the float rows."""
+    dim = len(point)
+    u, v = Fraction(1, 2 ** 24), Fraction(1, 2 ** 53)
+    z_norm = exact_sqrt(sum(exact(a) ** 2 for a in point))
+    c_norm = exact_sqrt(max(sum(exact(a) ** 2 for a in c) for c in centers))
+    return ((gamma(dim + 2, u) + 5 * u + gamma(dim + 2, v)) * 4 * (z_norm + c_norm) ** 2
+            + (6 * dim + 16) * Fraction(1, 2 ** 120))
+
+
+class TestErrorBoundMargin:
+    """Each finite err equals the docstring's formula, evaluated in exact
+    arithmetic on the rows' exact norms, to within 2**-20 relatively: the
+    float32 cast of the centers' squared norms and a few float64 roundings
+    move it by about 2**-24. So an err half as large, or twice, fails here,
+    while random and cancelling inputs round far below the worst case the
+    formula covers and `TestOneSidedBound` would still pass.
+
+    What this cannot show is that the formula bounds the rounding on every
+    input: that rests on the proof in `_nearest`'s docstring. A formula
+    with too small a constant, coded as written, would pass here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_lookups(max_dim=6))
+    def test_err_is_the_formula(self, case):
+        points, centers = case
+        _, _, err = nearest(points, centers)
+        assert_bounded_in_range(points, centers, err)
+        tolerance = Fraction(1, 2 ** 20)
+        for point, e in zip(points, err):
+            if np.isfinite(e):
+                want = formula_err(point, centers)
+                assert abs(exact(e) - want) <= want * tolerance
+
+    @pytest.mark.parametrize("dim", [1, 66, 512])
+    def test_err_is_the_formula_at_fixed_rows(self, dim):
+        rng = np.random.default_rng(dim)
+        centers = rng.normal(size=(5, dim)) * 3.0
+        points = np.vstack([centers[:2], rng.normal(size=(4, dim)), np.zeros((1, dim))])
+        _, _, err = nearest(points, centers)
+        assert np.isfinite(err).all()
+        for point, e in zip(points, err):
+            want = formula_err(point, centers)
+            assert abs(exact(e) - want) <= want * Fraction(1, 2 ** 20)
 
 
 def all_pairs(points, centers):
