@@ -381,8 +381,8 @@ class TestDistinctRows:
         assert_fits_the_sample(points, np.arange(len(points)), k, seed)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 4), st.data())
-    def test_k_at_and_above_the_distinct_count(self, seed, distinct, above, data):
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 4))
+    def test_k_at_and_above_the_distinct_count(self, seed, distinct, above):
         # heavy duplication: each of a few rows repeats up to 40 times, and
         # k reaches or passes their count, so clusters are reseeded
         rng = np.random.default_rng(seed)
